@@ -43,11 +43,12 @@ from vmsflow.mesh import (
 )
 from vmsflow.newton import (
     CondensedElement,
+    Discretization,
     ElementResiduals,
     ElementTangent,
     FineScaleSingularError,
     State,
-    assemble_global,
+    assemble_system,
     condense,
     element_residuals,
     element_tangent,

@@ -107,14 +107,30 @@ def element_geometry(coords, index: int | None = None) -> ElementGeometry:
     """
     coords = np.asarray(coords, dtype=float)
     J = coords.T @ DN_REF
-    detJ = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
+    Jinv, detJ = inv2(J)
     if detJ <= 1e-14:
         where = "" if index is None else f" (element {index})"
         raise DegenerateElementError(
             f"triangle{where} is degenerate or negatively oriented: detJ = {detJ:.3e}"
         )
-    Jinv = np.array([[J[1, 1], -J[0, 1]], [-J[1, 0], J[0, 0]]]) / detJ
     return ElementGeometry(J=J, detJ=detJ, Jinv=Jinv)
+
+
+def inv2(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverses and determinants of a stack of 2x2 matrices ``(..., 2, 2)``.
+
+    Singular entries come out as inf/nan without a warning; callers check
+    the returned determinants against their own threshold.
+    """
+    det = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
+    inv = np.empty_like(M)
+    inv[..., 0, 0] = M[..., 1, 1]
+    inv[..., 0, 1] = -M[..., 0, 1]
+    inv[..., 1, 0] = -M[..., 1, 0]
+    inv[..., 1, 1] = M[..., 0, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv /= det[..., None, None]
+    return inv, det
 
 
 def _orbit3(a: float) -> list[tuple[float, float]]:

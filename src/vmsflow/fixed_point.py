@@ -17,6 +17,8 @@ triangles and are omitted.  ``tau(x) = b(x) * w_b * A^-1`` keeps the
 bubble factor inside the stabilization quadrature; no element-mean
 lumping is applied.  The tensor ``A`` intentionally retains its derived
 form, including the rank-one viscous coupling ``nu * grad b (x) grad b``.
+Global systems lift prescribed values element by element (``F_e -= K_e
+g_e``) and share the Newton path's ``Discretization`` scatter.
 """
 
 from __future__ import annotations
@@ -24,15 +26,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from vmsflow.fem import triangle_quadrature
-from vmsflow.mesh import BoundaryConditions, DofMap, Mesh
-from vmsflow.newton import (
+from vmsflow.fem import inv2, triangle_quadrature
+from vmsflow.mesh import Mesh
+# traction_vector is unused here but stays importable: the benchmark tracer
+# (perfbench/spans.py) wraps vmsflow.fixed_point.traction_vector.
+from vmsflow.newton import (  # noqa: F401
     DEFAULT_QUADRATURE_DEGREE,
+    Discretization,
     ElementBatch,
+    _check_nu,
     _eval_body_force,
-    element_dofs,
     traction_vector,
 )
 
@@ -81,7 +85,7 @@ def _tau_batched(batch: ElementBatch, v_c: np.ndarray, nu: float):
     A += np.einsum("eq,q->e", wd, bq**2)[:, None, None] * gvc
     A += nu * np.einsum("eq,eqk,eql->ekl", wd, gb, gb)
 
-    det = A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0]
+    Ainv, det = inv2(A)
     scale = np.einsum("eij,eij->e", A, A)
     bad = np.abs(det) <= 1e-14 * scale
     if np.any(bad):
@@ -93,12 +97,6 @@ def _tau_batched(batch: ElementBatch, v_c: np.ndarray, nu: float):
             f"stabilization matrix of element {elem} is singular "
             f"(|det A| = {abs(det[e]):.3e}, local Reynolds ~ {speed * h_e / nu:.3g})"
         )
-    Ainv = np.empty_like(A)
-    Ainv[:, 0, 0] = A[:, 1, 1]
-    Ainv[:, 0, 1] = -A[:, 0, 1]
-    Ainv[:, 1, 0] = -A[:, 1, 0]
-    Ainv[:, 1, 1] = A[:, 0, 0]
-    Ainv /= det[:, None, None]
     w_b = np.einsum("eq,q->e", wd, bq)
     return w_b, Ainv, A, vcq, gvc
 
@@ -106,8 +104,7 @@ def _tau_batched(batch: ElementBatch, v_c: np.ndarray, nu: float):
 def compute_tau(mesh: Mesh, element_index: int, v_c: np.ndarray, nu: float,
                 degree: int = DEFAULT_QUADRATURE_DEGREE) -> TauTensor:
     """Stabilization tensor of one element for the iterate velocity ``v_c``."""
-    if nu <= 0:
-        raise ValueError(f"kinematic viscosity must be positive, got {nu}")
+    _check_nu(nu)
     batch = ElementBatch(mesh, triangle_quadrature(degree), np.array([element_index]))
     w_b, Ainv, A, _, _ = _tau_batched(batch, v_c, nu)
     return TauTensor(w_b=float(w_b[0]), Ainv=Ainv[0], A=A[0])
@@ -189,43 +186,23 @@ def fp_element_system(mesh: Mesh, element_index: int, v_c: np.ndarray,
     plain Galerkin blocks of the linearized form (used to demonstrate
     the equal-order instability).
     """
-    if nu <= 0:
-        raise ValueError(f"kinematic viscosity must be positive, got {nu}")
+    _check_nu(nu)
     batch = ElementBatch(mesh, triangle_quadrature(degree), np.array([element_index]))
     K, F = _fp_batched(batch, v_c, nu, dt, vbar_prev, body_force, stabilize)
     return FpElementSystem(K=K[0], F=F[0])
 
 
-def fp_assemble(mesh: Mesh, dofmap: DofMap, v_c: np.ndarray, nu: float,
-                body_force=None, bc: BoundaryConditions | None = None,
-                dt: float | None = None, vbar_prev: np.ndarray | None = None,
-                stabilize: bool = True,
-                degree: int = DEFAULT_QUADRATURE_DEGREE):
+def fp_assemble(disc: Discretization, v_c: np.ndarray, nu: float,
+                body_force=None, dt: float | None = None,
+                vbar_prev: np.ndarray | None = None, stabilize: bool = True):
     """Global linearized system on the free DOFs, Dirichlet values lifted.
 
     Unlike the Newton path this solves for the solution values directly,
-    so the prescribed boundary values multiply the constrained columns
-    and move to the right-hand side.
+    so each element moves its prescribed values to the right-hand side
+    (``F_e -= K_e g_e``) before the shared scatter.
     """
-    if nu <= 0:
-        raise ValueError(f"kinematic viscosity must be positive, got {nu}")
-    batch = ElementBatch(mesh, triangle_quadrature(degree))
-    K, F = _fp_batched(batch, v_c, nu, dt, vbar_prev, body_force, stabilize)
-
-    edofs = element_dofs(mesh, dofmap)
-    total = dofmap.total
-    rows = np.repeat(edofs, 9, axis=1).ravel()
-    cols = np.tile(edofs, (1, 9)).ravel()
-    matrix = sp.coo_matrix((K.ravel(), (rows, cols)), shape=(total, total)).tocsr()
-
-    load = np.zeros(total)
-    np.add.at(load, edofs.ravel(), F.ravel())
-    if bc is not None:
-        load += traction_vector(mesh, dofmap, bc)
-
-    free = dofmap.free
-    rhs = load[free]
-    if dofmap.constrained:
-        idx, vals = dofmap.constrained_values()
-        rhs = rhs - matrix[free][:, idx] @ vals
-    return matrix[free][:, free].tocsr(), rhs
+    _check_nu(nu)
+    K, F = _fp_batched(disc.batch, v_c, nu, dt, vbar_prev, body_force, stabilize)
+    F -= np.einsum("eab,eb->ea", K, disc.prescribed[disc.edofs])
+    load = disc.global_vector(F) + disc.traction
+    return disc.free_matrix(K), load[disc.free]

@@ -64,13 +64,14 @@ class Mesh:
         return np.array(sorted(nodes), dtype=np.int64)
 
 
-def _edge_counts(triangles: np.ndarray) -> dict[tuple[int, int], int]:
-    counts: dict[tuple[int, int], int] = {}
-    for tri in triangles:
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (int(min(a, b)), int(max(a, b)))
-            counts[key] = counts.get(key, 0) + 1
-    return counts
+def _edge_counts(triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Undirected (min, max) edges in order of first appearance, with triangle counts."""
+    pairs = np.sort(triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    base = int(triangles.max()) + 1 if triangles.size else 1
+    _, first, counts = np.unique(pairs[:, 0] * base + pairs[:, 1],
+                                 return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return pairs[first[order]], counts[order]
 
 
 def _validate_mesh(mesh: Mesh) -> None:
@@ -84,10 +85,10 @@ def _validate_mesh(mesh: Mesh) -> None:
             f"triangle {bad} has non-positive area {areas[bad]:.3e}; "
             "connectivity must be counterclockwise"
         )
-    counts = _edge_counts(mesh.triangles)
-    if any(c > 2 for c in counts.values()):
+    edges, counts = _edge_counts(mesh.triangles)
+    if np.any(counts > 2):
         raise ValueError("mesh is not edge-manifold: an edge is shared by > 2 triangles")
-    boundary = {key for key, c in counts.items() if c == 1}
+    boundary = set(map(tuple, edges[counts == 1].tolist()))
     listed = set()
     for a, b, tag in mesh.boundary_edges:
         if not (0 <= a < n and 0 <= b < n):
@@ -101,8 +102,8 @@ def _validate_mesh(mesh: Mesh) -> None:
 
 
 def _boundary_edges_from_triangles(triangles: np.ndarray) -> list[tuple[int, int]]:
-    counts = _edge_counts(triangles)
-    return [key for key, c in counts.items() if c == 1]
+    edges, counts = _edge_counts(triangles)
+    return list(map(tuple, edges[counts == 1].tolist()))
 
 
 def _structured_triangles(node_id, nx: int, ny: int, keep=None) -> list[tuple[int, int, int]]:

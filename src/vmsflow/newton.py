@@ -14,12 +14,14 @@ suite), which fixes every sign unambiguously.  ``Kpp`` is identically
 zero.  The production path eliminates the fine-scale pair on each
 element by a Schur complement before global assembly; the full 11x11
 element system exists only as a verification oracle in the tests.
+Both strategies assemble through the one set-up of a solve,
+``Discretization``; ``residual_norm`` evaluates the residual alone.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,6 +30,7 @@ from vmsflow.fem import (
     DN_REF,
     DegenerateElementError,
     QuadratureRule,
+    inv2,
     triangle_quadrature,
 )
 from vmsflow.mesh import BoundaryConditions, DofMap, Mesh
@@ -136,8 +139,6 @@ class ElementBatch:
                  elements: np.ndarray | None = None):
         if rule is None:
             rule = triangle_quadrature(DEFAULT_QUADRATURE_DEGREE)
-        self.mesh = mesh
-        self.rule = rule
         self.elements = (
             np.arange(mesh.n_triangles) if elements is None
             else np.atleast_1d(np.asarray(elements, dtype=np.int64))
@@ -146,19 +147,13 @@ class ElementBatch:
         self.tris = tris
         coords = mesh.node_coords[tris]                      # (E, 3, 2)
         J = np.einsum("eai,aj->eij", coords, DN_REF)
-        detJ = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+        Jinv, detJ = inv2(J)
         if np.any(detJ <= 1e-14):
             bad = int(self.elements[np.argmin(detJ)])
             raise DegenerateElementError(
                 f"triangle (element {bad}) is degenerate or negatively "
                 f"oriented: detJ = {detJ.min():.3e}"
             )
-        Jinv = np.empty_like(J)
-        Jinv[:, 0, 0] = J[:, 1, 1]
-        Jinv[:, 0, 1] = -J[:, 0, 1]
-        Jinv[:, 1, 0] = -J[:, 1, 0]
-        Jinv[:, 1, 1] = J[:, 0, 0]
-        Jinv /= detJ[:, None, None]
 
         pts = rule.points
         x1, x2 = pts[:, 0], pts[:, 1]
@@ -167,9 +162,7 @@ class ElementBatch:
         self.bq = x1 * x2 * x3                               # (Q,)
         dbref = np.column_stack([x2 * (x3 - x1), x1 * (x3 - x2)])
 
-        self.J = J
         self.detJ = detJ
-        self.Jinv = Jinv
         self.G = np.einsum("ak,ekj->eaj", DN_REF, Jinv)      # (E, 3, 2)
         self.gb = np.einsum("qk,ekj->eqj", dbref, Jinv)      # (E, Q, 2)
         self.wd = detJ[:, None] * rule.weights[None, :]      # (E, Q)
@@ -185,7 +178,15 @@ def _eval_body_force(body_force, xq: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"body force returned shape {out.shape} for points of shape {xq.shape}"
         )
+    if not np.all(np.isfinite(out)):
+        name = getattr(body_force, "__name__", repr(body_force))
+        raise ValueError(f"body force {name} is not finite at every quadrature point")
     return out
+
+
+def _check_nu(nu: float) -> None:
+    if nu <= 0:
+        raise ValueError(f"kinematic viscosity must be positive, got {nu}")
 
 
 def _check_transient(state: State) -> None:
@@ -304,7 +305,7 @@ def _tangent_batched(batch: ElementBatch, state: State, nu: float):
 
 
 def _invert_fine_blocks(Kff: np.ndarray, elements: np.ndarray) -> np.ndarray:
-    det = Kff[:, 0, 0] * Kff[:, 1, 1] - Kff[:, 0, 1] * Kff[:, 1, 0]
+    inv, det = inv2(Kff)
     scale = np.einsum("eij,eij->e", Kff, Kff)  # squared Frobenius norm
     bad = np.abs(det) <= 1e-14 * scale
     if np.any(bad):
@@ -313,12 +314,6 @@ def _invert_fine_blocks(Kff: np.ndarray, elements: np.ndarray) -> np.ndarray:
             f"fine-scale block of element {which} is numerically singular "
             f"(|det| = {abs(det[np.argmax(bad)]):.3e})"
         )
-    inv = np.empty_like(Kff)
-    inv[:, 0, 0] = Kff[:, 1, 1]
-    inv[:, 0, 1] = -Kff[:, 0, 1]
-    inv[:, 1, 0] = -Kff[:, 1, 0]
-    inv[:, 1, 1] = Kff[:, 0, 0]
-    inv /= det[:, None, None]
     return inv
 
 
@@ -341,8 +336,7 @@ def element_residuals(mesh: Mesh, element_index: int, state: State, nu: float,
                       body_force=None, degree: int = DEFAULT_QUADRATURE_DEGREE
                       ) -> ElementResiduals:
     """Residual blocks of one element (volume terms; traction handled globally)."""
-    if nu <= 0:
-        raise ValueError(f"kinematic viscosity must be positive, got {nu}")
+    _check_nu(nu)
     batch = ElementBatch(mesh, triangle_quadrature(degree), np.array([element_index]))
     Rc, Rp, Rf = _residuals_batched(batch, state, nu, body_force)
     return ElementResiduals(Rc=Rc[0], Rp=Rp[0], Rf=Rf[0])
@@ -351,8 +345,7 @@ def element_residuals(mesh: Mesh, element_index: int, state: State, nu: float,
 def element_tangent(mesh: Mesh, element_index: int, state: State, nu: float,
                     degree: int = DEFAULT_QUADRATURE_DEGREE) -> ElementTangent:
     """The eight nonzero consistent tangent blocks of one element."""
-    if nu <= 0:
-        raise ValueError(f"kinematic viscosity must be positive, got {nu}")
+    _check_nu(nu)
     batch = ElementBatch(mesh, triangle_quadrature(degree), np.array([element_index]))
     blocks = _tangent_batched(batch, state, nu)
     return ElementTangent(**{k: v[0] for k, v in blocks.items()})
@@ -414,6 +407,54 @@ def traction_vector(mesh: Mesh, dofmap: DofMap, bc: BoundaryConditions) -> np.nd
     return load
 
 
+class Discretization:
+    """State-independent set-up shared by every iteration, rung and time step.
+
+    Element tables and DOFs, the traction load, the prescribed value of
+    every global DOF (zero where free), and the free-DOF CSR pattern with
+    the slot of every element-matrix entry, filled by ``np.bincount``.
+    """
+
+    def __init__(self, mesh: Mesh, dofmap: DofMap, bc: BoundaryConditions):
+        self.mesh = mesh
+        self.dofmap = dofmap
+        self.batch = ElementBatch(mesh)
+        self.edofs = element_dofs(mesh, dofmap)
+        self.traction = traction_vector(mesh, dofmap, bc)
+        idx, vals = dofmap.constrained_values()
+        self.prescribed = np.zeros(dofmap.total)
+        self.prescribed[idx] = vals
+        self.free = dofmap.free
+
+        # Row-major keys of the free-by-free element entries: their sorted
+        # unique values are the CSR order, and the inverse is each entry's slot.
+        n_free = self.free.size
+        position = np.full(dofmap.total, -1, dtype=np.int64)
+        position[self.free] = np.arange(n_free)
+        local = position[self.edofs]                                  # (E, 9)
+        rows = np.repeat(local, 9, axis=1).ravel()
+        cols = np.tile(local, (1, 9)).ravel()
+        self._kept = (rows >= 0) & (cols >= 0)
+        keys, self._slot = np.unique(
+            rows[self._kept] * n_free + cols[self._kept], return_inverse=True
+        )
+        self._indices = keys % n_free
+        self._indptr = np.searchsorted(keys, np.arange(n_free + 1) * n_free)
+
+    def free_matrix(self, K: np.ndarray) -> sp.csr_matrix:
+        """Sum element matrices (E, 9, 9) into the free-DOF CSR matrix."""
+        data = np.bincount(self._slot, weights=K.reshape(-1)[self._kept],
+                           minlength=self._indices.size)
+        n_free = self.free.size
+        return sp.csr_matrix((data, self._indices, self._indptr),
+                             shape=(n_free, n_free))
+
+    def global_vector(self, F: np.ndarray) -> np.ndarray:
+        """Sum element vectors (E, 9) over all global (v, p) DOFs."""
+        return np.bincount(self.edofs.ravel(), weights=F.ravel(),
+                           minlength=self.dofmap.total)
+
+
 @dataclass
 class NewtonSystem:
     """One assembled linearization: condensed matrix, residuals, recovery data."""
@@ -421,12 +462,10 @@ class NewtonSystem:
     matrix: sp.csr_matrix          # condensed tangent on free (v, p) DOFs
     rhs: np.ndarray                # -R_hat on free DOFs
     residual_norm: float           # 2-norm of [assembled Rc; Rp; all Rf]
-    residual_vp: np.ndarray        # assembled uncondensed residual, all (v, p) DOFs
     Rf: np.ndarray                 # (E, 2)
     edofs: np.ndarray              # (E, 9)
     Kff_inv: np.ndarray            # (E, 2, 2)
     coupling: np.ndarray           # (E, 2, 9) = [Kfc Kfp]
-    free: np.ndarray = field(repr=False, default=None)
     state_digest: bytes = b""
 
     def recover_beta(self, state: State, delta_full: np.ndarray) -> np.ndarray:
@@ -444,63 +483,42 @@ class NewtonSystem:
         return -np.einsum("emn,en->em", self.Kff_inv, rhs)
 
 
-def assemble_system(mesh: Mesh, dofmap: DofMap, state: State, nu: float,
-                    body_force=None, bc: BoundaryConditions | None = None,
-                    degree: int = DEFAULT_QUADRATURE_DEGREE) -> NewtonSystem:
-    """Assemble the condensed Newton system over the unconstrained DOFs."""
-    if nu <= 0:
-        raise ValueError(f"kinematic viscosity must be positive, got {nu}")
-    batch = ElementBatch(mesh, triangle_quadrature(degree))
+def _norm_of(disc: Discretization, Rc, Rp, Rf) -> float:
+    residual_vp = disc.global_vector(np.concatenate([Rc, Rp], axis=1)) - disc.traction
+    return float(np.sqrt(np.sum(residual_vp[disc.free] ** 2) + np.sum(Rf**2)))
+
+
+def residual_norm(disc: Discretization, state: State, nu: float,
+                  body_force=None) -> float:
+    """2-norm of the monolithic nonlinear residual at ``state``.
+
+    Assembled coarse momentum and continuity over the free DOFs (traction
+    included) plus every element's fine-scale residual; no tangent is built.
+    """
+    _check_nu(nu)
+    return _norm_of(disc, *_residuals_batched(disc.batch, state, nu, body_force))
+
+
+def assemble_system(disc: Discretization, state: State, nu: float,
+                    body_force=None) -> NewtonSystem:
+    """Assemble the condensed Newton system over the unconstrained DOFs.
+
+    Dirichlet increments are eliminated (the state itself carries the
+    boundary values), so the right-hand side is ``-R_hat`` on free DOFs.
+    """
+    _check_nu(nu)
+    batch = disc.batch
     Rc, Rp, Rf = _residuals_batched(batch, state, nu, body_force)
     blocks = _tangent_batched(batch, state, nu)
     K_hat, R_hat, Kff_inv = _condense_batched(Rc, Rp, Rf, blocks, batch.elements)
-
-    edofs = element_dofs(mesh, dofmap)
-    total = dofmap.total
-
-    traction = (
-        traction_vector(mesh, dofmap, bc) if bc is not None else np.zeros(total)
-    )
-    residual_vp = np.zeros(total)
-    np.add.at(residual_vp, edofs.ravel(), np.concatenate([Rc, Rp], axis=1).ravel())
-    residual_vp -= traction
-
-    residual_hat = np.zeros(total)
-    np.add.at(residual_hat, edofs.ravel(), R_hat.ravel())
-    residual_hat -= traction
-
-    rows = np.repeat(edofs, 9, axis=1).ravel()
-    cols = np.tile(edofs, (1, 9)).ravel()
-    matrix = sp.coo_matrix(
-        (K_hat.ravel(), (rows, cols)), shape=(total, total)
-    ).tocsr()
-
-    free = dofmap.free
-    matrix_ff = matrix[free][:, free].tocsr()
-    norm = float(np.sqrt(np.sum(residual_vp[free] ** 2) + np.sum(Rf**2)))
-    coupling = np.concatenate([blocks["Kfc"], blocks["Kfp"]], axis=2)
+    residual_hat = disc.global_vector(R_hat) - disc.traction
     return NewtonSystem(
-        matrix=matrix_ff,
-        rhs=-residual_hat[free],
-        residual_norm=norm,
-        residual_vp=residual_vp,
+        matrix=disc.free_matrix(K_hat),
+        rhs=-residual_hat[disc.free],
+        residual_norm=_norm_of(disc, Rc, Rp, Rf),
         Rf=Rf,
-        edofs=edofs,
+        edofs=disc.edofs,
         Kff_inv=Kff_inv,
-        coupling=coupling,
-        free=free,
+        coupling=np.concatenate([blocks["Kfc"], blocks["Kfp"]], axis=2),
         state_digest=state.digest(),
     )
-
-
-def assemble_global(mesh: Mesh, dofmap: DofMap, state: State, nu: float,
-                    body_force=None, bc: BoundaryConditions | None = None,
-                    degree: int = DEFAULT_QUADRATURE_DEGREE):
-    """Condensed sparse tangent and right-hand side on the free DOFs.
-
-    Dirichlet increments are eliminated symmetrically (rows and columns
-    dropped; the state itself carries the boundary values), so the
-    returned right-hand side is simply ``-R`` restricted to free DOFs.
-    """
-    system = assemble_system(mesh, dofmap, state, nu, body_force, bc, degree)
-    return system.matrix, system.rhs

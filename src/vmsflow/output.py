@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from vmsflow.fem import inv2
 from vmsflow.mesh import Mesh
 from vmsflow.newton import State
 from vmsflow.solve import IterationReport
@@ -30,13 +31,7 @@ def sample_field(mesh: Mesh, state: State, points) -> tuple[np.ndarray, np.ndarr
     coords = mesh.node_coords[mesh.triangles]          # (E, 3, 2)
     origin = coords[:, 2]                              # local node 3
     T = np.stack([coords[:, 0] - origin, coords[:, 1] - origin], axis=-1)  # (E, 2, 2)
-    det = T[:, 0, 0] * T[:, 1, 1] - T[:, 0, 1] * T[:, 1, 0]
-    Tinv = np.empty_like(T)
-    Tinv[:, 0, 0] = T[:, 1, 1]
-    Tinv[:, 0, 1] = -T[:, 0, 1]
-    Tinv[:, 1, 0] = -T[:, 1, 0]
-    Tinv[:, 1, 1] = T[:, 0, 0]
-    Tinv /= det[:, None, None]
+    Tinv, _ = inv2(T)
 
     vel = np.full((len(pts), 2), np.nan)
     prs = np.full(len(pts), np.nan)

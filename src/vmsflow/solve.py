@@ -3,15 +3,17 @@
 A problem object must expose ``mesh``, ``bc``, ``nu`` and ``body_force``
 attributes (``vmsflow.problems.ProblemSpec`` does); continuation
 additionally requires a ``with_re`` method.  Reports are immutable once
-returned.
+returned.  A solve builds one ``Discretization``, which continuation and
+time marching share across every rung and step.
 
 One iteration of either strategy is: solve the linearized system at the
 current state, apply the update, evaluate and record the residual of
 the new state.  The recorded residual is the 2-norm of the monolithic
 nonlinear residual (assembled coarse momentum and continuity over the
 free DOFs, plus every element's fine-scale residual); the fixed-point
-strategy evaluates it at its iterate with zero fine-scale coefficients,
-which makes the histories of the two strategies directly comparable.
+strategy evaluates it at its iterate with zero fine-scale coefficients
+(``residual_norm``), which makes the histories of the two strategies
+directly comparable.
 """
 
 from __future__ import annotations
@@ -25,18 +27,22 @@ import scipy.sparse.linalg as spla
 from vmsflow.fixed_point import TauSingularError, fp_assemble
 from vmsflow.mesh import DofMap, Mesh, build_dof_map
 from vmsflow.newton import (
-    DEFAULT_QUADRATURE_DEGREE,
+    Discretization,
     FineScaleSingularError,
     State,
     assemble_system,
+    residual_norm,
 )
+
+LINEAR_TOL = 1e-10        # relative residual bound of every linear solve
+DIVERGENCE_RATIO = 1e3    # residual growth over its running minimum that means divergence
 
 
 class LinearSolveError(RuntimeError):
     """Raised when the sparse linear solver cannot produce a usable solution."""
 
 
-def linear_solve(matrix, rhs: np.ndarray, linear_tol: float = 1e-10) -> np.ndarray:
+def linear_solve(matrix, rhs: np.ndarray, linear_tol: float = LINEAR_TOL) -> np.ndarray:
     """Direct sparse solve with a verified residual.
 
     Uses an LU factorization (the systems are indefinite saddle-point
@@ -99,11 +105,8 @@ class SolverConfig:
     dt: float | None = None
     n_steps: int | None = None
     continuation: ContinuationConfig | None = None
-    linear_tol: float = 1e-10
     increment_tol: float | None = None  # fixed-point stagnation tolerance; tol if None
-    divergence_ratio: float = 1e3
     snapshot_stride: int = 1
-    quadrature_degree: int = DEFAULT_QUADRATURE_DEGREE
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -121,7 +124,7 @@ class IterationReport:
     ``iterations`` equals ``len(residual_history)``; the fixed-point
     strategy additionally records the velocity-increment norm of every
     update.  Divergence means the residual grew past
-    ``divergence_ratio`` times its running minimum, stopped being
+    ``DIVERGENCE_RATIO`` times its running minimum, stopped being
     finite, or a linear/stabilization failure ended the iteration (the
     message is kept in ``failure``).
     """
@@ -143,19 +146,16 @@ def lifted_state(mesh: Mesh, dofmap: DofMap, dt: float | None = None,
                  vbar_prev: np.ndarray | None = None) -> State:
     """Zero state with the prescribed Dirichlet/pin values installed."""
     state = State.zeros(mesh, dt=dt, vbar_prev=vbar_prev)
-    n = mesh.n_nodes
-    for dof, value in dofmap.constrained.items():
-        if dof < 2 * n:
-            state.vbar[dof // 2, dof % 2] = value
-        else:
-            state.p[dof - 2 * n] = value
+    idx, vals = dofmap.constrained_values()
+    velocity = idx < 2 * mesh.n_nodes
+    state.vbar.reshape(-1)[idx[velocity]] = vals[velocity]
+    state.p[idx[~velocity] - 2 * mesh.n_nodes] = vals[~velocity]
     return state
 
 
-def _scatter(dofmap: DofMap, free_values: np.ndarray) -> np.ndarray:
-    full = np.zeros(dofmap.total)
-    full[dofmap.free] = free_values
-    return full
+def _setup(problem) -> Discretization:
+    return Discretization(problem.mesh, build_dof_map(problem.mesh, problem.bc),
+                          problem.bc)
 
 
 def newton_solve(problem, config: SolverConfig, state0: State | None = None
@@ -169,35 +169,31 @@ def newton_solve(problem, config: SolverConfig, state0: State | None = None
     records the residual of the updated state; the assembly at the new
     state doubles as the next iteration's linearization.
     """
-    mesh, bc, nu, body_force = problem.mesh, problem.bc, problem.nu, problem.body_force
-    dofmap = build_dof_map(mesh, bc)
-    state = state0.copy() if state0 is not None else lifted_state(mesh, dofmap)
-    n = mesh.n_nodes
+    return _newton(problem, _setup(problem), config, state0)
 
-    def assemble(current: State):
-        return assemble_system(
-            mesh, dofmap, current, nu, body_force, bc,
-            degree=config.quadrature_degree,
-        )
+
+def _newton(problem, disc: Discretization, config: SolverConfig, state0: State | None):
+    nu, body_force = problem.nu, problem.body_force
+    state = state0.copy() if state0 is not None else lifted_state(disc.mesh, disc.dofmap)
+    n = disc.mesh.n_nodes
 
     history: list[float] = []
     failure = None
     converged = diverged = False
     min_resid = np.inf
     try:
-        system = assemble(state)
+        system = assemble_system(disc, state, nu, body_force)
         for _ in range(config.max_iter):
-            delta = _scatter(
-                dofmap, linear_solve(system.matrix, system.rhs, config.linear_tol)
-            )
+            delta = np.zeros(disc.dofmap.total)
+            delta[disc.free] = linear_solve(system.matrix, system.rhs)
             dbeta = system.recover_beta(state, delta)
             state.vbar += delta[: 2 * n].reshape(n, 2)
             state.p += delta[2 * n:]
             state.beta += dbeta
-            system = assemble(state)
+            system = assemble_system(disc, state, nu, body_force)
             resid = system.residual_norm
             history.append(resid)
-            if not np.isfinite(resid) or resid > config.divergence_ratio * min_resid:
+            if not np.isfinite(resid) or resid > DIVERGENCE_RATIO * min_resid:
                 diverged = True
                 break
             min_resid = min(min_resid, resid)
@@ -230,11 +226,15 @@ def fixed_point_solve(problem, config: SolverConfig, state0: State | None = None
     fixed point, which for equal discretizations differs from the
     Newton solution at the level of the stabilization approximation).
     """
-    mesh, bc, nu, body_force = problem.mesh, problem.bc, problem.nu, problem.body_force
-    dofmap = build_dof_map(mesh, bc)
-    state = state0.copy() if state0 is not None else lifted_state(mesh, dofmap)
+    return _fixed_point(problem, _setup(problem), config, state0)
+
+
+def _fixed_point(problem, disc: Discretization, config: SolverConfig,
+                 state0: State | None):
+    nu, body_force = problem.nu, problem.body_force
+    state = state0.copy() if state0 is not None else lifted_state(disc.mesh, disc.dofmap)
     state.beta[:] = 0.0
-    n = mesh.n_nodes
+    n = disc.mesh.n_nodes
     inc_tol = config.tol if config.increment_tol is None else config.increment_tol
 
     history: list[float] = []
@@ -244,32 +244,23 @@ def fixed_point_solve(problem, config: SolverConfig, state0: State | None = None
     min_resid = np.inf
     for _ in range(config.max_iter):
         try:
-            matrix, rhs = fp_assemble(
-                mesh, dofmap, state.vbar, nu, body_force, bc,
-                dt=state.dt, vbar_prev=state.vbar_prev,
-                degree=config.quadrature_degree,
-            )
-            solution = linear_solve(matrix, rhs, config.linear_tol)
+            matrix, rhs = fp_assemble(disc, state.vbar, nu, body_force,
+                                      state.dt, state.vbar_prev)
+            solution = linear_solve(matrix, rhs)
         except (TauSingularError, LinearSolveError) as err:
             failure, diverged = str(err), True
             break
-        full = _scatter(dofmap, solution)
-        if dofmap.constrained:
-            idx, vals = dofmap.constrained_values()
-            full[idx] = vals
+        full = disc.prescribed.copy()
+        full[disc.free] = solution
         new_vbar = full[: 2 * n].reshape(n, 2)
         increment = float(np.linalg.norm(new_vbar - state.vbar))
         state.vbar = new_vbar
         state.p = full[2 * n:]
 
-        system = assemble_system(
-            mesh, dofmap, state, nu, body_force, bc,
-            degree=config.quadrature_degree,
-        )
-        resid = system.residual_norm
+        resid = residual_norm(disc, state, nu, body_force)
         history.append(resid)
         increments.append(increment)
-        if not np.isfinite(resid) or resid > config.divergence_ratio * min_resid:
+        if not np.isfinite(resid) or resid > DIVERGENCE_RATIO * min_resid:
             diverged = True
             break
         min_resid = min(min_resid, resid)
@@ -288,17 +279,17 @@ def fixed_point_solve(problem, config: SolverConfig, state0: State | None = None
     return state, report
 
 
-def _solve_once(problem, config: SolverConfig, state0: State | None = None):
-    if config.strategy == "fixed_point":
-        return fixed_point_solve(problem, config, state0)
-    return newton_solve(problem, config, state0)
+def _solve_once(problem, disc: Discretization, config: SolverConfig,
+                state0: State | None = None):
+    loop = _fixed_point if config.strategy == "fixed_point" else _newton
+    return loop(problem, disc, config, state0)
 
 
 def solve(problem, config: SolverConfig, state0: State | None = None):
     """Dispatch on the configured strategy (continuation when requested)."""
     if config.continuation is not None:
         return continuation_solve(problem, config)
-    return _solve_once(problem, config, state0)
+    return _solve_once(problem, _setup(problem), config, state0)
 
 
 def continuation_solve(problem, config: SolverConfig
@@ -310,16 +301,19 @@ def continuation_solve(problem, config: SolverConfig
     the converged state as the next starting point.  The first rung that
     fails terminates the ladder; the partial chain is returned with the
     per-rung reports attached as ``sub_reports`` of (re, report) pairs.
+    Every rung shares one set-up: ``problem.with_re`` must keep the
+    geometry and boundary data and change only the viscosity.
     """
     if config.continuation is None:
         raise ValueError("continuation_solve needs config.continuation")
     ladder = config.continuation.ladder()
+    disc = _setup(problem)
     state = None
     subs: list[tuple[float, IterationReport]] = []
     all_resid: list[float] = []
     for re in ladder:
         rung_problem = problem.with_re(re)
-        state_out, report = _solve_once(rung_problem, config, state0=state)
+        state_out, report = _solve_once(rung_problem, disc, config, state)
         subs.append((re, report))
         all_resid.extend(report.residual_history.tolist())
         if not report.converged:
@@ -349,19 +343,15 @@ def time_march(problem, config: SolverConfig, state0: State | None = None
     """
     if config.dt is None or config.n_steps is None:
         raise ValueError("time_march needs dt and n_steps in the configuration")
-    mesh = problem.mesh
-    dofmap = build_dof_map(mesh, problem.bc)
-    if state0 is None:
-        state = lifted_state(mesh, dofmap)
-    else:
-        state = state0.copy()
+    disc = _setup(problem)
+    state = lifted_state(problem.mesh, disc.dofmap) if state0 is None else state0.copy()
     states = [state.copy()]
     reports: list[IterationReport] = []
     for step in range(1, config.n_steps + 1):
         start = state.copy()
         start.dt = config.dt
         start.vbar_prev = state.vbar.copy()
-        state, report = _solve_once(problem, config, state0=start)
+        state, report = _solve_once(problem, disc, config, start)
         reports.append(report)
         if not report.converged:
             break

@@ -18,7 +18,7 @@ from vmsflow.fixed_point import (
     fp_element_system,
 )
 from vmsflow.mesh import Mesh, BoundaryConditions, build_dof_map, unit_square_mesh
-from vmsflow.newton import State, element_residuals
+from vmsflow.newton import Discretization, State, element_residuals
 from vmsflow.solve import LinearSolveError, linear_solve
 
 from helpers import random_state
@@ -218,8 +218,8 @@ class TestFpAssemble:
             dirichlet={t: zero_velocity for t in mesh.tags}, pressure_pin=(0, 0.0)
         )
         dofmap = build_dof_map(mesh, bc)
-        K, rhs = fp_assemble(mesh, dofmap, np.zeros((mesh.n_nodes, 2)), 1.0,
-                             None, bc)
+        K, rhs = fp_assemble(Discretization(mesh, dofmap, bc),
+                             np.zeros((mesh.n_nodes, 2)), 1.0, None)
         assert K.shape == (dofmap.free.size, dofmap.free.size)
         assert rhs.size == dofmap.free.size
 
@@ -229,8 +229,8 @@ class TestFpAssemble:
             dirichlet={t: zero_velocity for t in mesh.tags}, pressure_pin=(0, 0.0)
         )
         dofmap = build_dof_map(mesh, bc)
-        K, _ = fp_assemble(mesh, dofmap, np.zeros((mesh.n_nodes, 2)), 1.0,
-                           None, bc, stabilize=False)
+        K, _ = fp_assemble(Discretization(mesh, dofmap, bc),
+                           np.zeros((mesh.n_nodes, 2)), 1.0, None, stabilize=False)
         K = K.toarray()
         nv = np.count_nonzero(dofmap.free < 2 * mesh.n_nodes)
         Kvv = K[:nv, :nv]
@@ -246,8 +246,8 @@ class TestFpAssemble:
         v0 = np.zeros((prob.mesh.n_nodes, 2))
 
         def solve(stabilize):
-            K, rhs = fp_assemble(prob.mesh, dofmap, v0, 1.0, prob.body_force,
-                                 prob.bc, stabilize=stabilize)
+            K, rhs = fp_assemble(Discretization(prob.mesh, dofmap, prob.bc), v0, 1.0,
+                                 prob.body_force, stabilize=stabilize)
             x = linear_solve(K, rhs)
             full = np.zeros(dofmap.total)
             full[dofmap.free] = x

@@ -86,10 +86,10 @@ class TestNewtonSolve:
         boundary = prob.mesh.boundary_nodes()
         noise[boundary] = 0.0
         state0.vbar += noise
-        from vmsflow.newton import assemble_system
+        from vmsflow.newton import Discretization, assemble_system
 
-        r0 = assemble_system(prob.mesh, dofmap, state0, prob.nu,
-                             prob.body_force, prob.bc).residual_norm
+        r0 = assemble_system(Discretization(prob.mesh, dofmap, prob.bc), state0,
+                             prob.nu, prob.body_force).residual_norm
         _, report = newton_solve(prob, SolverConfig(tol=1e-14, max_iter=12),
                                  state0=state0)
         r = [r0] + [v for v in report.residual_history if v > 1e-13]
