@@ -15,8 +15,17 @@ cross-term bookkeeping) and the body force.  Second-derivative terms of
 the weighting and trial fields vanish identically on affine linear
 triangles and are omitted.  ``tau(x) = b(x) * w_b * A^-1`` keeps the
 bubble factor inside the stabilization quadrature; no element-mean
-lumping is applied.  The tensor ``A`` intentionally retains its derived
-form, including the rank-one viscous coupling ``nu * grad b (x) grad b``.
+lumping is applied.  The tensor
+
+    A = int (b v_c . grad b + nu |grad b|^2) I + int b^2 grad v_c
+        + nu int grad b (x) grad b
+
+intentionally retains its derived form, including the rank-one viscous
+coupling.  Weighting and slot operators are linear in the coarse shape
+functions with element-constant coefficients, so the stabilization
+integral is ``W (int b N_c N_d (x) w_b A^-1) S^T``: integrals precomputed
+in ``ElementBatch`` times element-constant 2x2 products of ``A^-1`` and
+``grad v_c``; no per-quadrature-point tensor is formed.
 Global systems lift prescribed values element by element (``F_e -= K_e
 g_e``) and share the Newton path's ``Discretization`` scatter.
 """
@@ -36,7 +45,8 @@ from vmsflow.newton import (  # noqa: F401
     Discretization,
     ElementBatch,
     _check_nu,
-    _eval_body_force,
+    _body_force_load,
+    _kron,
     traction_vector,
 )
 
@@ -71,19 +81,16 @@ class FpElementSystem:
     F: np.ndarray   # (9,)
 
 
-def _tau_batched(batch: ElementBatch, v_c: np.ndarray, nu: float):
-    """Fine-scale matrices A, their inverses, and bubble weights per element."""
-    wd, bq, gb, N = batch.wd, batch.bq, batch.gb, batch.N
-    vel = v_c[batch.tris]
-    vcq = np.einsum("qa,eai->eqi", N, vel)
-    gvc = np.einsum("eai,eaj->eij", vel, batch.G)
+def _tau_batched(batch: ElementBatch, vel: np.ndarray, nu: float):
+    """Fine-scale matrices A, their inverses, and bubble weights per element.
 
-    conv_b = bq[None, :] * np.einsum("eqk,eqk->eq", vcq, gb)
-    gb2 = np.einsum("eqk,eqk->eq", gb, gb)
-    iso = np.einsum("eq,eq->e", wd, conv_b + nu * gb2)
-    A = np.einsum("e,ij->eij", iso, _I2)
-    A += np.einsum("eq,q->e", wd, bq**2)[:, None, None] * gvc
-    A += nu * np.einsum("eq,eqk,eql->ekl", wd, gb, gb)
+    ``vel`` holds the iterate's nodal velocities (E, 3, 2); the iterate's
+    element-constant gradient is returned alongside.
+    """
+    gvc = np.matmul(vel.transpose(0, 2, 1), batch.G)
+    # int b v_c . grad b + nu int |grad b|^2, then int b^2 grad v_c + nu int grad b (x) grad b
+    iso = (vel * batch.mass_gb[:, 3, :3]).sum(axis=(1, 2)) + nu * batch.stiff[:, 3, 3]
+    A = iso[:, None, None] * _I2 + batch.mass[:, 3, 3, None, None] * gvc + nu * batch.gbgb
 
     Ainv, det = inv2(A)
     scale = np.einsum("eij,eij->e", A, A)
@@ -92,13 +99,13 @@ def _tau_batched(batch: ElementBatch, v_c: np.ndarray, nu: float):
         e = int(np.argmax(bad))
         elem = int(batch.elements[e])
         h_e = float(np.sqrt(2.0 * abs(batch.detJ[e])))
-        speed = float(np.linalg.norm(vcq[e], axis=1).max())
+        speed = float(np.linalg.norm(batch.N @ vel[e], axis=1).max())
         raise TauSingularError(
             f"stabilization matrix of element {elem} is singular "
             f"(|det A| = {abs(det[e]):.3e}, local Reynolds ~ {speed * h_e / nu:.3g})"
         )
-    w_b = np.einsum("eq,q->e", wd, bq)
-    return w_b, Ainv, A, vcq, gvc
+    w_b = batch.mass[:, 3, :3].sum(axis=1)
+    return w_b, Ainv, A, gvc
 
 
 def compute_tau(mesh: Mesh, element_index: int, v_c: np.ndarray, nu: float,
@@ -106,72 +113,65 @@ def compute_tau(mesh: Mesh, element_index: int, v_c: np.ndarray, nu: float,
     """Stabilization tensor of one element for the iterate velocity ``v_c``."""
     _check_nu(nu)
     batch = ElementBatch(mesh, triangle_quadrature(degree), np.array([element_index]))
-    w_b, Ainv, A, _, _ = _tau_batched(batch, v_c, nu)
+    w_b, Ainv, A, _ = _tau_batched(batch, v_c[batch.tris], nu)
     return TauTensor(w_b=float(w_b[0]), Ainv=Ainv[0], A=A[0])
 
 
 def _fp_batched(batch: ElementBatch, v_c: np.ndarray, nu: float, dt, vbar_prev,
-                body_force, stabilize: bool):
-    """Element matrices (E, 9, 9) and loads (E, 9) of the linearized form."""
+                load, stabilize: bool):
+    """Element matrices (E, 9, 9) and loads (E, 9) of the linearized form.
+
+    ``load`` is the body-force integral table of ``_body_force_load``.
+    """
     if dt is not None and vbar_prev is None:
         raise ValueError("transient fixed-point systems need the previous velocity")
     E = len(batch.elements)
-    wd, N, NN, G, bq = batch.wd, batch.N, batch.NN, batch.G, batch.bq
+    G, M = batch.G, batch.mass[:, :3, :3]
+    I2 = np.broadcast_to(_I2, (E, 2, 2))
+    vel = v_c[batch.tris]
+    w_b, Ainv, _, gvc = _tau_batched(batch, vel, nu)
 
-    w_b, Ainv, _, vcq, gvc = _tau_batched(batch, v_c, nu)
-
-    advN = np.einsum("eqk,ebk->eqb", vcq, G)            # v_c . grad N_b
-    intNN = np.einsum("eq,qab->eab", wd, NN)
-
-    # Known right-hand-side slot: body force, linearization cross term,
-    # and the previous-step velocity for transient runs.
-    known = _eval_body_force(body_force, batch.xq)
-    known = known + np.einsum("eij,eqj->eqi", gvc, vcq)
+    # v_c . grad N_b = sum_c N_c adv[c, b]; the known slot values (cross
+    # term, previous step; the body force comes integrated) are sum_c N_c known[c].
+    adv = np.matmul(vel, G.transpose(0, 2, 1))                # (E, 3, 3)
+    known = np.matmul(vel, gvc.transpose(0, 2, 1))            # (E, 3, 2)
     if dt is not None:
-        vprevq = np.einsum("qa,eai->eqi", N, vbar_prev[batch.tris])
-        known = known + vprevq / dt
+        known += vbar_prev[batch.tris] / dt
 
     # Galerkin blocks of the linearized form.
-    scal = np.einsum("eq,qa,eqb->eab", wd, N, advN)
-    scal += nu * np.einsum("eq,eak,ebk->eab", wd, G, G)
+    scal = np.matmul(M, adv) + nu * batch.stiff[:, :3, :3]
     if dt is not None:
-        scal += intNN / dt
-    Kvv = np.einsum("eab,ij->eaibj", scal, _I2)
-    Kvv += np.einsum("eab,eij->eaibj", intNN, gvc)
-    Kvp = -np.einsum("eq,eai,qb->eaib", wd, G, N)
-    Kpv = np.einsum("eq,qa,ebj->eabj", wd, N, G)
-    Kpp = np.zeros((E, 3, 3))
-    Fv = np.einsum("eq,qa,eqi->eai", wd, N, known)
-    Fp = np.zeros((E, 3))
+        scal += M / dt
+    K = np.zeros((E, 9, 9))
+    K[:, :6, :6] = _kron(np.stack([scal, M], axis=1), np.stack([I2, gvc], axis=1))
+    K[:, :6, 6:] = batch.div[:, :6]
+    K[:, 6:, :6] = -batch.div[:, :6].transpose(0, 2, 1)
+    F = np.zeros((E, 9))
+    F[:, :6] = np.matmul(M, known).reshape(E, 6)
+    if load is not None:
+        F[:, :6] += load[:, :3].reshape(E, 6)
 
     if stabilize:
-        tau = np.einsum("q,e,ekl->eqkl", bq, w_b, Ainv)
-        # Weighting operator on velocity tests and slot operator on trials.
-        W = np.einsum("eqa,ik->eqaik", advN, _I2)
-        W -= np.einsum("qa,eik->eqaik", N, gvc)
-        S = np.einsum("eqb,jk->eqbjk", advN, _I2)
-        if dt is not None:
-            S += np.einsum("qb,jk->qbjk", N, _I2)[None] / dt
-        S += np.einsum("qb,ekj->eqbjk", N, gvc)
-
-        tauS = np.einsum("eqkl,eqbjl->eqbjk", tau, S)
-        Kvv += np.einsum("eq,eqaik,eqbjk->eaibj", wd, W, tauS)
-        tauG = np.einsum("eqkl,ebl->eqbk", tau, G)
-        Kvp += np.einsum("eq,eqaik,eqbk->eaib", wd, W, tauG)
-        Kpv += np.einsum("eq,eak,eqbjk->eabj", wd, G, tauS)
-        Kpp += np.einsum("eq,eak,eqbk->eab", wd, G, tauG)
-        tauknown = np.einsum("eqkl,eql->eqk", tau, known)
-        Fv += np.einsum("eq,eqaik,eqk->eai", wd, W, tauknown)
-        Fp += np.einsum("eq,eak,eqk->ea", wd, G, tauknown)
-
-    K = np.zeros((E, 9, 9))
-    K[:, :6, :6] = Kvv.reshape(E, 6, 6)
-    K[:, :6, 6:] = Kvp.reshape(E, 6, 3)
-    K[:, 6:, :6] = Kpv.reshape(E, 3, 6)
-    K[:, 6:, 6:] = Kpp
-    F = np.zeros((E, 9))
-    F[:, :6] = Fv.reshape(E, 6)
-    F[:, 6:] = Fp
+        # Row r of W (S) holds the nodal coefficients of the weighting
+        # (slot) operator of DOF r: operator(x) = sum_c N_c(x) row[c, :].
+        # Velocity tests give (adv_a I - N_a (grad v_c)^T) e_i, velocity
+        # trials (adv_b I + N_b Phi) e_j with Phi = grad v_c (+ I / dt),
+        # pressure DOFs grad N_a.  With tau(x) = b(x) w_b Ainv every
+        # stabilization sum is int b N_c N_d times T0 = w_b Ainv.
+        T0 = w_b[:, None, None] * Ainv
+        Phi = gvc + _I2 / dt if dt is not None else gvc
+        pair = np.stack([adv.transpose(0, 2, 1), np.broadcast_to(np.eye(3), adv.shape)],
+                        axis=1)
+        grad = np.broadcast_to(G[:, :, None, :], (E, 3, 3, 2)).reshape(E, 3, 6)
+        W = np.concatenate([_kron(pair, np.stack([I2, -gvc], axis=1)), grad], axis=1)
+        S = np.concatenate([_kron(pair, np.stack([I2, Phi.transpose(0, 2, 1)], axis=1)),
+                            grad], axis=1)                     # (E, 9, 6)
+        Mb = batch.bmass
+        K += W @ _kron(Mb[:, None], T0[:, None]) @ S.transpose(0, 2, 1)
+        kb = np.matmul(Mb, known)                              # int b N_c (known slot)
+        if load is not None:
+            kb += load[:, 4:]
+        F += np.matmul(W, np.matmul(kb, T0.transpose(0, 2, 1)).reshape(E, 6, 1))[..., 0]
     return K, F
 
 
@@ -188,7 +188,8 @@ def fp_element_system(mesh: Mesh, element_index: int, v_c: np.ndarray,
     """
     _check_nu(nu)
     batch = ElementBatch(mesh, triangle_quadrature(degree), np.array([element_index]))
-    K, F = _fp_batched(batch, v_c, nu, dt, vbar_prev, body_force, stabilize)
+    K, F = _fp_batched(batch, v_c, nu, dt, vbar_prev,
+                       _body_force_load(batch, body_force), stabilize)
     return FpElementSystem(K=K[0], F=F[0])
 
 
@@ -202,7 +203,8 @@ def fp_assemble(disc: Discretization, v_c: np.ndarray, nu: float,
     (``F_e -= K_e g_e``) before the shared scatter.
     """
     _check_nu(nu)
-    K, F = _fp_batched(disc.batch, v_c, nu, dt, vbar_prev, body_force, stabilize)
-    F -= np.einsum("eab,eb->ea", K, disc.prescribed[disc.edofs])
+    K, F = _fp_batched(disc.batch, v_c, nu, dt, vbar_prev,
+                       disc.body_force_load(body_force), stabilize)
+    F -= np.matmul(K, disc.prescribed[disc.edofs][..., None])[..., 0]
     load = disc.global_vector(F) + disc.traction
     return disc.free_matrix(K), load[disc.free]

@@ -16,6 +16,15 @@ element by a Schur complement before global assembly; the full 11x11
 element system exists only as a verification oracle in the tests.
 Both strategies assemble through the one set-up of a solve,
 ``Discretization``; ``residual_norm`` evaluates the residual alone.
+
+Every state-independent integral is computed once, in ``ElementBatch``:
+mass and stiffness over the three coarse functions and the bubble
+(``Nb_A``), ``int Nb_A Nb_B grad b``, ``int b N_a N_b``, ``int grad b
+(x) grad b`` and the pressure coupling; ``Discretization`` integrates the
+body force once per force.  The total velocity is ``sum_A Nb_A U_A``
+with an element-constant coarse gradient, so residual and tangent are
+``np.matmul`` products of those tables with the element unknowns, which
+``nu`` and ``1/dt`` only scale; no kernel revisits the quadrature points.
 """
 
 from __future__ import annotations
@@ -129,10 +138,15 @@ class CondensedElement:
 
 
 class ElementBatch:
-    """Geometry and basis tables for a set of elements at the quadrature points.
+    """Geometry, basis and integral tables for a set of elements.
 
-    Everything held here is state-independent; residual and tangent
-    evaluation reuses one batch across nonlinear iterations.
+    Everything held here is state-independent and built once per set-up.
+    The element integrals of products of the coarse functions ``N_a``,
+    the bubble ``b`` and their gradients are reference-element quadrature
+    sums scaled by ``detJ`` and mapped by ``Jinv``; the residual, tangent
+    and stabilization kernels combine them with the element unknowns by
+    ``np.matmul`` and never revisit the quadrature points.  Index ``A``
+    runs over the three coarse functions and then the bubble.
     """
 
     def __init__(self, mesh: Mesh, rule: QuadratureRule | None = None,
@@ -146,7 +160,7 @@ class ElementBatch:
         tris = mesh.triangles[self.elements]
         self.tris = tris
         coords = mesh.node_coords[tris]                      # (E, 3, 2)
-        J = np.einsum("eai,aj->eij", coords, DN_REF)
+        J = np.matmul(coords.transpose(0, 2, 1), DN_REF)
         Jinv, detJ = inv2(J)
         if np.any(detJ <= 1e-14):
             bad = int(self.elements[np.argmin(detJ)])
@@ -155,7 +169,7 @@ class ElementBatch:
                 f"oriented: detJ = {detJ.min():.3e}"
             )
 
-        pts = rule.points
+        pts, w = rule.points, rule.weights
         x1, x2 = pts[:, 0], pts[:, 1]
         x3 = 1.0 - x1 - x2
         self.N = np.column_stack([x1, x2, x3])               # (Q, 3)
@@ -163,25 +177,56 @@ class ElementBatch:
         dbref = np.column_stack([x2 * (x3 - x1), x1 * (x3 - x2)])
 
         self.detJ = detJ
-        self.G = np.einsum("ak,ekj->eaj", DN_REF, Jinv)      # (E, 3, 2)
-        self.gb = np.einsum("qk,ekj->eqj", dbref, Jinv)      # (E, Q, 2)
-        self.wd = detJ[:, None] * rule.weights[None, :]      # (E, Q)
-        self.xq = np.einsum("qa,eai->eqi", self.N, coords)   # (E, Q, 2)
-        self.NN = self.N[:, :, None] * self.N[:, None, :]    # (Q, 3, 3)
+        self.G = np.matmul(DN_REF, Jinv)                     # (E, 3, 2)
+        self.wd = detJ[:, None] * w[None, :]                 # (E, Q)
+        self.xq = np.matmul(self.N, coords)                  # (E, Q, 2)
+
+        # Reference integrals of the four functions (values Nb, reference
+        # gradients dNb) against the rule's weights.
+        Nb = np.column_stack([self.N, self.bq])              # (Q, 4)
+        dNb = np.concatenate(
+            [np.broadcast_to(DN_REF, (w.size, 3, 2)), dbref[:, None, :]], axis=1
+        )                                                    # (Q, 4, 2)
+        wNb = w[:, None] * Nb
+        mass = wNb.T @ Nb                                    # int Nb_A Nb_B
+        bmass = (wNb[:, :3] * self.bq[:, None]).T @ self.N   # int b N_a N_b
+        mass_db = np.einsum("qA,qB,qk->ABk", wNb, Nb, dbref)  # int Nb_A Nb_B dbref
+        stiff = np.einsum("q,qAk,qBl->ABkl", w, dNb, dNb)    # int dNb_A (x) dNb_B
+        grad_N = np.einsum("q,qAk,qc->Akc", w, dNb, self.N)   # int dNb_A N_c
+
+        d = detJ[:, None, None]
+        JinvT = Jinv.transpose(0, 2, 1)
+        self.mass = d * mass                                 # (E, 4, 4)
+        self.bmass = d * bmass                               # (E, 3, 3)
+        self.mass_gb = d[..., None] * np.matmul(mass_db, Jinv[:, None])  # (E, 4, 4, 2)
+        self.stiff = d * np.einsum("ABkl,ekl->eAB", stiff, Jinv @ JinvT)  # (E, 4, 4)
+        self.gbgb = d * (JinvT @ stiff[3, 3] @ Jinv)         # (E, 2, 2) int grad b (x) grad b
+        # Pressure coupling: entry ((A, i), c) is -int d_i(Nb_A) N_c.  It is
+        # [Kcp; Kfp], its transpose is [Kpc Kpf], and the continuity
+        # residual is its transpose applied to the velocity coefficients.
+        self.div = (-d[..., None] * np.matmul(JinvT[:, None], grad_N)).reshape(
+            len(self.elements), 8, 3)                        # (E, 8, 3)
 
 
-def _eval_body_force(body_force, xq: np.ndarray) -> np.ndarray:
+def _body_force_load(batch: ElementBatch, body_force) -> np.ndarray | None:
+    """Element integrals of the body force, shape (E, 7, 2), or None.
+
+    Rows 0-2 hold ``int N_a f``, row 3 ``int b f`` and rows 4-6
+    ``int b N_a f``; the force is checked at every quadrature point first.
+    """
     if body_force is None:
-        return np.zeros_like(xq)
-    out = np.asarray(body_force(xq), dtype=float)
-    if out.shape != xq.shape:
+        return None
+    xq = batch.xq
+    f = np.asarray(body_force(xq), dtype=float)
+    if f.shape != xq.shape:
         raise ValueError(
-            f"body force returned shape {out.shape} for points of shape {xq.shape}"
+            f"body force returned shape {f.shape} for points of shape {xq.shape}"
         )
-    if not np.all(np.isfinite(out)):
+    if not np.all(np.isfinite(f)):
         name = getattr(body_force, "__name__", repr(body_force))
         raise ValueError(f"body force {name} is not finite at every quadrature point")
-    return out
+    tests = np.column_stack([batch.N, batch.bq, batch.bq[:, None] * batch.N])  # (Q, 7)
+    return np.matmul(tests.T, batch.wd[..., None] * f)
 
 
 def _check_nu(nu: float) -> None:
@@ -199,108 +244,92 @@ def _check_transient(state: State) -> None:
 
 @dataclass
 class _Fields:
-    """State-dependent quantities at the quadrature points of a batch."""
+    """State-dependent element quantities shared by residual and tangent.
 
-    u: np.ndarray        # (E, Q, 2) total velocity
-    gu: np.ndarray       # (E, Q, 2, 2) its gradient
-    div: np.ndarray      # (E, Q) its divergence
-    conv: np.ndarray     # (E, Q, 2) (u . grad) u
-    pq: np.ndarray       # (E, Q) pressure
-    acc: np.ndarray | None  # (E, Q, 2) backward-Euler coarse acceleration
+    The total velocity is ``u = sum_A Nb_A U_A`` and its gradient is
+    ``grad vbar + beta (x) grad b``.
+    """
+
+    U: np.ndarray        # (E, 4, 2) coarse nodal velocities, then beta
+    p: np.ndarray        # (E, 3) nodal pressures
+    gvbar: np.ndarray    # (E, 2, 2) coarse velocity gradient
+    mu: np.ndarray       # (E, 4, 2) int Nb_A u
+    gbu: np.ndarray      # (E, 4) int Nb_A (grad b . u)
+    dt: float | None
+    dv: np.ndarray | None  # (E, 3, 2) (vbar - vbar_prev) / dt at the nodes
 
 
 def _fields(batch: ElementBatch, state: State) -> _Fields:
     _check_transient(state)
+    E = len(batch.elements)
     vel = state.vbar[batch.tris]                             # (E, 3, 2)
-    beta = state.beta[batch.elements]                        # (E, 2)
-    vq = np.einsum("qa,eai->eqi", batch.N, vel)
-    gvbar = np.einsum("eai,eaj->eij", vel, batch.G)
-    u = vq + batch.bq[None, :, None] * beta[:, None, :]
-    gu = gvbar[:, None, :, :] + np.einsum("ei,eqj->eqij", beta, batch.gb)
-    div = np.trace(gvbar, axis1=1, axis2=2)[:, None] + np.einsum(
-        "ei,eqi->eq", beta, batch.gb
-    )
-    conv = np.einsum("eqij,eqj->eqi", gu, u)
-    pq = np.einsum("qa,ea->eq", batch.N, state.p[batch.tris])
-    acc = None
+    U = np.concatenate([vel, state.beta[batch.elements, None, :]], axis=1)
+    dv = None
     if state.dt is not None:
-        vprevq = np.einsum("qa,eai->eqi", batch.N, state.vbar_prev[batch.tris])
-        acc = (vq - vprevq) / state.dt
-    return _Fields(u=u, gu=gu, div=div, conv=conv, pq=pq, acc=acc)
+        dv = (vel - state.vbar_prev[batch.tris]) / state.dt
+    return _Fields(
+        U=U,
+        p=state.p[batch.tris],
+        gvbar=np.matmul(vel.transpose(0, 2, 1), batch.G),
+        mu=np.matmul(batch.mass, U),
+        gbu=np.matmul(batch.mass_gb.reshape(E, 4, 8), U.reshape(E, 8, 1))[..., 0],
+        dt=state.dt,
+        dv=dv,
+    )
 
 
-def _residuals_batched(batch: ElementBatch, state: State, nu: float, body_force):
+def _kron(scalars: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """``sum_s scalars[s, a, b] * mats[s, i, j]`` per element, as (E, a*i, b*j)."""
+    E, S, na, nb = scalars.shape
+    ni, nj = mats.shape[2:]
+    out = np.matmul(scalars.reshape(E, S, na * nb).transpose(0, 2, 1),
+                    mats.reshape(E, S, ni * nj))
+    return out.reshape(E, na, nb, ni, nj).transpose(0, 1, 3, 2, 4).reshape(E, na * ni, nb * nj)
+
+
+def _residuals_batched(batch: ElementBatch, f: _Fields, nu: float, load):
     """Residual blocks for every element in the batch.
 
+    ``load`` is the body-force integral table of ``_body_force_load``.
     Returns ``Rc`` (E, 6), ``Rp`` (E, 3), ``Rf`` (E, 2).  Boundary
     traction is not an element-interior term; the global assembly adds
     it on the tagged edges.
     """
-    f = _fields(batch, state)
-    bf = _eval_body_force(body_force, batch.xq)
-    core = f.conv - bf
-    if f.acc is not None:
-        core = core + f.acc
-    wd, N, G, gb, bq = batch.wd, batch.N, batch.G, batch.gb, batch.bq
-
-    Rc = np.einsum("eq,qa,eqi->eai", wd, N, core)
-    Rc += nu * np.einsum("eq,eaj,eqij->eai", wd, G, f.gu)
-    Rc -= np.einsum("eq,eai,eq->eai", wd, G, f.pq)
-    Rp = -np.einsum("eq,qa,eq->ea", wd, N, f.div)
-    Rf = np.einsum("eq,q,eqi->ei", wd, bq, core)
-    Rf += nu * np.einsum("eq,eqj,eqij->ei", wd, gb, f.gu)
-    Rf -= np.einsum("eq,eqi,eq->ei", wd, gb, f.pq)
-    return Rc.reshape(len(batch.elements), 6), Rp, Rf
-
-
-def _tangent_batched(batch: ElementBatch, state: State, nu: float):
-    """All eight nonzero tangent blocks for every element in the batch."""
-    f = _fields(batch, state)
     E = len(batch.elements)
-    wd, N, NN, G, gb, bq = batch.wd, batch.N, batch.NN, batch.G, batch.gb, batch.bq
+    beta = f.U[:, 3]
+    # int Nb_A (u . grad) u_i = (int Nb_A u) . grad vbar_i + beta_i int Nb_A grad b . u
+    R = np.matmul(f.mu, f.gvbar.transpose(0, 2, 1)) + f.gbu[..., None] * beta[:, None, :]
+    R += nu * np.matmul(batch.stiff, f.U)
+    R += np.matmul(batch.div, f.p[..., None]).reshape(E, 4, 2)
+    if f.dv is not None:
+        R += np.matmul(batch.mass[:, :, :3], f.dv)
+    if load is not None:
+        R -= load[:, :4]
+    Rp = np.matmul(f.U.reshape(E, 1, 8), batch.div)[:, 0]
+    return R[:, :3].reshape(E, 6), Rp, R[:, 3]
 
-    adv = np.einsum("eqk,ebk->eqb", f.u, G)        # u . grad N_b
-    gbG = np.einsum("eqk,ebk->eqb", gb, G)         # grad b . grad N_b
-    gbu = np.einsum("eqk,eqk->eq", gb, f.u)        # grad b . u
-    gb2 = np.einsum("eqk,eqk->eq", gb, gb)         # |grad b|^2
 
-    scal = np.einsum("eq,qa,eqb->eab", wd, N, adv)
-    scal += nu * np.einsum("eq,eak,ebk->eab", wd, G, G)
-    if state.dt is not None:
-        scal += np.einsum("eq,qab->eab", wd, NN) / state.dt
-    Kcc = np.einsum("eab,ij->eaibj", scal, _I2)
-    Kcc += np.einsum("eq,qab,eqij->eaibj", wd, NN, f.gu)
-    Kcc = Kcc.reshape(E, 6, 6)
+def _tangent_batched(batch: ElementBatch, f: _Fields, nu: float):
+    """All eight nonzero tangent blocks for every element in the batch.
 
-    Kcp = -np.einsum("eq,eai,qb->eaib", wd, G, N).reshape(E, 6, 3)
-    Kpc = -np.einsum("eq,qa,ebj->eabj", wd, N, G).reshape(E, 3, 6)
-
-    kcf_scal = np.einsum("eq,qa,eq->ea", wd, N, gbu)
-    kcf_scal += nu * np.einsum("eq,eak,eqk->ea", wd, G, gb)
-    Kcf = np.einsum("ea,im->eaim", kcf_scal, _I2)
-    Kcf += np.einsum("eq,qa,q,eqim->eaim", wd, N, bq, f.gu)
-    Kcf = Kcf.reshape(E, 6, 2)
-
-    Kpf = -np.einsum("eq,qa,eqm->eam", wd, N, gb)
-
-    kfc_scal = np.einsum("eq,q,eqb->eb", wd, bq, adv)
-    kfc_scal += nu * np.einsum("eq,eqb->eb", wd, gbG)
-    if state.dt is not None:
-        kfc_scal += np.einsum("eq,q,qb->eb", wd, bq, N) / state.dt
-    Kfc = np.einsum("eb,ij->eibj", kfc_scal, _I2)
-    Kfc += np.einsum("eq,q,qb,eqij->eibj", wd, bq, N, f.gu)
-    Kfc = Kfc.reshape(E, 2, 6)
-
-    Kfp = -np.einsum("eq,eqi,qb->eib", wd, gb, N)
-
-    kff_scal = np.einsum("eq,q,eq->e", wd, bq, gbu)
-    kff_scal += nu * np.einsum("eq,eq->e", wd, gb2)
-    Kff = np.einsum("e,im->eim", kff_scal, _I2)
-    Kff += np.einsum("eq,q,q,eqim->eim", wd, bq, bq, f.gu)
-
+    The velocity and fine-scale blocks form one (E, 8, 8) matrix over
+    (A, i) with entries ``delta_ij scal_AB + int Nb_A Nb_B grad u_ij``.
+    """
+    E = len(batch.elements)
+    # scal_AB = int Nb_A u . grad Nb_B + nu int grad Nb_A . grad Nb_B (+ mass / dt)
+    scal = np.concatenate([np.matmul(f.mu, batch.G.transpose(0, 2, 1)),
+                           f.gbu[..., None]], axis=2)
+    scal += nu * batch.stiff
+    if f.dt is not None:
+        scal[:, :, :3] += batch.mass[:, :, :3] / f.dt
+    T = _kron(np.stack([scal, batch.mass], axis=1),
+              np.stack([np.broadcast_to(_I2, f.gvbar.shape), f.gvbar], axis=1))
+    T += (f.U[:, 3, None, :, None, None] * batch.mass_gb[:, :, None, :, :]).reshape(E, 8, 8)
+    div = batch.div
     return {
-        "Kcc": Kcc, "Kcp": Kcp, "Kcf": Kcf, "Kpc": Kpc,
-        "Kpf": Kpf, "Kfc": Kfc, "Kfp": Kfp, "Kff": Kff,
+        "Kcc": T[:, :6, :6], "Kcp": div[:, :6], "Kcf": T[:, :6, 6:],
+        "Kpc": div[:, :6].transpose(0, 2, 1), "Kpf": div[:, 6:].transpose(0, 2, 1),
+        "Kfc": T[:, 6:, :6], "Kfp": div[:, 6:], "Kff": T[:, 6:, 6:],
     }
 
 
@@ -318,6 +347,7 @@ def _invert_fine_blocks(Kff: np.ndarray, elements: np.ndarray) -> np.ndarray:
 
 
 def _condense_batched(Rc, Rp, Rf, blocks, elements):
+    """Schur complements (E, 9, 9), (E, 9), with ``Kff^-1`` and ``[Kfc Kfp]``."""
     E = Rc.shape[0]
     Kff_inv = _invert_fine_blocks(blocks["Kff"], elements)
     B = np.concatenate([blocks["Kcf"], blocks["Kpf"]], axis=1)        # (E, 9, 2)
@@ -326,10 +356,10 @@ def _condense_batched(Rc, Rp, Rf, blocks, elements):
     K[:, :6, :6] = blocks["Kcc"]
     K[:, :6, 6:] = blocks["Kcp"]
     K[:, 6:, :6] = blocks["Kpc"]
-    K -= np.einsum("eam,emn,enb->eab", B, Kff_inv, C)
+    K -= np.matmul(B, np.matmul(Kff_inv, C))
     R = np.concatenate([Rc, Rp], axis=1)
-    R -= np.einsum("eam,emn,en->ea", B, Kff_inv, Rf)
-    return K, R, Kff_inv
+    R -= np.matmul(B, np.matmul(Kff_inv, Rf[..., None]))[..., 0]
+    return K, R, Kff_inv, C
 
 
 def element_residuals(mesh: Mesh, element_index: int, state: State, nu: float,
@@ -338,7 +368,8 @@ def element_residuals(mesh: Mesh, element_index: int, state: State, nu: float,
     """Residual blocks of one element (volume terms; traction handled globally)."""
     _check_nu(nu)
     batch = ElementBatch(mesh, triangle_quadrature(degree), np.array([element_index]))
-    Rc, Rp, Rf = _residuals_batched(batch, state, nu, body_force)
+    Rc, Rp, Rf = _residuals_batched(batch, _fields(batch, state), nu,
+                                    _body_force_load(batch, body_force))
     return ElementResiduals(Rc=Rc[0], Rp=Rp[0], Rf=Rf[0])
 
 
@@ -347,7 +378,7 @@ def element_tangent(mesh: Mesh, element_index: int, state: State, nu: float,
     """The eight nonzero consistent tangent blocks of one element."""
     _check_nu(nu)
     batch = ElementBatch(mesh, triangle_quadrature(degree), np.array([element_index]))
-    blocks = _tangent_batched(batch, state, nu)
+    blocks = _tangent_batched(batch, _fields(batch, state), nu)
     return ElementTangent(**{k: v[0] for k, v in blocks.items()})
 
 
@@ -356,7 +387,7 @@ def condense(res: ElementResiduals, tan: ElementTangent,
     """Eliminate the fine-scale pair of one element by a Schur complement."""
     blocks = {k: getattr(tan, k)[None] for k in
               ("Kcc", "Kcp", "Kcf", "Kpc", "Kpf", "Kfc", "Kfp", "Kff")}
-    K, R, Kff_inv = _condense_batched(
+    K, R, Kff_inv, _ = _condense_batched(
         res.Rc[None], res.Rp[None], res.Rf[None], blocks,
         np.array([element_index]),
     )
@@ -411,8 +442,9 @@ class Discretization:
     """State-independent set-up shared by every iteration, rung and time step.
 
     Element tables and DOFs, the traction load, the prescribed value of
-    every global DOF (zero where free), and the free-DOF CSR pattern with
-    the slot of every element-matrix entry, filled by ``np.bincount``.
+    every global DOF (zero where free), the free-DOF CSR pattern with the
+    slot of every element-matrix entry, filled by ``np.bincount``, and the
+    body-force integrals of the last force seen.
     """
 
     def __init__(self, mesh: Mesh, dofmap: DofMap, bc: BoundaryConditions):
@@ -440,6 +472,14 @@ class Discretization:
         )
         self._indices = keys % n_free
         self._indptr = np.searchsorted(keys, np.arange(n_free + 1) * n_free)
+        self._force = self._force_load = None
+
+    def body_force_load(self, body_force) -> np.ndarray | None:
+        """``_body_force_load`` of ``body_force``, evaluated once per callable."""
+        if body_force is not self._force:
+            self._force_load = _body_force_load(self.batch, body_force)
+            self._force = body_force
+        return self._force_load
 
     def free_matrix(self, K: np.ndarray) -> sp.csr_matrix:
         """Sum element matrices (E, 9, 9) into the free-DOF CSR matrix."""
@@ -479,8 +519,8 @@ class NewtonSystem:
                 "stale condensation data: state changed since assembly"
             )
         d9 = delta_full[self.edofs]                           # (E, 9)
-        rhs = self.Rf + np.einsum("emb,eb->em", self.coupling, d9)
-        return -np.einsum("emn,en->em", self.Kff_inv, rhs)
+        rhs = self.Rf[..., None] + np.matmul(self.coupling, d9[..., None])
+        return -np.matmul(self.Kff_inv, rhs)[..., 0]
 
 
 def _norm_of(disc: Discretization, Rc, Rp, Rf) -> float:
@@ -496,7 +536,9 @@ def residual_norm(disc: Discretization, state: State, nu: float,
     included) plus every element's fine-scale residual; no tangent is built.
     """
     _check_nu(nu)
-    return _norm_of(disc, *_residuals_batched(disc.batch, state, nu, body_force))
+    batch = disc.batch
+    return _norm_of(disc, *_residuals_batched(
+        batch, _fields(batch, state), nu, disc.body_force_load(body_force)))
 
 
 def assemble_system(disc: Discretization, state: State, nu: float,
@@ -508,9 +550,11 @@ def assemble_system(disc: Discretization, state: State, nu: float,
     """
     _check_nu(nu)
     batch = disc.batch
-    Rc, Rp, Rf = _residuals_batched(batch, state, nu, body_force)
-    blocks = _tangent_batched(batch, state, nu)
-    K_hat, R_hat, Kff_inv = _condense_batched(Rc, Rp, Rf, blocks, batch.elements)
+    fields = _fields(batch, state)
+    Rc, Rp, Rf = _residuals_batched(batch, fields, nu, disc.body_force_load(body_force))
+    blocks = _tangent_batched(batch, fields, nu)
+    K_hat, R_hat, Kff_inv, coupling = _condense_batched(Rc, Rp, Rf, blocks,
+                                                        batch.elements)
     residual_hat = disc.global_vector(R_hat) - disc.traction
     return NewtonSystem(
         matrix=disc.free_matrix(K_hat),
@@ -519,6 +563,6 @@ def assemble_system(disc: Discretization, state: State, nu: float,
         Rf=Rf,
         edofs=disc.edofs,
         Kff_inv=Kff_inv,
-        coupling=np.concatenate([blocks["Kfc"], blocks["Kfp"]], axis=2),
+        coupling=coupling,
         state_digest=state.digest(),
     )

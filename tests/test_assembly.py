@@ -16,6 +16,7 @@ from vmsflow.fixed_point import fp_assemble, fp_element_system
 from vmsflow.mesh import BoundaryConditions, Mesh, build_dof_map, unit_square_mesh
 from vmsflow.newton import (
     Discretization,
+    State,
     assemble_system,
     condense,
     element_dofs,
@@ -163,3 +164,25 @@ def test_non_finite_body_force_is_a_named_error(strategy):
     prob = dataclasses.replace(body_force_cavity(4, re=10), body_force=nan_force)
     with pytest.raises(ValueError, match="body force nan_force is not finite"):
         solve(prob, SolverConfig(strategy=strategy))
+
+
+def test_body_force_evaluated_once_per_force():
+    prob = body_force_cavity(4, re=10)
+    disc = Discretization(prob.mesh, build_dof_map(prob.mesh, prob.bc), prob.bc)
+    state = State.zeros(prob.mesh)
+    calls = []
+
+    def counted(points):
+        calls.append(points.shape)
+        return linear_force(points)
+
+    for _ in range(2):
+        assemble_system(disc, state, prob.nu, counted)
+        fp_assemble(disc, state.vbar, prob.nu, counted)
+        residual_norm(disc, state, prob.nu, counted)
+    assert len(calls) == 1
+    reference = assemble_system(disc, state, prob.nu, linear_force)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(assemble_system(disc, state, prob.nu, counted).rhs,
+                                  reference.rhs)
+    assert len(calls) == 2

@@ -21,7 +21,7 @@ from vmsflow.mesh import Mesh, BoundaryConditions, build_dof_map, unit_square_me
 from vmsflow.newton import Discretization, State, element_residuals
 from vmsflow.solve import LinearSolveError, linear_solve
 
-from helpers import random_state
+from helpers import fp_element_reference, perturbed_square_mesh, random_state
 
 REF_COORDS = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
 
@@ -176,6 +176,27 @@ class TestFpElementSystem:
         off = fp_element_system(mesh, 7, v_c, None, nu=0.5, stabilize=False)
         stab = on.K - off.K
         assert np.abs(stab - stab.T).max() > 1e-6 * np.abs(stab).max()
+
+    @pytest.mark.parametrize("stabilize", [True, False], ids=["stabilized", "galerkin"])
+    @pytest.mark.parametrize("dt", [None, 0.1], ids=["steady", "transient"])
+    def test_matches_pointwise_reference(self, stabilize, dt):
+        # Every block, the stabilized Kvv/Kvp/Kpv/Kpp and F included, against
+        # the per-quadrature-point transcription of the module docstring.
+        rng = np.random.default_rng(5)
+        mesh = perturbed_square_mesh(3, rng)
+        v_c = rng.uniform(-1.0, 1.0, (mesh.n_nodes, 2))
+        v_prev = rng.uniform(-1.0, 1.0, (mesh.n_nodes, 2))
+
+        def force(points):
+            x, y = points[..., 0], points[..., 1]
+            return np.stack([np.sin(x + 2 * y), np.cos(3 * x * y)], axis=-1)
+
+        for e in range(mesh.n_triangles):
+            K_ref, F_ref = fp_element_reference(mesh, e, v_c, v_prev, 0.05, dt, force,
+                                                stabilize)
+            got = fp_element_system(mesh, e, v_c, v_prev, 0.05, dt, force, stabilize)
+            assert np.abs(got.K - K_ref).max() <= 1e-12 * np.abs(K_ref).max()
+            assert np.abs(got.F - F_ref).max() <= 1e-12 * np.abs(F_ref).max()
 
     def test_transient_requires_previous_velocity(self):
         mesh = unit_square_mesh(2)

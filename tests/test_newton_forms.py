@@ -10,13 +10,20 @@ envelope.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vmsflow.fem import triangle_quadrature
 from vmsflow.mesh import BoundaryConditions, build_dof_map, unit_square_mesh
 from vmsflow.newton import (
+    ElementBatch,
     FineScaleSingularError,
     State,
     Discretization,
+    _body_force_load,
+    _fields,
+    _residuals_batched,
+    _tangent_batched,
     assemble_system,
     condense,
     element_dofs,
@@ -33,6 +40,7 @@ from helpers import (
     get_monolithic,
     monolithic_residual,
     monolithic_tangent,
+    perturbed_square_mesh,
     random_state,
     set_monolithic,
 )
@@ -130,6 +138,44 @@ class TestElementTangent:
             fd = (resid(perturbed(+1)) - resid(perturbed(-1))) / (2 * eps)
             Kd = K @ d
             assert np.linalg.norm(fd - Kd) / np.linalg.norm(Kd) <= 1e-6
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), transient=st.booleans(),
+           nu=st.floats(0.01, 2.0))
+    def test_batched_finite_differences_on_perturbed_mesh(self, seed, transient, nu):
+        # Every element at once through the batched kernels: the directional
+        # derivative of each element residual along one global direction.
+        rng = np.random.default_rng(seed)
+        mesh = perturbed_square_mesh(3, rng)
+        state = random_state(mesh, rng, dt=rng.uniform(0.05, 1.0) if transient else None)
+        batch = ElementBatch(mesh)
+        load = _body_force_load(batch, smooth_body_force)
+        E = mesh.n_triangles
+        b = _tangent_batched(batch, _fields(batch, state), nu)
+        K = np.concatenate([
+            np.concatenate([b["Kcc"], b["Kcp"], b["Kcf"]], axis=2),
+            np.concatenate([b["Kpc"], np.zeros((E, 3, 3)), b["Kpf"]], axis=2),
+            np.concatenate([b["Kfc"], b["Kfp"], b["Kff"]], axis=2),
+        ], axis=1)                                                # (E, 11, 11)
+        dv = rng.normal(size=state.vbar.shape)
+        dp = rng.normal(size=state.p.shape)
+        db = rng.normal(size=state.beta.shape)
+        eps = 1e-6
+
+        def resid(sign):
+            s = state.copy()
+            s.vbar += sign * eps * dv
+            s.p += sign * eps * dp
+            s.beta += sign * eps * db
+            return np.concatenate(_residuals_batched(batch, _fields(batch, s), nu, load),
+                                  axis=1)
+
+        fd = (resid(+1) - resid(-1)) / (2 * eps)
+        tris = mesh.triangles
+        d = np.concatenate([dv[tris].reshape(E, 6), dp[tris], db], axis=1)
+        Kd = np.matmul(K, d[..., None])[..., 0]
+        err = np.linalg.norm(fd - Kd, axis=1) / np.linalg.norm(Kd, axis=1)
+        assert err.max() <= 1e-6
 
     def test_stokes_limit_viscous_block(self):
         # at zero state the velocity block is the pure viscous matrix
