@@ -37,17 +37,17 @@ from vmsflow.solve import (
 
 def _build_problem(args):
     if args.problem == "backward_step":
-        return backward_step(re=args.re, h=args.h)
+        return backward_step(re=args.re, nu=args.nu, h=args.h)
     builder = body_force_cavity if args.problem == "body_force_cavity" else lid_cavity
-    return builder(args.n, re=args.re)
+    return builder(args.n, re=args.re, nu=args.nu)
 
 
-def _solver_config(args, **overrides) -> SolverConfig:
+def _solver_config(args, problem, **overrides) -> SolverConfig:
     continuation = None
     if getattr(args, "continuation_from", None) is not None:
         continuation = ContinuationConfig(
             re_start=args.continuation_from,
-            re_target=args.re,
+            re_target=problem.re,
             factor=args.continuation_factor,
         )
     settings = dict(
@@ -68,7 +68,7 @@ def _outdir(args) -> Path:
 
 def _cmd_solve(args) -> int:
     problem = _build_problem(args)
-    config = _solver_config(args)
+    config = _solver_config(args, problem)
     state, report = solve(problem, config)
     outdir = _outdir(args)
     extra = {
@@ -100,7 +100,7 @@ def _cmd_study(args) -> int:
             print("study requires a problem with an exact solution", file=sys.stderr)
             return 1
         table = convergence_study(
-            lambda n: body_force_cavity(n, nu=args.nu),
+            lambda n: body_force_cavity(n, re=args.re, nu=args.nu),
             levels,
             strategy=strategy,
             config=SolverConfig(
@@ -126,7 +126,7 @@ def _cmd_study(args) -> int:
 
 def _cmd_march(args) -> int:
     problem = _build_problem(args)
-    config = _solver_config(args, dt=args.dt, n_steps=args.steps,
+    config = _solver_config(args, problem, dt=args.dt, n_steps=args.steps,
                             snapshot_stride=args.stride)
     states, reports = time_march(problem, config)
     outdir = _outdir(args)
@@ -226,13 +226,6 @@ def run_cli(argv: list[str]) -> int:
         code = err.code if isinstance(err.code, int) else 1
         return 0 if code == 0 else 1
     try:
-        if args.re is None and args.nu is None:
-            print("one of --re / --nu is required", file=sys.stderr)
-            return 1
-        if args.re is None:
-            args.re = 1.0 / args.nu
-        if args.nu is None:
-            args.nu = 1.0 / args.re
         if args.command == "solve":
             return _cmd_solve(args)
         if args.command == "study":

@@ -36,15 +36,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from vmsflow.fem import inv2, triangle_quadrature
+from vmsflow.fem import inv2
 from vmsflow.mesh import Mesh
 # traction_vector is unused here but stays importable: the benchmark tracer
 # (perfbench/spans.py) wraps vmsflow.fixed_point.traction_vector.
 from vmsflow.newton import (  # noqa: F401
-    DEFAULT_QUADRATURE_DEGREE,
     Discretization,
     ElementBatch,
     _check_nu,
+    _check_transient,
     _body_force_load,
     _kron,
     traction_vector,
@@ -108,11 +108,10 @@ def _tau_batched(batch: ElementBatch, vel: np.ndarray, nu: float):
     return w_b, Ainv, A, gvc
 
 
-def compute_tau(mesh: Mesh, element_index: int, v_c: np.ndarray, nu: float,
-                degree: int = DEFAULT_QUADRATURE_DEGREE) -> TauTensor:
+def compute_tau(mesh: Mesh, element_index: int, v_c: np.ndarray, nu: float) -> TauTensor:
     """Stabilization tensor of one element for the iterate velocity ``v_c``."""
     _check_nu(nu)
-    batch = ElementBatch(mesh, triangle_quadrature(degree), np.array([element_index]))
+    batch = ElementBatch(mesh, elements=[element_index])
     w_b, Ainv, A, _ = _tau_batched(batch, v_c[batch.tris], nu)
     return TauTensor(w_b=float(w_b[0]), Ainv=Ainv[0], A=A[0])
 
@@ -123,8 +122,7 @@ def _fp_batched(batch: ElementBatch, v_c: np.ndarray, nu: float, dt, vbar_prev,
 
     ``load`` is the body-force integral table of ``_body_force_load``.
     """
-    if dt is not None and vbar_prev is None:
-        raise ValueError("transient fixed-point systems need the previous velocity")
+    _check_transient(dt, vbar_prev)
     E = len(batch.elements)
     G, M = batch.G, batch.mass[:, :3, :3]
     I2 = np.broadcast_to(_I2, (E, 2, 2))
@@ -178,8 +176,7 @@ def _fp_batched(batch: ElementBatch, v_c: np.ndarray, nu: float, dt, vbar_prev,
 def fp_element_system(mesh: Mesh, element_index: int, v_c: np.ndarray,
                       vbar_prev: np.ndarray | None, nu: float,
                       dt: float | None = None, body_force=None,
-                      stabilize: bool = True,
-                      degree: int = DEFAULT_QUADRATURE_DEGREE) -> FpElementSystem:
+                      stabilize: bool = True) -> FpElementSystem:
     """Stabilized linearized system of one element at iterate ``v_c``.
 
     ``stabilize=False`` drops the stabilization integral and leaves the
@@ -187,7 +184,7 @@ def fp_element_system(mesh: Mesh, element_index: int, v_c: np.ndarray,
     the equal-order instability).
     """
     _check_nu(nu)
-    batch = ElementBatch(mesh, triangle_quadrature(degree), np.array([element_index]))
+    batch = ElementBatch(mesh, elements=[element_index])
     K, F = _fp_batched(batch, v_c, nu, dt, vbar_prev,
                        _body_force_load(batch, body_force), stabilize)
     return FpElementSystem(K=K[0], F=F[0])

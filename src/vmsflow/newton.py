@@ -234,12 +234,12 @@ def _check_nu(nu: float) -> None:
         raise ValueError(f"kinematic viscosity must be positive, got {nu}")
 
 
-def _check_transient(state: State) -> None:
-    if state.dt is not None:
-        if state.dt <= 0:
-            raise ValueError(f"time step must be positive, got {state.dt}")
-        if state.vbar_prev is None:
-            raise ValueError("transient state needs vbar_prev alongside dt")
+def _check_transient(dt: float | None, vbar_prev: np.ndarray | None) -> None:
+    if dt is not None:
+        if dt <= 0:
+            raise ValueError(f"time step must be positive, got {dt}")
+        if vbar_prev is None:
+            raise ValueError("transient systems need the previous velocity (vbar_prev) with dt")
 
 
 @dataclass
@@ -260,7 +260,7 @@ class _Fields:
 
 
 def _fields(batch: ElementBatch, state: State) -> _Fields:
-    _check_transient(state)
+    _check_transient(state.dt, state.vbar_prev)
     E = len(batch.elements)
     vel = state.vbar[batch.tris]                             # (E, 3, 2)
     U = np.concatenate([vel, state.beta[batch.elements, None, :]], axis=1)
@@ -363,21 +363,20 @@ def _condense_batched(Rc, Rp, Rf, blocks, elements):
 
 
 def element_residuals(mesh: Mesh, element_index: int, state: State, nu: float,
-                      body_force=None, degree: int = DEFAULT_QUADRATURE_DEGREE
-                      ) -> ElementResiduals:
+                      body_force=None) -> ElementResiduals:
     """Residual blocks of one element (volume terms; traction handled globally)."""
     _check_nu(nu)
-    batch = ElementBatch(mesh, triangle_quadrature(degree), np.array([element_index]))
+    batch = ElementBatch(mesh, elements=[element_index])
     Rc, Rp, Rf = _residuals_batched(batch, _fields(batch, state), nu,
                                     _body_force_load(batch, body_force))
     return ElementResiduals(Rc=Rc[0], Rp=Rp[0], Rf=Rf[0])
 
 
-def element_tangent(mesh: Mesh, element_index: int, state: State, nu: float,
-                    degree: int = DEFAULT_QUADRATURE_DEGREE) -> ElementTangent:
+def element_tangent(mesh: Mesh, element_index: int, state: State, nu: float
+                    ) -> ElementTangent:
     """The eight nonzero consistent tangent blocks of one element."""
     _check_nu(nu)
-    batch = ElementBatch(mesh, triangle_quadrature(degree), np.array([element_index]))
+    batch = ElementBatch(mesh, elements=[element_index])
     blocks = _tangent_batched(batch, _fields(batch, state), nu)
     return ElementTangent(**{k: v[0] for k, v in blocks.items()})
 

@@ -127,6 +127,8 @@ def write_summary(report: IterationReport, path, extra: dict | None = None) -> N
         f.write(f"iterations: {report.iterations}\n")
         f.write(f"converged: {report.converged}\n")
         f.write(f"diverged: {report.diverged}\n")
+        if report.stop_reason:
+            f.write(f"stop_reason: {report.stop_reason}\n")
         if report.iterations:
             f.write(f"final_residual: {report.final_residual:.17g}\n")
         if report.failure:

@@ -16,14 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from vmsflow.fem import triangle_quadrature
 from vmsflow.mesh import (
     BoundaryConditions,
     Mesh,
     backward_step_mesh,
     unit_square_mesh,
 )
-from vmsflow.newton import DEFAULT_QUADRATURE_DEGREE, ElementBatch, State
+from vmsflow.newton import ElementBatch, State
 from vmsflow.solve import IterationReport, SolverConfig, solve
 
 
@@ -293,8 +292,7 @@ class ErrorNorms:
     l2_pressure: float
 
 
-def error_norms(state: State, exact: ExactSolution | None, mesh: Mesh,
-                degree: int = DEFAULT_QUADRATURE_DEGREE) -> ErrorNorms:
+def error_norms(state: State, exact: ExactSolution | None, mesh: Mesh) -> ErrorNorms:
     """Quadrature-evaluated error norms of a discrete state.
 
     The discrete velocity is the full field (nodal part plus the bubble
@@ -304,7 +302,7 @@ def error_norms(state: State, exact: ExactSolution | None, mesh: Mesh,
     """
     if exact is None:
         raise ValueError("error_norms needs the problem's exact solution")
-    batch = ElementBatch(mesh, triangle_quadrature(degree))
+    batch = ElementBatch(mesh)
     vel = state.vbar[batch.tris]
     vq = np.einsum("qa,eai->eqi", batch.N, vel)
     vq += batch.bq[None, :, None] * state.beta[:, None, :]

@@ -6,19 +6,20 @@ additionally requires a ``with_re`` method.  Reports are immutable once
 returned.  A solve builds one ``Discretization``, which continuation and
 time marching share across every rung and step.
 
-One iteration of either strategy is: solve the linearized system at the
-current state, apply the update, evaluate and record the residual of
-the new state.  The recorded residual is the 2-norm of the monolithic
-nonlinear residual (assembled coarse momentum and continuity over the
-free DOFs, plus every element's fine-scale residual); the fixed-point
-strategy evaluates it at its iterate with zero fine-scale coefficients
-(``residual_norm``), which makes the histories of the two strategies
-directly comparable.
+One loop, ``_iterate``, drives both strategies: it records the residual
+of every update, tests for divergence and stops, and names why it
+stopped.  A strategy is only its update: the condensed Newton solve
+with fine-scale recovery, or the stabilized fixed-point solve.  The
+recorded residual is the 2-norm of the monolithic nonlinear residual
+(assembled coarse momentum and continuity over the free DOFs, plus every
+element's fine-scale residual); fixed point evaluates it at its iterate
+with zero fine-scale coefficients (``residual_norm``), which makes the
+histories of the two strategies directly comparable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -115,6 +116,12 @@ class SolverConfig:
             raise ValueError("max_iter must be at least 1")
         if self.strategy not in ("newton", "fixed_point"):
             raise ValueError(f"unknown strategy '{self.strategy}'")
+        if self.dt is not None and self.dt <= 0:
+            raise ValueError(f"time step must be positive, got {self.dt}")
+        if self.n_steps is not None and self.n_steps < 0:
+            raise ValueError(f"n_steps must be non-negative, got {self.n_steps}")
+        if self.snapshot_stride < 1:
+            raise ValueError(f"snapshot_stride must be at least 1, got {self.snapshot_stride}")
 
 
 @dataclass(frozen=True)
@@ -126,7 +133,9 @@ class IterationReport:
     update.  Divergence means the residual grew past
     ``DIVERGENCE_RATIO`` times its running minimum, stopped being
     finite, or a linear/stabilization failure ended the iteration (the
-    message is kept in ``failure``).
+    message is kept in ``failure``).  ``stop_reason`` is ``tol``,
+    ``increment``, ``max_iter``, ``diverged``, ``linear_failure``,
+    ``fine_scale_singular`` or ``tau_singular``.
     """
 
     residual_history: np.ndarray
@@ -136,16 +145,16 @@ class IterationReport:
     increment_history: np.ndarray | None = None
     sub_reports: tuple = ()
     failure: str | None = None
+    stop_reason: str | None = None
 
     @property
     def final_residual(self) -> float:
         return float(self.residual_history[-1]) if self.iterations else float("nan")
 
 
-def lifted_state(mesh: Mesh, dofmap: DofMap, dt: float | None = None,
-                 vbar_prev: np.ndarray | None = None) -> State:
+def lifted_state(mesh: Mesh, dofmap: DofMap) -> State:
     """Zero state with the prescribed Dirichlet/pin values installed."""
-    state = State.zeros(mesh, dt=dt, vbar_prev=vbar_prev)
+    state = State.zeros(mesh)
     idx, vals = dofmap.constrained_values()
     velocity = idx < 2 * mesh.n_nodes
     state.vbar.reshape(-1)[idx[velocity]] = vals[velocity]
@@ -158,59 +167,97 @@ def _setup(problem) -> Discretization:
                           problem.bc)
 
 
+def _newton_steps(disc: Discretization, nu: float, body_force, state: State):
+    """Newton updates of ``state`` in place, each yielding (residual, None)."""
+    n = disc.mesh.n_nodes
+    system = assemble_system(disc, state, nu, body_force)
+    while True:
+        delta = np.zeros(disc.dofmap.total)
+        delta[disc.free] = linear_solve(system.matrix, system.rhs)
+        dbeta = system.recover_beta(state, delta)
+        state.vbar += delta[: 2 * n].reshape(n, 2)
+        state.p += delta[2 * n:]
+        state.beta += dbeta
+        system = assemble_system(disc, state, nu, body_force)
+        yield system.residual_norm, None
+
+
+def _fixed_point_steps(disc: Discretization, nu: float, body_force, state: State):
+    """Fixed-point updates of ``state`` in place, each yielding (residual, increment)."""
+    n = disc.mesh.n_nodes
+    state.beta[:] = 0.0
+    while True:
+        matrix, rhs = fp_assemble(disc, state.vbar, nu, body_force,
+                                  state.dt, state.vbar_prev)
+        full = disc.prescribed.copy()
+        full[disc.free] = linear_solve(matrix, rhs)
+        new_vbar = full[: 2 * n].reshape(n, 2)
+        increment = float(np.linalg.norm(new_vbar - state.vbar))
+        state.vbar = new_vbar
+        state.p = full[2 * n:]
+        yield residual_norm(disc, state, nu, body_force), increment
+
+
+# Per strategy: its updates, and whether the velocity increment is recorded and stops.
+_STRATEGIES = {"newton": (_newton_steps, False), "fixed_point": (_fixed_point_steps, True)}
+_FAILURE_STOPS = {LinearSolveError: "linear_failure", TauSingularError: "tau_singular",
+                  FineScaleSingularError: "fine_scale_singular"}
+
+
+def _iterate(disc: Discretization, nu: float, body_force, config: SolverConfig,
+             state0: State | None, strategy: str) -> tuple[State, IterationReport]:
+    """Run a strategy from a copy of ``state0`` (transient fields kept) or the lifted state."""
+    updates, tracks_increment = _STRATEGIES[strategy]
+    state = state0.copy() if state0 is not None else lifted_state(disc.mesh, disc.dofmap)
+    inc_tol = config.tol if config.increment_tol is None else config.increment_tol
+
+    history: list[float] = []
+    increments: list[float | None] = []
+    failure = None
+    stop = "max_iter"
+    min_resid = np.inf
+    steps = updates(disc, nu, body_force, state)
+    try:
+        for _ in range(config.max_iter):
+            resid, increment = next(steps)
+            history.append(resid)
+            increments.append(increment)
+            if not np.isfinite(resid) or resid > DIVERGENCE_RATIO * min_resid:
+                stop = "diverged"
+            elif resid <= config.tol:
+                stop = "tol"
+            elif tracks_increment and increment <= inc_tol:
+                stop = "increment"
+            else:
+                min_resid = min(min_resid, resid)
+                continue
+            break
+    except tuple(_FAILURE_STOPS) as err:
+        failure, stop = str(err), _FAILURE_STOPS[type(err)]
+
+    return state, IterationReport(
+        residual_history=np.array(history),
+        converged=stop in ("tol", "increment"),
+        diverged=stop not in ("tol", "increment", "max_iter"),
+        iterations=len(history),
+        increment_history=np.array(increments) if tracks_increment else None,
+        failure=failure,
+        stop_reason=stop,
+    )
+
+
 def newton_solve(problem, config: SolverConfig, state0: State | None = None
                  ) -> tuple[State, IterationReport]:
     """Consistent Newton iteration with per-element static condensation.
 
     Starts from the Dirichlet-lifted zero state unless ``state0`` is
-    given (warm starts keep any transient fields it carries).  Each
-    iteration solves the condensed system, updates velocity and
-    pressure, recovers the fine-scale increment element by element, and
-    records the residual of the updated state; the assembly at the new
-    state doubles as the next iteration's linearization.
+    given.  Each iteration solves the condensed system, updates velocity
+    and pressure, and recovers the fine-scale increment element by
+    element; the assembly at the new state gives its residual and
+    doubles as the next iteration's linearization.
     """
-    return _newton(problem, _setup(problem), config, state0)
-
-
-def _newton(problem, disc: Discretization, config: SolverConfig, state0: State | None):
-    nu, body_force = problem.nu, problem.body_force
-    state = state0.copy() if state0 is not None else lifted_state(disc.mesh, disc.dofmap)
-    n = disc.mesh.n_nodes
-
-    history: list[float] = []
-    failure = None
-    converged = diverged = False
-    min_resid = np.inf
-    try:
-        system = assemble_system(disc, state, nu, body_force)
-        for _ in range(config.max_iter):
-            delta = np.zeros(disc.dofmap.total)
-            delta[disc.free] = linear_solve(system.matrix, system.rhs)
-            dbeta = system.recover_beta(state, delta)
-            state.vbar += delta[: 2 * n].reshape(n, 2)
-            state.p += delta[2 * n:]
-            state.beta += dbeta
-            system = assemble_system(disc, state, nu, body_force)
-            resid = system.residual_norm
-            history.append(resid)
-            if not np.isfinite(resid) or resid > DIVERGENCE_RATIO * min_resid:
-                diverged = True
-                break
-            min_resid = min(min_resid, resid)
-            if resid <= config.tol:
-                converged = True
-                break
-    except (FineScaleSingularError, LinearSolveError) as err:
-        failure, diverged = str(err), True
-
-    report = IterationReport(
-        residual_history=np.array(history),
-        converged=converged,
-        diverged=diverged,
-        iterations=len(history),
-        failure=failure,
-    )
-    return state, report
+    return _iterate(_setup(problem), problem.nu, problem.body_force, config, state0,
+                    "newton")
 
 
 def fixed_point_solve(problem, config: SolverConfig, state0: State | None = None
@@ -218,78 +265,23 @@ def fixed_point_solve(problem, config: SolverConfig, state0: State | None = None
     """Fixed-point (Picard) iteration on the stabilized linearized form.
 
     The fine scale never appears as an unknown (``state.beta`` stays
-    zero).  Two metrics are recorded per iteration: the comparison
-    residual, i.e. the monolithic nonlinear residual evaluated at the
-    new iterate, and the velocity-increment 2-norm.  The iteration stops
-    when the comparison residual reaches ``tol`` or the increment falls
-    below ``increment_tol`` (the iterate then sits on the scheme's own
-    fixed point, which for equal discretizations differs from the
-    Newton solution at the level of the stabilization approximation).
+    zero).  Each iteration records the comparison residual at the new
+    iterate and the velocity-increment 2-norm, and stops when the
+    residual reaches ``tol`` or the increment falls below
+    ``increment_tol`` (the iterate then sits on the scheme's own fixed
+    point, which differs from the Newton solution at the level of the
+    stabilization approximation).
     """
-    return _fixed_point(problem, _setup(problem), config, state0)
-
-
-def _fixed_point(problem, disc: Discretization, config: SolverConfig,
-                 state0: State | None):
-    nu, body_force = problem.nu, problem.body_force
-    state = state0.copy() if state0 is not None else lifted_state(disc.mesh, disc.dofmap)
-    state.beta[:] = 0.0
-    n = disc.mesh.n_nodes
-    inc_tol = config.tol if config.increment_tol is None else config.increment_tol
-
-    history: list[float] = []
-    increments: list[float] = []
-    failure = None
-    converged = diverged = False
-    min_resid = np.inf
-    for _ in range(config.max_iter):
-        try:
-            matrix, rhs = fp_assemble(disc, state.vbar, nu, body_force,
-                                      state.dt, state.vbar_prev)
-            solution = linear_solve(matrix, rhs)
-        except (TauSingularError, LinearSolveError) as err:
-            failure, diverged = str(err), True
-            break
-        full = disc.prescribed.copy()
-        full[disc.free] = solution
-        new_vbar = full[: 2 * n].reshape(n, 2)
-        increment = float(np.linalg.norm(new_vbar - state.vbar))
-        state.vbar = new_vbar
-        state.p = full[2 * n:]
-
-        resid = residual_norm(disc, state, nu, body_force)
-        history.append(resid)
-        increments.append(increment)
-        if not np.isfinite(resid) or resid > DIVERGENCE_RATIO * min_resid:
-            diverged = True
-            break
-        min_resid = min(min_resid, resid)
-        if resid <= config.tol or increment <= inc_tol:
-            converged = True
-            break
-
-    report = IterationReport(
-        residual_history=np.array(history),
-        converged=converged,
-        diverged=diverged,
-        iterations=len(history),
-        increment_history=np.array(increments),
-        failure=failure,
-    )
-    return state, report
-
-
-def _solve_once(problem, disc: Discretization, config: SolverConfig,
-                state0: State | None = None):
-    loop = _fixed_point if config.strategy == "fixed_point" else _newton
-    return loop(problem, disc, config, state0)
+    return _iterate(_setup(problem), problem.nu, problem.body_force, config, state0,
+                    "fixed_point")
 
 
 def solve(problem, config: SolverConfig, state0: State | None = None):
     """Dispatch on the configured strategy (continuation when requested)."""
     if config.continuation is not None:
         return continuation_solve(problem, config)
-    return _solve_once(problem, _setup(problem), config, state0)
+    return _iterate(_setup(problem), problem.nu, problem.body_force, config, state0,
+                    config.strategy)
 
 
 def continuation_solve(problem, config: SolverConfig
@@ -310,25 +302,24 @@ def continuation_solve(problem, config: SolverConfig
     disc = _setup(problem)
     state = None
     subs: list[tuple[float, IterationReport]] = []
-    all_resid: list[float] = []
     for re in ladder:
-        rung_problem = problem.with_re(re)
-        state_out, report = _solve_once(rung_problem, disc, config, state)
+        rung = problem.with_re(re)
+        state_out, report = _iterate(disc, rung.nu, rung.body_force, config, state,
+                                     config.strategy)
         subs.append((re, report))
-        all_resid.extend(report.residual_history.tolist())
         if not report.converged:
             break
         state = state_out
-    reached = len(subs) == len(ladder) and subs[-1][1].converged
-    chain = IterationReport(
-        residual_history=np.array(all_resid),
-        converged=reached,
-        diverged=any(r.diverged for _, r in subs),
+    # Every rung before the last converged, so the last rung decides the flags.
+    return (state if state is not None else state_out), IterationReport(
+        residual_history=np.concatenate([r.residual_history for _, r in subs]),
+        converged=report.converged,
+        diverged=report.diverged,
         iterations=sum(r.iterations for _, r in subs),
         sub_reports=tuple(subs),
-        failure=subs[-1][1].failure,
+        failure=report.failure,
+        stop_reason=report.stop_reason,
     )
-    return (state if state is not None else state_out), chain
 
 
 def time_march(problem, config: SolverConfig, state0: State | None = None
@@ -348,10 +339,9 @@ def time_march(problem, config: SolverConfig, state0: State | None = None
     states = [state.copy()]
     reports: list[IterationReport] = []
     for step in range(1, config.n_steps + 1):
-        start = state.copy()
-        start.dt = config.dt
-        start.vbar_prev = state.vbar.copy()
-        state, report = _solve_once(problem, disc, config, start)
+        start = replace(state, dt=config.dt, vbar_prev=state.vbar)  # _iterate copies it
+        state, report = _iterate(disc, problem.nu, problem.body_force, config, start,
+                                 config.strategy)
         reports.append(report)
         if not report.converged:
             break

@@ -114,6 +114,30 @@ class TestCli:
         assert run_cli(["solve", "--problem", "no_such_problem"]) == 1
         assert run_cli(["solve", "--problem", "lid_cavity", "--n", "8"]) == 1
 
+    def test_re_and_nu_together_rejected(self, tmp_path):
+        assert run_cli([
+            "solve", "--problem", "lid_cavity", "--re", "100", "--nu", "0.5", "--n", "8",
+            "--out", str(tmp_path),
+        ]) == 1
+        assert not (tmp_path / "summary.txt").exists()
+
+    def test_nu_forwarded_exactly(self, tmp_path):
+        # 1 / (1 / 0.013) is 0.013000000000000001
+        code = run_cli([
+            "solve", "--problem", "lid_cavity", "--nu", "0.013", "--n", "8",
+            "--out", str(tmp_path),
+        ])
+        assert code == 0
+        lines = (tmp_path / "summary.txt").read_text().splitlines()
+        assert "nu: 0.013" in lines
+        assert "stop_reason: tol" in lines
+
+    @pytest.mark.parametrize("flags", [["--stride", "0"], ["--steps", "-3"], ["--dt", "0"]])
+    def test_bad_march_flags(self, tmp_path, flags):
+        argv = ["march", "--problem", "body_force_cavity", "--nu", "1.0", "--n", "4",
+                "--dt", "0.5", "--steps", "2", "--out", str(tmp_path)]
+        assert run_cli(argv + flags) == 1
+
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("problem = lid_cavity\nre = 100\nn = 8\ntol = 1e-9\n")

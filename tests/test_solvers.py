@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import vmsflow.solve as solve_module
+from vmsflow.fixed_point import TauSingularError
 from vmsflow.mesh import build_dof_map
+from vmsflow.newton import FineScaleSingularError
 from vmsflow.problems import backward_step, body_force_cavity, lid_cavity
 from vmsflow.solve import (
     ContinuationConfig,
@@ -103,6 +106,16 @@ class TestNewtonSolve:
         state, report = newton_solve(prob, SolverConfig(tol=1e-8, max_iter=25))
         assert report.diverged
         assert not report.converged
+        assert report.stop_reason == "diverged"
+        assert report.failure is None
+
+    def test_stop_reasons_tol_and_max_iter(self):
+        prob = lid_cavity(8, re=100)
+        _, done = newton_solve(prob, SolverConfig(tol=1e-12, max_iter=25))
+        _, cut = newton_solve(prob, SolverConfig(tol=1e-12, max_iter=2))
+        assert (done.stop_reason, done.converged) == ("tol", True)
+        assert (cut.stop_reason, cut.converged, cut.diverged) == ("max_iter", False, False)
+        assert cut.iterations == 2
 
     def test_determinism(self):
         prob = body_force_cavity(8, re=50)
@@ -147,7 +160,18 @@ class TestFixedPointSolve:
             prob, SolverConfig(strategy="fixed_point", tol=1e-12, max_iter=30)
         )
         assert report.converged          # by increment stagnation
+        assert report.stop_reason == "increment"
         assert report.final_residual > 1e-6
+
+    def test_residual_stop_told_apart_from_increment_stall(self):
+        # the residual reaches tol while the velocity still moves
+        prob = lid_cavity(8, re=100)
+        _, report = fixed_point_solve(
+            prob, SolverConfig(strategy="fixed_point", tol=0.05, increment_tol=1e-12)
+        )
+        assert report.converged
+        assert report.stop_reason == "tol"
+        assert report.final_residual <= 0.05 < report.increment_history[-1]
 
     def test_strategies_agree_within_discretization_error(self):
         # both converged velocity fields sit within a small multiple of the
@@ -285,10 +309,95 @@ class TestTimeMarch:
         assert np.abs(states[-1].vbar - steady.vbar).max() <= 1e-3
 
 
+def _fail_on_call(monkeypatch, name, k, error):
+    """Make ``vmsflow.solve.<name>`` raise ``error`` on its k-th call."""
+    real = getattr(solve_module, name)
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == k:
+            raise error
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solve_module, name, failing)
+
+
+class TestFailurePaths:
+    """A failure inside an update ends the iteration with a flagged report."""
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("solver", [newton_solve, fixed_point_solve])
+    def test_linear_failure_on_kth_solve(self, monkeypatch, solver, k):
+        _fail_on_call(monkeypatch, "linear_solve", k, LinearSolveError("injected LU failure"))
+        _, report = solver(lid_cavity(8, re=100),
+                           SolverConfig(tol=1e-14, increment_tol=0.0, max_iter=25))
+        assert report.diverged
+        assert not report.converged
+        assert report.iterations == k - 1
+        assert report.failure == "injected LU failure"
+
+    def test_fine_scale_singular_before_first_update(self, monkeypatch):
+        _fail_on_call(monkeypatch, "assemble_system", 1,
+                      FineScaleSingularError("injected singular Kff"))
+        _, report = newton_solve(lid_cavity(8, re=100), SolverConfig())
+        assert report.diverged and not report.converged
+        assert report.iterations == 0
+        assert report.failure == "injected singular Kff"
+        assert report.increment_history is None
+
+    def test_tau_singular_before_first_update(self, monkeypatch):
+        _fail_on_call(monkeypatch, "fp_assemble", 1, TauSingularError("injected singular A"))
+        _, report = fixed_point_solve(lid_cavity(8, re=100),
+                                      SolverConfig(strategy="fixed_point"))
+        assert report.diverged and not report.converged
+        assert report.iterations == 0
+        assert report.failure == "injected singular A"
+        assert isinstance(report.increment_history, np.ndarray)
+        assert report.increment_history.size == 0
+
+    @pytest.mark.parametrize("name, error, solver, reason", [
+        ("linear_solve", LinearSolveError("x"), newton_solve, "linear_failure"),
+        ("linear_solve", LinearSolveError("x"), fixed_point_solve, "linear_failure"),
+        ("assemble_system", FineScaleSingularError("x"), newton_solve, "fine_scale_singular"),
+        ("fp_assemble", TauSingularError("x"), fixed_point_solve, "tau_singular"),
+    ])
+    def test_failure_stop_reason(self, monkeypatch, name, error, solver, reason):
+        _fail_on_call(monkeypatch, name, 2, error)
+        _, report = solver(lid_cavity(8, re=100), SolverConfig(tol=1e-14, increment_tol=0.0))
+        assert report.stop_reason == reason
+
+    def test_continuation_takes_last_rung_reason(self, monkeypatch):
+        prob = body_force_cavity(8, re=20)
+        cfg = SolverConfig(tol=1e-9, max_iter=15, continuation=ContinuationConfig(10, 20, 1.5))
+        _, chain = continuation_solve(prob, cfg)
+        assert chain.stop_reason == "tol"
+        _fail_on_call(monkeypatch, "linear_solve", 6, LinearSolveError("late failure"))
+        _, chain = continuation_solve(prob, cfg)
+        assert chain.stop_reason == chain.sub_reports[-1][1].stop_reason == "linear_failure"
+        assert chain.failure == "late failure"
+
+
 class TestConfigValidation:
     def test_bad_strategy(self):
         with pytest.raises(ValueError):
             SolverConfig(strategy="secant")
+
+    @pytest.mark.parametrize("settings", [
+        dict(dt=0.0), dict(dt=-0.1), dict(n_steps=-3), dict(snapshot_stride=0),
+    ])
+    def test_bad_march_settings(self, settings):
+        with pytest.raises(ValueError):
+            SolverConfig(**settings)
+
+    @pytest.mark.parametrize("solver", [newton_solve, fixed_point_solve])
+    def test_zero_time_step_in_state_is_named(self, solver):
+        # both strategies name a non-positive step instead of failing in the LU
+        prob = body_force_cavity(8, nu=1.0)
+        start = lifted_state(prob.mesh, build_dof_map(prob.mesh, prob.bc))
+        start.dt, start.vbar_prev = 0.0, start.vbar.copy()
+        with pytest.raises(ValueError, match="time step must be positive"):
+            solver(prob, SolverConfig(strategy="fixed_point"), state0=start)
 
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
