@@ -37,6 +37,7 @@ from vmsflow.mesh import (
     Mesh,
     backward_step_mesh,
     build_dof_map,
+    nested_dissection,
     read_mesh,
     unit_square_mesh,
     write_mesh,

@@ -92,13 +92,13 @@ def _cmd_solve(args) -> int:
 def _cmd_study(args) -> int:
     levels = [int(tok) for tok in args.levels.split(",")]
     strategies = ["newton", "fixed_point"] if args.strategy == "both" else [args.strategy]
+    if args.problem != "body_force_cavity":
+        print("study requires a problem with an exact solution", file=sys.stderr)
+        return 1
     outdir = _outdir(args)
     os.makedirs(outdir, exist_ok=True)
     exit_code = 0
     for strategy in strategies:
-        if args.problem != "body_force_cavity":
-            print("study requires a problem with an exact solution", file=sys.stderr)
-            return 1
         table = convergence_study(
             lambda n: body_force_cavity(n, re=args.re, nu=args.nu),
             levels,

@@ -42,7 +42,7 @@ from vmsflow.fem import (
     inv2,
     triangle_quadrature,
 )
-from vmsflow.mesh import BoundaryConditions, DofMap, Mesh
+from vmsflow.mesh import BoundaryConditions, DofMap, Mesh, nested_dissection
 
 DEFAULT_QUADRATURE_DEGREE = 8
 
@@ -443,7 +443,10 @@ class Discretization:
     Element tables and DOFs, the traction load, the prescribed value of
     every global DOF (zero where free), the free-DOF CSR pattern with the
     slot of every element-matrix entry, filled by ``np.bincount``, and the
-    body-force integrals of the last force seen.
+    body-force integrals of the last force seen.  ``free`` lists the free
+    global DOFs in nested-dissection order (``mesh.nested_dissection``,
+    (u, v, p) per node), so every assembled matrix and right-hand side
+    arrives in a fill-reducing order and ``full[free] = x`` scatters a solution.
     """
 
     def __init__(self, mesh: Mesh, dofmap: DofMap, bc: BoundaryConditions):
@@ -455,7 +458,10 @@ class Discretization:
         idx, vals = dofmap.constrained_values()
         self.prescribed = np.zeros(dofmap.total)
         self.prescribed[idx] = vals
-        self.free = dofmap.free
+        nodes = nested_dissection(mesh)
+        n = mesh.n_nodes
+        dofs = np.column_stack([2 * nodes, 2 * nodes + 1, 2 * n + nodes]).ravel()
+        self.free = dofs[np.isin(dofs, dofmap.free)]
 
         # Row-major keys of the free-by-free element entries: their sorted
         # unique values are the CSR order, and the inverse is each entry's slot.

@@ -4,7 +4,10 @@ A problem object must expose ``mesh``, ``bc``, ``nu`` and ``body_force``
 attributes (``vmsflow.problems.ProblemSpec`` does); continuation
 additionally requires a ``with_re`` method.  Reports are immutable once
 returned.  A solve builds one ``Discretization``, which continuation and
-time marching share across every rung and step.
+time marching share across every rung and step.  Its ``free`` lists the
+free DOFs in nested-dissection order, computed once per set-up, so
+every assembled system arrives permuted and ``linear_solve`` factors it
+in that order; ``full[free] = x`` scatters a solution back.
 
 One loop, ``_iterate``, drives both strategies: it records the residual
 of every update, tests for divergence and stops, and names why it
@@ -43,13 +46,17 @@ class LinearSolveError(RuntimeError):
     """Raised when the sparse linear solver cannot produce a usable solution."""
 
 
-def linear_solve(matrix, rhs: np.ndarray, linear_tol: float = LINEAR_TOL) -> np.ndarray:
+def linear_solve(matrix, rhs: np.ndarray) -> np.ndarray:
     """Direct sparse solve with a verified residual.
 
-    Uses an LU factorization (the systems are indefinite saddle-point
-    matrices, so pivoting matters); one step of iterative refinement is
-    applied before the residual check ``|Ax - b| <= max(1e-12,
-    linear_tol * |b|)``.  Deterministic for identical inputs.
+    The matrix is expected to arrive already in a fill-reducing order
+    (``Discretization.free`` numbers the unknowns by nested dissection),
+    so the LU factorization keeps its column order and pivots only where
+    a diagonal entry falls below 0.1 of its column's largest (the
+    systems are indefinite saddle-point matrices).  One step of
+    iterative refinement is applied before the residual check ``|Ax - b|
+    <= max(1e-12, LINEAR_TOL * |b|)``.  Deterministic for identical
+    inputs.
     """
     rhs = np.asarray(rhs, dtype=float)
     if rhs.size == 0:
@@ -60,11 +67,11 @@ def linear_solve(matrix, rhs: np.ndarray, linear_tol: float = LINEAR_TOL) -> np.
             f"matrix of shape {A.shape} does not match right-hand side of size {rhs.size}"
         )
     try:
-        lu = spla.splu(A)
+        lu = spla.splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.1)
         x = lu.solve(rhs)
     except (RuntimeError, ValueError) as err:
         raise LinearSolveError(f"sparse factorization failed: {err}") from err
-    bound = max(1e-12, linear_tol * float(np.linalg.norm(rhs)))
+    bound = max(1e-12, LINEAR_TOL * float(np.linalg.norm(rhs)))
     resid = rhs - A @ x
     if not np.all(np.isfinite(x)) or np.linalg.norm(resid) > bound:
         if np.all(np.isfinite(x)):

@@ -63,9 +63,12 @@ def step_case():
     return prob.mesh, bc, prob.nu
 
 
-def dense_newton(mesh, dofmap, bc, state, nu, body_force):
-    """Condensed matrix, rhs and residual norm summed element by element."""
-    total, free = dofmap.total, dofmap.free
+def dense_newton(mesh, dofmap, bc, free, state, nu, body_force):
+    """Condensed matrix, rhs and residual norm summed element by element.
+
+    Rows and columns are the global DOFs ``free``, in that order.
+    """
+    total = dofmap.total
     K = np.zeros((total, total))
     R_hat = np.zeros(total)
     R_vp = np.zeros(total)
@@ -82,9 +85,9 @@ def dense_newton(mesh, dofmap, bc, state, nu, body_force):
     return K[np.ix_(free, free)], -(R_hat - load)[free], norm
 
 
-def dense_fixed_point(mesh, dofmap, bc, v_c, vbar_prev, nu, dt, body_force):
-    """Lifted linearized system summed element by element."""
-    total, free = dofmap.total, dofmap.free
+def dense_fixed_point(mesh, dofmap, bc, free, v_c, vbar_prev, nu, dt, body_force):
+    """Lifted linearized system summed element by element, on the DOFs ``free``."""
+    total = dofmap.total
     K = np.zeros((total, total))
     F = traction_vector(mesh, dofmap, bc)
     for e, dofs in enumerate(element_dofs(mesh, dofmap)):
@@ -108,14 +111,14 @@ def test_scatter_matches_dense_element_sum(case, dt):
     disc = Discretization(mesh, dofmap, bc)
     state = random_state(mesh, np.random.default_rng(11), dt=dt)
 
-    K, rhs, norm = dense_newton(mesh, dofmap, bc, state, nu, linear_force)
+    K, rhs, norm = dense_newton(mesh, dofmap, bc, disc.free, state, nu, linear_force)
     system = assemble_system(disc, state, nu, linear_force)
     assert_close(system.matrix.toarray(), K, 1e-13)
     assert_close(system.rhs, rhs, 1e-13)
     assert system.residual_norm == pytest.approx(norm, rel=1e-13)
     assert residual_norm(disc, state, nu, linear_force) == system.residual_norm
 
-    K, rhs = dense_fixed_point(mesh, dofmap, bc, state.vbar, state.vbar_prev,
+    K, rhs = dense_fixed_point(mesh, dofmap, bc, disc.free, state.vbar, state.vbar_prev,
                                nu, dt, linear_force)
     matrix, load = fp_assemble(disc, state.vbar, nu, linear_force, dt, state.vbar_prev)
     assert_close(matrix.toarray(), K, 1e-13)

@@ -1,0 +1,130 @@
+"""The nested-dissection numbering of the free DOFs and the fill it buys.
+
+``mesh.nested_dissection`` orders the nodes; ``Discretization.free``
+numbers the free (u, v, p) DOFs node by node in that order, and
+``linear_solve`` factors the assembled matrix without reordering it.
+"""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import vmsflow.solve as solve_module
+from vmsflow.mesh import BoundaryConditions, build_dof_map, nested_dissection
+from vmsflow.newton import Discretization, assemble_system
+from vmsflow.problems import backward_step, lid_cavity
+from vmsflow.solve import lifted_state, linear_solve
+
+from helpers import perturbed_square_mesh
+
+
+def zero_velocity(points):
+    return np.zeros(np.shape(np.asarray(points))[:-1] + (2,))
+
+
+def perturbed_square(n, seed):
+    mesh = perturbed_square_mesh(n, np.random.default_rng(seed))
+    bc = BoundaryConditions(dirichlet={t: zero_velocity for t in mesh.tags},
+                            pressure_pin=(0, 0.0))
+    return mesh, bc
+
+
+def problem_case(kind, size, seed):
+    if kind == "square":
+        return perturbed_square(size, seed)
+    prob = lid_cavity(size, re=100) if kind == "lid" else backward_step(re=50, h=1 / size)
+    return prob.mesh, prob.bc
+
+
+cases = st.one_of(
+    st.tuples(st.just("square"), st.integers(2, 12), st.integers(0, 2**32 - 1)),
+    st.tuples(st.just("lid"), st.sampled_from([8, 12, 16]), st.just(0)),
+    st.tuples(st.just("step"), st.sampled_from([2, 4, 8]), st.just(0)),  # h = 1/size
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=cases)
+def test_orders_are_permutations(case):
+    mesh, bc = problem_case(*case)
+    order = nested_dissection(mesh)
+    np.testing.assert_array_equal(np.sort(order), np.arange(mesh.n_nodes))
+
+    dofmap = build_dof_map(mesh, bc)
+    free = Discretization(mesh, dofmap, bc).free
+    np.testing.assert_array_equal(np.sort(free), dofmap.free)
+    # node by node in the dissection order: (u, v, p) of one node are adjacent
+    n = mesh.n_nodes
+    node = np.where(free < 2 * n, free // 2, free - 2 * n)
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    assert np.all(np.diff(rank[node]) >= 0)
+
+
+@pytest.mark.parametrize("case", [
+    lambda: perturbed_square(9, 3),
+    lambda: problem_case("lid", 16, 0),
+    lambda: problem_case("step", 4, 0),
+], ids=["perturbed-square", "lid", "step"])
+def test_top_separator_splits_the_edge_graph(case):
+    mesh, _ = case()
+    order = nested_dissection(mesh)
+    xy = mesh.node_coords
+    axis = int(np.argmax(np.ptp(xy, axis=0)))
+    on_left = xy[:, axis] <= np.median(xy[:, axis])
+    edges = np.unique(np.sort(mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1),
+                      axis=0)
+    crossing = on_left[edges[:, 0]] != on_left[edges[:, 1]]
+    separator = np.unique(edges[crossing][on_left[edges[crossing]]])
+    n_left = np.count_nonzero(on_left) - separator.size
+    n_right = np.count_nonzero(~on_left)
+
+    left, right, tail = np.split(order, [n_left, n_left + n_right])
+    np.testing.assert_array_equal(np.sort(tail), separator)
+    assert not np.any(on_left[right])
+    part = np.full(mesh.n_nodes, -1)
+    part[left], part[right] = 0, 1
+    joined = {tuple(sorted(pair)) for pair in part[edges].tolist()}
+    assert (0, 1) not in joined
+
+
+def factored_fill(matrix, monkeypatch):
+    """L+U nonzeros of the factor ``linear_solve`` computes for ``matrix``."""
+    factors = []
+    splu = spla.splu
+
+    def recording(*args, **kwargs):
+        factors.append(splu(*args, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(solve_module.spla, "splu", recording)
+    linear_solve(matrix, np.ones(matrix.shape[0]))
+    return factors[0].L.nnz + factors[0].U.nnz
+
+
+@pytest.mark.parametrize("problem", [
+    lambda: lid_cavity(32, re=400),
+    lambda: lid_cavity(64, re=400),
+    lambda: lid_cavity(128, re=400),
+    lambda: backward_step(re=150, h=0.05),
+], ids=["lid32", "lid64", "lid128", "step0.05"])
+def test_dissection_fill_not_above_colamd(problem, monkeypatch):
+    """The factor in dissection order fills no more than COLAMD's.
+
+    The matrix is the Newton matrix at the lifted start, the same
+    system factored both ways (COLAMD with SuperLU's default pivot
+    threshold).  The coarse step mesh ``h=0.25`` (333 unknowns) is a
+    known exception and not tested: there the dissection fill is 14.2k
+    against COLAMD's 10.0k, although factor plus solve is still faster
+    (0.45 ms against 0.54-0.60 ms on one core).
+    """
+    prob = problem()
+    dofmap = build_dof_map(prob.mesh, prob.bc)
+    disc = Discretization(prob.mesh, dofmap, prob.bc)
+    matrix = assemble_system(disc, lifted_state(prob.mesh, dofmap), prob.nu,
+                             prob.body_force).matrix
+    colamd = spla.splu(sp.csc_matrix(matrix))
+    assert factored_fill(matrix, monkeypatch) <= colamd.L.nnz + colamd.U.nnz

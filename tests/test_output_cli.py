@@ -102,6 +102,12 @@ class TestCli:
         assert text.startswith("h,l2_velocity")
         assert "# rate_l2_velocity" in text
 
+    def test_study_without_exact_solution_leaves_no_directory(self, tmp_path):
+        out = tmp_path / "d"
+        assert run_cli(["study", "--problem", "lid_cavity", "--re", "100",
+                        "--out", str(out)]) == 1
+        assert not out.exists()
+
     def test_nonconvergence_exit_code(self, tmp_path):
         code = run_cli([
             "solve", "--problem", "body_force_cavity", "--re", "5000", "--n", "16",
