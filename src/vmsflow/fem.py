@@ -30,10 +30,6 @@ class DegenerateElementError(RuntimeError):
 DN_REF = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
 DN_REF.setflags(write=False)
 
-# Reference positions of the local nodes (node a is where N_a = 1).
-REF_NODES = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-REF_NODES.setflags(write=False)
-
 
 @dataclass(frozen=True)
 class ShapeEval:
@@ -101,9 +97,9 @@ def t3_bubble(xi, geometry: ElementGeometry | None = None) -> BubbleEval:
 def element_geometry(coords, index: int | None = None) -> ElementGeometry:
     """Geometry of the affine map for a triangle given its node coordinates.
 
-    ``coords`` is a (3, 2) array ordered so that local node ``a`` matches
-    the reference position ``REF_NODES[a]``; counterclockwise triangles
-    then have ``detJ = 2 * area > 0``.
+    ``coords`` is a (3, 2) array whose local nodes map to the reference
+    vertices (1, 0), (0, 1) and (0, 0), in that order (node a is where
+    N_a = 1); counterclockwise triangles then have ``detJ = 2 * area > 0``.
     """
     coords = np.asarray(coords, dtype=float)
     J = coords.T @ DN_REF

@@ -202,6 +202,6 @@ def fp_assemble(disc: Discretization, v_c: np.ndarray, nu: float,
     _check_nu(nu)
     K, F = _fp_batched(disc.batch, v_c, nu, dt, vbar_prev,
                        disc.body_force_load(body_force), stabilize)
-    F -= np.matmul(K, disc.prescribed[disc.edofs][..., None])[..., 0]
+    F -= np.matmul(K, disc.dofmap.prescribed[disc.edofs][..., None])[..., 0]
     load = disc.global_vector(F) + disc.traction
     return disc.free_matrix(K), load[disc.free]

@@ -103,25 +103,24 @@ def _validate_mesh(mesh: Mesh) -> None:
         raise ValueError("boundary edges are not completely tagged")
 
 
-def _boundary_edges_from_triangles(triangles: np.ndarray) -> list[tuple[int, int]]:
-    edges, counts = _edge_counts(triangles)
-    return list(map(tuple, edges[counts == 1].tolist()))
+def _tagged_mesh(coords: np.ndarray, tris: np.ndarray, classify, tags) -> Mesh:
+    """Mesh whose boundary edges are tagged by ``classify(edge midpoint)``."""
+    edges, counts = _edge_counts(tris)
+    tagged = tuple((a, b, classify(0.5 * (coords[a] + coords[b])))
+                   for a, b in edges[counts == 1].tolist())
+    return Mesh(coords, tris, tagged, tags)
 
 
-def _structured_triangles(node_id, nx: int, ny: int, keep=None) -> list[tuple[int, int, int]]:
-    """Two CCW triangles per kept cell, split along the lower-left/upper-right diagonal."""
-    tris = []
-    for ix in range(nx):
-        for iy in range(ny):
-            if keep is not None and not keep(ix, iy):
-                continue
-            ll = node_id(ix, iy)
-            lr = node_id(ix + 1, iy)
-            ul = node_id(ix, iy + 1)
-            ur = node_id(ix + 1, iy + 1)
-            tris.append((ll, lr, ur))
-            tris.append((ll, ur, ul))
-    return tris
+def _grid_triangles(ids: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Two CCW triangles per kept cell, split along the lower-left/upper-right diagonal.
+
+    ``ids[ix, iy]`` is the node at grid point (ix, iy) and ``cells[ix, iy]``
+    keeps the cell above and right of it; cells go in ix-major order.
+    """
+    nx, ny = cells.shape
+    ll, lr, ul, ur = (ids[i:i + nx, j:j + ny][cells]
+                      for i, j in ((0, 0), (1, 0), (0, 1), (1, 1)))
+    return np.column_stack([ll, lr, ur, ll, ur, ul]).reshape(-1, 3)
 
 
 def unit_square_mesh(n: int) -> Mesh:
@@ -135,14 +134,11 @@ def unit_square_mesh(n: int) -> Mesh:
     xs = np.linspace(0.0, 1.0, n + 1)
     xx, yy = np.meshgrid(xs, xs, indexing="xy")
     coords = np.column_stack([xx.ravel(), yy.ravel()])
+    ids = np.arange((n + 1) ** 2).reshape(n + 1, n + 1).T     # iy*(n+1) + ix
+    tris = _grid_triangles(ids, np.ones((n, n), dtype=bool))
 
-    def node_id(ix, iy):
-        return iy * (n + 1) + ix
-
-    tris = np.array(_structured_triangles(node_id, n, n), dtype=np.int64)
-
-    def classify(pa, pb):
-        mx, my = 0.5 * (pa + pb)
+    def classify(mid):
+        mx, my = mid
         if abs(mx) < _GEOM_TOL:
             return "left"
         if abs(mx - 1.0) < _GEOM_TOL:
@@ -153,11 +149,7 @@ def unit_square_mesh(n: int) -> Mesh:
             return "top"
         raise AssertionError("boundary edge not on the unit-square boundary")
 
-    edges = tuple(
-        (a, b, classify(coords[a], coords[b]))
-        for a, b in _boundary_edges_from_triangles(tris)
-    )
-    return Mesh(coords, tris, edges, ("left", "right", "bottom", "top"))
+    return _tagged_mesh(coords, tris, classify, ("left", "right", "bottom", "top"))
 
 
 def backward_step_mesh(
@@ -192,46 +184,26 @@ def backward_step_mesh(
     xs = np.linspace(0.0, total_len, nx + 1)
     ys = np.linspace(0.0, channel_height, ny + 1)
 
-    def in_solid(ix, iy):
-        # Cell centers below the step height and upstream of the step edge.
-        return ix < n_up and iy < n_step
+    fluid = np.ones((nx, ny), dtype=bool)
+    fluid[:n_up, :n_step] = False              # the solid corner below and before the step
+    # A node is kept when it touches at least one fluid cell; kept nodes are numbered ix-major.
+    padded = np.pad(fluid, 1)
+    touches = padded[:-1, :-1] | padded[1:, :-1] | padded[:-1, 1:] | padded[1:, 1:]
+    ids = np.full(touches.shape, -1, dtype=np.int64)
+    ids[touches] = np.arange(np.count_nonzero(touches))
+    ix, iy = np.nonzero(touches)
+    coords = np.column_stack([xs[ix], ys[iy]])
+    tris = _grid_triangles(ids, fluid)
 
-    used = np.full((nx + 1, ny + 1), -1, dtype=np.int64)
-    coords_list = []
-    for ix in range(nx + 1):
-        for iy in range(ny + 1):
-            # A node is kept when it touches at least one fluid cell.
-            touches = False
-            for cx in (ix - 1, ix):
-                for cy in (iy - 1, iy):
-                    if 0 <= cx < nx and 0 <= cy < ny and not in_solid(cx, cy):
-                        touches = True
-            if touches:
-                used[ix, iy] = len(coords_list)
-                coords_list.append((xs[ix], ys[iy]))
-    coords = np.array(coords_list)
-
-    def node_id(ix, iy):
-        return int(used[ix, iy])
-
-    tris = np.array(
-        _structured_triangles(node_id, nx, ny, keep=lambda ix, iy: not in_solid(ix, iy)),
-        dtype=np.int64,
-    )
-
-    def classify(pa, pb):
-        mx = 0.5 * (pa[0] + pb[0])
+    def classify(mid):
+        mx = mid[0]
         if abs(mx) < _GEOM_TOL:
             return "inflow"
         if abs(mx - total_len) < _GEOM_TOL:
             return "outflow"
         return "walls"
 
-    edges = tuple(
-        (a, b, classify(coords[a], coords[b]))
-        for a, b in _boundary_edges_from_triangles(tris)
-    )
-    return Mesh(coords, tris, edges, ("inflow", "outflow", "walls"))
+    return _tagged_mesh(coords, tris, classify, ("inflow", "outflow", "walls"))
 
 
 @dataclass(frozen=True)
@@ -259,27 +231,20 @@ class BoundaryConditions:
 
 @dataclass(frozen=True)
 class DofMap:
-    """Global equation numbering and the set of constrained unknowns.
+    """Global equation numbering and the values of the constrained unknowns.
 
     Velocity DOF of (node, component) is ``2*node + component``; pressure
-    DOF of a node is ``2*n_nodes + node``.  ``constrained`` maps each
-    fixed global index to its prescribed value.  Fine-scale coefficients
-    are element-local (two per element) and are not part of the global
+    DOF of a node is ``2*n_nodes + node``.  ``free`` lists the
+    unconstrained global indices sorted; ``prescribed`` holds, for every
+    global DOF, its Dirichlet or pin value where constrained and zero
+    where free.  Both arrays are read-only.  Fine-scale coefficients are
+    element-local (two per element) and are not part of the global
     numbering on the condensed path.
     """
 
     n_nodes: int
-    n_elements: int
-    constrained: dict[int, float]
     free: np.ndarray                    # sorted unconstrained global indices
-
-    @property
-    def n_velocity(self) -> int:
-        return 2 * self.n_nodes
-
-    @property
-    def n_pressure(self) -> int:
-        return self.n_nodes
+    prescribed: np.ndarray              # (3*n_nodes,) constrained values, zero where free
 
     @property
     def total(self) -> int:
@@ -290,17 +255,6 @@ class DofMap:
 
     def pressure_dof(self, node: int) -> int:
         return 2 * self.n_nodes + node
-
-    def fine_dof(self, element: int) -> np.ndarray:
-        if not 0 <= element < self.n_elements:
-            raise ValueError(f"element index {element} out of range")
-        return np.array([0, 1], dtype=np.int64)
-
-    def constrained_values(self) -> tuple[np.ndarray, np.ndarray]:
-        idx = np.fromiter(self.constrained.keys(), dtype=np.int64, count=len(self.constrained))
-        order = np.argsort(idx)
-        vals = np.fromiter(self.constrained.values(), dtype=float, count=len(self.constrained))
-        return idx[order], vals[order]
 
 
 def build_dof_map(mesh: Mesh, bc: BoundaryConditions) -> DofMap:
@@ -322,8 +276,9 @@ def build_dof_map(mesh: Mesh, bc: BoundaryConditions) -> DofMap:
             "boundary a pressure_pin is required"
         )
 
-    velocity = np.zeros((mesh.n_nodes, 2))
-    on_dirichlet = np.zeros(mesh.n_nodes, dtype=bool)
+    n = mesh.n_nodes
+    prescribed = np.zeros(3 * n)
+    fixed = np.zeros(3 * n, dtype=bool)
     for tag, func in bc.dirichlet.items():  # later tags override at shared nodes
         nodes = mesh.boundary_nodes(tag)
         if nodes.size == 0:
@@ -334,27 +289,20 @@ def build_dof_map(mesh: Mesh, bc: BoundaryConditions) -> DofMap:
                 f"Dirichlet function for tag '{tag}' returned shape {values.shape}, "
                 f"expected {(nodes.size, 2)}"
             )
-        velocity[nodes] = values
-        on_dirichlet[nodes] = True
-    idx = np.flatnonzero(np.repeat(on_dirichlet, 2))
-    constrained = dict(zip(idx.tolist(), velocity.reshape(-1)[idx].tolist()))
+        prescribed[:2 * n].reshape(n, 2)[nodes] = values
+        fixed[:2 * n].reshape(n, 2)[nodes] = True
 
     if bc.pressure_pin is not None:
         node, value = bc.pressure_pin
-        if not 0 <= node < mesh.n_nodes:
+        if not 0 <= node < n:
             raise ValueError(f"pressure pin node {node} out of range")
-        constrained[2 * mesh.n_nodes + int(node)] = float(value)
+        prescribed[2 * n + int(node)] = float(value)
+        fixed[2 * n + int(node)] = True
 
-    total = 3 * mesh.n_nodes
-    mask = np.ones(total, dtype=bool)
-    mask[list(constrained)] = False
-    free = np.flatnonzero(mask)
-    return DofMap(
-        n_nodes=mesh.n_nodes,
-        n_elements=mesh.n_triangles,
-        constrained=constrained,
-        free=free,
-    )
+    free = np.flatnonzero(~fixed)
+    free.setflags(write=False)
+    prescribed.setflags(write=False)
+    return DofMap(n_nodes=n, free=free, prescribed=prescribed)
 
 
 def nested_dissection(mesh: Mesh) -> np.ndarray:

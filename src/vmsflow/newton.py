@@ -69,17 +69,12 @@ class State:
     dt: float | None = None
 
     @classmethod
-    def zeros(cls, mesh: Mesh, dt: float | None = None,
-              vbar_prev: np.ndarray | None = None) -> "State":
-        s = cls(
+    def zeros(cls, mesh: Mesh) -> "State":
+        return cls(
             vbar=np.zeros((mesh.n_nodes, 2)),
             p=np.zeros(mesh.n_nodes),
             beta=np.zeros((mesh.n_triangles, 2)),
-            dt=dt,
         )
-        if dt is not None:
-            s.vbar_prev = np.zeros((mesh.n_nodes, 2)) if vbar_prev is None else vbar_prev.copy()
-        return s
 
     def copy(self) -> "State":
         return State(
@@ -440,13 +435,14 @@ def traction_vector(mesh: Mesh, dofmap: DofMap, bc: BoundaryConditions) -> np.nd
 class Discretization:
     """State-independent set-up shared by every iteration, rung and time step.
 
-    Element tables and DOFs, the traction load, the prescribed value of
-    every global DOF (zero where free), the free-DOF CSR pattern with the
-    slot of every element-matrix entry, filled by ``np.bincount``, and the
-    body-force integrals of the last force seen.  ``free`` lists the free
-    global DOFs in nested-dissection order (``mesh.nested_dissection``,
-    (u, v, p) per node), so every assembled matrix and right-hand side
-    arrives in a fill-reducing order and ``full[free] = x`` scatters a solution.
+    Element tables and DOFs, the traction load, the free-DOF CSR pattern
+    with the slot of every element-matrix entry, filled by
+    ``np.bincount``, and the body-force integrals of the last force seen.
+    ``free`` lists the free global DOFs in nested-dissection order
+    (``mesh.nested_dissection``, (u, v, p) per node), so every assembled
+    matrix and right-hand side arrives in a fill-reducing order and
+    ``full[free] = x`` scatters a solution.  The prescribed values stay
+    in ``dofmap.prescribed``.
     """
 
     def __init__(self, mesh: Mesh, dofmap: DofMap, bc: BoundaryConditions):
@@ -455,9 +451,6 @@ class Discretization:
         self.batch = ElementBatch(mesh)
         self.edofs = element_dofs(mesh, dofmap)
         self.traction = traction_vector(mesh, dofmap, bc)
-        idx, vals = dofmap.constrained_values()
-        self.prescribed = np.zeros(dofmap.total)
-        self.prescribed[idx] = vals
         nodes = nested_dissection(mesh)
         n = mesh.n_nodes
         dofs = np.column_stack([2 * nodes, 2 * nodes + 1, 2 * n + nodes]).ravel()

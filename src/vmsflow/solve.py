@@ -161,12 +161,9 @@ class IterationReport:
 
 def lifted_state(mesh: Mesh, dofmap: DofMap) -> State:
     """Zero state with the prescribed Dirichlet/pin values installed."""
-    state = State.zeros(mesh)
-    idx, vals = dofmap.constrained_values()
-    velocity = idx < 2 * mesh.n_nodes
-    state.vbar.reshape(-1)[idx[velocity]] = vals[velocity]
-    state.p[idx[~velocity] - 2 * mesh.n_nodes] = vals[~velocity]
-    return state
+    n = mesh.n_nodes
+    full = dofmap.prescribed.copy()
+    return State(full[:2 * n].reshape(n, 2), full[2 * n:], np.zeros((mesh.n_triangles, 2)))
 
 
 def _setup(problem) -> Discretization:
@@ -196,7 +193,7 @@ def _fixed_point_steps(disc: Discretization, nu: float, body_force, state: State
     while True:
         matrix, rhs = fp_assemble(disc, state.vbar, nu, body_force,
                                   state.dt, state.vbar_prev)
-        full = disc.prescribed.copy()
+        full = disc.dofmap.prescribed.copy()
         full[disc.free] = linear_solve(matrix, rhs)
         new_vbar = full[: 2 * n].reshape(n, 2)
         increment = float(np.linalg.norm(new_vbar - state.vbar))
@@ -255,7 +252,7 @@ def _iterate(disc: Discretization, nu: float, body_force, config: SolverConfig,
 
 def newton_solve(problem, config: SolverConfig, state0: State | None = None
                  ) -> tuple[State, IterationReport]:
-    """Consistent Newton iteration with per-element static condensation.
+    """``solve`` with the consistent Newton strategy.
 
     Starts from the Dirichlet-lifted zero state unless ``state0`` is
     given.  Each iteration solves the condensed system, updates velocity
@@ -263,13 +260,12 @@ def newton_solve(problem, config: SolverConfig, state0: State | None = None
     element; the assembly at the new state gives its residual and
     doubles as the next iteration's linearization.
     """
-    return _iterate(_setup(problem), problem.nu, problem.body_force, config, state0,
-                    "newton")
+    return solve(problem, replace(config, strategy="newton"), state0)
 
 
 def fixed_point_solve(problem, config: SolverConfig, state0: State | None = None
                       ) -> tuple[State, IterationReport]:
-    """Fixed-point (Picard) iteration on the stabilized linearized form.
+    """``solve`` with the fixed-point (Picard) strategy on the stabilized linearized form.
 
     The fine scale never appears as an unknown (``state.beta`` stays
     zero).  Each iteration records the comparison residual at the new
@@ -279,14 +275,26 @@ def fixed_point_solve(problem, config: SolverConfig, state0: State | None = None
     point, which differs from the Newton solution at the level of the
     stabilization approximation).
     """
-    return _iterate(_setup(problem), problem.nu, problem.body_force, config, state0,
-                    "fixed_point")
+    return solve(problem, replace(config, strategy="fixed_point"), state0)
+
+
+def _check_steady(config: SolverConfig) -> None:
+    if config.dt is not None or config.n_steps is not None:
+        raise ValueError("dt and n_steps configure time_march; a steady solve takes neither")
 
 
 def solve(problem, config: SolverConfig, state0: State | None = None):
-    """Dispatch on the configured strategy (continuation when requested)."""
+    """Steady solve with the configured strategy (continuation when requested).
+
+    ``config.dt`` and ``config.n_steps`` belong to ``time_march``, and a
+    continuation ladder starts cold, so either with ``solve`` (``state0``
+    with a continuation) raises ``ValueError``.
+    """
     if config.continuation is not None:
+        if state0 is not None:
+            raise ValueError("a continuation ladder starts cold; it takes no state0")
         return continuation_solve(problem, config)
+    _check_steady(config)
     return _iterate(_setup(problem), problem.nu, problem.body_force, config, state0,
                     config.strategy)
 
@@ -305,6 +313,7 @@ def continuation_solve(problem, config: SolverConfig
     """
     if config.continuation is None:
         raise ValueError("continuation_solve needs config.continuation")
+    _check_steady(config)
     ladder = config.continuation.ladder()
     disc = _setup(problem)
     state = None
@@ -337,10 +346,13 @@ def time_march(problem, config: SolverConfig, state0: State | None = None
     step's velocity in the acceleration term, warm-started from that
     same state.  Snapshots (including the initial state) are kept every
     ``snapshot_stride`` steps; an unconverged step terminates the march
-    and the partial history is returned.
+    and the partial history is returned.  A continuation raises
+    ``ValueError``.
     """
     if config.dt is None or config.n_steps is None:
         raise ValueError("time_march needs dt and n_steps in the configuration")
+    if config.continuation is not None:
+        raise ValueError("time_march does not run a continuation ladder")
     disc = _setup(problem)
     state = lifted_state(problem.mesh, disc.dofmap) if state0 is None else state0.copy()
     states = [state.copy()]

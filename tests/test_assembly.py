@@ -94,8 +94,7 @@ def dense_fixed_point(mesh, dofmap, bc, free, v_c, vbar_prev, nu, dt, body_force
         sys_e = fp_element_system(mesh, e, v_c, vbar_prev, nu, dt, body_force)
         K[np.ix_(dofs, dofs)] += sys_e.K
         F[dofs] += sys_e.F
-    idx, vals = dofmap.constrained_values()
-    return K[np.ix_(free, free)], F[free] - K[np.ix_(free, idx)] @ vals
+    return K[np.ix_(free, free)], F[free] - K[free] @ dofmap.prescribed
 
 
 def assert_close(actual, expected, rel):

@@ -266,7 +266,7 @@ class TestFpAssemble:
 
         def solve(stabilize):
             K, rhs = fp_assemble(disc, v0, 1.0, prob.body_force, stabilize=stabilize)
-            full = disc.prescribed.copy()
+            full = disc.dofmap.prescribed.copy()
             full[disc.free] = linear_solve(K, rhs)
             return full[2 * prob.mesh.n_nodes:]
 

@@ -17,12 +17,37 @@ def zero_velocity(points):
     return np.zeros(np.shape(np.asarray(points))[:-1] + (2,))
 
 
+def loop_triangles(node_id, nx, ny, solid=lambda ix, iy: False):
+    """Reference triangulation, cell by cell: two CCW triangles per fluid cell, ix-major."""
+    tris = []
+    for ix in range(nx):
+        for iy in range(ny):
+            if not solid(ix, iy):
+                ll, lr = node_id(ix, iy), node_id(ix + 1, iy)
+                ul, ur = node_id(ix, iy + 1), node_id(ix + 1, iy + 1)
+                tris += [(ll, lr, ur), (ll, ur, ul)]
+    return np.array(tris)
+
+
 class TestUnitSquare:
     def test_counts_n2(self):
         mesh = unit_square_mesh(2)
         assert mesh.n_nodes == 9
         assert mesh.n_triangles == 8
         assert len(mesh.boundary_edges) == 8
+
+    def test_connectivity_n2(self):
+        # node iy*(n+1) + ix, two triangles per cell, cells ix-major
+        np.testing.assert_array_equal(unit_square_mesh(2).triangles, [
+            [0, 1, 4], [0, 4, 3], [3, 4, 7], [3, 7, 6],
+            [1, 2, 5], [1, 5, 4], [4, 5, 8], [4, 8, 7],
+        ])
+
+    @pytest.mark.parametrize("n", [3, 7])
+    def test_matches_loop_reference(self, n):
+        mesh = unit_square_mesh(n)
+        np.testing.assert_array_equal(
+            mesh.triangles, loop_triangles(lambda ix, iy: iy * (n + 1) + ix, n, n))
 
     def test_total_area_exact(self):
         assert unit_square_mesh(2).triangle_areas().sum() == pytest.approx(1.0, abs=1e-15)
@@ -68,6 +93,40 @@ class TestBackwardStep:
         mesh = backward_step_mesh()
         assert mesh.triangle_areas().sum() == pytest.approx(1 * 0.5 + 7 * 1.0, rel=1e-12)
 
+    def test_numbering_h05(self):
+        # nodes ix-major, skipping the two grid points that touch only the solid
+        mesh = backward_step_mesh(h=0.5)
+        expected = [(0.0, 0.5), (0.0, 1.0), (0.5, 0.5), (0.5, 1.0)]
+        expected += [(x, y) for x in np.arange(1.0, 8.25, 0.5) for y in (0.0, 0.5, 1.0)]
+        np.testing.assert_array_equal(mesh.node_coords, expected)
+        assert mesh.n_triangles == 60
+        np.testing.assert_array_equal(mesh.triangles[:2], [[0, 2, 3], [0, 3, 1]])
+        np.testing.assert_array_equal(mesh.triangles[-2:], [[44, 47, 48], [44, 48, 45]])
+
+    @pytest.mark.parametrize("dims", [
+        dict(h=0.25), dict(upstream_len=0.5, downstream_len=1.5, step_height=0.75, h=0.25),
+    ])
+    def test_matches_loop_reference(self, dims):
+        mesh = backward_step_mesh(**dims)
+        h = dims["h"]
+        length = dims.get("upstream_len", 1.0) + dims.get("downstream_len", 7.0)
+        nx, ny = round(length / h), round(1.0 / h)
+
+        def solid(ix, iy):
+            return (ix < round(dims.get("upstream_len", 1.0) / h)
+                    and iy < round(dims.get("step_height", 0.5) / h))
+
+        ids, coords = {}, []
+        for ix in range(nx + 1):
+            for iy in range(ny + 1):
+                if any(0 <= cx < nx and 0 <= cy < ny and not solid(cx, cy)
+                       for cx in (ix - 1, ix) for cy in (iy - 1, iy)):
+                    ids[ix, iy] = len(coords)
+                    coords.append((ix * h, iy * h))
+        np.testing.assert_allclose(mesh.node_coords, coords, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(
+            mesh.triangles, loop_triangles(lambda ix, iy: ids[ix, iy], nx, ny, solid))
+
     def test_invalid_step_height(self):
         with pytest.raises(ValueError):
             backward_step_mesh(step_height=1.0, channel_height=1.0)
@@ -104,8 +163,11 @@ class TestDofMap:
         dofmap = build_dof_map(mesh, bc)
         assert dofmap.total == 27
         # 8 boundary nodes x 2 components + the pin
-        assert len(dofmap.constrained) == 17
+        constrained = np.setdiff1d(np.arange(dofmap.total), dofmap.free)
+        assert constrained.size == 17
         assert dofmap.free.size == 10
+        np.testing.assert_array_equal(dofmap.free, [8, 9, 19, 20, 21, 22, 23, 24, 25, 26])
+        assert not dofmap.prescribed.any()
 
     def test_pin_required_without_neumann(self):
         mesh = unit_square_mesh(2)
@@ -151,26 +213,28 @@ class TestDofMap:
             for c in ([0.0, 1.0], [1.0, 1.0])
         ]
         for node in corners:
-            assert dofmap.constrained[dofmap.velocity_dof(node, 0)] == 0.0
+            assert dofmap.velocity_dof(node, 0) not in dofmap.free
+            assert dofmap.prescribed[dofmap.velocity_dof(node, 0)] == 0.0
         # interior lid nodes keep the lid value
         mid_top = int(np.argmin(np.abs(mesh.node_coords - [0.5, 1.0]).sum(axis=1)))
-        assert dofmap.constrained[dofmap.velocity_dof(mid_top, 0)] == 1.0
+        assert dofmap.prescribed[dofmap.velocity_dof(mid_top, 0)] == 1.0
+
+    def test_arrays_are_read_only(self):
+        mesh = unit_square_mesh(2)
+        bc = BoundaryConditions(
+            dirichlet={t: zero_velocity for t in mesh.tags}, pressure_pin=(0, 0.0)
+        )
+        dofmap = build_dof_map(mesh, bc)
+        with pytest.raises(ValueError):
+            dofmap.prescribed[0] = 1.0
+        with pytest.raises(ValueError):
+            dofmap.free[0] = 0
 
     def test_dirichlet_neumann_overlap_rejected(self):
         with pytest.raises(ValueError):
             BoundaryConditions(
                 dirichlet={"top": zero_velocity}, neumann={"top": None}
             )
-
-    def test_fine_dofs_are_local(self):
-        mesh = unit_square_mesh(2)
-        bc = BoundaryConditions(
-            dirichlet={t: zero_velocity for t in mesh.tags}, pressure_pin=(0, 0.0)
-        )
-        dofmap = build_dof_map(mesh, bc)
-        np.testing.assert_array_equal(dofmap.fine_dof(3), [0, 1])
-        with pytest.raises(ValueError):
-            dofmap.fine_dof(mesh.n_triangles)
 
 
 class TestMeshValidation:

@@ -25,6 +25,20 @@ class TestSampling:
         np.testing.assert_allclose(vel, state.vbar[:10], atol=1e-12)
         np.testing.assert_allclose(prs, state.p[:10], atol=1e-12)
 
+    def test_centroids_carry_the_bubble(self, solved_lid):
+        # at a centroid each N_a is 1/3 and the bubble N_1 N_2 N_3 is 1/27
+        prob, state, _ = solved_lid
+        tris = prob.mesh.triangles
+        centroids = prob.mesh.node_coords[tris].mean(axis=1)
+        rng = np.random.default_rng(3)
+        state = state.copy()
+        state.beta = rng.normal(size=state.beta.shape)
+        vel, prs, inside = sample_field(prob.mesh, state, centroids)
+        assert inside.all()
+        np.testing.assert_allclose(vel, state.vbar[tris].mean(axis=1) + state.beta / 27,
+                                   rtol=0, atol=1e-13)
+        np.testing.assert_allclose(prs, state.p[tris].mean(axis=1), rtol=0, atol=1e-13)
+
     def test_outside_points_flagged(self, solved_lid):
         prob, state, _ = solved_lid
         vel, prs, inside = sample_field(prob.mesh, state, [[2.0, 2.0]])
@@ -143,6 +157,14 @@ class TestCli:
         argv = ["march", "--problem", "body_force_cavity", "--nu", "1.0", "--n", "4",
                 "--dt", "0.5", "--steps", "2", "--out", str(tmp_path)]
         assert run_cli(argv + flags) == 1
+
+    def test_march_rejects_continuation(self, tmp_path):
+        # the steady-state continuation ladder has no meaning in a march
+        out = tmp_path / "d"
+        assert run_cli(["march", "--problem", "lid_cavity", "--re", "20", "--n", "8",
+                        "--continuation-from", "10", "--dt", "0.5", "--steps", "2",
+                        "--out", str(out)]) == 1
+        assert not out.exists()
 
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"

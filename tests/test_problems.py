@@ -107,8 +107,9 @@ class TestProblemBuilders:
         dofmap = build_dof_map(prob.mesh, prob.bc)
         for corner in ([0.0, 1.0], [1.0, 1.0]):
             node = int(np.argmin(np.abs(prob.mesh.node_coords - corner).sum(axis=1)))
-            assert dofmap.constrained[dofmap.velocity_dof(node, 0)] == 0.0
-            assert dofmap.constrained[dofmap.velocity_dof(node, 1)] == 0.0
+            dofs = [dofmap.velocity_dof(node, 0), dofmap.velocity_dof(node, 1)]
+            assert not np.isin(dofs, dofmap.free).any()
+            assert dofmap.prescribed[dofs].tolist() == [0.0, 0.0]
 
     def test_lid_prescribed_flux_is_zero(self):
         # closed cavity: the prescribed boundary velocity carries no net flux
@@ -121,19 +122,19 @@ class TestProblemBuilders:
             length = np.hypot(*(pb - pa))
             n = np.array(normals[tag])
             for node in (a, b):
-                v = np.array([
-                    dofmap.constrained[dofmap.velocity_dof(node, 0)],
-                    dofmap.constrained[dofmap.velocity_dof(node, 1)],
-                ])
-                flux += 0.5 * length * (v @ n)
+                dofs = [dofmap.velocity_dof(node, 0), dofmap.velocity_dof(node, 1)]
+                assert not np.isin(dofs, dofmap.free).any()
+                flux += 0.5 * length * (dofmap.prescribed[dofs] @ n)
         assert flux == pytest.approx(0.0, abs=1e-14)
 
     def test_backward_step_inflow_profile(self):
         prob = backward_step(re=15)
         dofmap = build_dof_map(prob.mesh, prob.bc)
         mid = int(np.argmin(np.abs(prob.mesh.node_coords - [0.0, 0.75]).sum(axis=1)))
-        assert dofmap.constrained[dofmap.velocity_dof(mid, 0)] == pytest.approx(1.0)
-        assert dofmap.constrained[dofmap.velocity_dof(mid, 1)] == 0.0
+        dofs = [dofmap.velocity_dof(mid, 0), dofmap.velocity_dof(mid, 1)]
+        assert not np.isin(dofs, dofmap.free).any()
+        assert dofmap.prescribed[dofs[0]] == pytest.approx(1.0)
+        assert dofmap.prescribed[dofs[1]] == 0.0
         # no pressure pin: the outflow is a natural boundary
         assert prob.bc.pressure_pin is None
 

@@ -245,6 +245,25 @@ class TestContinuation:
         warm_counts = [rep.iterations for _, rep in chain.sub_reports[1:]]
         assert (not direct.converged) or direct.iterations > max(warm_counts)
 
+    @pytest.mark.parametrize("solver", [newton_solve, fixed_point_solve])
+    def test_strategy_entry_points_run_the_ladder(self, solver):
+        prob = body_force_cavity(8, re=20)
+        cfg = SolverConfig(strategy="newton" if solver is fixed_point_solve else "fixed_point",
+                           tol=1e-9, max_iter=30, continuation=ContinuationConfig(10, 20, 1.5))
+        _, report = solver(prob, cfg)
+        assert [re for re, _ in report.sub_reports] == [10, 15, 20]
+        # the entry point, not the config, picks the strategy
+        tracks_increment = solver is fixed_point_solve
+        assert all((r.increment_history is not None) == tracks_increment
+                   for _, r in report.sub_reports)
+
+    def test_continuation_rejects_state0(self):
+        prob = body_force_cavity(8, re=20)
+        start = lifted_state(prob.mesh, build_dof_map(prob.mesh, prob.bc))
+        cfg = SolverConfig(continuation=ContinuationConfig(10, 20, 1.5))
+        with pytest.raises(ValueError, match="state0"):
+            solve(prob, cfg, state0=start)
+
     def test_dispatch_through_solve(self):
         prob = body_force_cavity(8, re=20)
         cfg = SolverConfig(tol=1e-9, max_iter=15, continuation=ContinuationConfig(10, 20, 1.5))
@@ -285,6 +304,12 @@ class TestTimeMarch:
         prob = body_force_cavity(8, nu=1.0)
         with pytest.raises(ValueError):
             time_march(prob, SolverConfig(dt=0.1))
+
+    def test_rejects_continuation(self):
+        prob = body_force_cavity(8, nu=1.0)
+        cfg = SolverConfig(dt=0.1, n_steps=2, continuation=ContinuationConfig(0.5, 1.0))
+        with pytest.raises(ValueError, match="continuation"):
+            time_march(prob, cfg)
 
     def test_snapshot_stride(self):
         prob = body_force_cavity(8, nu=1.0)
@@ -398,6 +423,14 @@ class TestConfigValidation:
         start.dt, start.vbar_prev = 0.0, start.vbar.copy()
         with pytest.raises(ValueError, match="time step must be positive"):
             solver(prob, SolverConfig(strategy="fixed_point"), state0=start)
+
+    @pytest.mark.parametrize("settings", [dict(dt=0.1), dict(n_steps=3),
+                                          dict(dt=0.1, n_steps=3)])
+    @pytest.mark.parametrize("continuation", [None, ContinuationConfig(50, 100)])
+    def test_steady_solve_rejects_march_settings(self, settings, continuation):
+        prob = lid_cavity(8, re=100)
+        with pytest.raises(ValueError, match="time_march"):
+            solve(prob, SolverConfig(continuation=continuation, **settings))
 
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
