@@ -25,7 +25,7 @@ from vmsflow.problems import (
     error_norms,
     lid_cavity,
 )
-from vmsflow.output import write_outputs
+from vmsflow.output import write_march, write_outputs, write_study
 from vmsflow.solve import (
     ContinuationConfig,
     IterationReport,
@@ -108,14 +108,7 @@ def _cmd_study(args) -> int:
             ),
         )
         path = outdir / f"study_{strategy}.csv"
-        with open(path, "w", encoding="ascii") as f:
-            f.write("h,l2_velocity,h1_semi_pressure,l2_pressure\n")
-            for h, norms in table.rows:
-                f.write(f"{h:.17g},{norms.l2_velocity:.17g},"
-                        f"{norms.h1_semi_pressure:.17g},{norms.l2_pressure:.17g}\n")
-            f.write(f"# rate_l2_velocity = {table.rates['l2_velocity']:.4f}\n")
-            f.write(f"# rate_h1_semi_pressure = {table.rates['h1_semi_pressure']:.4f}\n")
-            f.write(f"# rate_l2_pressure = {table.rates['l2_pressure']:.4f}\n")
+        write_study(table, path)
         print(f"{strategy}: rates l2_velocity={table.rates['l2_velocity']:.3f} "
               f"h1_semi_pressure={table.rates['h1_semi_pressure']:.3f} "
               f"-> {path}")
@@ -131,10 +124,7 @@ def _cmd_march(args) -> int:
     states, reports = time_march(problem, config)
     outdir = _outdir(args)
     os.makedirs(outdir, exist_ok=True)
-    with open(outdir / "march.csv", "w", encoding="ascii") as f:
-        f.write("step,iterations,final_residual,converged\n")
-        for k, rep in enumerate(reports, start=1):
-            f.write(f"{k},{rep.iterations},{rep.final_residual:.17g},{rep.converged}\n")
+    write_march(reports, outdir / "march.csv")
     ok = all(r.converged for r in reports) and len(reports) == args.steps
     last_report = reports[-1] if reports else IterationReport(
         residual_history=np.zeros(0), converged=True, diverged=False, iterations=0,

@@ -16,7 +16,7 @@ Conventions used by the whole package:
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,7 +68,7 @@ class QuadratureRule:
 
     points: np.ndarray       # (n, 2)
     weights: np.ndarray      # (n,), sums to 1/2
-    degree: int
+    degree: int              # exact for every polynomial of this total degree
 
 
 def t3_shape(xi, geometry: ElementGeometry | None = None) -> ShapeEval:
@@ -129,46 +129,12 @@ def inv2(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return inv, det
 
 
-def _orbit3(a: float) -> list[tuple[float, float]]:
-    """Symmetric orbit of the point with barycentric coordinates (a, a, 1-2a)."""
-    return [(a, a), (1.0 - 2.0 * a, a), (a, 1.0 - 2.0 * a)]
+MAX_QUADRATURE_DEGREE = 10
 
 
-def _rule_deg1():
-    return np.array([[1 / 3, 1 / 3]]), np.array([0.5])
-
-
-def _rule_deg2():
-    pts = np.array([[2 / 3, 1 / 6], [1 / 6, 2 / 3], [1 / 6, 1 / 6]])
-    return pts, np.full(3, 1 / 6)
-
-
-def _rule_deg4():
-    # Six-point symmetric rule; orbit parameters and weights in closed form.
-    s10 = math.sqrt(10.0)
-    t = math.sqrt(38.0 - 44.0 * math.sqrt(2.0 / 5.0))
-    a1 = (8.0 - s10 + t) / 18.0
-    a2 = (8.0 - s10 - t) / 18.0
-    u = math.sqrt(213125.0 - 53320.0 * s10)
-    w1 = (620.0 + u) / 7440.0
-    w2 = (620.0 - u) / 7440.0
-    pts = np.array(_orbit3(a1) + _orbit3(a2))
-    return pts, np.array([w1] * 3 + [w2] * 3)
-
-
-def _rule_deg5():
-    # Seven-point symmetric rule: centroid plus two orbits, closed form.
-    s15 = math.sqrt(15.0)
-    a1 = (6.0 + s15) / 21.0
-    a2 = (6.0 - s15) / 21.0
-    w1 = (155.0 + s15) / 2400.0
-    w2 = (155.0 - s15) / 2400.0
-    pts = np.array([[1 / 3, 1 / 3]] + _orbit3(a1) + _orbit3(a2))
-    return pts, np.array([9 / 80] + [w1] * 3 + [w2] * 3)
-
-
-def _rule_collapsed_gauss(npts_1d: int):
-    """Product Gauss-Legendre rule mapped to the triangle.
+@functools.cache
+def _collapsed_gauss(npts_1d: int) -> QuadratureRule:
+    """Product Gauss-Legendre rule mapped to the triangle (Stroud; Duffy).
 
     The square-to-triangle collapse (xi1, xi2) = (u, v*(1-u)) turns a
     polynomial of total degree d into a polynomial of degree <= d+1 in u
@@ -183,44 +149,23 @@ def _rule_collapsed_gauss(npts_1d: int):
     wuu, wvv = np.meshgrid(wu, wu, indexing="ij")
     pts = np.column_stack([uu.ravel(), (vv * (1.0 - uu)).ravel()])
     wts = (wuu * wvv * (1.0 - uu)).ravel()
-    return pts, wts
-
-
-def _build_rules() -> dict[int, QuadratureRule]:
-    table = {
-        1: _rule_deg1(),
-        2: _rule_deg2(),
-        4: _rule_deg4(),
-        5: _rule_deg5(),
-        6: _rule_collapsed_gauss(4),
-        8: _rule_collapsed_gauss(5),
-        10: _rule_collapsed_gauss(6),
-    }
-    rules = {}
-    for deg, (pts, wts) in table.items():
-        pts = np.ascontiguousarray(pts, dtype=float)
-        wts = np.ascontiguousarray(wts, dtype=float)
-        pts.setflags(write=False)
-        wts.setflags(write=False)
-        rules[deg] = QuadratureRule(points=pts, weights=wts, degree=deg)
-    return rules
-
-
-_RULES = _build_rules()
-MAX_QUADRATURE_DEGREE = max(_RULES)
+    pts.setflags(write=False)
+    wts.setflags(write=False)
+    return QuadratureRule(points=pts, weights=wts, degree=2 * npts_1d - 2)
 
 
 def triangle_quadrature(min_degree: int) -> QuadratureRule:
-    """Smallest tabulated rule exact for polynomials of ``min_degree``."""
+    """Collapsed-Gauss rule exact for polynomials of total degree ``min_degree``.
+
+    It has ``ceil(min_degree / 2) + 1`` points per axis; its arrays are
+    read-only and shared by every caller.
+    """
     if not 0 <= min_degree <= MAX_QUADRATURE_DEGREE:
         raise ValueError(
-            f"no tabulated triangle rule of degree {min_degree}; "
+            f"no triangle rule of degree {min_degree}; "
             f"available degrees reach {MAX_QUADRATURE_DEGREE}"
         )
-    for deg in sorted(_RULES):
-        if deg >= min_degree:
-            return _RULES[deg]
-    raise AssertionError("unreachable")
+    return _collapsed_gauss(-(-min_degree // 2) + 1)
 
 
 def kron(A, B) -> np.ndarray:

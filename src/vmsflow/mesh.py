@@ -19,12 +19,12 @@ _GEOM_TOL = 1e-12
 ND_LEAF = 16           # nested dissection numbers node sets this small as they are
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mesh:
     """Triangle mesh with tagged boundary edges.
 
     ``boundary_edges`` holds (node_a, node_b, tag) triples; every listed
-    edge belongs to exactly one triangle.
+    edge belongs to exactly one triangle.  Meshes compare by identity.
     """
 
     node_coords: np.ndarray                 # (n_nodes, 2)
@@ -229,7 +229,7 @@ class BoundaryConditions:
             raise ValueError(f"tags {sorted(overlap)} are both Dirichlet and Neumann")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DofMap:
     """Global equation numbering and the values of the constrained unknowns.
 
@@ -239,7 +239,7 @@ class DofMap:
     global DOF, its Dirichlet or pin value where constrained and zero
     where free.  Both arrays are read-only.  Fine-scale coefficients are
     element-local (two per element) and are not part of the global
-    numbering on the condensed path.
+    numbering on the condensed path.  DOF maps compare by identity.
     """
 
     n_nodes: int

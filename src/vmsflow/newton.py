@@ -35,16 +35,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from vmsflow.fem import (
-    DN_REF,
-    DegenerateElementError,
-    QuadratureRule,
-    inv2,
-    triangle_quadrature,
-)
+from vmsflow.fem import DN_REF, DegenerateElementError, inv2, triangle_quadrature
 from vmsflow.mesh import BoundaryConditions, DofMap, Mesh, nested_dissection
 
-DEFAULT_QUADRATURE_DEGREE = 8
+QUADRATURE_DEGREE = 8     # exact for b * b * grad b, the highest-degree table product
 
 _I2 = np.eye(2)
 
@@ -144,10 +138,7 @@ class ElementBatch:
     runs over the three coarse functions and then the bubble.
     """
 
-    def __init__(self, mesh: Mesh, rule: QuadratureRule | None = None,
-                 elements: np.ndarray | None = None):
-        if rule is None:
-            rule = triangle_quadrature(DEFAULT_QUADRATURE_DEGREE)
+    def __init__(self, mesh: Mesh, elements: np.ndarray | None = None):
         self.elements = (
             np.arange(mesh.n_triangles) if elements is None
             else np.atleast_1d(np.asarray(elements, dtype=np.int64))
@@ -164,6 +155,7 @@ class ElementBatch:
                 f"oriented: detJ = {detJ.min():.3e}"
             )
 
+        rule = triangle_quadrature(QUADRATURE_DEGREE)
         pts, w = rule.points, rule.weights
         x1, x2 = pts[:, 0], pts[:, 1]
         x3 = 1.0 - x1 - x2

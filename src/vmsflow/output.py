@@ -1,8 +1,10 @@
 """Field, profile, and report writers for external plotting tools.
 
 Fields go out as legacy-ASCII unstructured-grid files (point data:
-velocity vector, pressure scalar); centerline profiles and residual
-histories as CSV with a header row; the run summary as structured text.
+velocity vector, pressure scalar); centerline profiles, residual
+histories, convergence studies and time-march logs as CSV with a header
+row, every data block through the one row writer ``write_table``; the
+run summary as structured text.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import numpy as np
 from vmsflow.fem import inv2
 from vmsflow.mesh import Mesh
 from vmsflow.newton import State
+from vmsflow.problems import ConvergenceTable
 from vmsflow.solve import IterationReport
 
 PROFILE_SAMPLES = 101
@@ -53,71 +56,69 @@ def sample_field(mesh: Mesh, state: State, points) -> tuple[np.ndarray, np.ndarr
     return vel, prs, inside
 
 
+def write_table(path, blocks) -> None:
+    """The one row writer of every result file.
+
+    Each block is ``(header, fmt, rows)``: the header line (skipped when
+    None), then ``fmt`` filled from each row, one line per row.
+    """
+    with open(path, "w", encoding="ascii") as f:
+        for header, fmt, rows in blocks:
+            if header is not None:
+                f.write(header + "\n")
+            f.writelines(fmt.format(*row) + "\n" for row in rows)
+
+
 def write_vtk(mesh: Mesh, state: State, path) -> None:
     """Legacy-ASCII unstructured-grid file with velocity and pressure."""
-    with open(path, "w", encoding="ascii") as f:
-        f.write("# vtk DataFile Version 3.0\n")
-        f.write("vmsflow field output\n")
-        f.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
-        f.write(f"POINTS {mesh.n_nodes} double\n")
-        for x, y in mesh.node_coords:
-            f.write(f"{x:.17g} {y:.17g} 0\n")
-        f.write(f"CELLS {mesh.n_triangles} {4 * mesh.n_triangles}\n")
-        for i, j, k in mesh.triangles:
-            f.write(f"3 {i} {j} {k}\n")
-        f.write(f"CELL_TYPES {mesh.n_triangles}\n")
-        f.write("\n".join(["5"] * mesh.n_triangles) + "\n")
-        f.write(f"POINT_DATA {mesh.n_nodes}\n")
-        f.write("VECTORS velocity double\n")
-        for u, v in state.vbar:
-            f.write(f"{u:.17g} {v:.17g} 0\n")
-        f.write("SCALARS pressure double\nLOOKUP_TABLE default\n")
-        for p in state.p:
-            f.write(f"{p:.17g}\n")
+    nn, ne = mesh.n_nodes, mesh.n_triangles
+    write_table(path, [
+        ("# vtk DataFile Version 3.0\nvmsflow field output\nASCII\n"
+         f"DATASET UNSTRUCTURED_GRID\nPOINTS {nn} double",
+         "{:.17g} {:.17g} 0", mesh.node_coords.tolist()),
+        (f"CELLS {ne} {4 * ne}", "3 {} {} {}", mesh.triangles.tolist()),
+        (f"CELL_TYPES {ne}", "5", [()] * ne),
+        (f"POINT_DATA {nn}\nVECTORS velocity double", "{:.17g} {:.17g} 0", state.vbar.tolist()),
+        ("SCALARS pressure double\nLOOKUP_TABLE default", "{:.17g}", state.p[:, None].tolist()),
+    ])
 
 
 def write_profiles(mesh: Mesh, state: State, outdir: Path) -> list[Path]:
     """Centerline profiles: u along x = 0.5 and pressure along y = 0.5."""
-    xmin, ymin = mesh.node_coords.min(axis=0)
-    xmax, ymax = mesh.node_coords.max(axis=0)
+    lo, hi = mesh.node_coords.min(axis=0), mesh.node_coords.max(axis=0)
     written = []
-
-    ys = np.linspace(ymin, ymax, PROFILE_SAMPLES)
-    pts = np.column_stack([np.full_like(ys, 0.5), ys])
-    vel, _, inside = sample_field(mesh, state, pts)
-    path = outdir / "profile_u_x05.csv"
-    with open(path, "w", encoding="ascii") as f:
-        f.write("y,u\n")
-        for y, u, ok in zip(ys, vel[:, 0], inside):
-            if ok:
-                f.write(f"{y:.17g},{u:.17g}\n")
-    written.append(path)
-
-    xs = np.linspace(xmin, xmax, PROFILE_SAMPLES)
-    pts = np.column_stack([xs, np.full_like(xs, 0.5)])
-    _, prs, inside = sample_field(mesh, state, pts)
-    path = outdir / "profile_p_y05.csv"
-    with open(path, "w", encoding="ascii") as f:
-        f.write("x,p\n")
-        for x, p, ok in zip(xs, prs, inside):
-            if ok:
-                f.write(f"{x:.17g},{p:.17g}\n")
-    written.append(path)
+    for name, axis, column in (("profile_u_x05.csv", 1, "u"), ("profile_p_y05.csv", 0, "p")):
+        pts = np.full((PROFILE_SAMPLES, 2), 0.5)
+        pts[:, axis] = np.linspace(lo[axis], hi[axis], PROFILE_SAMPLES)
+        vel, prs, inside = sample_field(mesh, state, pts)
+        values = vel[:, 0] if column == "u" else prs
+        written.append(outdir / name)
+        write_table(written[-1], [(f"{'xy'[axis]},{column}", "{:.17g},{:.17g}",
+                                   zip(pts[inside, axis], values[inside]))])
     return written
 
 
 def write_residuals(report: IterationReport, path) -> None:
-    with open(path, "w", encoding="ascii") as f:
-        if report.increment_history is not None:
-            f.write("iteration,residual,increment\n")
-            for i, (r, d) in enumerate(
-                zip(report.residual_history, report.increment_history), start=1
-            ):
-                f.write(f"{i},{r:.17g},{d:.17g}\n")
-        else:
-            f.write("iteration,residual\n")
-            for i, r in enumerate(report.residual_history, start=1):
-                f.write(f"{i},{r:.17g}\n")
+    columns = {"residual": report.residual_history, "increment": report.increment_history}
+    columns = {name: col for name, col in columns.items() if col is not None}
+    write_table(path, [(",".join(["iteration", *columns]), "{}" + ",{:.17g}" * len(columns),
+                        zip(range(1, report.iterations + 1), *columns.values()))])
+
+
+def write_study(table: ConvergenceTable, path) -> None:
+    """Error norms per mesh size, then the fitted rates as comment lines."""
+    write_table(path, [
+        ("h,l2_velocity,h1_semi_pressure,l2_pressure", ",".join(["{:.17g}"] * 4),
+         [(h, n.l2_velocity, n.h1_semi_pressure, n.l2_pressure) for h, n in table.rows]),
+        (None, "# rate_{} = {:.4f}", table.rates.items()),
+    ])
+
+
+def write_march(reports: list[IterationReport], path) -> None:
+    """One row per time step: iterations, final residual, convergence flag."""
+    write_table(path, [("step,iterations,final_residual,converged", "{},{},{:.17g},{}",
+                        [(k, r.iterations, r.final_residual, r.converged)
+                         for k, r in enumerate(reports, start=1)])])
 
 
 def write_summary(report: IterationReport, path, extra: dict | None = None) -> None:

@@ -286,15 +286,18 @@ def _check_steady(config: SolverConfig) -> None:
 def solve(problem, config: SolverConfig, state0: State | None = None):
     """Steady solve with the configured strategy (continuation when requested).
 
-    ``config.dt`` and ``config.n_steps`` belong to ``time_march``, and a
-    continuation ladder starts cold, so either with ``solve`` (``state0``
-    with a continuation) raises ``ValueError``.
+    ``config.dt`` and ``config.n_steps`` belong to ``time_march``, and so
+    does a ``state0`` carrying ``dt`` or ``vbar_prev``; a continuation
+    ladder starts cold.  Each of these raises ``ValueError``.
     """
     if config.continuation is not None:
         if state0 is not None:
             raise ValueError("a continuation ladder starts cold; it takes no state0")
         return continuation_solve(problem, config)
     _check_steady(config)
+    if state0 is not None and (state0.dt is not None or state0.vbar_prev is not None):
+        raise ValueError("a state0 with dt or vbar_prev is a time_march step; "
+                         "a steady solve takes a steady start state")
     return _iterate(_setup(problem), problem.nu, problem.body_force, config, state0,
                     config.strategy)
 

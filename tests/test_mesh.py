@@ -230,6 +230,18 @@ class TestDofMap:
         with pytest.raises(ValueError):
             dofmap.free[0] = 0
 
+    def test_comparison_returns_bool(self):
+        # array fields have no single truth value, so equality is identity
+        mesh = unit_square_mesh(2)
+        bc = BoundaryConditions(
+            dirichlet={t: zero_velocity for t in mesh.tags}, pressure_pin=(0, 0.0)
+        )
+        dofmap = build_dof_map(mesh, bc)
+        assert (dofmap == build_dof_map(mesh, bc)) is False
+        assert (dofmap == dofmap) is True
+        assert (mesh == unit_square_mesh(2)) is False
+        assert (mesh == mesh) is True
+
     def test_dirichlet_neumann_overlap_rejected(self):
         with pytest.raises(ValueError):
             BoundaryConditions(

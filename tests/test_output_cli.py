@@ -60,6 +60,22 @@ class TestOutputs:
         assert "VECTORS velocity double" in vtk
         assert "SCALARS pressure double" in vtk
 
+    def test_vtk_values_round_trip(self, solved_lid, tmp_path):
+        # every value is written with 17 significant digits, so it reads back bitwise
+        prob, state, report = solved_lid
+        write_outputs(state, prob.mesh, report, tmp_path)
+        lines = (tmp_path / "field.vtk").read_text().splitlines()
+
+        def block(header, rows, cols):
+            start = lines.index(header) + 1
+            return np.array([[float(t) for t in line.split()[:cols]]
+                             for line in lines[start:start + rows]])
+
+        n = prob.mesh.n_nodes
+        np.testing.assert_array_equal(block(f"POINTS {n} double", n, 2), prob.mesh.node_coords)
+        np.testing.assert_array_equal(block("VECTORS velocity double", n, 2), state.vbar)
+        np.testing.assert_array_equal(block("LOOKUP_TABLE default", n, 1)[:, 0], state.p)
+
     def test_residual_rows_match_iterations(self, solved_lid, tmp_path):
         prob, state, report = solved_lid
         write_outputs(state, prob.mesh, report, tmp_path)

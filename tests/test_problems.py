@@ -144,6 +144,12 @@ class TestProblemBuilders:
         assert prob2.nu == pytest.approx(1 / 200)
         assert prob2.mesh is not prob.mesh or prob2.mesh.n_nodes == prob.mesh.n_nodes
 
+    def test_comparison_returns_bool(self):
+        # specs compare through their meshes, which compare by identity
+        prob = lid_cavity(8, re=10)
+        assert (prob == lid_cavity(8, re=10)) is False
+        assert (prob == prob) is True
+
 
 class TestErrorNorms:
     def test_requires_exact(self):

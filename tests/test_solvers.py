@@ -7,9 +7,9 @@ import pytest
 import scipy.sparse as sp
 
 import vmsflow.solve as solve_module
-from vmsflow.fixed_point import TauSingularError
+from vmsflow.fixed_point import TauSingularError, fp_element_system
 from vmsflow.mesh import build_dof_map
-from vmsflow.newton import FineScaleSingularError
+from vmsflow.newton import FineScaleSingularError, element_residuals
 from vmsflow.problems import backward_step, body_force_cavity, lid_cavity
 from vmsflow.solve import (
     ContinuationConfig,
@@ -176,7 +176,6 @@ class TestFixedPointSolve:
     def test_strategies_agree_within_discretization_error(self):
         # both converged velocity fields sit within a small multiple of the
         # discretization error of either against the closed-form solution
-        from vmsflow.fem import triangle_quadrature
         from vmsflow.newton import ElementBatch
         from vmsflow.problems import error_norms
 
@@ -186,7 +185,7 @@ class TestFixedPointSolve:
             prob, SolverConfig(strategy="fixed_point", tol=1e-11, max_iter=50)
         )
         assert newton_rep.converged and fp_rep.converged
-        batch = ElementBatch(prob.mesh, triangle_quadrature(8))
+        batch = ElementBatch(prob.mesh)
         vn = np.einsum("qa,eai->eqi", batch.N, newton_state.vbar[batch.tris])
         vn += batch.bq[None, :, None] * newton_state.beta[:, None, :]
         vf = np.einsum("qa,eai->eqi", batch.N, fp_state.vbar[batch.tris])
@@ -417,12 +416,31 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("solver", [newton_solve, fixed_point_solve])
     def test_zero_time_step_in_state_is_named(self, solver):
-        # both strategies name a non-positive step instead of failing in the LU
+        # a steady solve names time_march; the element kernels of both
+        # strategies name the non-positive step instead of failing in the LU
         prob = body_force_cavity(8, nu=1.0)
         start = lifted_state(prob.mesh, build_dof_map(prob.mesh, prob.bc))
         start.dt, start.vbar_prev = 0.0, start.vbar.copy()
-        with pytest.raises(ValueError, match="time step must be positive"):
+        with pytest.raises(ValueError, match="time_march"):
             solver(prob, SolverConfig(strategy="fixed_point"), state0=start)
+        with pytest.raises(ValueError, match="time step must be positive"):
+            if solver is newton_solve:
+                element_residuals(prob.mesh, 0, start, prob.nu)
+            else:
+                fp_element_system(prob.mesh, 0, start.vbar, start.vbar_prev, prob.nu,
+                                  dt=start.dt)
+
+    @pytest.mark.parametrize("transient", ["dt", "vbar_prev"])
+    def test_steady_solve_rejects_transient_start_state(self, transient):
+        # either transient field would make the steady solve a backward-Euler step
+        prob = lid_cavity(8, re=100)
+        start = lifted_state(prob.mesh, build_dof_map(prob.mesh, prob.bc))
+        if transient == "dt":
+            start.dt = 0.1
+        else:
+            start.vbar_prev = start.vbar.copy()
+        with pytest.raises(ValueError, match="time_march"):
+            solve(prob, SolverConfig(tol=1e-10), state0=start)
 
     @pytest.mark.parametrize("settings", [dict(dt=0.1), dict(n_steps=3),
                                           dict(dt=0.1, n_steps=3)])
