@@ -329,6 +329,8 @@ def nested_dissection(mesh: Mesh) -> np.ndarray:
     order = []
 
     def dissect(nodes):
+        if nodes.size == 0:    # a half that was all separator
+            return
         coords = mesh.node_coords[nodes]
         extent = np.ptp(coords, axis=0)
         axis = int(np.argmax(extent))

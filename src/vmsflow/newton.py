@@ -15,7 +15,9 @@ zero.  The production path eliminates the fine-scale pair on each
 element by a Schur complement before global assembly; the full 11x11
 element system exists only as a verification oracle in the tests.
 Both strategies assemble through the one set-up of a solve,
-``Discretization``; ``residual_norm`` evaluates the residual alone.
+``Discretization``; ``residual_norm`` evaluates the residual alone, and
+``assemble_system`` the residual at once and the condensed
+linearization only when it is first read.
 
 Every state-independent integral is computed once, in ``ElementBatch``:
 mass and stiffness over the three coarse functions and the bubble
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -135,7 +138,10 @@ class ElementBatch:
     sums scaled by ``detJ`` and mapped by ``Jinv``; the residual, tangent
     and stabilization kernels combine them with the element unknowns by
     ``np.matmul`` and never revisit the quadrature points.  Index ``A``
-    runs over the three coarse functions and then the bubble.
+    runs over the three coarse functions and then the bubble.  Only the
+    body-force load and the error norms read the physical quadrature
+    points ``xq`` and weights ``wd``, so those are built on each use
+    rather than held through a solve.
     """
 
     def __init__(self, mesh: Mesh, elements: np.ndarray | None = None):
@@ -165,8 +171,7 @@ class ElementBatch:
 
         self.detJ = detJ
         self.G = np.matmul(DN_REF, Jinv)                     # (E, 3, 2)
-        self.wd = detJ[:, None] * w[None, :]                 # (E, Q)
-        self.xq = np.matmul(self.N, coords)                  # (E, Q, 2)
+        self._coords, self._w = coords, w
 
         # Reference integrals of the four functions (values Nb, reference
         # gradients dNb) against the rule's weights.
@@ -193,6 +198,16 @@ class ElementBatch:
         # residual is its transpose applied to the velocity coefficients.
         self.div = (-d[..., None] * np.matmul(JinvT[:, None], grad_N)).reshape(
             len(self.elements), 8, 3)                        # (E, 8, 3)
+
+    @property
+    def wd(self) -> np.ndarray:
+        """(E, Q) rule weights times ``detJ``, built on every use."""
+        return self.detJ[:, None] * self._w[None, :]
+
+    @property
+    def xq(self) -> np.ndarray:
+        """(E, Q, 2) physical quadrature points, built on every use."""
+        return np.matmul(self.N, self._coords)
 
 
 def _body_force_load(batch: ElementBatch, body_force) -> np.ndarray | None:
@@ -427,9 +442,10 @@ def traction_vector(mesh: Mesh, dofmap: DofMap, bc: BoundaryConditions) -> np.nd
 class Discretization:
     """State-independent set-up shared by every iteration, rung and time step.
 
-    Element tables and DOFs, the traction load, the free-DOF CSR pattern
-    with the slot of every element-matrix entry, filled by
-    ``np.bincount``, and the body-force integrals of the last force seen.
+    Element tables and DOFs, the traction load, the free-DOF CSC pattern
+    (the format ``splu`` factors) with the slot of every element-matrix
+    entry, filled by ``np.bincount``, and the body-force integrals of the
+    last force seen.
     ``free`` lists the free global DOFs in nested-dissection order
     (``mesh.nested_dissection``, (u, v, p) per node), so every assembled
     matrix and right-hand side arrives in a fill-reducing order and
@@ -448,8 +464,8 @@ class Discretization:
         dofs = np.column_stack([2 * nodes, 2 * nodes + 1, 2 * n + nodes]).ravel()
         self.free = dofs[np.isin(dofs, dofmap.free)]
 
-        # Row-major keys of the free-by-free element entries: their sorted
-        # unique values are the CSR order, and the inverse is each entry's slot.
+        # Column-major keys of the free-by-free element entries: their sorted
+        # unique values are the CSC order, and the inverse is each entry's slot.
         n_free = self.free.size
         position = np.full(dofmap.total, -1, dtype=np.int64)
         position[self.free] = np.arange(n_free)
@@ -458,7 +474,7 @@ class Discretization:
         cols = np.tile(local, (1, 9)).ravel()
         self._kept = (rows >= 0) & (cols >= 0)
         keys, self._slot = np.unique(
-            rows[self._kept] * n_free + cols[self._kept], return_inverse=True
+            cols[self._kept] * n_free + rows[self._kept], return_inverse=True
         )
         self._indices = keys % n_free
         self._indptr = np.searchsorted(keys, np.arange(n_free + 1) * n_free)
@@ -471,12 +487,13 @@ class Discretization:
             self._force = body_force
         return self._force_load
 
-    def free_matrix(self, K: np.ndarray) -> sp.csr_matrix:
-        """Sum element matrices (E, 9, 9) into the free-DOF CSR matrix."""
+    def free_matrix(self, K: np.ndarray) -> sp.csc_matrix:
+        """Sum element matrices (E, 9, 9) into the free-DOF CSC matrix (rows
+        sorted and unique in each column, so ``splu`` factors it as it is)."""
         data = np.bincount(self._slot, weights=K.reshape(-1)[self._kept],
                            minlength=self._indices.size)
         n_free = self.free.size
-        return sp.csr_matrix((data, self._indices, self._indptr),
+        return sp.csc_matrix((data, self._indices, self._indptr),
                              shape=(n_free, n_free))
 
     def global_vector(self, F: np.ndarray) -> np.ndarray:
@@ -485,18 +502,46 @@ class Discretization:
                            minlength=self.dofmap.total)
 
 
-@dataclass
-class NewtonSystem:
-    """One assembled linearization: condensed matrix, residuals, recovery data."""
+def _norm_of(disc: Discretization, Rc, Rp, Rf) -> float:
+    residual_vp = disc.global_vector(np.concatenate([Rc, Rp], axis=1)) - disc.traction
+    return float(np.sqrt(np.sum(residual_vp[disc.free] ** 2) + np.sum(Rf**2)))
 
-    matrix: sp.csr_matrix          # condensed tangent on free (v, p) DOFs
-    rhs: np.ndarray                # -R_hat on free DOFs
-    residual_norm: float           # 2-norm of [assembled Rc; Rp; all Rf]
-    Rf: np.ndarray                 # (E, 2)
-    edofs: np.ndarray              # (E, 9)
-    Kff_inv: np.ndarray            # (E, 2, 2)
-    coupling: np.ndarray           # (E, 2, 9) = [Kfc Kfp]
-    state_digest: bytes = b""
+
+def _linearization_part(index: int, doc: str) -> property:
+    return property(lambda self: self._linearization[index], doc=doc)
+
+
+class NewtonSystem:
+    """The residual of one Newton iterate, and its linearization on demand.
+
+    The tangent and its condensation (``matrix``, ``rhs``, ``Kff_inv``,
+    ``coupling``) are built together on first access, which releases the
+    fields and residuals kept for it and raises ``FineScaleSingularError``
+    on a singular fine-scale block.
+    """
+
+    def __init__(self, disc: Discretization, fields: _Fields, nu: float,
+                 Rc: np.ndarray, Rp: np.ndarray, Rf: np.ndarray, state_digest: bytes):
+        self.residual_norm = _norm_of(disc, Rc, Rp, Rf)  # 2-norm of [assembled Rc; Rp; all Rf]
+        self.Rf = Rf                                      # (E, 2)
+        self.edofs = disc.edofs                           # (E, 9)
+        self.state_digest = state_digest
+        self._pending = (disc, fields, nu, Rc, Rp)
+
+    @cached_property
+    def _linearization(self):
+        disc, fields, nu, Rc, Rp = self._pending
+        blocks = _tangent_batched(disc.batch, fields, nu)
+        K_hat, R_hat, Kff_inv, coupling = _condense_batched(Rc, Rp, self.Rf, blocks,
+                                                            disc.batch.elements)
+        residual_hat = disc.global_vector(R_hat) - disc.traction
+        self._pending = None
+        return disc.free_matrix(K_hat), -residual_hat[disc.free], Kff_inv, coupling
+
+    matrix = _linearization_part(0, "condensed tangent on the free (v, p) DOFs, CSC")
+    rhs = _linearization_part(1, "-R_hat on the free DOFs")
+    Kff_inv = _linearization_part(2, "(E, 2, 2) inverse fine-scale blocks")
+    coupling = _linearization_part(3, "(E, 2, 9) = [Kfc Kfp]")
 
     def recover_beta(self, state: State, delta_full: np.ndarray) -> np.ndarray:
         """Fine-scale increments for a global (v, p) increment vector.
@@ -511,11 +556,6 @@ class NewtonSystem:
         d9 = delta_full[self.edofs]                           # (E, 9)
         rhs = self.Rf[..., None] + np.matmul(self.coupling, d9[..., None])
         return -np.matmul(self.Kff_inv, rhs)[..., 0]
-
-
-def _norm_of(disc: Discretization, Rc, Rp, Rf) -> float:
-    residual_vp = disc.global_vector(np.concatenate([Rc, Rp], axis=1)) - disc.traction
-    return float(np.sqrt(np.sum(residual_vp[disc.free] ** 2) + np.sum(Rf**2)))
 
 
 def residual_norm(disc: Discretization, state: State, nu: float,
@@ -533,26 +573,14 @@ def residual_norm(disc: Discretization, state: State, nu: float,
 
 def assemble_system(disc: Discretization, state: State, nu: float,
                     body_force=None) -> NewtonSystem:
-    """Assemble the condensed Newton system over the unconstrained DOFs.
+    """The Newton system at ``state``: its residual now, its linearization on demand.
 
-    Dirichlet increments are eliminated (the state itself carries the
-    boundary values), so the right-hand side is ``-R_hat`` on free DOFs.
+    The linearization is the condensed system over the unconstrained
+    DOFs.  Dirichlet increments are eliminated (the state itself carries
+    the boundary values), so its right-hand side is ``-R_hat`` on free DOFs.
     """
     _check_nu(nu)
     batch = disc.batch
     fields = _fields(batch, state)
     Rc, Rp, Rf = _residuals_batched(batch, fields, nu, disc.body_force_load(body_force))
-    blocks = _tangent_batched(batch, fields, nu)
-    K_hat, R_hat, Kff_inv, coupling = _condense_batched(Rc, Rp, Rf, blocks,
-                                                        batch.elements)
-    residual_hat = disc.global_vector(R_hat) - disc.traction
-    return NewtonSystem(
-        matrix=disc.free_matrix(K_hat),
-        rhs=-residual_hat[disc.free],
-        residual_norm=_norm_of(disc, Rc, Rp, Rf),
-        Rf=Rf,
-        edofs=disc.edofs,
-        Kff_inv=Kff_inv,
-        coupling=coupling,
-        state_digest=state.digest(),
-    )
+    return NewtonSystem(disc, fields, nu, Rc, Rp, Rf, state.digest())

@@ -29,25 +29,34 @@ def sample_field(mesh: Mesh, state: State, points) -> tuple[np.ndarray, np.ndarr
     Returns (velocity (m, 2), pressure (m,), inside (m,) bool); entries
     of points outside the mesh are flagged and left as NaN.  The
     velocity includes the bubble fine scale of the containing element.
+    A point on a shared edge or node takes the lowest-index triangle
+    that contains it.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     coords = mesh.node_coords[mesh.triangles]          # (E, 3, 2)
     origin = coords[:, 2]                              # local node 3
     T = np.stack([coords[:, 0] - origin, coords[:, 1] - origin], axis=-1)  # (E, 2, 2)
     Tinv, _ = inv2(T)
+    # Bounding boxes, widened far past the barycentric tolerance below, so
+    # every triangle that passes that test is among a point's candidates.
+    lo, hi = coords.min(axis=1), coords.max(axis=1)
+    pad = 1e-6 * (hi - lo)
+    (x_lo, y_lo), (x_hi, y_hi) = (lo - pad).T.copy(), (hi + pad).T.copy()
 
     vel = np.full((len(pts), 2), np.nan)
     prs = np.full(len(pts), np.nan)
     inside = np.zeros(len(pts), dtype=bool)
     tol = 1e-10
     for k, x in enumerate(pts):
-        lam = np.einsum("eij,ej->ei", Tinv, x[None, :] - origin)
+        cand = np.flatnonzero((x_lo <= x[0]) & (x[0] <= x_hi) & (y_lo <= x[1]) & (x[1] <= y_hi))
+        lam = np.einsum("eij,ej->ei", Tinv[cand], x[None, :] - origin[cand])
         lam3 = 1.0 - lam.sum(axis=1)
         ok = (lam[:, 0] >= -tol) & (lam[:, 1] >= -tol) & (lam3 >= -tol)
         if not np.any(ok):
             continue
-        e = int(np.argmax(ok))
-        N = np.array([lam[e, 0], lam[e, 1], lam3[e]])
+        c = int(np.argmax(ok))
+        e = int(cand[c])
+        N = np.array([lam[c, 0], lam[c, 1], lam3[c]])
         tri = mesh.triangles[e]
         bubble = N[0] * N[1] * N[2]
         vel[k] = N @ state.vbar[tri] + bubble * state.beta[e]

@@ -309,9 +309,10 @@ def error_norms(state: State, exact: ExactSolution | None, mesh: Mesh) -> ErrorN
     pq = np.einsum("qa,ea->eq", batch.N, state.p[batch.tris])
     gp = np.einsum("ea,eaj->ej", state.p[batch.tris], batch.G)
 
-    dv = vq - exact.velocity(batch.xq)
-    dpg = gp[:, None, :] - exact.pressure_gradient(batch.xq)
-    dp = pq - exact.pressure(batch.xq)
+    xq = batch.xq
+    dv = vq - exact.velocity(xq)
+    dpg = gp[:, None, :] - exact.pressure_gradient(xq)
+    dp = pq - exact.pressure(xq)
     wd = batch.wd
     return ErrorNorms(
         l2_velocity=float(np.sqrt(np.einsum("eq,eqi,eqi->", wd, dv, dv))),

@@ -6,18 +6,20 @@ additionally requires a ``with_re`` method.  Reports are immutable once
 returned.  A solve builds one ``Discretization``, which continuation and
 time marching share across every rung and step.  Its ``free`` lists the
 free DOFs in nested-dissection order, computed once per set-up, so
-every assembled system arrives permuted and ``linear_solve`` factors it
-in that order; ``full[free] = x`` scatters a solution back.
+every assembled system arrives permuted and in CSC format, and
+``linear_solve`` factors it as it is; ``full[free] = x`` scatters a
+solution back.
 
 One loop, ``_iterate``, drives both strategies: it records the residual
 of every update, tests for divergence and stops, and names why it
 stopped.  A strategy is only its update: the condensed Newton solve
-with fine-scale recovery, or the stabilized fixed-point solve.  The
-recorded residual is the 2-norm of the monolithic nonlinear residual
-(assembled coarse momentum and continuity over the free DOFs, plus every
-element's fine-scale residual); fixed point evaluates it at its iterate
-with zero fine-scale coefficients (``residual_norm``), which makes the
-histories of the two strategies directly comparable.
+with fine-scale recovery (linearizing only an iterate it updates), or
+the stabilized fixed-point solve.  The recorded residual is the 2-norm
+of the monolithic nonlinear residual (assembled coarse momentum and
+continuity over the free DOFs, plus every element's fine-scale
+residual); fixed point evaluates it at its iterate with zero fine-scale
+coefficients (``residual_norm``), which makes the histories of the two
+strategies directly comparable.
 """
 
 from __future__ import annotations
@@ -50,13 +52,14 @@ def linear_solve(matrix, rhs: np.ndarray) -> np.ndarray:
     """Direct sparse solve with a verified residual.
 
     The matrix is expected to arrive already in a fill-reducing order
-    (``Discretization.free`` numbers the unknowns by nested dissection),
-    so the LU factorization keeps its column order and pivots only where
-    a diagonal entry falls below 0.1 of its column's largest (the
-    systems are indefinite saddle-point matrices).  One step of
-    iterative refinement is applied before the residual check ``|Ax - b|
-    <= max(1e-12, LINEAR_TOL * |b|)``.  Deterministic for identical
-    inputs.
+    (``Discretization.free`` numbers the unknowns by nested dissection)
+    and in the CSC format that ``splu`` factors (``free_matrix`` builds
+    it; other inputs are converted).  The LU factorization keeps the
+    column order and pivots only where a diagonal entry falls below 0.1
+    of its column's largest (the systems are indefinite saddle-point
+    matrices).  One step of iterative refinement is applied before the
+    residual check ``|Ax - b| <= max(1e-12, LINEAR_TOL * |b|)``.
+    Deterministic for identical inputs.
     """
     rhs = np.asarray(rhs, dtype=float)
     if rhs.size == 0:
@@ -142,7 +145,9 @@ class IterationReport:
     finite, or a linear/stabilization failure ended the iteration (the
     message is kept in ``failure``).  ``stop_reason`` is ``tol``,
     ``increment``, ``max_iter``, ``diverged``, ``linear_failure``,
-    ``fine_scale_singular`` or ``tau_singular``.
+    ``fine_scale_singular`` or ``tau_singular``.  A singular fine-scale
+    block is detected only when a Newton linearization is built, so the
+    iterate whose residual stops the solve is never checked for one.
     """
 
     residual_history: np.ndarray
@@ -257,8 +262,8 @@ def newton_solve(problem, config: SolverConfig, state0: State | None = None
     Starts from the Dirichlet-lifted zero state unless ``state0`` is
     given.  Each iteration solves the condensed system, updates velocity
     and pressure, and recovers the fine-scale increment element by
-    element; the assembly at the new state gives its residual and
-    doubles as the next iteration's linearization.
+    element; the assembly at the new state gives its residual, and its
+    linearization is built only if the loop goes on to another update.
     """
     return solve(problem, replace(config, strategy="newton"), state0)
 

@@ -9,6 +9,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -122,6 +123,28 @@ def test_scatter_matches_dense_element_sum(case, dt):
     matrix, load = fp_assemble(disc, state.vbar, nu, linear_force, dt, state.vbar_prev)
     assert_close(matrix.toarray(), K, 1e-13)
     assert_close(load, rhs, 1e-13)
+
+
+@pytest.mark.parametrize("case", [cavity_case, step_case], ids=["cavity", "step"])
+def test_free_matrix_is_sorted_csc_of_the_coo_sum(case):
+    mesh, bc, _ = case()
+    dofmap = build_dof_map(mesh, bc)
+    disc = Discretization(mesh, dofmap, bc)
+    K = np.random.default_rng(5).normal(size=(mesh.n_triangles, 9, 9))
+    matrix = disc.free_matrix(K)
+    assert isinstance(matrix, sp.csc_matrix)
+    n_free = disc.free.size
+    column = np.repeat(np.arange(n_free), np.diff(matrix.indptr))
+    assert np.all(np.diff(column * n_free + matrix.indices) > 0)   # sorted, unique rows
+
+    position = np.full(dofmap.total, -1)
+    position[disc.free] = np.arange(n_free)
+    local = position[element_dofs(mesh, dofmap)]
+    rows, cols = np.repeat(local, 9, axis=1).ravel(), np.tile(local, (1, 9)).ravel()
+    kept = (rows >= 0) & (cols >= 0)
+    reference = sp.coo_matrix((K.ravel()[kept], (rows[kept], cols[kept])),
+                              shape=(n_free, n_free))
+    np.testing.assert_array_equal(matrix.toarray(), reference.toarray())
 
 
 def rotation_bc():

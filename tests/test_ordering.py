@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vmsflow.solve as solve_module
-from vmsflow.mesh import BoundaryConditions, build_dof_map, nested_dissection
+from vmsflow.mesh import BoundaryConditions, Mesh, build_dof_map, nested_dissection
 from vmsflow.newton import Discretization, assemble_system
 from vmsflow.problems import backward_step, lid_cavity
 from vmsflow.solve import lifted_state, linear_solve
@@ -32,9 +32,28 @@ def perturbed_square(n, seed):
     return mesh, bc
 
 
+def strip(rows, width):
+    """Two columns of ``rows`` nodes, at x = 0 and x = ``width``, joined by triangles.
+
+    Every node is on the boundary, so every node of the left column has a
+    neighbour on the right.
+    """
+    y = np.arange(rows, dtype=float)
+    coords = np.concatenate([np.column_stack([np.zeros(rows), y]),
+                             np.column_stack([np.full(rows, width), y])])
+    j = np.arange(rows - 1)
+    tris = np.concatenate([np.column_stack([j, rows + j, rows + j + 1]),
+                           np.column_stack([j, rows + j + 1, j + 1])])
+    edges = [(a, a + 1) for a in [*j, *(rows + j)]] + [(0, rows), (rows - 1, 2 * rows - 1)]
+    mesh = Mesh(coords, tris, tuple((a, b, "wall") for a, b in edges), ("wall",))
+    return mesh, BoundaryConditions(dirichlet={"wall": zero_velocity}, pressure_pin=(0, 0.0))
+
+
 def problem_case(kind, size, seed):
     if kind == "square":
         return perturbed_square(size, seed)
+    if kind == "strip":    # seed 1 makes it wide: split across, with all left nodes separator
+        return strip(size, 2.0 * size if seed else 1.0)
     prob = lid_cavity(size, re=100) if kind == "lid" else backward_step(re=50, h=1 / size)
     return prob.mesh, prob.bc
 
@@ -43,6 +62,7 @@ cases = st.one_of(
     st.tuples(st.just("square"), st.integers(2, 12), st.integers(0, 2**32 - 1)),
     st.tuples(st.just("lid"), st.sampled_from([8, 12, 16]), st.just(0)),
     st.tuples(st.just("step"), st.sampled_from([2, 4, 8]), st.just(0)),  # h = 1/size
+    st.tuples(st.just("strip"), st.integers(2, 40), st.integers(0, 1)),  # rows, wide
 )
 
 
@@ -62,6 +82,16 @@ def test_orders_are_permutations(case):
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
     assert np.all(np.diff(rank[node]) >= 0)
+
+
+def test_strip_whose_left_half_is_all_separator():
+    # 18 nodes split at x = 5: the nine left nodes all touch the right
+    # column, so the left half left to dissect is empty
+    mesh, bc = strip(9, 10.0)
+    order = nested_dissection(mesh)
+    np.testing.assert_array_equal(order, np.r_[9:18, 0:9])
+    dofmap = build_dof_map(mesh, bc)
+    np.testing.assert_array_equal(np.sort(Discretization(mesh, dofmap, bc).free), dofmap.free)
 
 
 @pytest.mark.parametrize("case", [

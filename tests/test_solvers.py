@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import vmsflow.newton as newton_module
 import vmsflow.solve as solve_module
 from vmsflow.fixed_point import TauSingularError, fp_element_system
 from vmsflow.mesh import build_dof_map
@@ -333,18 +334,19 @@ class TestTimeMarch:
         assert np.abs(states[-1].vbar - steady.vbar).max() <= 1e-3
 
 
-def _fail_on_call(monkeypatch, name, k, error):
-    """Make ``vmsflow.solve.<name>`` raise ``error`` on its k-th call."""
-    real = getattr(solve_module, name)
+def _counted_calls(monkeypatch, name, k=None, error=None, module=solve_module):
+    """Log every call of ``module.<name>``, raising ``error`` on the k-th; return the log."""
+    real = getattr(module, name)
     calls = []
 
-    def failing(*args, **kwargs):
+    def logged(*args, **kwargs):
         calls.append(None)
         if len(calls) == k:
             raise error
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(solve_module, name, failing)
+    monkeypatch.setattr(module, name, logged)
+    return calls
 
 
 class TestFailurePaths:
@@ -353,7 +355,7 @@ class TestFailurePaths:
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("solver", [newton_solve, fixed_point_solve])
     def test_linear_failure_on_kth_solve(self, monkeypatch, solver, k):
-        _fail_on_call(monkeypatch, "linear_solve", k, LinearSolveError("injected LU failure"))
+        _counted_calls(monkeypatch, "linear_solve", k, LinearSolveError("injected LU failure"))
         _, report = solver(lid_cavity(8, re=100),
                            SolverConfig(tol=1e-14, increment_tol=0.0, max_iter=25))
         assert report.diverged
@@ -362,7 +364,7 @@ class TestFailurePaths:
         assert report.failure == "injected LU failure"
 
     def test_fine_scale_singular_before_first_update(self, monkeypatch):
-        _fail_on_call(monkeypatch, "assemble_system", 1,
+        _counted_calls(monkeypatch, "assemble_system", 1,
                       FineScaleSingularError("injected singular Kff"))
         _, report = newton_solve(lid_cavity(8, re=100), SolverConfig())
         assert report.diverged and not report.converged
@@ -371,7 +373,7 @@ class TestFailurePaths:
         assert report.increment_history is None
 
     def test_tau_singular_before_first_update(self, monkeypatch):
-        _fail_on_call(monkeypatch, "fp_assemble", 1, TauSingularError("injected singular A"))
+        _counted_calls(monkeypatch, "fp_assemble", 1, TauSingularError("injected singular A"))
         _, report = fixed_point_solve(lid_cavity(8, re=100),
                                       SolverConfig(strategy="fixed_point"))
         assert report.diverged and not report.converged
@@ -387,7 +389,7 @@ class TestFailurePaths:
         ("fp_assemble", TauSingularError("x"), fixed_point_solve, "tau_singular"),
     ])
     def test_failure_stop_reason(self, monkeypatch, name, error, solver, reason):
-        _fail_on_call(monkeypatch, name, 2, error)
+        _counted_calls(monkeypatch, name, 2, error)
         _, report = solver(lid_cavity(8, re=100), SolverConfig(tol=1e-14, increment_tol=0.0))
         assert report.stop_reason == reason
 
@@ -396,10 +398,75 @@ class TestFailurePaths:
         cfg = SolverConfig(tol=1e-9, max_iter=15, continuation=ContinuationConfig(10, 20, 1.5))
         _, chain = continuation_solve(prob, cfg)
         assert chain.stop_reason == "tol"
-        _fail_on_call(monkeypatch, "linear_solve", 6, LinearSolveError("late failure"))
+        _counted_calls(monkeypatch, "linear_solve", 6, LinearSolveError("late failure"))
         _, chain = continuation_solve(prob, cfg)
         assert chain.stop_reason == chain.sub_reports[-1][1].stop_reason == "linear_failure"
         assert chain.failure == "late failure"
+
+
+class TestLinearizationOnDemand:
+    """Newton builds the tangent of an iterate only when it updates from it."""
+
+    @pytest.mark.parametrize("run, loops", [
+        (lambda: newton_solve(lid_cavity(8, re=100), SolverConfig(tol=1e-10)), 1),
+        (lambda: continuation_solve(body_force_cavity(8, re=20), SolverConfig(
+            tol=1e-9, continuation=ContinuationConfig(10, 20, 1.5))), 3),
+        (lambda: time_march(lid_cavity(8, re=100), SolverConfig(tol=1e-10, dt=0.5, n_steps=3)),
+         3),
+    ], ids=["solve", "continuation", "time_march"])
+    def test_one_tangent_per_iteration(self, monkeypatch, run, loops):
+        builds = _counted_calls(monkeypatch, "_tangent_batched", module=newton_module)
+        per_loop = []
+        iterate = solve_module._iterate
+
+        def recorded(*args):
+            start = len(builds)
+            state, report = iterate(*args)
+            per_loop.append((len(builds) - start, report.iterations))
+            return state, report
+
+        monkeypatch.setattr(solve_module, "_iterate", recorded)
+        run()
+        assert len(per_loop) == loops      # one per solve, rung or step
+        for n_builds, iterations in per_loop:
+            assert iterations >= 2
+            assert n_builds == iterations
+
+    def test_converged_system_never_builds_its_matrix(self, monkeypatch):
+        builds = _counted_calls(monkeypatch, "_tangent_batched", module=newton_module)
+        systems = []
+        assemble = solve_module.assemble_system
+
+        def kept(*args):
+            systems.append(assemble(*args))
+            return systems[-1]
+
+        monkeypatch.setattr(solve_module, "assemble_system", kept)
+        _, report = newton_solve(lid_cavity(8, re=100), SolverConfig(tol=1e-10))
+        assert report.stop_reason == "tol"
+        assert len(systems) == report.iterations + 1 == len(builds) + 1
+        assert systems[-1].residual_norm == report.final_residual
+        for system in systems[:-1]:
+            system.matrix
+        assert len(builds) == report.iterations
+        systems[-1].matrix
+        assert len(builds) == report.iterations + 1
+
+    def test_fine_scale_check_only_where_a_tangent_is_built(self, monkeypatch):
+        prob, config = lid_cavity(8, re=100), SolverConfig(tol=1e-10)
+        _, reference = newton_solve(prob, config)
+        n, singular = reference.iterations, FineScaleSingularError("injected singular Kff")
+        _counted_calls(monkeypatch, "_invert_fine_blocks", n + 1, singular, newton_module)
+        _, report = newton_solve(prob, config)
+        assert report.stop_reason == "tol"
+        np.testing.assert_array_equal(report.residual_history, reference.residual_history)
+
+        monkeypatch.undo()
+        _counted_calls(monkeypatch, "_invert_fine_blocks", n, singular, newton_module)
+        _, report = newton_solve(prob, config)
+        assert report.stop_reason == "fine_scale_singular"
+        np.testing.assert_array_equal(report.residual_history,
+                                      reference.residual_history[:n - 1])
 
 
 class TestConfigValidation:
