@@ -96,7 +96,6 @@ def _cmd_study(args) -> int:
         print("study requires a problem with an exact solution", file=sys.stderr)
         return 1
     outdir = _outdir(args)
-    os.makedirs(outdir, exist_ok=True)
     exit_code = 0
     for strategy in strategies:
         table = convergence_study(
@@ -108,6 +107,7 @@ def _cmd_study(args) -> int:
             ),
         )
         path = outdir / f"study_{strategy}.csv"
+        os.makedirs(outdir, exist_ok=True)
         write_study(table, path)
         print(f"{strategy}: rates l2_velocity={table.rates['l2_velocity']:.3f} "
               f"h1_semi_pressure={table.rates['h1_semi_pressure']:.3f} "

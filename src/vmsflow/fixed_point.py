@@ -43,6 +43,7 @@ from vmsflow.mesh import Mesh
 from vmsflow.newton import (  # noqa: F401
     Discretization,
     ElementBatch,
+    State,
     _check_nu,
     _check_transient,
     _body_force_load,
@@ -190,18 +191,18 @@ def fp_element_system(mesh: Mesh, element_index: int, v_c: np.ndarray,
     return FpElementSystem(K=K[0], F=F[0])
 
 
-def fp_assemble(disc: Discretization, v_c: np.ndarray, nu: float,
-                body_force=None, dt: float | None = None,
-                vbar_prev: np.ndarray | None = None, stabilize: bool = True):
-    """Global linearized system on the free DOFs, Dirichlet values lifted.
+def fp_assemble(disc: Discretization, state: State, nu: float, stabilize: bool = True):
+    """Global linearized system at ``state`` on the free DOFs, Dirichlet values lifted.
 
-    Unlike the Newton path this solves for the solution values directly,
+    The iterate is ``state.vbar`` (``dt``, ``vbar_prev`` as in Newton's
+    ``assemble_system``) and the body force ``disc.load``.  Unlike the
+    Newton path this solves for the solution values directly,
     so each element moves its prescribed values to the right-hand side
     (``F_e -= K_e g_e``) before the shared scatter.
     """
     _check_nu(nu)
-    K, F = _fp_batched(disc.batch, v_c, nu, dt, vbar_prev,
-                       disc.body_force_load(body_force), stabilize)
+    K, F = _fp_batched(disc.batch, state.vbar, nu, state.dt, state.vbar_prev,
+                       disc.load, stabilize)
     F -= np.matmul(K, disc.dofmap.prescribed[disc.edofs][..., None])[..., 0]
     load = disc.global_vector(F) + disc.traction
     return disc.free_matrix(K), load[disc.free]

@@ -23,7 +23,7 @@ Every state-independent integral is computed once, in ``ElementBatch``:
 mass and stiffness over the three coarse functions and the bubble
 (``Nb_A``), ``int Nb_A Nb_B grad b``, ``int b N_a N_b``, ``int grad b
 (x) grad b`` and the pressure coupling; ``Discretization`` integrates the
-body force once per force.  The total velocity is ``sum_A Nb_A U_A``
+body force once per set-up.  The total velocity is ``sum_A Nb_A U_A``
 with an element-constant coarse gradient, so residual and tangent are
 ``np.matmul`` products of those tables with the element unknowns, which
 ``nu`` and ``1/dt`` only scale; no kernel revisits the quadrature points.
@@ -232,7 +232,7 @@ def _body_force_load(batch: ElementBatch, body_force) -> np.ndarray | None:
 
 
 def _check_nu(nu: float) -> None:
-    if nu <= 0:
+    if not nu > 0:
         raise ValueError(f"kinematic viscosity must be positive, got {nu}")
 
 
@@ -442,10 +442,11 @@ def traction_vector(mesh: Mesh, dofmap: DofMap, bc: BoundaryConditions) -> np.nd
 class Discretization:
     """State-independent set-up shared by every iteration, rung and time step.
 
-    Element tables and DOFs, the traction load, the free-DOF CSC pattern
-    (the format ``splu`` factors) with the slot of every element-matrix
-    entry, filled by ``np.bincount``, and the body-force integrals of the
-    last force seen.
+    Element tables and DOFs, the traction load, the body-force integrals
+    ``load`` (None without a force), and the free-DOF CSC pattern (the
+    format ``splu`` factors; read-only ``np.intc`` index arrays that every
+    matrix shares) with the slot of every element-matrix entry, filled by
+    ``np.bincount``.  Nothing is written to it once built.
     ``free`` lists the free global DOFs in nested-dissection order
     (``mesh.nested_dissection``, (u, v, p) per node), so every assembled
     matrix and right-hand side arrives in a fill-reducing order and
@@ -453,12 +454,13 @@ class Discretization:
     in ``dofmap.prescribed``.
     """
 
-    def __init__(self, mesh: Mesh, dofmap: DofMap, bc: BoundaryConditions):
+    def __init__(self, mesh: Mesh, dofmap: DofMap, bc: BoundaryConditions, body_force=None):
         self.mesh = mesh
         self.dofmap = dofmap
         self.batch = ElementBatch(mesh)
         self.edofs = element_dofs(mesh, dofmap)
         self.traction = traction_vector(mesh, dofmap, bc)
+        self.load = _body_force_load(self.batch, body_force)
         nodes = nested_dissection(mesh)
         n = mesh.n_nodes
         dofs = np.column_stack([2 * nodes, 2 * nodes + 1, 2 * n + nodes]).ravel()
@@ -476,16 +478,10 @@ class Discretization:
         keys, self._slot = np.unique(
             cols[self._kept] * n_free + rows[self._kept], return_inverse=True
         )
-        self._indices = keys % n_free
-        self._indptr = np.searchsorted(keys, np.arange(n_free + 1) * n_free)
-        self._force = self._force_load = None
-
-    def body_force_load(self, body_force) -> np.ndarray | None:
-        """``_body_force_load`` of ``body_force``, evaluated once per callable."""
-        if body_force is not self._force:
-            self._force_load = _body_force_load(self.batch, body_force)
-            self._force = body_force
-        return self._force_load
+        # scipy's index type, so no matrix scans or copies them.
+        self._indices = (keys % n_free).astype(np.intc)
+        self._indptr = np.searchsorted(keys, np.arange(n_free + 1) * n_free).astype(np.intc)
+        self._indices.flags.writeable = self._indptr.flags.writeable = False
 
     def free_matrix(self, K: np.ndarray) -> sp.csc_matrix:
         """Sum element matrices (E, 9, 9) into the free-DOF CSC matrix (rows
@@ -558,29 +554,28 @@ class NewtonSystem:
         return -np.matmul(self.Kff_inv, rhs)[..., 0]
 
 
-def residual_norm(disc: Discretization, state: State, nu: float,
-                  body_force=None) -> float:
+def residual_norm(disc: Discretization, state: State, nu: float) -> float:
     """2-norm of the monolithic nonlinear residual at ``state``.
 
     Assembled coarse momentum and continuity over the free DOFs (traction
-    included) plus every element's fine-scale residual; no tangent is built.
+    and body force included) plus every element's fine-scale residual; no
+    tangent is built.
     """
     _check_nu(nu)
     batch = disc.batch
-    return _norm_of(disc, *_residuals_batched(
-        batch, _fields(batch, state), nu, disc.body_force_load(body_force)))
+    return _norm_of(disc, *_residuals_batched(batch, _fields(batch, state), nu, disc.load))
 
 
-def assemble_system(disc: Discretization, state: State, nu: float,
-                    body_force=None) -> NewtonSystem:
+def assemble_system(disc: Discretization, state: State, nu: float) -> NewtonSystem:
     """The Newton system at ``state``: its residual now, its linearization on demand.
 
-    The linearization is the condensed system over the unconstrained
-    DOFs.  Dirichlet increments are eliminated (the state itself carries
-    the boundary values), so its right-hand side is ``-R_hat`` on free DOFs.
+    The body force is ``disc.load``.  The linearization is the condensed
+    system over the unconstrained DOFs.  Dirichlet increments are eliminated
+    (the state carries the boundary values): its right-hand side is
+    ``-R_hat`` on free DOFs.
     """
     _check_nu(nu)
     batch = disc.batch
     fields = _fields(batch, state)
-    Rc, Rp, Rf = _residuals_batched(batch, fields, nu, disc.body_force_load(body_force))
+    Rc, Rp, Rf = _residuals_batched(batch, fields, nu, disc.load)
     return NewtonSystem(disc, fields, nu, Rc, Rp, Rf, state.digest())

@@ -162,12 +162,13 @@ def _zero_velocity(points):
 def _resolve_nu(re, nu):
     if (re is None) == (nu is None):
         raise ValueError("give exactly one of re and nu")
+    name, given = ("re", re) if nu is None else ("nu", nu)
+    if not 0 < given < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {given}")
     if nu is None:
         nu = 1.0 / re
     else:
         re = 1.0 / nu
-    if nu <= 0:
-        raise ValueError("viscosity must be positive")
     return float(re), float(nu)
 
 
@@ -358,13 +359,16 @@ def convergence_study(problem_factory: Callable[[int], ProblemSpec],
     """Solve a mesh family and tabulate errors against the exact solution.
 
     ``problem_factory`` maps a subdivision count to a problem whose
-    ``exact`` field is set; ``h = 1/n`` is recorded per row.  A level
+    ``exact`` field is set; ``h = 1/n`` is recorded per row.  At least
+    three strictly increasing counts are checked before any solve.  A level
     that fails to converge ends the study and the partial table is
     returned with ``complete=False``.
     """
     ns = list(ns)
     if len(ns) < 3:
         raise ValueError("a convergence study needs at least 3 mesh levels")
+    if any(b <= a for a, b in zip(ns, ns[1:])):
+        raise ValueError(f"mesh levels must increase strictly, got {ns}")
     if config is None:
         config = SolverConfig(strategy=strategy, tol=1e-10, max_iter=50)
     rows = []

@@ -2,13 +2,13 @@
 
 A problem object must expose ``mesh``, ``bc``, ``nu`` and ``body_force``
 attributes (``vmsflow.problems.ProblemSpec`` does); continuation
-additionally requires a ``with_re`` method.  Reports are immutable once
-returned.  A solve builds one ``Discretization``, which continuation and
-time marching share across every rung and step.  Its ``free`` lists the
-free DOFs in nested-dissection order, computed once per set-up, so
-every assembled system arrives permuted and in CSC format, and
-``linear_solve`` factors it as it is; ``full[free] = x`` scatters a
-solution back.
+additionally requires a ``with_re`` method that keeps the mesh, boundary
+data and body force.  Reports are immutable once returned.  A solve
+builds one immutable ``Discretization`` (body-force load included),
+which both strategies assemble from with ``(disc, state, nu)`` and every
+rung and step shares.  Its ``free`` lists the free DOFs in
+nested-dissection order, so every assembled system arrives permuted and
+in CSC format; ``linear_solve`` factors it as it is.
 
 One loop, ``_iterate``, drives both strategies: it records the residual
 of every update, tests for divergence and stops, and names why it
@@ -96,10 +96,12 @@ class ContinuationConfig:
     factor: float = 1.1
 
     def __post_init__(self):
-        if self.factor <= 1.0:
-            raise ValueError("continuation factor must exceed 1")
-        if self.re_start <= 0 or self.re_target < self.re_start:
-            raise ValueError("continuation needs 0 < re_start <= re_target")
+        # Each check is written so that NaN fails it.
+        if not self.factor > 1.0:
+            raise ValueError(f"continuation factor must exceed 1, got {self.factor}")
+        if not 0 < self.re_start <= self.re_target < np.inf:
+            raise ValueError("continuation needs 0 < re_start <= re_target < inf, "
+                             f"got {self.re_start}, {self.re_target}")
 
     def ladder(self) -> list[float]:
         rungs = [self.re_start]
@@ -120,13 +122,16 @@ class SolverConfig:
     snapshot_stride: int = 1
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        # Each check is written so that NaN fails it.
+        if not self.tol > 0:
+            raise ValueError(f"tol must be positive, got {self.tol}")
+        if self.increment_tol is not None and not self.increment_tol >= 0:
+            raise ValueError(f"increment_tol must be non-negative, got {self.increment_tol}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.strategy not in ("newton", "fixed_point"):
             raise ValueError(f"unknown strategy '{self.strategy}'")
-        if self.dt is not None and self.dt <= 0:
+        if self.dt is not None and not self.dt > 0:
             raise ValueError(f"time step must be positive, got {self.dt}")
         if self.n_steps is not None and self.n_steps < 0:
             raise ValueError(f"n_steps must be non-negative, got {self.n_steps}")
@@ -173,13 +178,13 @@ def lifted_state(mesh: Mesh, dofmap: DofMap) -> State:
 
 def _setup(problem) -> Discretization:
     return Discretization(problem.mesh, build_dof_map(problem.mesh, problem.bc),
-                          problem.bc)
+                          problem.bc, problem.body_force)
 
 
-def _newton_steps(disc: Discretization, nu: float, body_force, state: State):
+def _newton_steps(disc: Discretization, nu: float, state: State):
     """Newton updates of ``state`` in place, each yielding (residual, None)."""
     n = disc.mesh.n_nodes
-    system = assemble_system(disc, state, nu, body_force)
+    system = assemble_system(disc, state, nu)
     while True:
         delta = np.zeros(disc.dofmap.total)
         delta[disc.free] = linear_solve(system.matrix, system.rhs)
@@ -187,24 +192,23 @@ def _newton_steps(disc: Discretization, nu: float, body_force, state: State):
         state.vbar += delta[: 2 * n].reshape(n, 2)
         state.p += delta[2 * n:]
         state.beta += dbeta
-        system = assemble_system(disc, state, nu, body_force)
+        system = assemble_system(disc, state, nu)
         yield system.residual_norm, None
 
 
-def _fixed_point_steps(disc: Discretization, nu: float, body_force, state: State):
+def _fixed_point_steps(disc: Discretization, nu: float, state: State):
     """Fixed-point updates of ``state`` in place, each yielding (residual, increment)."""
     n = disc.mesh.n_nodes
     state.beta[:] = 0.0
     while True:
-        matrix, rhs = fp_assemble(disc, state.vbar, nu, body_force,
-                                  state.dt, state.vbar_prev)
+        matrix, rhs = fp_assemble(disc, state, nu)
         full = disc.dofmap.prescribed.copy()
         full[disc.free] = linear_solve(matrix, rhs)
         new_vbar = full[: 2 * n].reshape(n, 2)
         increment = float(np.linalg.norm(new_vbar - state.vbar))
         state.vbar = new_vbar
         state.p = full[2 * n:]
-        yield residual_norm(disc, state, nu, body_force), increment
+        yield residual_norm(disc, state, nu), increment
 
 
 # Per strategy: its updates, and whether the velocity increment is recorded and stops.
@@ -213,10 +217,10 @@ _FAILURE_STOPS = {LinearSolveError: "linear_failure", TauSingularError: "tau_sin
                   FineScaleSingularError: "fine_scale_singular"}
 
 
-def _iterate(disc: Discretization, nu: float, body_force, config: SolverConfig,
-             state0: State | None, strategy: str) -> tuple[State, IterationReport]:
-    """Run a strategy from a copy of ``state0`` (transient fields kept) or the lifted state."""
-    updates, tracks_increment = _STRATEGIES[strategy]
+def _iterate(disc: Discretization, nu: float, config: SolverConfig, state0: State | None
+             ) -> tuple[State, IterationReport]:
+    """Run ``config.strategy`` from a copy of ``state0`` (transient fields kept) or lifted."""
+    updates, tracks_increment = _STRATEGIES[config.strategy]
     state = state0.copy() if state0 is not None else lifted_state(disc.mesh, disc.dofmap)
     inc_tol = config.tol if config.increment_tol is None else config.increment_tol
 
@@ -225,7 +229,7 @@ def _iterate(disc: Discretization, nu: float, body_force, config: SolverConfig,
     failure = None
     stop = "max_iter"
     min_resid = np.inf
-    steps = updates(disc, nu, body_force, state)
+    steps = updates(disc, nu, state)
     try:
         for _ in range(config.max_iter):
             resid, increment = next(steps)
@@ -303,8 +307,7 @@ def solve(problem, config: SolverConfig, state0: State | None = None):
     if state0 is not None and (state0.dt is not None or state0.vbar_prev is not None):
         raise ValueError("a state0 with dt or vbar_prev is a time_march step; "
                          "a steady solve takes a steady start state")
-    return _iterate(_setup(problem), problem.nu, problem.body_force, config, state0,
-                    config.strategy)
+    return _iterate(_setup(problem), problem.nu, config, state0)
 
 
 def continuation_solve(problem, config: SolverConfig
@@ -317,7 +320,7 @@ def continuation_solve(problem, config: SolverConfig
     fails terminates the ladder; the partial chain is returned with the
     per-rung reports attached as ``sub_reports`` of (re, report) pairs.
     Every rung shares one set-up: ``problem.with_re`` must keep the
-    geometry and boundary data and change only the viscosity.
+    geometry, boundary data and body force (else ``ValueError``).
     """
     if config.continuation is None:
         raise ValueError("continuation_solve needs config.continuation")
@@ -328,8 +331,9 @@ def continuation_solve(problem, config: SolverConfig
     subs: list[tuple[float, IterationReport]] = []
     for re in ladder:
         rung = problem.with_re(re)
-        state_out, report = _iterate(disc, rung.nu, rung.body_force, config, state,
-                                     config.strategy)
+        if rung.body_force is not problem.body_force:
+            raise ValueError(f"continuation rung Re={re:g} changes the body force")
+        state_out, report = _iterate(disc, rung.nu, config, state)
         subs.append((re, report))
         if not report.converged:
             break
@@ -367,8 +371,7 @@ def time_march(problem, config: SolverConfig, state0: State | None = None
     reports: list[IterationReport] = []
     for step in range(1, config.n_steps + 1):
         start = replace(state, dt=config.dt, vbar_prev=state.vbar)  # _iterate copies it
-        state, report = _iterate(disc, problem.nu, problem.body_force, config, start,
-                                 config.strategy)
+        state, report = _iterate(disc, problem.nu, config, start)
         reports.append(report)
         if not report.converged:
             break

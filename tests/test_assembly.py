@@ -27,7 +27,8 @@ from vmsflow.newton import (
     traction_vector,
 )
 from vmsflow.problems import backward_step, body_force_cavity, lid_cavity
-from vmsflow.solve import SolverConfig, solve
+import vmsflow.solve as solve_module
+from vmsflow.solve import ContinuationConfig, SolverConfig, solve, time_march
 
 from helpers import random_state
 
@@ -108,19 +109,19 @@ def assert_close(actual, expected, rel):
 def test_scatter_matches_dense_element_sum(case, dt):
     mesh, bc, nu = case()
     dofmap = build_dof_map(mesh, bc)
-    disc = Discretization(mesh, dofmap, bc)
+    disc = Discretization(mesh, dofmap, bc, linear_force)
     state = random_state(mesh, np.random.default_rng(11), dt=dt)
 
     K, rhs, norm = dense_newton(mesh, dofmap, bc, disc.free, state, nu, linear_force)
-    system = assemble_system(disc, state, nu, linear_force)
+    system = assemble_system(disc, state, nu)
     assert_close(system.matrix.toarray(), K, 1e-13)
     assert_close(system.rhs, rhs, 1e-13)
     assert system.residual_norm == pytest.approx(norm, rel=1e-13)
-    assert residual_norm(disc, state, nu, linear_force) == system.residual_norm
+    assert residual_norm(disc, state, nu) == system.residual_norm
 
     K, rhs = dense_fixed_point(mesh, dofmap, bc, disc.free, state.vbar, state.vbar_prev,
                                nu, dt, linear_force)
-    matrix, load = fp_assemble(disc, state.vbar, nu, linear_force, dt, state.vbar_prev)
+    matrix, load = fp_assemble(disc, state, nu)
     assert_close(matrix.toarray(), K, 1e-13)
     assert_close(load, rhs, 1e-13)
 
@@ -147,6 +148,63 @@ def test_free_matrix_is_sorted_csc_of_the_coo_sum(case):
     np.testing.assert_array_equal(matrix.toarray(), reference.toarray())
 
 
+@pytest.mark.parametrize("case", [cavity_case, step_case], ids=["cavity", "step"])
+def test_free_matrix_shares_the_read_only_intc_pattern(case):
+    # scipy keeps intc index arrays as they are: no scan and no copy per matrix
+    mesh, bc, _ = case()
+    disc = Discretization(mesh, build_dof_map(mesh, bc), bc)
+    K = np.random.default_rng(6).normal(size=(mesh.n_triangles, 9, 9))
+    matrix = disc.free_matrix(K)
+    assert matrix.indices.dtype == matrix.indptr.dtype == np.intc
+    assert np.shares_memory(matrix.indices, disc.free_matrix(K).indices)
+    assert np.shares_memory(matrix.indptr, disc.free_matrix(K).indptr)
+    with pytest.raises(ValueError, match="read-only"):
+        matrix.indices[0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        matrix.indptr[-1] = 0
+    wide = sp.csc_matrix((matrix.data, matrix.indices.astype(np.int64),
+                          matrix.indptr.astype(np.int64)), shape=matrix.shape)
+    np.testing.assert_array_equal(matrix.toarray(), wide.toarray())
+
+
+@pytest.mark.parametrize("nu", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("assemble", [assemble_system, residual_norm, fp_assemble])
+def test_non_positive_viscosity_is_a_named_error(assemble, nu):
+    mesh, bc, _ = cavity_case()
+    disc = Discretization(mesh, build_dof_map(mesh, bc), bc)
+    with pytest.raises(ValueError, match="kinematic viscosity must be positive"):
+        assemble(disc, State.zeros(mesh), nu)
+
+
+def _attributes(obj):
+    return {k: (id(v), v.tobytes() if isinstance(v, np.ndarray) else None)
+            for k, v in vars(obj).items()}
+
+
+def test_set_up_is_not_written_during_solves(monkeypatch):
+    # every rung and time step shares one Discretization; none may change it
+    built = []
+    setup = solve_module._setup
+
+    def recorded(problem):
+        disc = setup(problem)
+        built.append((disc, _attributes(disc), _attributes(disc.batch)))
+        return disc
+
+    monkeypatch.setattr(solve_module, "_setup", recorded)
+    for strategy in ("newton", "fixed_point"):
+        solve(body_force_cavity(8, re=20), SolverConfig(
+            strategy=strategy, tol=1e-9, max_iter=30,
+            continuation=ContinuationConfig(10, 20, 1.5)))
+        time_march(body_force_cavity(8, re=20), SolverConfig(
+            strategy=strategy, tol=1e-9, max_iter=30, dt=0.5, n_steps=2))
+    assert len(built) == 4
+    for disc, attributes, tables in built:
+        assert _attributes(disc) == attributes
+        assert _attributes(disc.batch) == tables
+        assert disc.load is not None
+
+
 def rotation_bc():
     return BoundaryConditions(
         dirichlet={"top": lid, "left": zero, "bottom": zero},
@@ -156,11 +214,11 @@ def rotation_bc():
 
 def assembled(mesh, state, nu):
     bc = rotation_bc()
-    disc = Discretization(mesh, build_dof_map(mesh, bc), bc)
-    system = assemble_system(disc, state, nu, linear_force)
-    K, F = fp_assemble(disc, state.vbar, nu, linear_force, state.dt, state.vbar_prev)
+    disc = Discretization(mesh, build_dof_map(mesh, bc), bc, linear_force)
+    system = assemble_system(disc, state, nu)
+    K, F = fp_assemble(disc, state, nu)
     return (system.matrix.toarray(), system.rhs, system.residual_norm,
-            residual_norm(disc, state, nu, linear_force), K.toarray(), F)
+            residual_norm(disc, state, nu), K.toarray(), F)
 
 
 @settings(max_examples=15, deadline=None)
@@ -193,7 +251,7 @@ def test_non_finite_body_force_is_a_named_error(strategy):
 
 def test_body_force_evaluated_once_per_force():
     prob = body_force_cavity(4, re=10)
-    disc = Discretization(prob.mesh, build_dof_map(prob.mesh, prob.bc), prob.bc)
+    dofmap = build_dof_map(prob.mesh, prob.bc)
     state = State.zeros(prob.mesh)
     calls = []
 
@@ -201,13 +259,14 @@ def test_body_force_evaluated_once_per_force():
         calls.append(points.shape)
         return linear_force(points)
 
+    disc = Discretization(prob.mesh, dofmap, prob.bc, counted)
+    assert len(calls) == 1
     for _ in range(2):
-        assemble_system(disc, state, prob.nu, counted)
-        fp_assemble(disc, state.vbar, prob.nu, counted)
-        residual_norm(disc, state, prob.nu, counted)
+        assemble_system(disc, state, prob.nu)
+        fp_assemble(disc, state, prob.nu)
+        residual_norm(disc, state, prob.nu)
     assert len(calls) == 1
-    reference = assemble_system(disc, state, prob.nu, linear_force)
+    reference = Discretization(prob.mesh, dofmap, prob.bc, linear_force)
+    np.testing.assert_array_equal(assemble_system(disc, state, prob.nu).rhs,
+                                  assemble_system(reference, state, prob.nu).rhs)
     assert len(calls) == 1
-    np.testing.assert_array_equal(assemble_system(disc, state, prob.nu, counted).rhs,
-                                  reference.rhs)
-    assert len(calls) == 2

@@ -239,8 +239,7 @@ class TestFpAssemble:
             dirichlet={t: zero_velocity for t in mesh.tags}, pressure_pin=(0, 0.0)
         )
         dofmap = build_dof_map(mesh, bc)
-        K, rhs = fp_assemble(Discretization(mesh, dofmap, bc),
-                             np.zeros((mesh.n_nodes, 2)), 1.0, None)
+        K, rhs = fp_assemble(Discretization(mesh, dofmap, bc), State.zeros(mesh), 1.0)
         assert K.shape == (dofmap.free.size, dofmap.free.size)
         assert rhs.size == dofmap.free.size
 
@@ -250,7 +249,7 @@ class TestFpAssemble:
             dirichlet={t: zero_velocity for t in mesh.tags}, pressure_pin=(0, 0.0)
         )
         disc = Discretization(mesh, build_dof_map(mesh, bc), bc)
-        K, _ = fp_assemble(disc, np.zeros((mesh.n_nodes, 2)), 1.0, None, stabilize=False)
+        K, _ = fp_assemble(disc, State.zeros(mesh), 1.0, stabilize=False)
         velocity = disc.free < 2 * mesh.n_nodes
         Kvv = K.toarray()[np.ix_(velocity, velocity)]
         assert np.abs(Kvv - Kvv.T).max() <= 1e-12 * max(np.abs(Kvv).max(), 1.0)
@@ -261,11 +260,12 @@ class TestFpAssemble:
         from vmsflow.problems import body_force_cavity
 
         prob = body_force_cavity(8, nu=1.0)
-        disc = Discretization(prob.mesh, build_dof_map(prob.mesh, prob.bc), prob.bc)
-        v0 = np.zeros((prob.mesh.n_nodes, 2))
+        disc = Discretization(prob.mesh, build_dof_map(prob.mesh, prob.bc), prob.bc,
+                              prob.body_force)
+        start = State.zeros(prob.mesh)
 
         def solve(stabilize):
-            K, rhs = fp_assemble(disc, v0, 1.0, prob.body_force, stabilize=stabilize)
+            K, rhs = fp_assemble(disc, start, 1.0, stabilize=stabilize)
             full = disc.dofmap.prescribed.copy()
             full[disc.free] = linear_solve(K, rhs)
             return full[2 * prob.mesh.n_nodes:]

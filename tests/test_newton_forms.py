@@ -319,8 +319,8 @@ class TestGlobalAssembly:
         state, report = newton_solve(prob, SolverConfig(tol=1e-11, max_iter=20))
         assert report.converged
         dofmap = build_dof_map(prob.mesh, prob.bc)
-        rhs = assemble_system(Discretization(prob.mesh, dofmap, prob.bc), state,
-                              prob.nu, prob.body_force).rhs
+        rhs = assemble_system(Discretization(prob.mesh, dofmap, prob.bc, prob.body_force),
+                              state, prob.nu).rhs
         assert np.linalg.norm(rhs) <= 1e-11
         # per-element fine residuals meet the tolerance as well
         for e in range(prob.mesh.n_triangles):
@@ -349,15 +349,15 @@ class TestGlobalAssembly:
         dofmap = build_dof_map(self.mesh, bc)
         state = State.zeros(self.mesh)
         state.vbar[:] = c
-        system = assemble_system(Discretization(self.mesh, dofmap, bc), state, 0.9, None)
+        system = assemble_system(Discretization(self.mesh, dofmap, bc), state, 0.9)
         assert system.residual_norm <= 1e-14
 
     def test_fine_scale_locality(self):
         # beta recovery of an element only reads that element's DOFs
         nu = 0.8
         state = random_state(self.mesh, self.rng)
-        system = assemble_system(Discretization(self.mesh, self.dofmap, self.bc),
-                                 state, nu, smooth_body_force)
+        system = assemble_system(Discretization(self.mesh, self.dofmap, self.bc,
+                                                smooth_body_force), state, nu)
         edofs = element_dofs(self.mesh, self.dofmap)
         e = 7
         delta = np.zeros(self.dofmap.total)
@@ -369,18 +369,18 @@ class TestGlobalAssembly:
 
     def test_stale_condensation_data_rejected(self):
         state = random_state(self.mesh, self.rng)
-        system = assemble_system(Discretization(self.mesh, self.dofmap, self.bc),
-                                 state, 1.0, smooth_body_force)
+        system = assemble_system(Discretization(self.mesh, self.dofmap, self.bc,
+                                                smooth_body_force), state, 1.0)
         state.vbar[0, 0] += 1e-3
         with pytest.raises(RuntimeError, match="stale"):
             system.recover_beta(state, np.zeros(self.dofmap.total))
 
     def test_assembly_deterministic(self):
         state = random_state(self.mesh, self.rng)
-        a1 = assemble_system(Discretization(self.mesh, self.dofmap, self.bc),
-                             state, 0.5, smooth_body_force)
-        a2 = assemble_system(Discretization(self.mesh, self.dofmap, self.bc),
-                             state, 0.5, smooth_body_force)
+        a1 = assemble_system(Discretization(self.mesh, self.dofmap, self.bc,
+                                            smooth_body_force), state, 0.5)
+        a2 = assemble_system(Discretization(self.mesh, self.dofmap, self.bc,
+                                            smooth_body_force), state, 0.5)
         assert a1.residual_norm == a2.residual_norm
         np.testing.assert_array_equal(a1.rhs, a2.rhs)
         np.testing.assert_array_equal(a1.matrix.toarray(), a2.matrix.toarray())

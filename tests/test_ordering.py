@@ -153,8 +153,7 @@ def test_dissection_fill_not_above_colamd(problem, monkeypatch):
     """
     prob = problem()
     dofmap = build_dof_map(prob.mesh, prob.bc)
-    disc = Discretization(prob.mesh, dofmap, prob.bc)
-    matrix = assemble_system(disc, lifted_state(prob.mesh, dofmap), prob.nu,
-                             prob.body_force).matrix
+    disc = Discretization(prob.mesh, dofmap, prob.bc, prob.body_force)
+    matrix = assemble_system(disc, lifted_state(prob.mesh, dofmap), prob.nu).matrix
     colamd = spla.splu(sp.csc_matrix(matrix))
     assert factored_fill(matrix, monkeypatch) <= colamd.L.nnz + colamd.U.nnz

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import vmsflow.problems as problems_module
 from vmsflow.fem import inv2
 from vmsflow.output import sample_field, write_outputs
 from vmsflow.problems import lid_cavity
@@ -182,6 +183,27 @@ class TestCli:
         out = tmp_path / "d"
         assert run_cli(["study", "--problem", "lid_cavity", "--re", "100",
                         "--out", str(out)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--re", "0"), ("--nu", "0"), ("--re", "nan"),
+                                             ("--nu", "inf")])
+    def test_bad_viscosity_is_a_named_error(self, tmp_path, capsys, flag, value):
+        # zero used to escape as ZeroDivisionError, nan/inf to run a NaN solve
+        out = tmp_path / "d"
+        assert run_cli(["solve", "--problem", "lid_cavity", flag, value, "--n", "8",
+                        "--out", str(out)]) == 1
+        assert f"error: {flag[2:]} must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("levels", ["8,4,12", "8,16"])
+    def test_bad_study_levels_solve_nothing_and_leave_no_directory(
+            self, tmp_path, monkeypatch, levels):
+        solves = []
+        monkeypatch.setattr(problems_module, "solve", lambda *a: solves.append(a))
+        out = tmp_path / "d"
+        assert run_cli(["study", "--problem", "body_force_cavity", "--nu", "1.0",
+                        "--levels", levels, "--out", str(out)]) == 1
+        assert solves == []
         assert not out.exists()
 
     def test_nonconvergence_exit_code(self, tmp_path):

@@ -96,6 +96,18 @@ class TestProblemBuilders:
         with pytest.raises(ValueError):
             body_force_cavity(8, re=10, nu=0.1)
 
+    @pytest.mark.parametrize("builder", [
+        lambda **kw: body_force_cavity(8, **kw), lambda **kw: lid_cavity(8, **kw),
+        lambda **kw: backward_step(h=0.5, **kw),
+    ], ids=["body_force_cavity", "lid_cavity", "backward_step"])
+    @pytest.mark.parametrize("name, value", [
+        ("re", 0), ("nu", 0.0), ("re", -5.0), ("nu", -1.0), ("re", float("nan")),
+        ("nu", float("nan")), ("re", float("inf")), ("nu", float("inf")),
+    ])
+    def test_viscosity_checked_before_inversion(self, builder, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            builder(**{name: value})
+
     def test_minimum_sizes(self):
         with pytest.raises(ValueError):
             body_force_cavity(3, nu=1.0)
@@ -253,6 +265,18 @@ class TestConvergenceStudy:
     def test_needs_three_levels(self):
         with pytest.raises(ValueError):
             convergence_study(lambda n: body_force_cavity(n, nu=1.0), [8, 16])
+
+    @pytest.mark.parametrize("levels", [[8, 4, 12], [8, 8, 12], [8, 12, 10]])
+    def test_levels_must_increase_before_any_solve(self, levels):
+        built = []
+
+        def factory(n):
+            built.append(n)
+            return body_force_cavity(n, nu=1.0)
+
+        with pytest.raises(ValueError, match="mesh levels must increase strictly"):
+            convergence_study(factory, levels)
+        assert built == []
 
     def test_failed_level_returns_partial_table(self):
         # an unreachable tolerance stops the study at the first level but

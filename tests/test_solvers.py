@@ -92,8 +92,8 @@ class TestNewtonSolve:
         state0.vbar += noise
         from vmsflow.newton import Discretization, assemble_system
 
-        r0 = assemble_system(Discretization(prob.mesh, dofmap, prob.bc), state0,
-                             prob.nu, prob.body_force).residual_norm
+        r0 = assemble_system(Discretization(prob.mesh, dofmap, prob.bc, prob.body_force),
+                             state0, prob.nu).residual_norm
         _, report = newton_solve(prob, SolverConfig(tol=1e-14, max_iter=12),
                                  state0=state0)
         r = [r0] + [v for v in report.residual_history if v > 1e-13]
@@ -263,6 +263,26 @@ class TestContinuation:
         cfg = SolverConfig(continuation=ContinuationConfig(10, 20, 1.5))
         with pytest.raises(ValueError, match="state0"):
             solve(prob, cfg, state0=start)
+
+    @pytest.mark.parametrize("changed_at", [10, 15], ids=["replaced", "later_rung"])
+    def test_rung_that_changes_the_body_force_is_named(self, changed_at):
+        # the shared set-up integrates problem.body_force once, so a rung
+        # with another force would silently be solved with the first one
+        base = body_force_cavity(8, re=20)
+
+        def doubled(points):
+            return 2.0 * base.body_force(points)
+
+        def rebuild(re):
+            rung = body_force_cavity(8, re=re)
+            return dataclasses.replace(rung, body_force=doubled) if re >= changed_at else rung
+
+        prob = dataclasses.replace(base, rebuild=rebuild)
+        if changed_at == 10:   # the force given to the problem, dropped by with_re
+            prob = dataclasses.replace(base, body_force=doubled)
+        cfg = SolverConfig(tol=1e-9, continuation=ContinuationConfig(10, 20, 1.5))
+        with pytest.raises(ValueError, match=f"rung Re={changed_at} changes the body force"):
+            continuation_solve(prob, cfg)
 
     def test_dispatch_through_solve(self):
         prob = body_force_cavity(8, re=20)
@@ -520,6 +540,28 @@ class TestConfigValidation:
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
             SolverConfig(tol=0.0)
+
+    @pytest.mark.parametrize("field, message", [
+        ("tol", "tol must be positive"), ("increment_tol", "increment_tol must be"),
+        ("dt", "time step must be positive"),
+    ])
+    def test_nan_solver_setting_rejected(self, field, message):
+        with pytest.raises(ValueError, match=message):
+            SolverConfig(**{field: float("nan")})
+
+    @pytest.mark.parametrize("settings", [
+        dict(factor=float("nan")), dict(re_start=float("nan")),
+        dict(re_target=float("nan")), dict(re_target=float("inf")),
+    ], ids=["factor", "re_start", "re_target", "re_target_inf"])
+    def test_nan_continuation_setting_rejected(self, settings):
+        # ContinuationConfig(15, nan).ladder() used to be the one rung [15]
+        with pytest.raises(ValueError, match="continuation"):
+            ContinuationConfig(**{"re_start": 15.0, "re_target": 150.0, **settings})
+
+    def test_negative_increment_tolerance_rejected(self):
+        SolverConfig(increment_tol=0.0)
+        with pytest.raises(ValueError, match="increment_tol must be non-negative"):
+            SolverConfig(increment_tol=-1e-8)
 
     def test_bad_factor(self):
         with pytest.raises(ValueError):
