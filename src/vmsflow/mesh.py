@@ -1,6 +1,7 @@
 """Structured triangulations of the benchmark geometries and DOF bookkeeping.
 
-Meshes are immutable after construction.  Velocity unknowns are numbered
+Meshes are immutable after construction and carry their edge table,
+built in one whole-array pass.  Velocity unknowns are numbered
 node-major and component-interleaved (v1x, v1y, v2x, v2y, ...), pressure
 unknowns follow all velocity unknowns; the per-element fine-scale
 coefficients stay element-local and never receive global numbers on the
@@ -11,7 +12,7 @@ fill-reducing node order in which a solve numbers its free unknowns.
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -24,22 +25,34 @@ class Mesh:
     """Triangle mesh with tagged boundary edges.
 
     ``boundary_edges`` holds (node_a, node_b, tag) triples; every listed
-    edge belongs to exactly one triangle.  Meshes compare by identity.
+    edge belongs to exactly one triangle.  ``edges`` is the read-only
+    (n_edges, 2) table of undirected (min, max) triangle edges in order of
+    first appearance, computed once while the mesh is built; validation
+    and ``nested_dissection`` read it.  ``unit_square_mesh`` and
+    ``backward_step_mesh`` compute it before tagging and pass it on as
+    ``edge_table`` (which must be ``_edge_counts(triangles)``).
+    Meshes compare by identity.
     """
 
     node_coords: np.ndarray                 # (n_nodes, 2)
     triangles: np.ndarray                   # (n_tri, 3), counterclockwise
     boundary_edges: tuple[tuple[int, int, str], ...]
     tags: tuple[str, ...]
+    edge_table: InitVar[tuple[np.ndarray, np.ndarray] | None] = None
+    edges: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, edge_table):
         coords = np.ascontiguousarray(self.node_coords, dtype=float)
         tris = np.ascontiguousarray(self.triangles, dtype=np.int64)
         coords.setflags(write=False)
         tris.setflags(write=False)
         object.__setattr__(self, "node_coords", coords)
         object.__setattr__(self, "triangles", tris)
-        _validate_mesh(self)
+        _check_triangles(self)
+        edges, counts = _edge_counts(tris) if edge_table is None else edge_table
+        _check_boundary(self, edges, counts)
+        edges.setflags(write=False)
+        object.__setattr__(self, "edges", edges)
 
     @property
     def n_nodes(self) -> int:
@@ -50,9 +63,9 @@ class Mesh:
         return self.triangles.shape[0]
 
     def triangle_areas(self) -> np.ndarray:
-        p = self.node_coords[self.triangles]
-        d1 = p[:, 0] - p[:, 2]
-        d2 = p[:, 1] - p[:, 2]
+        p = self.node_coords.take(self.triangles.T, axis=0)   # (3, E, 2), one corner per row
+        d1 = p[0] - p[2]
+        d2 = p[1] - p[2]
         return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
     def edges_with_tag(self, tag: str) -> list[tuple[int, int]]:
@@ -68,15 +81,20 @@ class Mesh:
 
 def _edge_counts(triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Undirected (min, max) edges in order of first appearance, with triangle counts."""
-    pairs = np.sort(triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-    base = int(triangles.max()) + 1 if triangles.size else 1
-    _, first, counts = np.unique(pairs[:, 0] * base + pairs[:, 1],
-                                 return_index=True, return_counts=True)
-    order = np.argsort(first)
-    return pairs[first[order]], counts[order]
+    a = triangles.reshape(-1)                  # edges (t0, t1), (t1, t2), (t2, t0)
+    b = triangles[:, [1, 2, 0]].reshape(-1)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    keys = lo * (int(triangles.max()) + 1 if triangles.size else 1) + hi
+    perm = np.argsort(keys, kind="stable")     # stable: each run starts at its first appearance
+    starts = np.flatnonzero(np.diff(keys[perm], prepend=-1))
+    first = perm[starts]
+    counts = np.zeros(keys.size, dtype=np.int64)
+    counts[first] = np.diff(starts, append=keys.size)
+    first.sort()
+    return np.column_stack([lo[first], hi[first]]), counts[first]
 
 
-def _validate_mesh(mesh: Mesh) -> None:
+def _check_triangles(mesh: Mesh) -> None:
     n = mesh.n_nodes
     if mesh.triangles.size and (mesh.triangles.min() < 0 or mesh.triangles.max() >= n):
         raise ValueError("triangle connectivity references nodes out of range")
@@ -87,28 +105,48 @@ def _validate_mesh(mesh: Mesh) -> None:
             f"triangle {bad} has non-positive area {areas[bad]:.3e}; "
             "connectivity must be counterclockwise"
         )
-    edges, counts = _edge_counts(mesh.triangles)
+
+
+def _check_boundary(mesh: Mesh, edges: np.ndarray, counts: np.ndarray) -> None:
+    """Every listed edge is a boundary edge (one triangle), and every boundary edge is listed."""
     if np.any(counts > 2):
         raise ValueError("mesh is not edge-manifold: an edge is shared by > 2 triangles")
-    boundary = set(map(tuple, edges[counts == 1].tolist()))
-    listed = set()
-    for a, b, tag in mesh.boundary_edges:
-        if not (0 <= a < n and 0 <= b < n):
+    n = mesh.n_nodes
+    listed = np.array([(a, b) for a, b, _ in mesh.boundary_edges], dtype=np.int64).reshape(-1, 2)
+    # The first listed edge that is out of range or not on the boundary names the error.
+    in_range = np.all((listed >= 0) & (listed < n), axis=1)
+    listed = np.sort(np.where(in_range[:, None], listed, 0), axis=1)
+    boundary = edges[counts == 1]
+    keys = listed[:, 0] * n + listed[:, 1]
+    on_boundary = np.isin(keys, boundary[:, 0] * n + boundary[:, 1])
+    bad = np.flatnonzero(~in_range | ~on_boundary)
+    if bad.size:
+        i = bad[0]
+        if not in_range[i]:
             raise ValueError("boundary edge references nodes out of range")
-        key = (min(a, b), max(a, b))
-        if key not in boundary:
-            raise ValueError(f"edge {key} is tagged '{tag}' but is not a boundary edge")
-        listed.add(key)
-    if listed != boundary:
+        key = tuple(listed[i].tolist())
+        raise ValueError(
+            f"edge {key} is tagged '{mesh.boundary_edges[i][2]}' but is not a boundary edge")
+    if np.unique(keys).size != boundary.shape[0]:
         raise ValueError("boundary edges are not completely tagged")
 
 
-def _tagged_mesh(coords: np.ndarray, tris: np.ndarray, classify, tags) -> Mesh:
-    """Mesh whose boundary edges are tagged by ``classify(edge midpoint)``."""
-    edges, counts = _edge_counts(tris)
-    tagged = tuple((a, b, classify(0.5 * (coords[a] + coords[b])))
-                   for a, b in edges[counts == 1].tolist())
-    return Mesh(coords, tris, tagged, tags)
+def _tagged_mesh(coords: np.ndarray, tris: np.ndarray, sides, tags) -> Mesh:
+    """Mesh whose boundary edges are tagged by their midpoints.
+
+    ``sides(midpoints)`` returns one boolean mask per tag, in the order of
+    ``tags``; an edge takes the first tag whose mask holds there.
+    """
+    edge_table = _edge_counts(tris)
+    edges, counts = edge_table
+    boundary = edges[counts == 1]
+    masks = sides(0.5 * (coords[boundary[:, 0]] + coords[boundary[:, 1]]))
+    which = np.select(masks, list(range(len(tags))), -1)
+    if np.any(which < 0):
+        raise AssertionError("boundary edge lies on no tagged side")
+    a, b = boundary.T.tolist()
+    tagged = tuple(zip(a, b, (tags[i] for i in which.tolist())))
+    return Mesh(coords, tris, tagged, tags, edge_table)
 
 
 def _grid_triangles(ids: np.ndarray, cells: np.ndarray) -> np.ndarray:
@@ -137,19 +175,12 @@ def unit_square_mesh(n: int) -> Mesh:
     ids = np.arange((n + 1) ** 2).reshape(n + 1, n + 1).T     # iy*(n+1) + ix
     tris = _grid_triangles(ids, np.ones((n, n), dtype=bool))
 
-    def classify(mid):
-        mx, my = mid
-        if abs(mx) < _GEOM_TOL:
-            return "left"
-        if abs(mx - 1.0) < _GEOM_TOL:
-            return "right"
-        if abs(my) < _GEOM_TOL:
-            return "bottom"
-        if abs(my - 1.0) < _GEOM_TOL:
-            return "top"
-        raise AssertionError("boundary edge not on the unit-square boundary")
+    def sides(mid):
+        mx, my = mid.T
+        return [abs(mx) < _GEOM_TOL, abs(mx - 1.0) < _GEOM_TOL,
+                abs(my) < _GEOM_TOL, abs(my - 1.0) < _GEOM_TOL]
 
-    return _tagged_mesh(coords, tris, classify, ("left", "right", "bottom", "top"))
+    return _tagged_mesh(coords, tris, sides, ("left", "right", "bottom", "top"))
 
 
 def backward_step_mesh(
@@ -165,8 +196,10 @@ def backward_step_mesh(
     (y in [step_height, channel_height]); downstream of the step edge the
     channel occupies the full height.  Tags: ``inflow`` (x=0),
     ``outflow`` (x=upstream_len+downstream_len), ``walls`` (the rest).
-    ``h`` must divide all geometric dimensions.
+    ``h`` must be positive and divide all geometric dimensions.
     """
+    if not h > 0:    # NaN fails it too
+        raise ValueError(f"edge length h must be positive, got {h}")
     if not 0.0 < step_height < channel_height:
         raise ValueError("step_height must lie strictly between 0 and channel_height")
     dims = (upstream_len, downstream_len, step_height, channel_height - step_height)
@@ -195,15 +228,12 @@ def backward_step_mesh(
     coords = np.column_stack([xs[ix], ys[iy]])
     tris = _grid_triangles(ids, fluid)
 
-    def classify(mid):
-        mx = mid[0]
-        if abs(mx) < _GEOM_TOL:
-            return "inflow"
-        if abs(mx - total_len) < _GEOM_TOL:
-            return "outflow"
-        return "walls"
+    def sides(mid):
+        mx = mid[:, 0]
+        return [abs(mx) < _GEOM_TOL, abs(mx - total_len) < _GEOM_TOL,
+                np.ones(mx.shape, dtype=bool)]
 
-    return _tagged_mesh(coords, tris, classify, ("inflow", "outflow", "walls"))
+    return _tagged_mesh(coords, tris, sides, ("inflow", "outflow", "walls"))
 
 
 @dataclass(frozen=True)
@@ -313,12 +343,12 @@ def nested_dissection(mesh: Mesh) -> np.ndarray:
     left nodes with a triangle-edge neighbour on the right form the
     separator, and the set is numbered [left, right, separator] with
     both halves ordered the same way (George, SIAM J. Numer. Anal. 10,
-    1973; Lipton, Rose & Tarjan, SIAM J. Numer. Anal. 16, 1979).
+    1973; Lipton, Rose & Tarjan, SIAM J. Numer. Anal. 16, 1979).  The
+    neighbours come from the mesh's edge table, ``mesh.edges``.
     Returns a permutation of ``range(n_nodes)``.
     """
     n = mesh.n_nodes
-    edges, _ = _edge_counts(mesh.triangles)
-    pairs = np.concatenate([edges, edges[:, ::-1]])
+    pairs = np.concatenate([mesh.edges, mesh.edges[:, ::-1]])
     pairs = pairs[np.argsort(pairs[:, 0], kind="stable")]
     degree = np.bincount(pairs[:, 0], minlength=n)
     # Row i lists the edge neighbours of node i, padded with n, which is never on the right.

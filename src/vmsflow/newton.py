@@ -439,6 +439,59 @@ def traction_vector(mesh: Mesh, dofmap: DofMap, bc: BoundaryConditions) -> np.nd
     return load
 
 
+_NODE_OF_DOF = [0, 0, 1, 1, 2, 2, 0, 1, 2]   # element node of each of the 9 element DOFs
+
+
+def _csc_pattern(tris: np.ndarray, nodes: np.ndarray, free: np.ndarray, local: np.ndarray):
+    """CSC pattern of the free-by-free element entries, and the slot of each entry.
+
+    ``nodes`` is the dissection order, ``free`` the free DOFs node by node
+    in that order, and ``local`` (E, 9) the position in ``free`` of each
+    element DOF (-1 where constrained).  A node's free DOFs are adjacent in
+    ``free``, so every DOF column of a node holds the same rows: the free
+    DOFs of the nodes it shares an element with, in order.  The pattern is
+    built from the node pairs (column node, row node), 9 per element,
+    sorted column-major in dissection order and expanded into DOF entries.
+    Entry ``K[e, i, j]`` goes to the start of column j, plus the rows of the
+    pairs above its pair in that column, plus row i's offset among its
+    node's DOFs; an entry with a constrained row or column goes to the
+    discard slot ``nnz``.  Returns ``indices``, ``indptr`` and the
+    flattened (E*81,) slots.
+    """
+    n = nodes.size
+    node_of = np.where(free < 2 * n, free // 2, free - 2 * n)
+    n_dofs = np.bincount(node_of, minlength=n)            # free DOFs per node
+    rank = np.empty(n, dtype=np.int64)
+    rank[nodes] = np.arange(n)
+    start = np.cumsum(n_dofs[nodes])[rank] - n_dofs       # position of a node's first one
+    ranked = rank[tris]
+    pairs, pair_of = np.unique(ranked[:, None, :] * n + ranked[:, :, None],  # [e, row, col]
+                               return_inverse=True)
+    col_node, row_node = nodes[pairs // n], nodes[pairs % n]
+    rows_of_pair = n_dofs[row_node]
+    before = np.cumsum(rows_of_pair) - rows_of_pair       # rows of all earlier pairs
+    firsts = np.flatnonzero(np.diff(col_node, prepend=-1))
+    col_first = np.empty(n, dtype=np.int64)               # ``before`` at a node's first pair
+    col_first[col_node[firsts]] = before[firsts]
+    n_rows = np.bincount(col_node, weights=rows_of_pair, minlength=n).astype(np.int64)
+
+    indptr = np.concatenate([[0], np.cumsum(n_rows[node_of])])
+    nnz = int(indptr[-1])
+    pair_rows = (np.repeat(start[row_node] - before, rows_of_pair)   # row DOFs, pair by pair
+                 + np.arange(rows_of_pair.sum()))
+    indices = pair_rows[np.repeat(col_first[node_of] - indptr[:-1], n_rows[node_of])
+                        + np.arange(nnz)]
+
+    rows_above = (before - col_first[col_node])[pair_of.reshape(-1, 3, 3)]
+    offset = local - start[tris[:, _NODE_OF_DOF]]
+    slot = (offset[:, :, None] + indptr[local][:, None, :]
+            + rows_above[:, _NODE_OF_DOF][:, :, _NODE_OF_DOF])
+    constrained = local < 0
+    slot[constrained] = nnz                       # constrained rows
+    slot.transpose(0, 2, 1)[constrained] = nnz    # constrained columns
+    return indices, indptr, slot.reshape(-1)
+
+
 class Discretization:
     """State-independent set-up shared by every iteration, rung and time step.
 
@@ -446,7 +499,10 @@ class Discretization:
     ``load`` (None without a force), and the free-DOF CSC pattern (the
     format ``splu`` factors; read-only ``np.intc`` index arrays that every
     matrix shares) with the slot of every element-matrix entry, filled by
-    ``np.bincount``.  Nothing is written to it once built.
+    ``np.bincount``.  The pattern is built from the 9 node pairs of each
+    element rather than its 81 DOF pairs (``_csc_pattern``), and entries
+    with a constrained row or column share one discard slot past the
+    last.  Nothing is written to it once built.
     ``free`` lists the free global DOFs in nested-dissection order
     (``mesh.nested_dissection``, (u, v, p) per node), so every assembled
     matrix and right-hand side arrives in a fill-reducing order and
@@ -466,28 +522,21 @@ class Discretization:
         dofs = np.column_stack([2 * nodes, 2 * nodes + 1, 2 * n + nodes]).ravel()
         self.free = dofs[np.isin(dofs, dofmap.free)]
 
-        # Column-major keys of the free-by-free element entries: their sorted
-        # unique values are the CSC order, and the inverse is each entry's slot.
-        n_free = self.free.size
         position = np.full(dofmap.total, -1, dtype=np.int64)
-        position[self.free] = np.arange(n_free)
-        local = position[self.edofs]                                  # (E, 9)
-        rows = np.repeat(local, 9, axis=1).ravel()
-        cols = np.tile(local, (1, 9)).ravel()
-        self._kept = (rows >= 0) & (cols >= 0)
-        keys, self._slot = np.unique(
-            cols[self._kept] * n_free + rows[self._kept], return_inverse=True
-        )
+        position[self.free] = np.arange(self.free.size)
+        indices, indptr, self._slot = _csc_pattern(mesh.triangles, nodes, self.free,
+                                                   position[self.edofs])
         # scipy's index type, so no matrix scans or copies them.
-        self._indices = (keys % n_free).astype(np.intc)
-        self._indptr = np.searchsorted(keys, np.arange(n_free + 1) * n_free).astype(np.intc)
-        self._indices.flags.writeable = self._indptr.flags.writeable = False
+        self._indices, self._indptr = indices.astype(np.intc), indptr.astype(np.intc)
+        for array in (self._indices, self._indptr, self._slot):
+            array.flags.writeable = False
 
     def free_matrix(self, K: np.ndarray) -> sp.csc_matrix:
         """Sum element matrices (E, 9, 9) into the free-DOF CSC matrix (rows
-        sorted and unique in each column, so ``splu`` factors it as it is)."""
-        data = np.bincount(self._slot, weights=K.reshape(-1)[self._kept],
-                           minlength=self._indices.size)
+        sorted and unique in each column, so ``splu`` factors it as it is).
+        Constrained entries land in the discard slot, which is dropped."""
+        nnz = self._indices.size
+        data = np.bincount(self._slot, weights=K.reshape(-1), minlength=nnz + 1)[:nnz]
         n_free = self.free.size
         return sp.csc_matrix((data, self._indices, self._indptr),
                              shape=(n_free, n_free))

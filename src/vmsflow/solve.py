@@ -54,17 +54,17 @@ def linear_solve(matrix, rhs: np.ndarray) -> np.ndarray:
     The matrix is expected to arrive already in a fill-reducing order
     (``Discretization.free`` numbers the unknowns by nested dissection)
     and in the CSC format that ``splu`` factors (``free_matrix`` builds
-    it; other inputs are converted).  The LU factorization keeps the
-    column order and pivots only where a diagonal entry falls below 0.1
-    of its column's largest (the systems are indefinite saddle-point
-    matrices).  One step of iterative refinement is applied before the
+    it, and a CSC input is factored as it is; other inputs are
+    converted).  The LU factorization keeps the column order and pivots
+    only where a diagonal entry falls below 0.1 of its column's largest
+    (the systems are indefinite saddle-point matrices).  One step of iterative refinement is applied before the
     residual check ``|Ax - b| <= max(1e-12, LINEAR_TOL * |b|)``.
     Deterministic for identical inputs.
     """
     rhs = np.asarray(rhs, dtype=float)
     if rhs.size == 0:
         return np.zeros(0)
-    A = sp.csc_matrix(matrix)
+    A = matrix if sp.issparse(matrix) and matrix.format == "csc" else sp.csc_matrix(matrix)
     if A.shape[0] != A.shape[1] or A.shape[0] != rhs.size:
         raise LinearSolveError(
             f"matrix of shape {A.shape} does not match right-hand side of size {rhs.size}"

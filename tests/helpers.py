@@ -9,9 +9,16 @@ for verification: the production path condenses the fine scale away.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from vmsflow.fem import element_geometry, t3_bubble, t3_shape, triangle_quadrature
-from vmsflow.mesh import BoundaryConditions, Mesh, build_dof_map, unit_square_mesh
+from vmsflow.mesh import (
+    BoundaryConditions,
+    Mesh,
+    build_dof_map,
+    nested_dissection,
+    unit_square_mesh,
+)
 from vmsflow.newton import State, element_dofs, element_residuals, element_tangent
 
 BLOCK_NAMES = ("Kcc", "Kcp", "Kcf", "Kpc", "Kpf", "Kfc", "Kfp", "Kff")
@@ -30,6 +37,92 @@ def perturbed_square_mesh(n, rng, amplitude=0.15) -> Mesh:
     mesh = unit_square_mesh(n)
     shift = rng.uniform(-amplitude / n, amplitude / n, mesh.node_coords.shape)
     return Mesh(mesh.node_coords + shift, mesh.triangles, mesh.boundary_edges, mesh.tags)
+
+
+def renumbered(mesh, bc, rng):
+    """The same mesh and conditions with the nodes numbered by a random permutation."""
+    new_id = rng.permutation(mesh.n_nodes)
+    coords = np.empty_like(mesh.node_coords)
+    coords[new_id] = mesh.node_coords
+    edges = tuple((int(new_id[a]), int(new_id[b]), tag) for a, b, tag in mesh.boundary_edges)
+    pin = bc.pressure_pin
+    if pin is not None:
+        pin = (int(new_id[pin[0]]), pin[1])
+    return (Mesh(coords, new_id[mesh.triangles], edges, mesh.tags),
+            BoundaryConditions(bc.dirichlet, bc.neumann, pin))
+
+
+def dof_pair_pattern(mesh, dofmap, edofs):
+    """The free-DOF CSC pattern from the 81 DOF pairs of every element.
+
+    Reference for ``Discretization``: ``free`` is (u, v, p) node by node in
+    ``nested_dissection`` order; the sorted unique column-major keys of
+    the free-by-free entries give ``indices`` and ``indptr``, and the
+    inverse is the slot of every kept entry.  Returns
+    (free, indices, indptr, kept, slot).
+    """
+    nodes = nested_dissection(mesh)
+    n = mesh.n_nodes
+    dofs = np.column_stack([2 * nodes, 2 * nodes + 1, 2 * n + nodes]).ravel()
+    free = dofs[np.isin(dofs, dofmap.free)]
+    n_free = free.size
+    position = np.full(dofmap.total, -1, dtype=np.int64)
+    position[free] = np.arange(n_free)
+    local = position[edofs]
+    rows = np.repeat(local, 9, axis=1).ravel()
+    cols = np.tile(local, (1, 9)).ravel()
+    kept = (rows >= 0) & (cols >= 0)
+    keys, slot = np.unique(cols[kept] * n_free + rows[kept], return_inverse=True)
+    indices = (keys % n_free).astype(np.intc)
+    indptr = np.searchsorted(keys, np.arange(n_free + 1) * n_free).astype(np.intc)
+    return free, indices, indptr, kept, slot
+
+
+def dof_pair_matrix(pattern, K) -> sp.csc_matrix:
+    """Free-DOF CSC matrix of element matrices K (E, 9, 9) on a ``dof_pair_pattern``."""
+    free, indices, indptr, kept, slot = pattern
+    data = np.bincount(slot, weights=K.reshape(-1)[kept], minlength=indices.size)
+    return sp.csc_matrix((data, indices, indptr), shape=(free.size, free.size))
+
+
+def square_side(mid) -> str:
+    """Tag of a unit-square boundary point, one point at a time."""
+    mx, my = mid
+    if abs(mx) < 1e-12:
+        return "left"
+    if abs(mx - 1.0) < 1e-12:
+        return "right"
+    if abs(my) < 1e-12:
+        return "bottom"
+    if abs(my - 1.0) < 1e-12:
+        return "top"
+    raise AssertionError("boundary edge not on the unit-square boundary")
+
+
+def step_side(total_len):
+    """Tag of a backward-step boundary point, one point at a time."""
+    def side(mid):
+        if abs(mid[0]) < 1e-12:
+            return "inflow"
+        if abs(mid[0] - total_len) < 1e-12:
+            return "outflow"
+        return "walls"
+    return side
+
+
+def reference_boundary_edges(mesh, side):
+    """(a, b, side(midpoint)) of every one-triangle edge, edge by edge.
+
+    Edges are undirected (min, max) and listed in order of first
+    appearance over the triangles' (0, 1), (1, 2), (2, 0) edges.
+    """
+    counts = {}
+    for tri in mesh.triangles.tolist():
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            key = (min(a, b), max(a, b))
+            counts[key] = counts.get(key, 0) + 1
+    return tuple((a, b, side(0.5 * (mesh.node_coords[a] + mesh.node_coords[b])))
+                 for (a, b), c in counts.items() if c == 1)
 
 
 def random_state(mesh, rng, dt=None) -> State:

@@ -3,14 +3,21 @@
 import numpy as np
 import pytest
 
+import vmsflow.mesh as mesh_module
 from vmsflow.mesh import (
     BoundaryConditions,
+    Mesh,
     backward_step_mesh,
     build_dof_map,
+    nested_dissection,
     read_mesh,
     unit_square_mesh,
     write_mesh,
 )
+from vmsflow.newton import Discretization
+from vmsflow.problems import lid_cavity
+
+from helpers import reference_boundary_edges, square_side, step_side
 
 
 def zero_velocity(points):
@@ -134,6 +141,12 @@ class TestBackwardStep:
     def test_nonconforming_h(self):
         with pytest.raises(ValueError):
             backward_step_mesh(h=0.3)
+
+    @pytest.mark.parametrize("h", [0.0, float("nan"), -0.25])
+    def test_non_positive_h_is_named(self, h):
+        # checked before any division: 0 used to raise ZeroDivisionError
+        with pytest.raises(ValueError, match="edge length h must be positive"):
+            backward_step_mesh(h=h)
 
     def test_inflow_edges_on_opening(self):
         mesh = backward_step_mesh()
@@ -274,6 +287,27 @@ class TestMeshValidation:
         with pytest.raises(ValueError, match="not a boundary edge"):
             Mesh(coords, tris, edges, ("e",))
 
+    def test_out_of_range_boundary_edge_rejected(self):
+        coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="boundary edge references nodes out of range"):
+            Mesh(coords, np.array([[0, 1, 2]]),
+                 ((0, 1, "e"), (1, 2, "e"), (2, 0, "e"), (2, 3, "e")), ("e",))
+
+    def test_first_bad_listed_edge_names_the_error(self):
+        coords = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        tris = np.array([[0, 1, 2], [0, 2, 3]])
+        with pytest.raises(ValueError, match=r"edge \(0, 2\) is tagged 'd'"):
+            Mesh(coords, tris, ((1, 0, "e"), (2, 0, "d"), (5, 0, "e")), ("e", "d"))
+        with pytest.raises(ValueError, match="out of range"):
+            Mesh(coords, tris, ((1, 0, "e"), (5, 0, "e"), (2, 0, "d")), ("e", "d"))
+
+    def test_repeated_boundary_edge_accepted(self):
+        coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        edges = ((0, 1, "e"), (1, 2, "e"), (2, 0, "e"), (1, 0, "e"))
+        assert Mesh(coords, np.array([[0, 1, 2]]), edges, ("e",)).boundary_edges == edges
+        with pytest.raises(ValueError, match="not completely tagged"):   # (2, 0) is missing
+            Mesh(coords, np.array([[0, 1, 2]]), edges[:2] + edges[3:], ("e",))
+
     def test_out_of_range_connectivity_rejected(self):
         from vmsflow.mesh import Mesh
 
@@ -281,6 +315,54 @@ class TestMeshValidation:
         with pytest.raises(ValueError, match="out of range"):
             Mesh(coords, np.array([[0, 1, 3]]),
                  ((0, 1, "e"), (1, 3, "e"), (3, 0, "e")), ("e",))
+
+
+class TestEdgeTable:
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_square_tags_match_edge_by_edge_reference(self, n):
+        mesh = unit_square_mesh(n)
+        assert_same_edges(mesh.boundary_edges, reference_boundary_edges(mesh, square_side))
+
+    @pytest.mark.parametrize("dims", [
+        dict(h=0.5), dict(h=0.25), dict(h=0.125), dict(h=0.05),
+        dict(upstream_len=0.5, downstream_len=1.5, step_height=0.75, h=0.25),
+        dict(upstream_len=2.0, downstream_len=3.0, step_height=0.25, channel_height=1.5,
+             h=0.125),
+    ])
+    def test_step_tags_match_edge_by_edge_reference(self, dims):
+        mesh = backward_step_mesh(**dims)
+        total_len = dims.get("upstream_len", 1.0) + dims.get("downstream_len", 7.0)
+        assert_same_edges(mesh.boundary_edges,
+                          reference_boundary_edges(mesh, step_side(total_len)))
+
+    def test_table_lists_every_edge_once_and_is_read_only(self):
+        mesh = unit_square_mesh(5)
+        expected = {tuple(sorted(pair)) for tri in mesh.triangles.tolist()
+                    for pair in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0]))}
+        assert {tuple(e) for e in mesh.edges.tolist()} == expected
+        assert len(mesh.edges) == len(expected)
+        assert np.all(mesh.edges[:, 0] < mesh.edges[:, 1])
+        with pytest.raises(ValueError, match="read-only"):
+            mesh.edges[0, 0] = 1
+
+    def test_one_edge_pass_per_mesh(self, monkeypatch):
+        calls = []
+        edge_counts = mesh_module._edge_counts
+        monkeypatch.setattr(mesh_module, "_edge_counts",
+                            lambda tris: calls.append(len(tris)) or edge_counts(tris))
+        square, step = unit_square_mesh(6), backward_step_mesh(h=0.25)
+        copied = Mesh(square.node_coords, square.triangles, square.boundary_edges, square.tags)
+        assert calls == [square.n_triangles, step.n_triangles, copied.n_triangles]
+        problem = lid_cavity(8, re=10)
+        assert len(calls) == 4
+        nested_dissection(square)
+        Discretization(problem.mesh, build_dof_map(problem.mesh, problem.bc), problem.bc)
+        assert len(calls) == 4
+
+
+def assert_same_edges(edges, reference):
+    assert edges == reference
+    assert all(type(a) is int and type(b) is int and type(tag) is str for a, b, tag in edges)
 
 
 class TestMeshIO:

@@ -18,7 +18,7 @@ from vmsflow.newton import Discretization, assemble_system
 from vmsflow.problems import backward_step, lid_cavity
 from vmsflow.solve import lifted_state, linear_solve
 
-from helpers import perturbed_square_mesh
+from helpers import dof_pair_matrix, dof_pair_pattern, perturbed_square_mesh, renumbered
 
 
 def zero_velocity(points):
@@ -82,6 +82,27 @@ def test_orders_are_permutations(case):
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
     assert np.all(np.diff(rank[node]) >= 0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=cases, seed=st.integers(0, 2**32 - 1))
+def test_node_pair_pattern_matches_the_dof_pair_construction(case, seed):
+    # any global node numbering: free, the CSC pattern and every assembled
+    # matrix are bitwise those of the 81-DOF-pair construction
+    rng = np.random.default_rng(seed)
+    mesh, bc = renumbered(*problem_case(*case), rng)
+    disc = Discretization(mesh, build_dof_map(mesh, bc), bc)
+    reference = dof_pair_pattern(mesh, disc.dofmap, disc.edofs)
+    free, indices, indptr, kept, slot = reference
+    np.testing.assert_array_equal(disc.free, free)
+    for got, want in ((disc._indices, indices), (disc._indptr, indptr)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    # the same slot for every kept entry, and one discard slot for the rest
+    np.testing.assert_array_equal(disc._slot[kept], slot)
+    assert np.all(disc._slot[~kept] == indices.size)
+    K = rng.normal(size=(mesh.n_triangles, 9, 9))
+    matrix, expected = disc.free_matrix(K), dof_pair_matrix(reference, K)
+    assert matrix.data.tobytes() == expected.data.tobytes()
 
 
 def test_strip_whose_left_half_is_all_separator():

@@ -195,6 +195,15 @@ class TestCli:
         assert f"error: {flag[2:]} must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("h", ["0", "nan", "-0.25"])
+    def test_bad_step_edge_length_is_a_named_error(self, tmp_path, capsys, h):
+        # zero used to escape as ZeroDivisionError, nan and -0.25 to fail elsewhere
+        out = tmp_path / "d"
+        assert run_cli(["solve", "--problem", "backward_step", "--re", "100", "--h", h,
+                        "--out", str(out)]) == 1
+        assert "error: edge length h must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("levels", ["8,4,12", "8,16"])
     def test_bad_study_levels_solve_nothing_and_leave_no_directory(
             self, tmp_path, monkeypatch, levels):

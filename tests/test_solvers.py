@@ -55,6 +55,26 @@ class TestLinearSolve:
     def test_empty_system(self):
         assert linear_solve(sp.csr_matrix((0, 0)), np.zeros(0)).size == 0
 
+    def test_csc_matrix_is_factored_as_it_is(self, monkeypatch):
+        # a second csc_matrix wrapper would run scipy's format check again
+        prob = backward_step(re=50, h=0.5)
+        dofmap = build_dof_map(prob.mesh, prob.bc)
+        disc = newton_module.Discretization(prob.mesh, dofmap, prob.bc)
+        system = newton_module.assemble_system(disc, lifted_state(prob.mesh, dofmap), prob.nu)
+        matrix = system.matrix
+        factored = []
+        splu = solve_module.spla.splu
+        monkeypatch.setattr(solve_module.spla, "splu",
+                            lambda A, **kw: factored.append(A) or splu(A, **kw))
+        x = linear_solve(matrix, system.rhs)
+        assert len(factored) == 1 and factored[0] is matrix
+        assert np.linalg.norm(matrix @ x - system.rhs) <= 1e-10 * np.linalg.norm(system.rhs)
+
+    def test_dense_input_still_solves(self):
+        A = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
+        b = np.array([1.0, 2.0, 3.0])
+        np.testing.assert_allclose(linear_solve(A, b), np.linalg.solve(A, b), rtol=1e-13)
+
 
 class TestNewtonSolve:
     def test_trivial_problem_one_iteration(self):
