@@ -28,6 +28,11 @@ in ``ElementBatch`` times element-constant 2x2 products of ``A^-1`` and
 ``grad v_c``; no per-quadrature-point tensor is formed.
 Global systems lift prescribed values element by element (``F_e -= K_e
 g_e``) and share the Newton path's ``Discretization`` scatter.
+
+Both strategies read one description of the iterate, Newton's
+``_Fields``, checked once where it is built.  Fixed point reads only its
+coarse part, so ``state.beta`` never enters these numbers, and ``A`` is
+guarded by the same 2x2 singularity rule as Newton's fine-scale block.
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from vmsflow.fem import inv2
 from vmsflow.mesh import Mesh
 # traction_vector is unused here but stays importable: the benchmark tracer
 # (perfbench/spans.py) wraps vmsflow.fixed_point.traction_vector.
@@ -44,14 +48,14 @@ from vmsflow.newton import (  # noqa: F401
     Discretization,
     ElementBatch,
     State,
-    _check_nu,
-    _check_transient,
+    _I2,
+    _Fields,
     _body_force_load,
+    _fields,
+    _invert_fine_blocks,
     _kron,
     traction_vector,
 )
-
-_I2 = np.eye(2)
 
 
 class TauSingularError(RuntimeError):
@@ -82,60 +86,50 @@ class FpElementSystem:
     F: np.ndarray   # (9,)
 
 
-def _tau_batched(batch: ElementBatch, vel: np.ndarray, nu: float):
-    """Fine-scale matrices A, their inverses, and bubble weights per element.
-
-    ``vel`` holds the iterate's nodal velocities (E, 3, 2); the iterate's
-    element-constant gradient is returned alongside.
-    """
-    gvc = np.matmul(vel.transpose(0, 2, 1), batch.G)
+def _tau_batched(batch: ElementBatch, f: _Fields):
+    """Fine-scale matrices A, their inverses, and bubble weights per element,
+    from the iterate's nodal velocities ``f.U[:, :3]`` and gradient ``f.gvbar``."""
+    vel, nu = f.U[:, :3], f.nu
     # int b v_c . grad b + nu int |grad b|^2, then int b^2 grad v_c + nu int grad b (x) grad b
     iso = (vel * batch.mass_gb[:, 3, :3]).sum(axis=(1, 2)) + nu * batch.stiff[:, 3, 3]
-    A = iso[:, None, None] * _I2 + batch.mass[:, 3, 3, None, None] * gvc + nu * batch.gbgb
-
-    Ainv, det = inv2(A)
-    scale = np.einsum("eij,eij->e", A, A)
-    bad = np.abs(det) <= 1e-14 * scale
-    if np.any(bad):
-        e = int(np.argmax(bad))
-        elem = int(batch.elements[e])
+    A = iso[:, None, None] * _I2 + batch.mass[:, 3, 3, None, None] * f.gvbar + nu * batch.gbgb
+    Ainv, det, e = _invert_fine_blocks(A)
+    if e is not None:
         h_e = float(np.sqrt(2.0 * abs(batch.detJ[e])))
         speed = float(np.linalg.norm(batch.N @ vel[e], axis=1).max())
         raise TauSingularError(
-            f"stabilization matrix of element {elem} is singular "
+            f"stabilization matrix of element {int(batch.elements[e])} is singular "
             f"(|det A| = {abs(det[e]):.3e}, local Reynolds ~ {speed * h_e / nu:.3g})"
         )
     w_b = batch.mass[:, 3, :3].sum(axis=1)
-    return w_b, Ainv, A, gvc
+    return w_b, Ainv, A
 
 
 def compute_tau(mesh: Mesh, element_index: int, v_c: np.ndarray, nu: float) -> TauTensor:
     """Stabilization tensor of one element for the iterate velocity ``v_c``."""
-    _check_nu(nu)
     batch = ElementBatch(mesh, elements=[element_index])
-    w_b, Ainv, A, _ = _tau_batched(batch, v_c[batch.tris], nu)
+    state = State(v_c, np.zeros(mesh.n_nodes), np.zeros((mesh.n_triangles, 2)))
+    w_b, Ainv, A = _tau_batched(batch, _fields(batch, state, nu))
     return TauTensor(w_b=float(w_b[0]), Ainv=Ainv[0], A=A[0])
 
 
-def _fp_batched(batch: ElementBatch, v_c: np.ndarray, nu: float, dt, vbar_prev,
-                load, stabilize: bool):
+def _fp_batched(batch: ElementBatch, f: _Fields, load, stabilize: bool):
     """Element matrices (E, 9, 9) and loads (E, 9) of the linearized form.
 
     ``load`` is the body-force integral table of ``_body_force_load``.
     """
-    _check_transient(dt, vbar_prev)
     E = len(batch.elements)
     G, M = batch.G, batch.mass[:, :3, :3]
     I2 = np.broadcast_to(_I2, (E, 2, 2))
-    vel = v_c[batch.tris]
-    w_b, Ainv, _, gvc = _tau_batched(batch, vel, nu)
+    vel, gvc, nu, dt = f.U[:, :3], f.gvbar, f.nu, f.dt
+    w_b, Ainv, _ = _tau_batched(batch, f)
 
     # v_c . grad N_b = sum_c N_c adv[c, b]; the known slot values (cross
     # term, previous step; the body force comes integrated) are sum_c N_c known[c].
     adv = np.matmul(vel, G.transpose(0, 2, 1))                # (E, 3, 3)
     known = np.matmul(vel, gvc.transpose(0, 2, 1))            # (E, 3, 2)
     if dt is not None:
-        known += vbar_prev[batch.tris] / dt
+        known += f.prev / dt
 
     # Galerkin blocks of the linearized form.
     scal = np.matmul(M, adv) + nu * batch.stiff[:, :3, :3]
@@ -184,25 +178,23 @@ def fp_element_system(mesh: Mesh, element_index: int, v_c: np.ndarray,
     plain Galerkin blocks of the linearized form (used to demonstrate
     the equal-order instability).
     """
-    _check_nu(nu)
     batch = ElementBatch(mesh, elements=[element_index])
-    K, F = _fp_batched(batch, v_c, nu, dt, vbar_prev,
-                       _body_force_load(batch, body_force), stabilize)
+    state = State(v_c, np.zeros(mesh.n_nodes), np.zeros((mesh.n_triangles, 2)), vbar_prev, dt)
+    K, F = _fp_batched(batch, _fields(batch, state, nu), _body_force_load(batch, body_force),
+                       stabilize)
     return FpElementSystem(K=K[0], F=F[0])
 
 
 def fp_assemble(disc: Discretization, state: State, nu: float, stabilize: bool = True):
     """Global linearized system at ``state`` on the free DOFs, Dirichlet values lifted.
 
-    The iterate is ``state.vbar`` (``dt``, ``vbar_prev`` as in Newton's
-    ``assemble_system``) and the body force ``disc.load``.  Unlike the
-    Newton path this solves for the solution values directly,
-    so each element moves its prescribed values to the right-hand side
-    (``F_e -= K_e g_e``) before the shared scatter.
+    The iterate is the coarse part of ``state`` (``vbar``, and ``dt`` with
+    ``vbar_prev``, read as Newton's ``assemble_system`` reads them) and the
+    body force ``disc.load``.  Unlike the Newton path this solves for the
+    solution values directly, so each element moves its prescribed values
+    to the right-hand side (``F_e -= K_e g_e``) before the shared scatter.
     """
-    _check_nu(nu)
-    K, F = _fp_batched(disc.batch, state.vbar, nu, state.dt, state.vbar_prev,
-                       disc.load, stabilize)
+    K, F = _fp_batched(disc.batch, _fields(disc.batch, state, nu), disc.load, stabilize)
     F -= np.matmul(K, disc.dofmap.prescribed[disc.edofs][..., None])[..., 0]
     load = disc.global_vector(F) + disc.traction
     return disc.free_matrix(K), load[disc.free]

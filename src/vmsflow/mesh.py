@@ -259,6 +259,18 @@ class BoundaryConditions:
             raise ValueError(f"tags {sorted(overlap)} are both Dirichlet and Neumann")
 
 
+def checked_values(func: Callable, points: np.ndarray, what: str, where: str) -> np.ndarray:
+    """``func(points)`` as floats: one finite 2-vector per point of ``points``
+    (..., 2), else a ``ValueError`` naming ``what`` (and ``where`` it is not finite)."""
+    values = np.asarray(func(points), dtype=float)
+    if values.shape != points.shape:
+        raise ValueError(f"{what} returned shape {values.shape} for points of shape "
+                         f"{points.shape}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} is not finite at every {where}")
+    return values
+
+
 @dataclass(frozen=True, eq=False)
 class DofMap:
     """Global equation numbering and the values of the constrained unknowns.
@@ -292,7 +304,8 @@ def build_dof_map(mesh: Mesh, bc: BoundaryConditions) -> DofMap:
 
     Each node on a Dirichlet-tagged edge contributes two constrained
     velocity DOFs; nodes shared by several Dirichlet tags take the value
-    of the tag listed last in ``bc.dirichlet``.  The pressure pin, when
+    of the tag listed last in ``bc.dirichlet``; each Dirichlet function must
+    give a finite 2-vector per node (``checked_values``).  The pressure pin, when
     present, constrains one pressure DOF.  Without any Neumann tag a pin
     is mandatory (the pressure would otherwise float).
     """
@@ -313,12 +326,8 @@ def build_dof_map(mesh: Mesh, bc: BoundaryConditions) -> DofMap:
         nodes = mesh.boundary_nodes(tag)
         if nodes.size == 0:
             continue
-        values = np.asarray(func(mesh.node_coords[nodes]), dtype=float)
-        if values.shape != (nodes.size, 2):
-            raise ValueError(
-                f"Dirichlet function for tag '{tag}' returned shape {values.shape}, "
-                f"expected {(nodes.size, 2)}"
-            )
+        values = checked_values(func, mesh.node_coords[nodes],
+                                f"Dirichlet function for tag '{tag}'", "boundary node")
         prescribed[:2 * n].reshape(n, 2)[nodes] = values
         fixed[:2 * n].reshape(n, 2)[nodes] = True
 

@@ -39,7 +39,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from vmsflow.fem import DN_REF, DegenerateElementError, inv2, triangle_quadrature
-from vmsflow.mesh import BoundaryConditions, DofMap, Mesh, nested_dissection
+from vmsflow.mesh import BoundaryConditions, DofMap, Mesh, checked_values, nested_dissection
 
 QUADRATURE_DEGREE = 8     # exact for b * b * grad b, the highest-degree table product
 
@@ -151,7 +151,7 @@ class ElementBatch:
         )
         tris = mesh.triangles[self.elements]
         self.tris = tris
-        coords = mesh.node_coords[tris]                      # (E, 3, 2)
+        coords = mesh.node_coords.take(tris, axis=0)         # (E, 3, 2)
         J = np.matmul(coords.transpose(0, 2, 1), DN_REF)
         Jinv, detJ = inv2(J)
         if np.any(detJ <= 1e-14):
@@ -218,38 +218,21 @@ def _body_force_load(batch: ElementBatch, body_force) -> np.ndarray | None:
     """
     if body_force is None:
         return None
-    xq = batch.xq
-    f = np.asarray(body_force(xq), dtype=float)
-    if f.shape != xq.shape:
-        raise ValueError(
-            f"body force returned shape {f.shape} for points of shape {xq.shape}"
-        )
-    if not np.all(np.isfinite(f)):
-        name = getattr(body_force, "__name__", repr(body_force))
-        raise ValueError(f"body force {name} is not finite at every quadrature point")
+    name = getattr(body_force, "__name__", repr(body_force))
+    f = checked_values(body_force, batch.xq, f"body force {name}", "quadrature point")
     tests = np.column_stack([batch.N, batch.bq, batch.bq[:, None] * batch.N])  # (Q, 7)
     return np.matmul(tests.T, batch.wd[..., None] * f)
 
 
-def _check_nu(nu: float) -> None:
-    if not nu > 0:
-        raise ValueError(f"kinematic viscosity must be positive, got {nu}")
-
-
-def _check_transient(dt: float | None, vbar_prev: np.ndarray | None) -> None:
-    if dt is not None:
-        if dt <= 0:
-            raise ValueError(f"time step must be positive, got {dt}")
-        if vbar_prev is None:
-            raise ValueError("transient systems need the previous velocity (vbar_prev) with dt")
-
-
 @dataclass
 class _Fields:
-    """State-dependent element quantities shared by residual and tangent.
+    """The iterate on each element, as every kernel of both strategies reads it.
 
-    The total velocity is ``u = sum_A Nb_A U_A`` and its gradient is
-    ``grad vbar + beta (x) grad b``.
+    Built only by ``_fields``, which checks ``nu``, ``dt`` and
+    ``vbar_prev`` once.  The total velocity is ``u = sum_A Nb_A U_A`` and
+    its gradient is ``grad vbar + beta (x) grad b``.  Fixed point reads
+    only the coarse part (``U[:, :3]``, ``gvbar``, ``nu``, ``dt``,
+    ``prev``), so its numbers never depend on ``beta``.
     """
 
     U: np.ndarray        # (E, 4, 2) coarse nodal velocities, then beta
@@ -257,26 +240,33 @@ class _Fields:
     gvbar: np.ndarray    # (E, 2, 2) coarse velocity gradient
     mu: np.ndarray       # (E, 4, 2) int Nb_A u
     gbu: np.ndarray      # (E, 4) int Nb_A (grad b . u)
+    nu: float
     dt: float | None
-    dv: np.ndarray | None  # (E, 3, 2) (vbar - vbar_prev) / dt at the nodes
+    prev: np.ndarray | None  # (E, 3, 2) vbar_prev at the nodes, with dt
 
 
-def _fields(batch: ElementBatch, state: State) -> _Fields:
-    _check_transient(state.dt, state.vbar_prev)
-    E = len(batch.elements)
-    vel = state.vbar[batch.tris]                             # (E, 3, 2)
-    U = np.concatenate([vel, state.beta[batch.elements, None, :]], axis=1)
-    dv = None
+def _fields(batch: ElementBatch, state: State, nu: float) -> _Fields:
+    if not nu > 0:
+        raise ValueError(f"kinematic viscosity must be positive, got {nu}")
+    prev = None
     if state.dt is not None:
-        dv = (vel - state.vbar_prev[batch.tris]) / state.dt
+        if not state.dt > 0:
+            raise ValueError(f"time step must be positive, got {state.dt}")
+        if state.vbar_prev is None:
+            raise ValueError("transient systems need the previous velocity (vbar_prev) with dt")
+        prev = state.vbar_prev.take(batch.tris, axis=0)
+    E = len(batch.elements)
+    vel = state.vbar.take(batch.tris, axis=0)                # (E, 3, 2)
+    U = np.concatenate([vel, state.beta[batch.elements, None, :]], axis=1)
     return _Fields(
         U=U,
         p=state.p[batch.tris],
         gvbar=np.matmul(vel.transpose(0, 2, 1), batch.G),
         mu=np.matmul(batch.mass, U),
         gbu=np.matmul(batch.mass_gb.reshape(E, 4, 8), U.reshape(E, 8, 1))[..., 0],
+        nu=nu,
         dt=state.dt,
-        dv=dv,
+        prev=prev,
     )
 
 
@@ -289,7 +279,7 @@ def _kron(scalars: np.ndarray, mats: np.ndarray) -> np.ndarray:
     return out.reshape(E, na, nb, ni, nj).transpose(0, 1, 3, 2, 4).reshape(E, na * ni, nb * nj)
 
 
-def _residuals_batched(batch: ElementBatch, f: _Fields, nu: float, load):
+def _residuals_batched(batch: ElementBatch, f: _Fields, load):
     """Residual blocks for every element in the batch.
 
     ``load`` is the body-force integral table of ``_body_force_load``.
@@ -301,17 +291,17 @@ def _residuals_batched(batch: ElementBatch, f: _Fields, nu: float, load):
     beta = f.U[:, 3]
     # int Nb_A (u . grad) u_i = (int Nb_A u) . grad vbar_i + beta_i int Nb_A grad b . u
     R = np.matmul(f.mu, f.gvbar.transpose(0, 2, 1)) + f.gbu[..., None] * beta[:, None, :]
-    R += nu * np.matmul(batch.stiff, f.U)
+    R += f.nu * np.matmul(batch.stiff, f.U)
     R += np.matmul(batch.div, f.p[..., None]).reshape(E, 4, 2)
-    if f.dv is not None:
-        R += np.matmul(batch.mass[:, :, :3], f.dv)
+    if f.dt is not None:
+        R += np.matmul(batch.mass[:, :, :3], (f.U[:, :3] - f.prev) / f.dt)
     if load is not None:
         R -= load[:, :4]
     Rp = np.matmul(f.U.reshape(E, 1, 8), batch.div)[:, 0]
     return R[:, :3].reshape(E, 6), Rp, R[:, 3]
 
 
-def _tangent_batched(batch: ElementBatch, f: _Fields, nu: float):
+def _tangent_batched(batch: ElementBatch, f: _Fields):
     """All eight nonzero tangent blocks for every element in the batch.
 
     The velocity and fine-scale blocks form one (E, 8, 8) matrix over
@@ -321,7 +311,7 @@ def _tangent_batched(batch: ElementBatch, f: _Fields, nu: float):
     # scal_AB = int Nb_A u . grad Nb_B + nu int grad Nb_A . grad Nb_B (+ mass / dt)
     scal = np.concatenate([np.matmul(f.mu, batch.G.transpose(0, 2, 1)),
                            f.gbu[..., None]], axis=2)
-    scal += nu * batch.stiff
+    scal += f.nu * batch.stiff
     if f.dt is not None:
         scal[:, :, :3] += batch.mass[:, :, :3] / f.dt
     T = _kron(np.stack([scal, batch.mass], axis=1),
@@ -335,23 +325,21 @@ def _tangent_batched(batch: ElementBatch, f: _Fields, nu: float):
     }
 
 
-def _invert_fine_blocks(Kff: np.ndarray, elements: np.ndarray) -> np.ndarray:
-    inv, det = inv2(Kff)
-    scale = np.einsum("eij,eij->e", Kff, Kff)  # squared Frobenius norm
-    bad = np.abs(det) <= 1e-14 * scale
-    if np.any(bad):
-        which = int(elements[np.argmax(bad)])
-        raise FineScaleSingularError(
-            f"fine-scale block of element {which} is numerically singular "
-            f"(|det| = {abs(det[np.argmax(bad)]):.3e})"
-        )
-    return inv
+def _invert_fine_blocks(M: np.ndarray):
+    """Inverses and determinants of the fine-scale 2x2 blocks ``M`` (E, 2, 2),
+    and the first block with ``|det| <= 1e-14 ||M||_F^2`` (None if none is)."""
+    inv, det = inv2(M)
+    bad = np.abs(det) <= 1e-14 * np.einsum("eij,eij->e", M, M)
+    return inv, det, int(np.argmax(bad)) if np.any(bad) else None
 
 
 def _condense_batched(Rc, Rp, Rf, blocks, elements):
     """Schur complements (E, 9, 9), (E, 9), with ``Kff^-1`` and ``[Kfc Kfp]``."""
     E = Rc.shape[0]
-    Kff_inv = _invert_fine_blocks(blocks["Kff"], elements)
+    Kff_inv, det, bad = _invert_fine_blocks(blocks["Kff"])
+    if bad is not None:
+        raise FineScaleSingularError(f"fine-scale block of element {int(elements[bad])} "
+                                     f"is numerically singular (|det| = {abs(det[bad]):.3e})")
     B = np.concatenate([blocks["Kcf"], blocks["Kpf"]], axis=1)        # (E, 9, 2)
     C = np.concatenate([blocks["Kfc"], blocks["Kfp"]], axis=2)        # (E, 2, 9)
     K = np.zeros((E, 9, 9))
@@ -367,9 +355,8 @@ def _condense_batched(Rc, Rp, Rf, blocks, elements):
 def element_residuals(mesh: Mesh, element_index: int, state: State, nu: float,
                       body_force=None) -> ElementResiduals:
     """Residual blocks of one element (volume terms; traction handled globally)."""
-    _check_nu(nu)
     batch = ElementBatch(mesh, elements=[element_index])
-    Rc, Rp, Rf = _residuals_batched(batch, _fields(batch, state), nu,
+    Rc, Rp, Rf = _residuals_batched(batch, _fields(batch, state, nu),
                                     _body_force_load(batch, body_force))
     return ElementResiduals(Rc=Rc[0], Rp=Rp[0], Rf=Rf[0])
 
@@ -377,9 +364,8 @@ def element_residuals(mesh: Mesh, element_index: int, state: State, nu: float,
 def element_tangent(mesh: Mesh, element_index: int, state: State, nu: float
                     ) -> ElementTangent:
     """The eight nonzero consistent tangent blocks of one element."""
-    _check_nu(nu)
     batch = ElementBatch(mesh, elements=[element_index])
-    blocks = _tangent_batched(batch, _fields(batch, state), nu)
+    blocks = _tangent_batched(batch, _fields(batch, state, nu))
     return ElementTangent(**{k: v[0] for k, v in blocks.items()})
 
 
@@ -417,7 +403,8 @@ def traction_vector(mesh: Mesh, dofmap: DofMap, bc: BoundaryConditions) -> np.nd
     """Assembled boundary-traction load, two-point Gauss per tagged edge.
 
     Entry (node a, comp i) receives the integral of N_a * h_i over the
-    Neumann edges touching node a; zero-traction tags contribute nothing.
+    Neumann edges touching node a; zero-traction tags contribute nothing,
+    and every other traction is checked to be finite with one 2-vector per point.
     """
     load = np.zeros(dofmap.total)
     g = 1.0 / (2.0 * np.sqrt(3.0))
@@ -430,7 +417,8 @@ def traction_vector(mesh: Mesh, dofmap: DofMap, bc: BoundaryConditions) -> np.nd
             pa, pb = mesh.node_coords[a], mesh.node_coords[b]
             length = float(np.hypot(*(pb - pa)))
             pts = pa[None, :] + t_pts[:, None] * (pb - pa)[None, :]
-            hvals = np.asarray(func(pts), dtype=float)
+            hvals = checked_values(func, pts, f"traction function for tag '{tag}'",
+                                   "quadrature point")
             wa = t_wts * (1.0 - t_pts) * length
             wb = t_wts * t_pts * length
             for comp in range(2):
@@ -565,18 +553,18 @@ class NewtonSystem:
     on a singular fine-scale block.
     """
 
-    def __init__(self, disc: Discretization, fields: _Fields, nu: float,
+    def __init__(self, disc: Discretization, fields: _Fields,
                  Rc: np.ndarray, Rp: np.ndarray, Rf: np.ndarray, state_digest: bytes):
         self.residual_norm = _norm_of(disc, Rc, Rp, Rf)  # 2-norm of [assembled Rc; Rp; all Rf]
         self.Rf = Rf                                      # (E, 2)
         self.edofs = disc.edofs                           # (E, 9)
         self.state_digest = state_digest
-        self._pending = (disc, fields, nu, Rc, Rp)
+        self._pending = (disc, fields, Rc, Rp)
 
     @cached_property
     def _linearization(self):
-        disc, fields, nu, Rc, Rp = self._pending
-        blocks = _tangent_batched(disc.batch, fields, nu)
+        disc, fields, Rc, Rp = self._pending
+        blocks = _tangent_batched(disc.batch, fields)
         K_hat, R_hat, Kff_inv, coupling = _condense_batched(Rc, Rp, self.Rf, blocks,
                                                             disc.batch.elements)
         residual_hat = disc.global_vector(R_hat) - disc.traction
@@ -610,9 +598,8 @@ def residual_norm(disc: Discretization, state: State, nu: float) -> float:
     and body force included) plus every element's fine-scale residual; no
     tangent is built.
     """
-    _check_nu(nu)
-    batch = disc.batch
-    return _norm_of(disc, *_residuals_batched(batch, _fields(batch, state), nu, disc.load))
+    fields = _fields(disc.batch, state, nu)
+    return _norm_of(disc, *_residuals_batched(disc.batch, fields, disc.load))
 
 
 def assemble_system(disc: Discretization, state: State, nu: float) -> NewtonSystem:
@@ -623,8 +610,6 @@ def assemble_system(disc: Discretization, state: State, nu: float) -> NewtonSyst
     (the state carries the boundary values): its right-hand side is
     ``-R_hat`` on free DOFs.
     """
-    _check_nu(nu)
-    batch = disc.batch
-    fields = _fields(batch, state)
-    Rc, Rp, Rf = _residuals_batched(batch, fields, nu, disc.load)
-    return NewtonSystem(disc, fields, nu, Rc, Rp, Rf, state.digest())
+    fields = _fields(disc.batch, state, nu)
+    Rc, Rp, Rf = _residuals_batched(disc.batch, fields, disc.load)
+    return NewtonSystem(disc, fields, Rc, Rp, Rf, state.digest())

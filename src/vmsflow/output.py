@@ -33,7 +33,7 @@ def sample_field(mesh: Mesh, state: State, points) -> tuple[np.ndarray, np.ndarr
     that contains it.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    coords = mesh.node_coords[mesh.triangles]          # (E, 3, 2)
+    coords = mesh.node_coords.take(mesh.triangles, axis=0)  # (E, 3, 2)
     origin = coords[:, 2]                              # local node 3
     T = np.stack([coords[:, 0] - origin, coords[:, 1] - origin], axis=-1)  # (E, 2, 2)
     Tinv, _ = inv2(T)

@@ -217,9 +217,24 @@ _FAILURE_STOPS = {LinearSolveError: "linear_failure", TauSingularError: "tau_sin
                   FineScaleSingularError: "fine_scale_singular"}
 
 
+def _check_fits(state: State, mesh: Mesh) -> None:
+    nodes, elements = (mesh.n_nodes, 2), (mesh.n_triangles, 2)
+    for name, shape in (("vbar", nodes), ("p", nodes[:1]), ("beta", elements),
+                        ("vbar_prev", nodes)):
+        value = getattr(state, name)
+        if value is not None and np.shape(value) != shape:
+            raise ValueError(f"start state {name} has shape {np.shape(value)}, "
+                             f"but the mesh needs {shape}")
+
+
 def _iterate(disc: Discretization, nu: float, config: SolverConfig, state0: State | None
              ) -> tuple[State, IterationReport]:
-    """Run ``config.strategy`` from a copy of ``state0`` (transient fields kept) or lifted."""
+    """Run ``config.strategy`` from a copy of ``state0`` (transient fields kept) or lifted.
+
+    A ``state0`` whose fields do not fit the mesh raises ``ValueError``.
+    """
+    if state0 is not None:
+        _check_fits(state0, disc.mesh)
     updates, tracks_increment = _STRATEGIES[config.strategy]
     state = state0.copy() if state0 is not None else lifted_state(disc.mesh, disc.dofmap)
     inc_tol = config.tol if config.increment_tol is None else config.increment_tol

@@ -39,17 +39,32 @@ def perturbed_square_mesh(n, rng, amplitude=0.15) -> Mesh:
     return Mesh(mesh.node_coords + shift, mesh.triangles, mesh.boundary_edges, mesh.tags)
 
 
-def renumbered(mesh, bc, rng):
-    """The same mesh and conditions with the nodes numbered by a random permutation."""
+def renumbering(mesh, bc, rng):
+    """The same mesh and conditions, numbered at random.
+
+    The nodes and the triangles are permuted, and each triangle's nodes
+    are rotated cyclically (which keeps them counterclockwise); boundary
+    edges and the pressure pin are relabelled.  Returns the mesh, the
+    conditions, the new number of every old node and the old number of
+    every new triangle.
+    """
     new_id = rng.permutation(mesh.n_nodes)
+    order = rng.permutation(mesh.n_triangles)
     coords = np.empty_like(mesh.node_coords)
     coords[new_id] = mesh.node_coords
+    local = (np.arange(3) + rng.integers(0, 3, (mesh.n_triangles, 1))) % 3
+    triangles = np.take_along_axis(new_id[mesh.triangles[order]], local, axis=1)
     edges = tuple((int(new_id[a]), int(new_id[b]), tag) for a, b, tag in mesh.boundary_edges)
     pin = bc.pressure_pin
     if pin is not None:
         pin = (int(new_id[pin[0]]), pin[1])
-    return (Mesh(coords, new_id[mesh.triangles], edges, mesh.tags),
-            BoundaryConditions(bc.dirichlet, bc.neumann, pin))
+    return (Mesh(coords, triangles, edges, mesh.tags),
+            BoundaryConditions(bc.dirichlet, bc.neumann, pin), new_id, order)
+
+
+def renumbered(mesh, bc, rng):
+    """``renumbering``'s mesh and conditions, without the maps."""
+    return renumbering(mesh, bc, rng)[:2]
 
 
 def dof_pair_pattern(mesh, dofmap, edofs):

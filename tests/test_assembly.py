@@ -13,7 +13,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vmsflow.fixed_point import fp_assemble, fp_element_system
+from vmsflow.fixed_point import compute_tau, fp_assemble, fp_element_system
 from vmsflow.mesh import BoundaryConditions, Mesh, build_dof_map, unit_square_mesh
 from vmsflow.newton import (
     Discretization,
@@ -167,13 +167,41 @@ def test_free_matrix_shares_the_read_only_intc_pattern(case):
     np.testing.assert_array_equal(matrix.toarray(), wide.toarray())
 
 
+# Every entry point that builds the iterate's fields, called as (disc, state, nu).
+ASSEMBLIES = [assemble_system, residual_norm, fp_assemble]
+VIEWS = [
+    pytest.param(lambda disc, s, nu: element_residuals(disc.mesh, 0, s, nu),
+                 id="element_residuals"),
+    pytest.param(lambda disc, s, nu: element_tangent(disc.mesh, 0, s, nu),
+                 id="element_tangent"),
+    pytest.param(lambda disc, s, nu: fp_element_system(disc.mesh, 0, s.vbar, s.vbar_prev, nu,
+                                                       dt=s.dt), id="fp_element_system"),
+]
+TAU = pytest.param(lambda disc, s, nu: compute_tau(disc.mesh, 0, s.vbar, nu), id="compute_tau")
+
+
 @pytest.mark.parametrize("nu", [0.0, -1.0, float("nan")])
-@pytest.mark.parametrize("assemble", [assemble_system, residual_norm, fp_assemble])
+@pytest.mark.parametrize("assemble", ASSEMBLIES + VIEWS + [TAU])
 def test_non_positive_viscosity_is_a_named_error(assemble, nu):
     mesh, bc, _ = cavity_case()
     disc = Discretization(mesh, build_dof_map(mesh, bc), bc)
     with pytest.raises(ValueError, match="kinematic viscosity must be positive"):
         assemble(disc, State.zeros(mesh), nu)
+
+
+@pytest.mark.parametrize("dt, has_prev, message", [
+    (0.0, True, "time step must be positive"),
+    (float("nan"), True, "time step must be positive"),
+    (0.1, False, "previous velocity"),
+], ids=["zero_dt", "nan_dt", "dt_without_vbar_prev"])
+@pytest.mark.parametrize("assemble", ASSEMBLIES + VIEWS)
+def test_bad_transient_data_is_a_named_error(assemble, dt, has_prev, message):
+    mesh, bc, nu = cavity_case()
+    disc = Discretization(mesh, build_dof_map(mesh, bc), bc)
+    state = State.zeros(mesh)
+    state.dt, state.vbar_prev = dt, state.vbar.copy() if has_prev else None
+    with pytest.raises(ValueError, match=message):
+        assemble(disc, state, nu)
 
 
 def _attributes(obj):
@@ -247,6 +275,42 @@ def test_non_finite_body_force_is_a_named_error(strategy):
     prob = dataclasses.replace(body_force_cavity(4, re=10), body_force=nan_force)
     with pytest.raises(ValueError, match="body force nan_force is not finite"):
         solve(prob, SolverConfig(strategy=strategy))
+
+
+def nan_velocity(points):
+    return np.full(np.shape(points), np.nan)
+
+
+def three_components(points):
+    return np.ones(np.shape(points)[:-1] + (3,))
+
+
+def lid_with(kind, tag, func):
+    """Lid-cavity conditions with side ``tag`` given ``func`` as a Dirichlet
+    or traction function."""
+    bc = lid_cavity(8, re=100).bc
+    if kind == "dirichlet":
+        return BoundaryConditions({**bc.dirichlet, tag: func}, {}, bc.pressure_pin)
+    return BoundaryConditions({t: f for t, f in bc.dirichlet.items() if t != tag}, {tag: func})
+
+
+@pytest.mark.parametrize("kind, tag, func, message", [
+    ("dirichlet", "top", nan_velocity, "Dirichlet function for tag 'top' is not finite"),
+    ("traction", "right", nan_velocity, "traction function for tag 'right' is not finite"),
+    ("traction", "right", three_components,
+     r"traction function for tag 'right' returned shape \(2, 3\) for points of shape \(2, 2\)"),
+], ids=["nan_dirichlet", "nan_traction", "traction_shape"])
+def test_bad_boundary_function_is_named_before_any_solve(monkeypatch, kind, tag, func, message):
+    # these used to end in a singular or inaccurate LU, or (the shape) to
+    # be accepted with the first two columns used
+    def no_solve(*args):
+        raise AssertionError("a linear solve ran")
+
+    monkeypatch.setattr(solve_module, "linear_solve", no_solve)
+    prob = dataclasses.replace(lid_cavity(8, re=100), bc=lid_with(kind, tag, func))
+    for strategy in ("newton", "fixed_point"):
+        with pytest.raises(ValueError, match=message):
+            solve(prob, SolverConfig(strategy=strategy))
 
 
 def test_body_force_evaluated_once_per_force():

@@ -151,7 +151,7 @@ class TestElementTangent:
         batch = ElementBatch(mesh)
         load = _body_force_load(batch, smooth_body_force)
         E = mesh.n_triangles
-        b = _tangent_batched(batch, _fields(batch, state), nu)
+        b = _tangent_batched(batch, _fields(batch, state, nu))
         K = np.concatenate([
             np.concatenate([b["Kcc"], b["Kcp"], b["Kcf"]], axis=2),
             np.concatenate([b["Kpc"], np.zeros((E, 3, 3)), b["Kpf"]], axis=2),
@@ -167,7 +167,7 @@ class TestElementTangent:
             s.vbar += sign * eps * dv
             s.p += sign * eps * dp
             s.beta += sign * eps * db
-            return np.concatenate(_residuals_batched(batch, _fields(batch, s), nu, load),
+            return np.concatenate(_residuals_batched(batch, _fields(batch, s, nu), load),
                                   axis=1)
 
         fd = (resid(+1) - resid(-1)) / (2 * eps)

@@ -5,6 +5,9 @@ numbers the free (u, v, p) DOFs node by node in that order, and
 ``linear_solve`` factors the assembled matrix without reordering it.
 """
 
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -16,9 +19,15 @@ import vmsflow.solve as solve_module
 from vmsflow.mesh import BoundaryConditions, Mesh, build_dof_map, nested_dissection
 from vmsflow.newton import Discretization, assemble_system
 from vmsflow.problems import backward_step, lid_cavity
-from vmsflow.solve import lifted_state, linear_solve
+from vmsflow.solve import SolverConfig, lifted_state, linear_solve, solve
 
-from helpers import dof_pair_matrix, dof_pair_pattern, perturbed_square_mesh, renumbered
+from helpers import (
+    dof_pair_matrix,
+    dof_pair_pattern,
+    perturbed_square_mesh,
+    renumbered,
+    renumbering,
+)
 
 
 def zero_velocity(points):
@@ -178,3 +187,26 @@ def test_dissection_fill_not_above_colamd(problem, monkeypatch):
     matrix = assemble_system(disc, lifted_state(prob.mesh, dofmap), prob.nu).matrix
     colamd = spla.splu(sp.csc_matrix(matrix))
     assert factored_fill(matrix, monkeypatch) <= colamd.L.nnz + colamd.U.nnz
+
+
+@functools.cache
+def lid_solution(strategy):
+    prob = lid_cavity(16, re=400)
+    return prob, solve(prob, SolverConfig(strategy=strategy, tol=1e-10))
+
+
+@pytest.mark.parametrize("strategy", ["newton", "fixed_point"])
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_solve_is_invariant_under_renumbering(strategy, seed):
+    # nodes, triangles and each triangle's local nodes numbered at random:
+    # the same iterations, and the same state node by node and element by element
+    prob, (state, report) = lid_solution(strategy)
+    mesh, bc, new_id, order = renumbering(prob.mesh, prob.bc, np.random.default_rng(seed))
+    got, got_report = solve(dataclasses.replace(prob, mesh=mesh, bc=bc),
+                            SolverConfig(strategy=strategy, tol=1e-10))
+    assert got_report.iterations == report.iterations
+    assert got_report.stop_reason == report.stop_reason
+    np.testing.assert_allclose(got.vbar[new_id], state.vbar, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(got.p[new_id], state.p, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(got.beta, state.beta[order], rtol=0, atol=1e-10)

@@ -9,8 +9,8 @@ import scipy.sparse as sp
 import vmsflow.newton as newton_module
 import vmsflow.solve as solve_module
 from vmsflow.fixed_point import TauSingularError, fp_element_system
-from vmsflow.mesh import build_dof_map
-from vmsflow.newton import FineScaleSingularError, element_residuals
+from vmsflow.mesh import build_dof_map, unit_square_mesh
+from vmsflow.newton import FineScaleSingularError, State, element_residuals
 from vmsflow.problems import backward_step, body_force_cavity, lid_cavity
 from vmsflow.solve import (
     ContinuationConfig,
@@ -536,6 +536,19 @@ class TestConfigValidation:
             else:
                 fp_element_system(prob.mesh, 0, start.vbar, start.vbar_prev, prob.nu,
                                   dt=start.dt)
+
+    @pytest.mark.parametrize("n", [4, 12], ids=["smaller_mesh", "larger_mesh"])
+    @pytest.mark.parametrize("run", [
+        lambda prob, start: solve(prob, SolverConfig(), start),
+        lambda prob, start: solve(prob, SolverConfig(strategy="fixed_point"), start),
+        lambda prob, start: time_march(prob, SolverConfig(dt=0.1, n_steps=2), start),
+    ], ids=["newton", "fixed_point", "time_march"])
+    def test_start_state_must_fit_the_mesh(self, run, n):
+        # a start state from another mesh used to escape as an IndexError
+        # or a broadcasting error from inside the first assembly
+        with pytest.raises(ValueError, match=rf"start state vbar has shape "
+                           rf"\({(n + 1) ** 2}, 2\), but the mesh needs \(81, 2\)"):
+            run(lid_cavity(8, re=100), State.zeros(unit_square_mesh(n)))
 
     @pytest.mark.parametrize("transient", ["dt", "vbar_prev"])
     def test_steady_solve_rejects_transient_start_state(self, transient):
