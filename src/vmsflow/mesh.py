@@ -1,9 +1,9 @@
 """Structured triangulations of the benchmark geometries and DOF bookkeeping.
 
 Meshes are immutable after construction and carry their edge table,
-built in one whole-array pass.  Velocity unknowns are numbered
-node-major and component-interleaved (v1x, v1y, v2x, v2y, ...), pressure
-unknowns follow all velocity unknowns; the per-element fine-scale
+built in one whole-array pass.  ``DofMap`` owns the global numbering:
+velocity unknowns node-major and component-interleaved (v1x, v1y, v2x,
+v2y, ...), then all pressure unknowns; the per-element fine-scale
 coefficients stay element-local and never receive global numbers on the
 production (condensed) path.  ``nested_dissection`` gives the
 fill-reducing node order in which a solve numbers its free unknowns.
@@ -42,8 +42,8 @@ class Mesh:
     edges: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, edge_table):
-        coords = np.ascontiguousarray(self.node_coords, dtype=float)
-        tris = np.ascontiguousarray(self.triangles, dtype=np.int64)
+        coords = np.array(self.node_coords, dtype=float, order="C")
+        tris = np.array(self.triangles, dtype=np.int64, order="C")
         coords.setflags(write=False)
         tris.setflags(write=False)
         object.__setattr__(self, "node_coords", coords)
@@ -68,15 +68,11 @@ class Mesh:
         d2 = p[1] - p[2]
         return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
-    def edges_with_tag(self, tag: str) -> list[tuple[int, int]]:
-        return [(a, b) for a, b, t in self.boundary_edges if t == tag]
+    def edges_with_tag(self, tag: str | None = None) -> list[tuple[int, int]]:
+        return [(a, b) for a, b, t in self.boundary_edges if tag is None or t == tag]
 
     def boundary_nodes(self, tag: str | None = None) -> np.ndarray:
-        nodes = set()
-        for a, b, t in self.boundary_edges:
-            if tag is None or t == tag:
-                nodes.update((a, b))
-        return np.array(sorted(nodes), dtype=np.int64)
+        return np.unique(np.array(self.edges_with_tag(tag), dtype=np.int64))
 
 
 def _edge_counts(triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -271,12 +267,17 @@ def checked_values(func: Callable, points: np.ndarray, what: str, where: str) ->
     return values
 
 
+def _split(vector: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """(vbar (n, 2), p (n,)) views of a (3n,) vector: the global numbering."""
+    return vector[:2 * n_nodes].reshape(n_nodes, 2), vector[2 * n_nodes:]
+
+
 @dataclass(frozen=True, eq=False)
 class DofMap:
     """Global equation numbering and the values of the constrained unknowns.
 
-    Velocity DOF of (node, component) is ``2*node + component``; pressure
-    DOF of a node is ``2*n_nodes + node``.  ``free`` lists the
+    ``split`` and ``node_dofs`` hold the numbering: velocities node-major
+    and component-interleaved, then pressures.  ``free`` lists the
     unconstrained global indices sorted; ``prescribed`` holds, for every
     global DOF, its Dirichlet or pin value where constrained and zero
     where free.  Both arrays are read-only.  Fine-scale coefficients are
@@ -292,11 +293,14 @@ class DofMap:
     def total(self) -> int:
         return 3 * self.n_nodes
 
-    def velocity_dof(self, node: int, component: int) -> int:
-        return 2 * node + component
+    def split(self, vector: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(vbar (n, 2), p (n,)) views of a global vector."""
+        return _split(vector, self.n_nodes)
 
-    def pressure_dof(self, node: int) -> int:
-        return 2 * self.n_nodes + node
+    def node_dofs(self, nodes) -> np.ndarray:
+        """The (u, v, p) global DOFs of ``nodes``, shape ``np.shape(nodes) + (3,)``."""
+        vbar, p = self.split(np.arange(self.total))
+        return np.concatenate([vbar[nodes], p[nodes, None]], axis=-1)
 
 
 def build_dof_map(mesh: Mesh, bc: BoundaryConditions) -> DofMap:
@@ -306,8 +310,9 @@ def build_dof_map(mesh: Mesh, bc: BoundaryConditions) -> DofMap:
     velocity DOFs; nodes shared by several Dirichlet tags take the value
     of the tag listed last in ``bc.dirichlet``; each Dirichlet function must
     give a finite 2-vector per node (``checked_values``).  The pressure pin, when
-    present, constrains one pressure DOF.  Without any Neumann tag a pin
-    is mandatory (the pressure would otherwise float).
+    present, constrains one pressure DOF; its node must be an integer in
+    range and its value finite.  Without any Neumann tag a pin is
+    mandatory (the pressure would otherwise float).
     """
     mesh_tags = set(mesh.tags)
     for tag in list(bc.dirichlet) + list(bc.neumann):
@@ -322,21 +327,24 @@ def build_dof_map(mesh: Mesh, bc: BoundaryConditions) -> DofMap:
     n = mesh.n_nodes
     prescribed = np.zeros(3 * n)
     fixed = np.zeros(3 * n, dtype=bool)
+    vbar_values, p_values = _split(prescribed, n)
+    vbar_fixed, p_fixed = _split(fixed, n)
     for tag, func in bc.dirichlet.items():  # later tags override at shared nodes
         nodes = mesh.boundary_nodes(tag)
         if nodes.size == 0:
             continue
-        values = checked_values(func, mesh.node_coords[nodes],
-                                f"Dirichlet function for tag '{tag}'", "boundary node")
-        prescribed[:2 * n].reshape(n, 2)[nodes] = values
-        fixed[:2 * n].reshape(n, 2)[nodes] = True
+        vbar_values[nodes] = checked_values(func, mesh.node_coords[nodes],
+                                            f"Dirichlet function for tag '{tag}'", "boundary node")
+        vbar_fixed[nodes] = True
 
     if bc.pressure_pin is not None:
         node, value = bc.pressure_pin
-        if not 0 <= node < n:
-            raise ValueError(f"pressure pin node {node} out of range")
-        prescribed[2 * n + int(node)] = float(value)
-        fixed[2 * n + int(node)] = True
+        if isinstance(node, bool) or not isinstance(node, (int, np.integer)) or not 0 <= node < n:
+            raise ValueError(f"pressure pin node must be an integer in [0, {n}), got {node!r}")
+        if not np.isfinite(value):
+            raise ValueError(f"pressure pin value must be finite, got {value!r}")
+        p_values[node] = float(value)
+        p_fixed[node] = True
 
     free = np.flatnonzero(~fixed)
     free.setflags(write=False)

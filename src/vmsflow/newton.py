@@ -283,9 +283,10 @@ def _residuals_batched(batch: ElementBatch, f: _Fields, load):
     """Residual blocks for every element in the batch.
 
     ``load`` is the body-force integral table of ``_body_force_load``.
-    Returns ``Rc`` (E, 6), ``Rp`` (E, 3), ``Rf`` (E, 2).  Boundary
-    traction is not an element-interior term; the global assembly adds
-    it on the tagged edges.
+    Returns ``Rvp`` (E, 9), the (velocity, pressure) block in
+    ``element_dofs`` order, and ``Rf`` (E, 2).  Boundary traction is not
+    an element-interior term; the global assembly adds it on the tagged
+    edges.
     """
     E = len(batch.elements)
     beta = f.U[:, 3]
@@ -298,7 +299,7 @@ def _residuals_batched(batch: ElementBatch, f: _Fields, load):
     if load is not None:
         R -= load[:, :4]
     Rp = np.matmul(f.U.reshape(E, 1, 8), batch.div)[:, 0]
-    return R[:, :3].reshape(E, 6), Rp, R[:, 3]
+    return np.concatenate([R[:, :3].reshape(E, 6), Rp], axis=1), R[:, 3]
 
 
 def _tangent_batched(batch: ElementBatch, f: _Fields):
@@ -333,22 +334,20 @@ def _invert_fine_blocks(M: np.ndarray):
     return inv, det, int(np.argmax(bad)) if np.any(bad) else None
 
 
-def _condense_batched(Rc, Rp, Rf, blocks, elements):
+def _condense_batched(Rvp, Rf, blocks, elements):
     """Schur complements (E, 9, 9), (E, 9), with ``Kff^-1`` and ``[Kfc Kfp]``."""
-    E = Rc.shape[0]
     Kff_inv, det, bad = _invert_fine_blocks(blocks["Kff"])
     if bad is not None:
         raise FineScaleSingularError(f"fine-scale block of element {int(elements[bad])} "
                                      f"is numerically singular (|det| = {abs(det[bad]):.3e})")
     B = np.concatenate([blocks["Kcf"], blocks["Kpf"]], axis=1)        # (E, 9, 2)
     C = np.concatenate([blocks["Kfc"], blocks["Kfp"]], axis=2)        # (E, 2, 9)
-    K = np.zeros((E, 9, 9))
+    K = np.zeros((len(Rvp), 9, 9))
     K[:, :6, :6] = blocks["Kcc"]
     K[:, :6, 6:] = blocks["Kcp"]
     K[:, 6:, :6] = blocks["Kpc"]
     K -= np.matmul(B, np.matmul(Kff_inv, C))
-    R = np.concatenate([Rc, Rp], axis=1)
-    R -= np.matmul(B, np.matmul(Kff_inv, Rf[..., None]))[..., 0]
+    R = Rvp - np.matmul(B, np.matmul(Kff_inv, Rf[..., None]))[..., 0]
     return K, R, Kff_inv, C
 
 
@@ -356,9 +355,9 @@ def element_residuals(mesh: Mesh, element_index: int, state: State, nu: float,
                       body_force=None) -> ElementResiduals:
     """Residual blocks of one element (volume terms; traction handled globally)."""
     batch = ElementBatch(mesh, elements=[element_index])
-    Rc, Rp, Rf = _residuals_batched(batch, _fields(batch, state, nu),
-                                    _body_force_load(batch, body_force))
-    return ElementResiduals(Rc=Rc[0], Rp=Rp[0], Rf=Rf[0])
+    Rvp, Rf = _residuals_batched(batch, _fields(batch, state, nu),
+                                 _body_force_load(batch, body_force))
+    return ElementResiduals(Rc=Rvp[0, :6], Rp=Rvp[0, 6:], Rf=Rf[0])
 
 
 def element_tangent(mesh: Mesh, element_index: int, state: State, nu: float
@@ -372,12 +371,9 @@ def element_tangent(mesh: Mesh, element_index: int, state: State, nu: float
 def condense(res: ElementResiduals, tan: ElementTangent,
              element_index: int = 0) -> CondensedElement:
     """Eliminate the fine-scale pair of one element by a Schur complement."""
-    blocks = {k: getattr(tan, k)[None] for k in
-              ("Kcc", "Kcp", "Kcf", "Kpc", "Kpf", "Kfc", "Kfp", "Kff")}
-    K, R, Kff_inv, _ = _condense_batched(
-        res.Rc[None], res.Rp[None], res.Rf[None], blocks,
-        np.array([element_index]),
-    )
+    blocks = {k: v[None] for k, v in vars(tan).items()}
+    K, R, Kff_inv, _ = _condense_batched(np.concatenate([res.Rc, res.Rp])[None],
+                                         res.Rf[None], blocks, np.array([element_index]))
     return CondensedElement(
         K_hat=K[0], R_hat=R[0], Kff_inv=Kff_inv[0],
         Kfc=tan.Kfc.copy(), Kfp=tan.Kfp.copy(), Rf=res.Rf.copy(),
@@ -392,54 +388,52 @@ def recover_fine_scale(condensed: CondensedElement, delta_v: np.ndarray,
 
 
 def element_dofs(mesh: Mesh, dofmap: DofMap) -> np.ndarray:
-    """Global (velocity, pressure) DOF indices per element, shape (E, 9)."""
-    tris = mesh.triangles
-    vd = (2 * tris[:, :, None] + np.array([0, 1])).reshape(-1, 6)
-    pd = 2 * dofmap.n_nodes + tris
-    return np.concatenate([vd, pd], axis=1)
+    """Global DOFs per element, shape (E, 9): (u, v) of each node, then the pressures."""
+    dofs = dofmap.node_dofs(mesh.triangles)                   # (E, 3, 3)
+    return np.concatenate([dofs[..., :2].reshape(-1, 6), dofs[..., 2]], axis=1)
 
 
 def traction_vector(mesh: Mesh, dofmap: DofMap, bc: BoundaryConditions) -> np.ndarray:
     """Assembled boundary-traction load, two-point Gauss per tagged edge.
 
     Entry (node a, comp i) receives the integral of N_a * h_i over the
-    Neumann edges touching node a; zero-traction tags contribute nothing,
-    and every other traction is checked to be finite with one 2-vector per point.
+    Neumann edges touching node a; zero-traction tags contribute nothing.
+    Every other traction function is called once per tag, on the Gauss
+    points of all its edges as one (2 m, 2) array, and checked to give a
+    finite 2-vector per point.
     """
     load = np.zeros(dofmap.total)
-    g = 1.0 / (2.0 * np.sqrt(3.0))
-    t_pts = np.array([0.5 - g, 0.5 + g])
-    t_wts = np.array([0.5, 0.5])
+    t = 0.5 + np.array([-1.0, 1.0]) / (2.0 * np.sqrt(3.0))  # Gauss points on [0, 1]
+    ends = 0.5 * np.stack([1.0 - t, t])                       # (end, point) weights of N_a
     for tag, func in bc.neumann.items():
-        if func is None:
+        edges = np.array(mesh.edges_with_tag(tag), dtype=np.int64).reshape(-1, 2)
+        if func is None or edges.size == 0:
             continue
-        for a, b in mesh.edges_with_tag(tag):
-            pa, pb = mesh.node_coords[a], mesh.node_coords[b]
-            length = float(np.hypot(*(pb - pa)))
-            pts = pa[None, :] + t_pts[:, None] * (pb - pa)[None, :]
-            hvals = checked_values(func, pts, f"traction function for tag '{tag}'",
-                                   "quadrature point")
-            wa = t_wts * (1.0 - t_pts) * length
-            wb = t_wts * t_pts * length
-            for comp in range(2):
-                load[2 * a + comp] += float(wa @ hvals[:, comp])
-                load[2 * b + comp] += float(wb @ hvals[:, comp])
+        pa, pb = mesh.node_coords[edges.T]                    # (m, 2) each
+        length = np.hypot(*(pb - pa).T)
+        pts = pa[:, None, :] + t[:, None] * (pb - pa)[:, None, :]   # (m, point, 2)
+        h = checked_values(func, pts.reshape(-1, 2), f"traction function for tag '{tag}'",
+                           "quadrature point").reshape(pts.shape)
+        integrals = np.matmul(ends * length[:, None, None], h)      # (m, end, component)
+        load += np.bincount(dofmap.node_dofs(edges)[..., :2].ravel(),
+                            weights=integrals.ravel(), minlength=dofmap.total)
     return load
 
 
 _NODE_OF_DOF = [0, 0, 1, 1, 2, 2, 0, 1, 2]   # element node of each of the 9 element DOFs
 
 
-def _csc_pattern(tris: np.ndarray, nodes: np.ndarray, free: np.ndarray, local: np.ndarray):
+def _csc_pattern(tris: np.ndarray, nodes: np.ndarray, node_of: np.ndarray, local: np.ndarray):
     """CSC pattern of the free-by-free element entries, and the slot of each entry.
 
-    ``nodes`` is the dissection order, ``free`` the free DOFs node by node
-    in that order, and ``local`` (E, 9) the position in ``free`` of each
-    element DOF (-1 where constrained).  A node's free DOFs are adjacent in
-    ``free``, so every DOF column of a node holds the same rows: the free
-    DOFs of the nodes it shares an element with, in order.  The pattern is
-    built from the node pairs (column node, row node), 9 per element,
-    sorted column-major in dissection order and expanded into DOF entries.
+    ``nodes`` is the dissection order, ``node_of`` the node of each free
+    DOF (the free DOFs go node by node in that order), and ``local`` (E, 9)
+    the position among them of each element DOF (-1 where constrained).
+    A node's free DOFs are adjacent, so every DOF column of a node holds
+    the same rows: the free DOFs of the nodes it shares an element with,
+    in order.  The pattern is built from the node pairs (column node, row
+    node), 9 per element, sorted column-major in dissection order and
+    expanded into DOF entries.
     Entry ``K[e, i, j]`` goes to the start of column j, plus the rows of the
     pairs above its pair in that column, plus row i's offset among its
     node's DOFs; an entry with a constrained row or column goes to the
@@ -447,7 +441,6 @@ def _csc_pattern(tris: np.ndarray, nodes: np.ndarray, free: np.ndarray, local: n
     flattened (E*81,) slots.
     """
     n = nodes.size
-    node_of = np.where(free < 2 * n, free // 2, free - 2 * n)
     n_dofs = np.bincount(node_of, minlength=n)            # free DOFs per node
     rank = np.empty(n, dtype=np.int64)
     rank[nodes] = np.arange(n)
@@ -506,14 +499,14 @@ class Discretization:
         self.traction = traction_vector(mesh, dofmap, bc)
         self.load = _body_force_load(self.batch, body_force)
         nodes = nested_dissection(mesh)
-        n = mesh.n_nodes
-        dofs = np.column_stack([2 * nodes, 2 * nodes + 1, 2 * n + nodes]).ravel()
-        self.free = dofs[np.isin(dofs, dofmap.free)]
+        dofs = dofmap.node_dofs(nodes).ravel()
+        kept = np.isin(dofs, dofmap.free)
+        self.free = dofs[kept]
 
         position = np.full(dofmap.total, -1, dtype=np.int64)
         position[self.free] = np.arange(self.free.size)
-        indices, indptr, self._slot = _csc_pattern(mesh.triangles, nodes, self.free,
-                                                   position[self.edofs])
+        indices, indptr, self._slot = _csc_pattern(
+            mesh.triangles, nodes, np.repeat(nodes, 3)[kept], position[self.edofs])
         # scipy's index type, so no matrix scans or copies them.
         self._indices, self._indptr = indices.astype(np.intc), indptr.astype(np.intc)
         for array in (self._indices, self._indptr, self._slot):
@@ -535,8 +528,8 @@ class Discretization:
                            minlength=self.dofmap.total)
 
 
-def _norm_of(disc: Discretization, Rc, Rp, Rf) -> float:
-    residual_vp = disc.global_vector(np.concatenate([Rc, Rp], axis=1)) - disc.traction
+def _norm_of(disc: Discretization, Rvp, Rf) -> float:
+    residual_vp = disc.global_vector(Rvp) - disc.traction
     return float(np.sqrt(np.sum(residual_vp[disc.free] ** 2) + np.sum(Rf**2)))
 
 
@@ -554,18 +547,18 @@ class NewtonSystem:
     """
 
     def __init__(self, disc: Discretization, fields: _Fields,
-                 Rc: np.ndarray, Rp: np.ndarray, Rf: np.ndarray, state_digest: bytes):
-        self.residual_norm = _norm_of(disc, Rc, Rp, Rf)  # 2-norm of [assembled Rc; Rp; all Rf]
+                 Rvp: np.ndarray, Rf: np.ndarray, state_digest: bytes):
+        self.residual_norm = _norm_of(disc, Rvp, Rf)     # 2-norm of [assembled Rvp; all Rf]
         self.Rf = Rf                                      # (E, 2)
         self.edofs = disc.edofs                           # (E, 9)
         self.state_digest = state_digest
-        self._pending = (disc, fields, Rc, Rp)
+        self._pending = (disc, fields, Rvp)
 
     @cached_property
     def _linearization(self):
-        disc, fields, Rc, Rp = self._pending
+        disc, fields, Rvp = self._pending
         blocks = _tangent_batched(disc.batch, fields)
-        K_hat, R_hat, Kff_inv, coupling = _condense_batched(Rc, Rp, self.Rf, blocks,
+        K_hat, R_hat, Kff_inv, coupling = _condense_batched(Rvp, self.Rf, blocks,
                                                             disc.batch.elements)
         residual_hat = disc.global_vector(R_hat) - disc.traction
         self._pending = None
@@ -611,5 +604,5 @@ def assemble_system(disc: Discretization, state: State, nu: float) -> NewtonSyst
     ``-R_hat`` on free DOFs.
     """
     fields = _fields(disc.batch, state, nu)
-    Rc, Rp, Rf = _residuals_batched(disc.batch, fields, disc.load)
-    return NewtonSystem(disc, fields, Rc, Rp, Rf, state.digest())
+    return NewtonSystem(disc, fields, *_residuals_batched(disc.batch, fields, disc.load),
+                        state.digest())

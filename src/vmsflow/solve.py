@@ -57,8 +57,9 @@ def linear_solve(matrix, rhs: np.ndarray) -> np.ndarray:
     it, and a CSC input is factored as it is; other inputs are
     converted).  The LU factorization keeps the column order and pivots
     only where a diagonal entry falls below 0.1 of its column's largest
-    (the systems are indefinite saddle-point matrices).  One step of iterative refinement is applied before the
-    residual check ``|Ax - b| <= max(1e-12, LINEAR_TOL * |b|)``.
+    (the systems are indefinite saddle-point matrices).  A finite solution
+    that fails the residual check ``|Ax - b| <= max(1e-12, LINEAR_TOL * |b|)``
+    gets one step of iterative refinement and is checked again.
     Deterministic for identical inputs.
     """
     rhs = np.asarray(rhs, dtype=float)
@@ -127,16 +128,17 @@ class SolverConfig:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.increment_tol is not None and not self.increment_tol >= 0:
             raise ValueError(f"increment_tol must be non-negative, got {self.increment_tol}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
         if self.strategy not in ("newton", "fixed_point"):
             raise ValueError(f"unknown strategy '{self.strategy}'")
         if self.dt is not None and not self.dt > 0:
             raise ValueError(f"time step must be positive, got {self.dt}")
-        if self.n_steps is not None and self.n_steps < 0:
-            raise ValueError(f"n_steps must be non-negative, got {self.n_steps}")
-        if self.snapshot_stride < 1:
-            raise ValueError(f"snapshot_stride must be at least 1, got {self.snapshot_stride}")
+        counts = [("max_iter", 1), ("snapshot_stride", 1)]
+        if self.n_steps is not None:
+            counts.append(("n_steps", 0))
+        for name, low in counts:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+                raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -171,9 +173,7 @@ class IterationReport:
 
 def lifted_state(mesh: Mesh, dofmap: DofMap) -> State:
     """Zero state with the prescribed Dirichlet/pin values installed."""
-    n = mesh.n_nodes
-    full = dofmap.prescribed.copy()
-    return State(full[:2 * n].reshape(n, 2), full[2 * n:], np.zeros((mesh.n_triangles, 2)))
+    return State(*dofmap.split(dofmap.prescribed.copy()), np.zeros((mesh.n_triangles, 2)))
 
 
 def _setup(problem) -> Discretization:
@@ -183,14 +183,14 @@ def _setup(problem) -> Discretization:
 
 def _newton_steps(disc: Discretization, nu: float, state: State):
     """Newton updates of ``state`` in place, each yielding (residual, None)."""
-    n = disc.mesh.n_nodes
     system = assemble_system(disc, state, nu)
     while True:
         delta = np.zeros(disc.dofmap.total)
         delta[disc.free] = linear_solve(system.matrix, system.rhs)
         dbeta = system.recover_beta(state, delta)
-        state.vbar += delta[: 2 * n].reshape(n, 2)
-        state.p += delta[2 * n:]
+        dvbar, dp = disc.dofmap.split(delta)
+        state.vbar += dvbar
+        state.p += dp
         state.beta += dbeta
         system = assemble_system(disc, state, nu)
         yield system.residual_norm, None
@@ -198,16 +198,14 @@ def _newton_steps(disc: Discretization, nu: float, state: State):
 
 def _fixed_point_steps(disc: Discretization, nu: float, state: State):
     """Fixed-point updates of ``state`` in place, each yielding (residual, increment)."""
-    n = disc.mesh.n_nodes
     state.beta[:] = 0.0
     while True:
         matrix, rhs = fp_assemble(disc, state, nu)
         full = disc.dofmap.prescribed.copy()
         full[disc.free] = linear_solve(matrix, rhs)
-        new_vbar = full[: 2 * n].reshape(n, 2)
+        new_vbar, new_p = disc.dofmap.split(full)
         increment = float(np.linalg.norm(new_vbar - state.vbar))
-        state.vbar = new_vbar
-        state.p = full[2 * n:]
+        state.vbar, state.p = new_vbar, new_p
         yield residual_norm(disc, state, nu), increment
 
 

@@ -93,6 +93,23 @@ def dof_pair_pattern(mesh, dofmap, edofs):
     return free, indices, indptr, kept, slot
 
 
+def traction_reference(mesh, dofmap, bc) -> np.ndarray:
+    """``traction_vector`` edge by edge and component by component, with the
+    numbering written out: two-point Gauss on each edge, N_a h_i to DOF 2 a + i."""
+    load = np.zeros(dofmap.total)
+    g = 1.0 / (2.0 * np.sqrt(3.0))
+    t = np.array([0.5 - g, 0.5 + g])
+    for tag, func in bc.neumann.items():
+        for a, b in mesh.edges_with_tag(tag) if func is not None else ():
+            pa, pb = mesh.node_coords[a], mesh.node_coords[b]
+            length = float(np.hypot(*(pb - pa)))
+            h = func(pa[None, :] + t[:, None] * (pb - pa)[None, :])
+            for node, weights in ((a, 0.5 * (1.0 - t) * length), (b, 0.5 * t * length)):
+                for comp in range(2):
+                    load[2 * node + comp] += float(weights @ h[:, comp])
+    return load
+
+
 def dof_pair_matrix(pattern, K) -> sp.csc_matrix:
     """Free-DOF CSC matrix of element matrices K (E, 9, 9) on a ``dof_pair_pattern``."""
     free, indices, indptr, kept, slot = pattern

@@ -298,7 +298,7 @@ def lid_with(kind, tag, func):
     ("dirichlet", "top", nan_velocity, "Dirichlet function for tag 'top' is not finite"),
     ("traction", "right", nan_velocity, "traction function for tag 'right' is not finite"),
     ("traction", "right", three_components,
-     r"traction function for tag 'right' returned shape \(2, 3\) for points of shape \(2, 2\)"),
+     r"traction function for tag 'right' returned shape \(16, 3\) for points of shape \(16, 2\)"),
 ], ids=["nan_dirichlet", "nan_traction", "traction_shape"])
 def test_bad_boundary_function_is_named_before_any_solve(monkeypatch, kind, tag, func, message):
     # these used to end in a singular or inaccurate LU, or (the shape) to
@@ -311,6 +311,50 @@ def test_bad_boundary_function_is_named_before_any_solve(monkeypatch, kind, tag,
     for strategy in ("newton", "fixed_point"):
         with pytest.raises(ValueError, match=message):
             solve(prob, SolverConfig(strategy=strategy))
+
+
+@pytest.mark.parametrize("pin, message", [
+    ((0, float("nan")), "value must be finite"),
+    ((0, float("inf")), "value must be finite"),
+    ((1.5, 0.0), "node must be an integer"),
+    ((True, 0.0), "node must be an integer"),
+    ((81, 0.0), "node must be an integer"),       # lid n=8 has nodes 0..80
+], ids=["nan_value", "inf_value", "float_node", "bool_node", "node_out_of_range"])
+def test_bad_pressure_pin_is_named_before_any_solve(monkeypatch, pin, message):
+    # a NaN value used to end in a linear failure, an infinite one was
+    # accepted, and 1.5 or True silently pinned node 1
+    def no_solve(*args):
+        raise AssertionError("a linear solve ran")
+
+    monkeypatch.setattr(solve_module, "linear_solve", no_solve)
+    prob = lid_cavity(8, re=100)
+    prob = dataclasses.replace(prob, bc=dataclasses.replace(prob.bc, pressure_pin=pin))
+    for strategy in ("newton", "fixed_point"):
+        with pytest.raises(ValueError, match="pressure pin " + message):
+            solve(prob, SolverConfig(strategy=strategy))
+
+
+def test_traction_evaluated_once_per_tag_per_set_up():
+    # one call per set-up on the Gauss points of every outflow edge,
+    # however many rungs, steps and iterations follow
+    prob = backward_step(re=20, h=0.5)
+    calls = []
+
+    def counted(points):
+        calls.append(points.shape)
+        return outflow_traction(points)
+
+    bc = BoundaryConditions(dirichlet=prob.bc.dirichlet, neumann={"outflow": counted})
+    prob = dataclasses.replace(prob, bc=bc)
+    one_call = [(2 * len(prob.mesh.edges_with_tag("outflow")), 2)]
+    for config in (SolverConfig(), SolverConfig(strategy="fixed_point"),
+                   SolverConfig(continuation=ContinuationConfig(5, 20, 2.0))):
+        calls.clear()
+        _, report = solve(prob, config)
+        assert report.iterations > 2 and calls == one_call
+    calls.clear()
+    _, reports = time_march(prob, SolverConfig(dt=0.1, n_steps=3))
+    assert len(reports) == 3 and calls == one_call
 
 
 def test_body_force_evaluated_once_per_force():

@@ -1,7 +1,14 @@
 """Mesh generation, boundary tagging, DOF numbering, and text-format I/O."""
 
+import dataclasses
+import hashlib
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vmsflow.mesh as mesh_module
 from vmsflow.mesh import (
@@ -16,8 +23,9 @@ from vmsflow.mesh import (
 )
 from vmsflow.newton import Discretization
 from vmsflow.problems import lid_cavity
+from vmsflow.solve import SolverConfig, solve
 
-from helpers import reference_boundary_edges, square_side, step_side
+from helpers import perturbed_square_mesh, reference_boundary_edges, square_side, step_side
 
 
 def zero_velocity(points):
@@ -203,9 +211,25 @@ class TestDofMap:
         seen = set()
         for node in range(mesh.n_nodes):
             for comp in range(2):
-                seen.add(dofmap.velocity_dof(node, comp))
-            seen.add(dofmap.pressure_dof(node))
+                seen.add(dofmap.node_dofs(node)[comp])
+            seen.add(dofmap.node_dofs(node)[2])
         assert seen == set(range(dofmap.total))
+
+    def test_node_dofs_index_what_split_views(self):
+        mesh = unit_square_mesh(3)
+        bc = BoundaryConditions(
+            dirichlet={t: zero_velocity for t in mesh.tags}, pressure_pin=(0, 0.0)
+        )
+        dofmap = build_dof_map(mesh, bc)
+        vector = np.random.default_rng(0).normal(size=dofmap.total)
+        vbar, p = dofmap.split(vector)
+        assert vbar.shape == (mesh.n_nodes, 2) and p.shape == (mesh.n_nodes,)
+        assert np.shares_memory(vbar, vector) and np.shares_memory(p, vector)
+        nodes = np.array([[3, 0, 7], [15, 2, 2]])
+        dofs = dofmap.node_dofs(nodes)
+        assert dofs.shape == (2, 3, 3) and dofmap.node_dofs(5).shape == (3,)
+        np.testing.assert_array_equal(vector[dofs[..., :2]], vbar[nodes])
+        np.testing.assert_array_equal(vector[dofs[..., 2]], p[nodes])
 
     def test_later_tag_wins_at_corners(self):
         mesh = unit_square_mesh(4)
@@ -226,11 +250,11 @@ class TestDofMap:
             for c in ([0.0, 1.0], [1.0, 1.0])
         ]
         for node in corners:
-            assert dofmap.velocity_dof(node, 0) not in dofmap.free
-            assert dofmap.prescribed[dofmap.velocity_dof(node, 0)] == 0.0
+            assert dofmap.node_dofs(node)[0] not in dofmap.free
+            assert dofmap.prescribed[dofmap.node_dofs(node)[0]] == 0.0
         # interior lid nodes keep the lid value
         mid_top = int(np.argmin(np.abs(mesh.node_coords - [0.5, 1.0]).sum(axis=1)))
-        assert dofmap.prescribed[dofmap.velocity_dof(mid_top, 0)] == 1.0
+        assert dofmap.prescribed[dofmap.node_dofs(mid_top)[0]] == 1.0
 
     def test_arrays_are_read_only(self):
         mesh = unit_square_mesh(2)
@@ -308,6 +332,21 @@ class TestMeshValidation:
         with pytest.raises(ValueError, match="not completely tagged"):   # (2, 0) is missing
             Mesh(coords, np.array([[0, 1, 2]]), edges[:2] + edges[3:], ("e",))
 
+    def test_mesh_keeps_its_own_arrays(self):
+        # it used to freeze the caller's arrays; a caller who made them
+        # writeable again could turn two triangles to area -1
+        reference = unit_square_mesh(2)
+        coords, tris = reference.node_coords.copy(), reference.triangles.copy()
+        mesh = Mesh(coords, tris, reference.boundary_edges, reference.tags)
+        assert coords.flags.writeable and tris.flags.writeable
+        assert not (mesh.node_coords.flags.writeable or mesh.triangles.flags.writeable)
+        areas = mesh.triangle_areas()
+        coords[4] = [5.0, 5.0]
+        tris[0] = tris[0, ::-1]
+        np.testing.assert_array_equal(mesh.node_coords, reference.node_coords)
+        np.testing.assert_array_equal(mesh.triangles, reference.triangles)
+        np.testing.assert_array_equal(mesh.triangle_areas(), areas)
+
     def test_out_of_range_connectivity_rejected(self):
         from vmsflow.mesh import Mesh
 
@@ -381,6 +420,28 @@ class TestMeshIO:
         write_mesh(mesh, path)
         back = read_mesh(path)
         assert np.abs(back.node_coords - mesh.node_coords).max() <= 1e-15
+
+    @settings(max_examples=4, deadline=None)
+    @given(n=st.integers(4, 8), seed=st.integers(0, 2**32 - 1))
+    def test_re_read_mesh_solves_bitwise_the_same(self, n, seed):
+        mesh = perturbed_square_mesh(n, np.random.default_rng(seed))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "mesh.txt")
+            write_mesh(mesh, path)
+            back = read_mesh(path)
+        lid = lid_cavity(8, re=100)       # tag-wise conditions, pin at node 0
+
+        def digest(m, strategy):
+            state, report = solve(dataclasses.replace(lid, mesh=m),
+                                  SolverConfig(strategy=strategy))
+            h = hashlib.sha1(state.digest())
+            for history in (report.residual_history, report.increment_history):
+                h.update(b"-" if history is None else history.tobytes())
+            h.update(report.stop_reason.encode())
+            return h.digest()
+
+        for strategy in ("newton", "fixed_point"):
+            assert digest(back, strategy) == digest(mesh, strategy)
 
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "mesh.txt"

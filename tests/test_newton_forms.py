@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vmsflow.fem import triangle_quadrature
-from vmsflow.mesh import BoundaryConditions, build_dof_map, unit_square_mesh
+from vmsflow.mesh import BoundaryConditions, backward_step_mesh, build_dof_map, unit_square_mesh
 from vmsflow.newton import (
     ElementBatch,
     FineScaleSingularError,
@@ -43,6 +43,7 @@ from helpers import (
     perturbed_square_mesh,
     random_state,
     set_monolithic,
+    traction_reference,
 )
 
 
@@ -387,6 +388,25 @@ class TestGlobalAssembly:
 
 
 class TestTraction:
+    @pytest.mark.parametrize("mesh, dirichlet, neumann", [
+        (unit_square_mesh(16), ("left", "top"), ("right", "bottom")),   # sharing a corner
+        (backward_step_mesh(h=0.05), ("inflow", "walls"), ("outflow",)),
+    ], ids=["square", "step"])
+    def test_matches_the_edge_by_edge_loop(self, mesh, dirichlet, neumann):
+        # one call per tag and one scatter; the per-edge sums may only
+        # round differently, within a few units in the last place
+        def traction(points):
+            x, y = points[..., 0], points[..., 1]
+            return np.stack([np.sin(3 * x) + y**3, np.cos(y) - x], axis=-1)
+
+        bc = BoundaryConditions(dirichlet={t: lambda p: np.zeros(p.shape) for t in dirichlet},
+                                neumann={t: traction for t in neumann})
+        dofmap = build_dof_map(mesh, bc)
+        want = traction_reference(mesh, dofmap, bc)
+        got = traction_vector(mesh, dofmap, bc)
+        np.testing.assert_array_equal(got != 0.0, want != 0.0)
+        assert np.abs(got - want).max() <= 4e-16 * np.abs(want).max()
+
     def test_edge_load_against_hand_integral(self):
         mesh = unit_square_mesh(2)
 

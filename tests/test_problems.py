@@ -119,7 +119,7 @@ class TestProblemBuilders:
         dofmap = build_dof_map(prob.mesh, prob.bc)
         for corner in ([0.0, 1.0], [1.0, 1.0]):
             node = int(np.argmin(np.abs(prob.mesh.node_coords - corner).sum(axis=1)))
-            dofs = [dofmap.velocity_dof(node, 0), dofmap.velocity_dof(node, 1)]
+            dofs = [dofmap.node_dofs(node)[0], dofmap.node_dofs(node)[1]]
             assert not np.isin(dofs, dofmap.free).any()
             assert dofmap.prescribed[dofs].tolist() == [0.0, 0.0]
 
@@ -134,7 +134,7 @@ class TestProblemBuilders:
             length = np.hypot(*(pb - pa))
             n = np.array(normals[tag])
             for node in (a, b):
-                dofs = [dofmap.velocity_dof(node, 0), dofmap.velocity_dof(node, 1)]
+                dofs = [dofmap.node_dofs(node)[0], dofmap.node_dofs(node)[1]]
                 assert not np.isin(dofs, dofmap.free).any()
                 flux += 0.5 * length * (dofmap.prescribed[dofs] @ n)
         assert flux == pytest.approx(0.0, abs=1e-14)
@@ -143,7 +143,7 @@ class TestProblemBuilders:
         prob = backward_step(re=15)
         dofmap = build_dof_map(prob.mesh, prob.bc)
         mid = int(np.argmin(np.abs(prob.mesh.node_coords - [0.0, 0.75]).sum(axis=1)))
-        dofs = [dofmap.velocity_dof(mid, 0), dofmap.velocity_dof(mid, 1)]
+        dofs = [dofmap.node_dofs(mid)[0], dofmap.node_dofs(mid)[1]]
         assert not np.isin(dofs, dofmap.free).any()
         assert dofmap.prescribed[dofs[0]] == pytest.approx(1.0)
         assert dofmap.prescribed[dofs[1]] == 0.0

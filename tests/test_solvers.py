@@ -516,10 +516,20 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("settings", [
         dict(dt=0.0), dict(dt=-0.1), dict(n_steps=-3), dict(snapshot_stride=0),
+        dict(max_iter=float("nan")), dict(max_iter=2.5), dict(max_iter=0),
+        dict(n_steps=float("nan")), dict(n_steps=1.5), dict(snapshot_stride=float("nan")),
     ])
     def test_bad_march_settings(self, settings):
         with pytest.raises(ValueError):
             SolverConfig(**settings)
+
+    @pytest.mark.parametrize("name", ["max_iter", "n_steps", "snapshot_stride"])
+    @pytest.mark.parametrize("value", [float("nan"), 2.5, True, -1])
+    def test_count_fields_are_named_integers(self, name, value):
+        # NaN and 2.5 used to pass, then escape a solve as a bare TypeError
+        # or keep only the first and last snapshots of a march
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            SolverConfig(**{name: value})
 
     @pytest.mark.parametrize("solver", [newton_solve, fixed_point_solve])
     def test_zero_time_step_in_state_is_named(self, solver):
