@@ -113,20 +113,15 @@ def element_geometry(coords, index: int | None = None) -> ElementGeometry:
 
 
 def inv2(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverses and determinants of a stack of 2x2 matrices ``(..., 2, 2)``.
+    """Inverses and determinants of 2x2 matrices held in the two leading
+    axes, ``M`` of shape ``(2, 2, ...)`` (the element index last).
 
     Singular entries come out as inf/nan without a warning; callers check
     the returned determinants against their own threshold.
     """
-    det = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
-    inv = np.empty_like(M)
-    inv[..., 0, 0] = M[..., 1, 1]
-    inv[..., 0, 1] = -M[..., 0, 1]
-    inv[..., 1, 0] = -M[..., 1, 0]
-    inv[..., 1, 1] = M[..., 0, 0]
+    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv /= det[..., None, None]
-    return inv, det
+        return np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]]) / det, det
 
 
 MAX_QUADRATURE_DEGREE = 10

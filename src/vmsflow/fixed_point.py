@@ -25,7 +25,9 @@ coupling.  Weighting and slot operators are linear in the coarse shape
 functions with element-constant coefficients, so the stabilization
 integral is ``W (int b N_c N_d (x) w_b A^-1) S^T``: integrals precomputed
 in ``ElementBatch`` times element-constant 2x2 products of ``A^-1`` and
-``grad v_c``; no per-quadrature-point tensor is formed.
+``grad v_c`` through closed forms of ``W`` and ``S``; neither they nor a
+per-quadrature-point tensor is formed.  As in ``vmsflow.newton`` the element
+index is last: ``A`` (2, 2, E), element matrices (9, 9, E), loads (9, E).
 Global systems lift prescribed values element by element (``F_e -= K_e
 g_e``) and share the Newton path's ``Discretization`` scatter.
 
@@ -53,7 +55,6 @@ from vmsflow.newton import (  # noqa: F401
     _body_force_load,
     _fields,
     _invert_fine_blocks,
-    _kron,
     traction_vector,
 )
 
@@ -87,21 +88,22 @@ class FpElementSystem:
 
 
 def _tau_batched(batch: ElementBatch, f: _Fields):
-    """Fine-scale matrices A, their inverses, and bubble weights per element,
-    from the iterate's nodal velocities ``f.U[:, :3]`` and gradient ``f.gvbar``."""
-    vel, nu = f.U[:, :3], f.nu
+    """Fine-scale matrices A (2, 2, E), their inverses, and bubble weights (E,)
+    per element, from the iterate's nodal velocities ``f.U[:3]`` and
+    gradient ``f.gvbar``."""
+    vel, nu = f.U[:3], f.nu
     # int b v_c . grad b + nu int |grad b|^2, then int b^2 grad v_c + nu int grad b (x) grad b
-    iso = (vel * batch.mass_gb[:, 3, :3]).sum(axis=(1, 2)) + nu * batch.stiff[:, 3, 3]
-    A = iso[:, None, None] * _I2 + batch.mass[:, 3, 3, None, None] * f.gvbar + nu * batch.gbgb
+    iso = np.einsum("ake,ake->e", vel, batch.mass_gb[3, :3]) + nu * batch.stiff[3, 3]
+    A = iso * _I2[..., None] + batch.mass[3, 3] * f.gvbar + nu * batch.gbgb
     Ainv, det, e = _invert_fine_blocks(A)
     if e is not None:
         h_e = float(np.sqrt(2.0 * abs(batch.detJ[e])))
-        speed = float(np.linalg.norm(batch.N @ vel[e], axis=1).max())
+        speed = float(np.linalg.norm(batch.N @ vel[..., e], axis=1).max())
         raise TauSingularError(
             f"stabilization matrix of element {int(batch.elements[e])} is singular "
             f"(|det A| = {abs(det[e]):.3e}, local Reynolds ~ {speed * h_e / nu:.3g})"
         )
-    w_b = batch.mass[:, 3, :3].sum(axis=1)
+    w_b = batch.mass[3, :3].sum(axis=0)
     return w_b, Ainv, A
 
 
@@ -110,61 +112,74 @@ def compute_tau(mesh: Mesh, element_index: int, v_c: np.ndarray, nu: float) -> T
     batch = ElementBatch(mesh, elements=[element_index])
     state = State(v_c, np.zeros(mesh.n_nodes), np.zeros((mesh.n_triangles, 2)))
     w_b, Ainv, A = _tau_batched(batch, _fields(batch, state, nu))
-    return TauTensor(w_b=float(w_b[0]), Ainv=Ainv[0], A=A[0])
+    return TauTensor(w_b=float(w_b[0]), Ainv=Ainv[..., 0], A=A[..., 0])
+
+
+def _weighted(adv, gvc, G, Z):
+    """``sum_{c,k} W[r, c, k] Z[..., c, k]`` (9, ..., E) for Z (..., 3, 2, E), where the
+    weighting operator of DOF r is ``sum_c N_c W[r, c, :]``: ``(adv_a I - N_a
+    (grad v_c)^T) e_i`` for velocity DOF (a, i), ``grad N_a`` for pressure DOF a."""
+    out = np.empty((9, *Z.shape[:-3], Z.shape[-1]))
+    vel = out[:6].reshape(3, 2, *Z.shape[:-3], Z.shape[-1])
+    np.einsum("cae,...cie->ai...e", adv, Z, out=vel)
+    vel -= np.einsum("ike,...ake->ai...e", gvc, Z)
+    np.einsum("cke,...ke->c...e", G, Z.sum(axis=-3), out=out[6:])
+    return out
 
 
 def _fp_batched(batch: ElementBatch, f: _Fields, load, stabilize: bool):
-    """Element matrices (E, 9, 9) and loads (E, 9) of the linearized form.
+    """Element matrices (9, 9, E) and loads (9, E) of the linearized form.
 
     ``load`` is the body-force integral table of ``_body_force_load``.
     """
     E = len(batch.elements)
-    G, M = batch.G, batch.mass[:, :3, :3]
-    I2 = np.broadcast_to(_I2, (E, 2, 2))
-    vel, gvc, nu, dt = f.U[:, :3], f.gvbar, f.nu, f.dt
-    w_b, Ainv, _ = _tau_batched(batch, f)
+    G, M, Mb = batch.G, batch.mass[:3, :3], batch.bmass
+    vel, gvc, nu, dt = f.U[:3], f.gvbar, f.nu, f.dt
 
     # v_c . grad N_b = sum_c N_c adv[c, b]; the known slot values (cross
     # term, previous step; the body force comes integrated) are sum_c N_c known[c].
-    adv = np.matmul(vel, G.transpose(0, 2, 1))                # (E, 3, 3)
-    known = np.matmul(vel, gvc.transpose(0, 2, 1))            # (E, 3, 2)
+    adv = np.einsum("cke,bke->cbe", vel, G)                   # (3, 3, E)
+    known = np.einsum("cje,ije->cie", vel, gvc)               # (3, 2, E)
     if dt is not None:
         known += f.prev / dt
 
-    # Galerkin blocks of the linearized form.
-    scal = np.matmul(M, adv) + nu * batch.stiff[:, :3, :3]
+    if stabilize:
+        # With tau(x) = b(x) T0, T0 = w_b Ainv, and Mb = int b N_c N_d the
+        # integral is W (Mb (x) T0) S^T.  The slot operator of velocity DOF
+        # (b, j) is (adv_b I + N_b Phi) e_j, Phi = grad v_c (+ I / dt), that of
+        # pressure DOF c' grad N_c', so Y[s] = (Mb (x) T0) S[s]^T over (c, k) is
+        # (Mb adv)[c, b] T0[k, j] + Mb[c, b] (T0 Phi)[k, j], or m_c (T0 grad N_c')_k
+        # with m_c = sum_d Mb[c, d].
+        w_b, Ainv, _ = _tau_batched(batch, f)
+        T0 = w_b * Ainv
+        Phi = gvc + _I2[..., None] / dt if dt is not None else gvc
+        Y = np.empty((9, 3, 2, E))
+        np.einsum("scbe,skje->bjcke", np.stack([np.einsum("cde,dbe->cbe", Mb, adv), Mb]),
+                  np.stack([T0, np.einsum("kle,lje->kje", T0, Phi)]),
+                  out=Y[:6].reshape(3, 2, 3, 2, E))
+        np.multiply(Mb.sum(axis=1)[None, :, None], np.einsum("kle,cle->cke", T0, G)[:, None],
+                    out=Y[6:])
+        K = _weighted(adv, gvc, G, Y)
+        kb = np.einsum("cde,die->cie", Mb, known)             # int b N_c (known slot)
+        if load is not None:
+            kb += load[4:]
+        F = _weighted(adv, gvc, G, np.einsum("cle,kle->cke", kb, T0))
+    else:
+        K, F = np.zeros((9, 9, E)), np.zeros((9, E))
+
+    # Galerkin blocks: K[(a, i), (b, j)] = delta_ij scal_ab + M_ab grad v_c_ij.
+    scal = np.einsum("ace,cbe->abe", M, adv) + nu * batch.stiff[:3, :3]
     if dt is not None:
         scal += M / dt
-    K = np.zeros((E, 9, 9))
-    K[:, :6, :6] = _kron(np.stack([scal, M], axis=1), np.stack([I2, gvc], axis=1))
-    K[:, :6, 6:] = batch.div[:, :6]
-    K[:, 6:, :6] = -batch.div[:, :6].transpose(0, 2, 1)
-    F = np.zeros((E, 9))
-    F[:, :6] = np.matmul(M, known).reshape(E, 6)
+    Kvv = K[:6, :6].reshape(3, 2, 3, 2, E)
+    Kvv += M[:, None, :, None] * gvc[None, :, None]
+    Kvv[:, 0, :, 0] += scal
+    Kvv[:, 1, :, 1] += scal
+    K[:6, 6:] += batch.div[:6]
+    K[6:, :6] -= batch.div[:6].transpose(1, 0, 2)
+    F[:6] += np.einsum("ace,cie->aie", M, known).reshape(6, E)
     if load is not None:
-        F[:, :6] += load[:, :3].reshape(E, 6)
-
-    if stabilize:
-        # Row r of W (S) holds the nodal coefficients of the weighting
-        # (slot) operator of DOF r: operator(x) = sum_c N_c(x) row[c, :].
-        # Velocity tests give (adv_a I - N_a (grad v_c)^T) e_i, velocity
-        # trials (adv_b I + N_b Phi) e_j with Phi = grad v_c (+ I / dt),
-        # pressure DOFs grad N_a.  With tau(x) = b(x) w_b Ainv every
-        # stabilization sum is int b N_c N_d times T0 = w_b Ainv.
-        T0 = w_b[:, None, None] * Ainv
-        Phi = gvc + _I2 / dt if dt is not None else gvc
-        pair = np.stack([adv.transpose(0, 2, 1), np.broadcast_to(np.eye(3), adv.shape)],
-                        axis=1)
-        grad = np.broadcast_to(G[:, :, None, :], (E, 3, 3, 2)).reshape(E, 3, 6)
-        W = np.concatenate([_kron(pair, np.stack([I2, -gvc], axis=1)), grad], axis=1)
-        S = np.concatenate([_kron(pair, np.stack([I2, Phi.transpose(0, 2, 1)], axis=1)),
-                            grad], axis=1)                     # (E, 9, 6)
-        Mb = batch.bmass
-        K += W @ _kron(Mb[:, None], T0[:, None]) @ S.transpose(0, 2, 1)
-        kb = np.matmul(Mb, known)                              # int b N_c (known slot)
-        if load is not None:
-            kb += load[:, 4:]
-        F += np.matmul(W, np.matmul(kb, T0.transpose(0, 2, 1)).reshape(E, 6, 1))[..., 0]
+        F[:6] += load[:3].reshape(6, E)
     return K, F
 
 
@@ -182,7 +197,7 @@ def fp_element_system(mesh: Mesh, element_index: int, v_c: np.ndarray,
     state = State(v_c, np.zeros(mesh.n_nodes), np.zeros((mesh.n_triangles, 2)), vbar_prev, dt)
     K, F = _fp_batched(batch, _fields(batch, state, nu), _body_force_load(batch, body_force),
                        stabilize)
-    return FpElementSystem(K=K[0], F=F[0])
+    return FpElementSystem(K=K[..., 0], F=F[:, 0])
 
 
 def fp_assemble(disc: Discretization, state: State, nu: float, stabilize: bool = True):
@@ -195,6 +210,6 @@ def fp_assemble(disc: Discretization, state: State, nu: float, stabilize: bool =
     to the right-hand side (``F_e -= K_e g_e``) before the shared scatter.
     """
     K, F = _fp_batched(disc.batch, _fields(disc.batch, state, nu), disc.load, stabilize)
-    F -= np.matmul(K, disc.dofmap.prescribed[disc.edofs][..., None])[..., 0]
+    F -= np.einsum("rse,se->re", K, disc.dofmap.prescribed[disc.edofs])
     load = disc.global_vector(F) + disc.traction
     return disc.free_matrix(K), load[disc.free]

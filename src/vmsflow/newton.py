@@ -25,8 +25,13 @@ mass and stiffness over the three coarse functions and the bubble
 (x) grad b`` and the pressure coupling; ``Discretization`` integrates the
 body force once per set-up.  The total velocity is ``sum_A Nb_A U_A``
 with an element-constant coarse gradient, so residual and tangent are
-``np.matmul`` products of those tables with the element unknowns, which
-``nu`` and ``1/dt`` only scale; no kernel revisits the quadrature points.
+``np.einsum`` contractions and broadcasts of those tables with the
+element unknowns, which ``nu`` and ``1/dt`` only scale; no kernel
+revisits the quadrature points.  Every per-element array (tables, load,
+``_Fields``, kernel outputs such as ``Rvp`` (9, E) or ``Kcc`` (6, 6, E))
+is C-contiguous with the element index last, so each numpy call runs over
+the small leading axes with rows of E elements inside, and the per-element
+views read ``[..., 0]`` of a one-element batch.
 """
 
 from __future__ import annotations
@@ -132,27 +137,27 @@ class CondensedElement:
 class ElementBatch:
     """Geometry, basis and integral tables for a set of elements.
 
-    Everything held here is state-independent and built once per set-up.
-    The element integrals of products of the coarse functions ``N_a``,
-    the bubble ``b`` and their gradients are reference-element quadrature
-    sums scaled by ``detJ`` and mapped by ``Jinv``; the residual, tangent
-    and stabilization kernels combine them with the element unknowns by
-    ``np.matmul`` and never revisit the quadrature points.  Index ``A``
-    runs over the three coarse functions and then the bubble.  Only the
-    body-force load and the error norms read the physical quadrature
-    points ``xq`` and weights ``wd``, so those are built on each use
-    rather than held through a solve.
+    Everything held here is state-independent, built once per set-up and
+    read-only.  The element integrals of products of the coarse functions
+    ``N_a``, the bubble ``b`` and their gradients are reference-element
+    quadrature sums scaled by ``detJ`` and mapped by ``Jinv``, each table
+    C-contiguous with the element index last; the kernels combine them
+    with the element unknowns and never revisit the quadrature points.
+    Index ``A`` runs over the three coarse functions and then the bubble.
+    Only the body-force load and the error norms read the physical
+    quadrature points ``xq`` and weights ``wd`` (element-first), so those
+    are built on each use rather than held through a solve.
     """
 
     def __init__(self, mesh: Mesh, elements: np.ndarray | None = None):
         self.elements = (
             np.arange(mesh.n_triangles) if elements is None
-            else np.atleast_1d(np.asarray(elements, dtype=np.int64))
+            else np.array(elements, dtype=np.int64, ndmin=1)
         )
         tris = mesh.triangles[self.elements]
         self.tris = tris
         coords = mesh.node_coords.take(tris, axis=0)         # (E, 3, 2)
-        J = np.matmul(coords.transpose(0, 2, 1), DN_REF)
+        J = np.einsum("eai,ak->ike", coords, DN_REF)         # (2, 2, E)
         Jinv, detJ = inv2(J)
         if np.any(detJ <= 1e-14):
             bad = int(self.elements[np.argmin(detJ)])
@@ -170,7 +175,7 @@ class ElementBatch:
         dbref = np.column_stack([x2 * (x3 - x1), x1 * (x3 - x2)])
 
         self.detJ = detJ
-        self.G = np.matmul(DN_REF, Jinv)                     # (E, 3, 2)
+        self.G = np.einsum("am,mke->ake", DN_REF, Jinv)      # (3, 2, E)
         self._coords, self._w = coords, w
 
         # Reference integrals of the four functions (values Nb, reference
@@ -186,18 +191,18 @@ class ElementBatch:
         stiff = np.einsum("q,qAk,qBl->ABkl", w, dNb, dNb)    # int dNb_A (x) dNb_B
         grad_N = np.einsum("q,qAk,qc->Akc", w, dNb, self.N)   # int dNb_A N_c
 
-        d = detJ[:, None, None]
-        JinvT = Jinv.transpose(0, 2, 1)
-        self.mass = d * mass                                 # (E, 4, 4)
-        self.bmass = d * bmass                               # (E, 3, 3)
-        self.mass_gb = d[..., None] * np.matmul(mass_db, Jinv[:, None])  # (E, 4, 4, 2)
-        self.stiff = d * np.einsum("ABkl,ekl->eAB", stiff, Jinv @ JinvT)  # (E, 4, 4)
-        self.gbgb = d * (JinvT @ stiff[3, 3] @ Jinv)         # (E, 2, 2) int grad b (x) grad b
+        JJt = np.einsum("kme,lme->kle", Jinv, Jinv)
+        self.mass = mass[..., None] * detJ                   # (4, 4, E)
+        self.bmass = bmass[..., None] * detJ                 # (3, 3, E)
+        self.mass_gb = detJ * np.einsum("ABm,mke->ABke", mass_db, Jinv)  # (4, 4, 2, E)
+        self.stiff = detJ * np.einsum("ABkl,kle->ABe", stiff, JJt)       # (4, 4, E)
+        self.gbgb = detJ * np.einsum("kie,kl,lje->ije", Jinv, stiff[3, 3], Jinv)  # (2, 2, E)
         # Pressure coupling: entry ((A, i), c) is -int d_i(Nb_A) N_c.  It is
         # [Kcp; Kfp], its transpose is [Kpc Kpf], and the continuity
         # residual is its transpose applied to the velocity coefficients.
-        self.div = (-d[..., None] * np.matmul(JinvT[:, None], grad_N)).reshape(
-            len(self.elements), 8, 3)                        # (E, 8, 3)
+        self.div = -detJ * np.einsum("kie,Akc->Aice", Jinv, grad_N).reshape(8, 3, -1)  # (8, 3, E)
+        for array in vars(self).values():
+            array.flags.writeable = False
 
     @property
     def wd(self) -> np.ndarray:
@@ -211,7 +216,7 @@ class ElementBatch:
 
 
 def _body_force_load(batch: ElementBatch, body_force) -> np.ndarray | None:
-    """Element integrals of the body force, shape (E, 7, 2), or None.
+    """Element integrals of the body force, shape (7, 2, E), or None.
 
     Rows 0-2 hold ``int N_a f``, row 3 ``int b f`` and rows 4-6
     ``int b N_a f``; the force is checked at every quadrature point first.
@@ -221,7 +226,7 @@ def _body_force_load(batch: ElementBatch, body_force) -> np.ndarray | None:
     name = getattr(body_force, "__name__", repr(body_force))
     f = checked_values(body_force, batch.xq, f"body force {name}", "quadrature point")
     tests = np.column_stack([batch.N, batch.bq, batch.bq[:, None] * batch.N])  # (Q, 7)
-    return np.matmul(tests.T, batch.wd[..., None] * f)
+    return np.einsum("qt,eqi->tie", tests, batch.wd[..., None] * f, order="C")
 
 
 @dataclass
@@ -229,126 +234,127 @@ class _Fields:
     """The iterate on each element, as every kernel of both strategies reads it.
 
     Built only by ``_fields``, which checks ``nu``, ``dt`` and
-    ``vbar_prev`` once.  The total velocity is ``u = sum_A Nb_A U_A`` and
-    its gradient is ``grad vbar + beta (x) grad b``.  Fixed point reads
-    only the coarse part (``U[:, :3]``, ``gvbar``, ``nu``, ``dt``,
-    ``prev``), so its numbers never depend on ``beta``.
+    ``vbar_prev`` once; every array has the element index last.  The
+    total velocity is ``u = sum_A Nb_A U_A`` and its gradient is
+    ``grad vbar + beta (x) grad b``.  Fixed point reads only the coarse
+    part (``U[:3]``, ``gvbar``, ``nu``, ``dt``, ``prev``), so its numbers
+    never depend on ``beta``.
     """
 
-    U: np.ndarray        # (E, 4, 2) coarse nodal velocities, then beta
-    p: np.ndarray        # (E, 3) nodal pressures
-    gvbar: np.ndarray    # (E, 2, 2) coarse velocity gradient
-    mu: np.ndarray       # (E, 4, 2) int Nb_A u
-    gbu: np.ndarray      # (E, 4) int Nb_A (grad b . u)
+    U: np.ndarray        # (4, 2, E) coarse nodal velocities, then beta
+    p: np.ndarray        # (3, E) nodal pressures
+    gvbar: np.ndarray    # (2, 2, E) coarse velocity gradient
+    mu: np.ndarray       # (4, 2, E) int Nb_A u
+    gbu: np.ndarray      # (4, E) int Nb_A (grad b . u)
     nu: float
     dt: float | None
-    prev: np.ndarray | None  # (E, 3, 2) vbar_prev at the nodes, with dt
+    prev: np.ndarray | None  # (3, 2, E) vbar_prev at the nodes, with dt
 
 
 def _fields(batch: ElementBatch, state: State, nu: float) -> _Fields:
     if not nu > 0:
         raise ValueError(f"kinematic viscosity must be positive, got {nu}")
+    tris = np.ascontiguousarray(batch.tris.T)                # (3, E): gathers come out (3, ..., E)
+    E = len(batch.elements)
     prev = None
     if state.dt is not None:
         if not state.dt > 0:
             raise ValueError(f"time step must be positive, got {state.dt}")
         if state.vbar_prev is None:
             raise ValueError("transient systems need the previous velocity (vbar_prev) with dt")
-        prev = state.vbar_prev.take(batch.tris, axis=0)
-    E = len(batch.elements)
-    vel = state.vbar.take(batch.tris, axis=0)                # (E, 3, 2)
-    U = np.concatenate([vel, state.beta[batch.elements, None, :]], axis=1)
+        prev = np.ascontiguousarray(state.vbar_prev[tris].transpose(0, 2, 1))
+    U = np.empty((4, 2, E))                 # C-contiguous, as every einsum below needs
+    U[:3] = state.vbar[tris].transpose(0, 2, 1)
+    U[3] = state.beta[batch.elements].T
     return _Fields(
         U=U,
-        p=state.p[batch.tris],
-        gvbar=np.matmul(vel.transpose(0, 2, 1), batch.G),
-        mu=np.matmul(batch.mass, U),
-        gbu=np.matmul(batch.mass_gb.reshape(E, 4, 8), U.reshape(E, 8, 1))[..., 0],
+        p=state.p[tris],
+        gvbar=np.einsum("aie,aje->ije", U[:3], batch.G),
+        mu=np.einsum("ABe,Bie->Aie", batch.mass, U),
+        gbu=np.einsum("Axe,xe->Ae", batch.mass_gb.reshape(4, 8, E), U.reshape(8, E)),
         nu=nu,
         dt=state.dt,
         prev=prev,
     )
 
 
-def _kron(scalars: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """``sum_s scalars[s, a, b] * mats[s, i, j]`` per element, as (E, a*i, b*j)."""
-    E, S, na, nb = scalars.shape
-    ni, nj = mats.shape[2:]
-    out = np.matmul(scalars.reshape(E, S, na * nb).transpose(0, 2, 1),
-                    mats.reshape(E, S, ni * nj))
-    return out.reshape(E, na, nb, ni, nj).transpose(0, 1, 3, 2, 4).reshape(E, na * ni, nb * nj)
-
-
 def _residuals_batched(batch: ElementBatch, f: _Fields, load):
     """Residual blocks for every element in the batch.
 
     ``load`` is the body-force integral table of ``_body_force_load``.
-    Returns ``Rvp`` (E, 9), the (velocity, pressure) block in
-    ``element_dofs`` order, and ``Rf`` (E, 2).  Boundary traction is not
+    Returns ``Rvp`` (9, E), the (velocity, pressure) block in
+    ``element_dofs`` order, and ``Rf`` (2, E).  Boundary traction is not
     an element-interior term; the global assembly adds it on the tagged
     edges.
     """
     E = len(batch.elements)
-    beta = f.U[:, 3]
     # int Nb_A (u . grad) u_i = (int Nb_A u) . grad vbar_i + beta_i int Nb_A grad b . u
-    R = np.matmul(f.mu, f.gvbar.transpose(0, 2, 1)) + f.gbu[..., None] * beta[:, None, :]
-    R += f.nu * np.matmul(batch.stiff, f.U)
-    R += np.matmul(batch.div, f.p[..., None]).reshape(E, 4, 2)
+    R = np.einsum("Aje,ije->Aie", f.mu, f.gvbar) + f.gbu[:, None] * f.U[3]
+    R += f.nu * np.einsum("ABe,Bie->Aie", batch.stiff, f.U)
+    R += np.einsum("xce,ce->xe", batch.div, f.p).reshape(4, 2, E)
     if f.dt is not None:
-        R += np.matmul(batch.mass[:, :, :3], (f.U[:, :3] - f.prev) / f.dt)
+        R += np.einsum("Abe,bie->Aie", batch.mass[:, :3], (f.U[:3] - f.prev) / f.dt)
     if load is not None:
-        R -= load[:, :4]
-    Rp = np.matmul(f.U.reshape(E, 1, 8), batch.div)[:, 0]
-    return np.concatenate([R[:, :3].reshape(E, 6), Rp], axis=1), R[:, 3]
+        R -= load[:4]
+    Rp = np.einsum("xe,xce->ce", f.U.reshape(8, E), batch.div)
+    return np.concatenate([R[:3].reshape(6, E), Rp]), R[3]
 
 
 def _tangent_batched(batch: ElementBatch, f: _Fields):
     """All eight nonzero tangent blocks for every element in the batch.
 
-    The velocity and fine-scale blocks form one (E, 8, 8) matrix over
+    The velocity and fine-scale blocks form one (8, 8, E) matrix over
     (A, i) with entries ``delta_ij scal_AB + int Nb_A Nb_B grad u_ij``.
     """
     E = len(batch.elements)
     # scal_AB = int Nb_A u . grad Nb_B + nu int grad Nb_A . grad Nb_B (+ mass / dt)
-    scal = np.concatenate([np.matmul(f.mu, batch.G.transpose(0, 2, 1)),
-                           f.gbu[..., None]], axis=2)
-    scal += f.nu * batch.stiff
+    scal = f.nu * batch.stiff
+    scal[:, :3] += np.einsum("Ake,Bke->ABe", f.mu, batch.G)
+    scal[:, 3] += f.gbu
     if f.dt is not None:
-        scal[:, :, :3] += batch.mass[:, :, :3] / f.dt
-    T = _kron(np.stack([scal, batch.mass], axis=1),
-              np.stack([np.broadcast_to(_I2, f.gvbar.shape), f.gvbar], axis=1))
-    T += (f.U[:, 3, None, :, None, None] * batch.mass_gb[:, :, None, :, :]).reshape(E, 8, 8)
+        scal[:, :3] += batch.mass[:, :3] / f.dt
+    # int Nb_A Nb_B grad u_ij = mass_AB grad vbar_ij + beta_i int Nb_A Nb_B d_j b
+    T = batch.mass[:, None, :, None] * f.gvbar[None, :, None]          # (4, 2, 4, 2, E)
+    T += f.U[3][None, :, None, None] * batch.mass_gb[:, None]
+    T[:, 0, :, 0] += scal
+    T[:, 1, :, 1] += scal
+    T = T.reshape(8, 8, E)
     div = batch.div
     return {
-        "Kcc": T[:, :6, :6], "Kcp": div[:, :6], "Kcf": T[:, :6, 6:],
-        "Kpc": div[:, :6].transpose(0, 2, 1), "Kpf": div[:, 6:].transpose(0, 2, 1),
-        "Kfc": T[:, 6:, :6], "Kfp": div[:, 6:], "Kff": T[:, 6:, 6:],
+        "Kcc": T[:6, :6], "Kcp": div[:6], "Kcf": T[:6, 6:],
+        "Kpc": div[:6].transpose(1, 0, 2), "Kpf": div[6:].transpose(1, 0, 2),
+        "Kfc": T[6:, :6], "Kfp": div[6:], "Kff": T[6:, 6:],
     }
 
 
 def _invert_fine_blocks(M: np.ndarray):
-    """Inverses and determinants of the fine-scale 2x2 blocks ``M`` (E, 2, 2),
+    """Inverses and determinants of the fine-scale 2x2 blocks ``M`` (2, 2, E),
     and the first block with ``|det| <= 1e-14 ||M||_F^2`` (None if none is)."""
     inv, det = inv2(M)
-    bad = np.abs(det) <= 1e-14 * np.einsum("eij,eij->e", M, M)
+    bad = np.abs(det) <= 1e-14 * np.einsum("ije,ije->e", M, M)
     return inv, det, int(np.argmax(bad)) if np.any(bad) else None
 
 
 def _condense_batched(Rvp, Rf, blocks, elements):
-    """Schur complements (E, 9, 9), (E, 9), with ``Kff^-1`` and ``[Kfc Kfp]``."""
+    """Schur complements (9, 9, E), (9, E), with ``Kff^-1`` and ``X = Kff^-1 [Kfc Kfp]``:
+    ``[Kcc Kcp; Kpc 0] - [Kcf; Kpf] X``, each block product written into its rows."""
     Kff_inv, det, bad = _invert_fine_blocks(blocks["Kff"])
     if bad is not None:
         raise FineScaleSingularError(f"fine-scale block of element {int(elements[bad])} "
                                      f"is numerically singular (|det| = {abs(det[bad]):.3e})")
-    B = np.concatenate([blocks["Kcf"], blocks["Kpf"]], axis=1)        # (E, 9, 2)
-    C = np.concatenate([blocks["Kfc"], blocks["Kfp"]], axis=2)        # (E, 2, 9)
-    K = np.zeros((len(Rvp), 9, 9))
-    K[:, :6, :6] = blocks["Kcc"]
-    K[:, :6, 6:] = blocks["Kcp"]
-    K[:, 6:, :6] = blocks["Kpc"]
-    K -= np.matmul(B, np.matmul(Kff_inv, C))
-    R = Rvp - np.matmul(B, np.matmul(Kff_inv, Rf[..., None]))[..., 0]
-    return K, R, Kff_inv, C
+    E = Rvp.shape[-1]
+    X, K, R = np.empty((2, 9, E)), np.empty((9, 9, E)), np.empty((9, E))
+    y = np.einsum("fge,ge->fe", Kff_inv, Rf)
+    for rows, C, B in ((slice(6), "Kfc", "Kcf"), (slice(6, 9), "Kfp", "Kpf")):
+        np.einsum("fge,gxe->fxe", Kff_inv, blocks[C], out=X[:, rows])
+        np.einsum("xfe,fe->xe", blocks[B], y, out=R[rows])
+    for rows, B in ((slice(6), "Kcf"), (slice(6, 9), "Kpf")):
+        np.einsum("xfe,fye->xye", blocks[B], X, out=K[rows])
+    np.subtract(blocks["Kcc"], K[:6, :6], out=K[:6, :6])
+    np.subtract(blocks["Kcp"], K[:6, 6:], out=K[:6, 6:])
+    np.subtract(blocks["Kpc"], K[6:, :6], out=K[6:, :6])
+    np.negative(K[6:, 6:], out=K[6:, 6:])
+    return K, np.subtract(Rvp, R, out=R), Kff_inv, X
 
 
 def element_residuals(mesh: Mesh, element_index: int, state: State, nu: float,
@@ -357,7 +363,7 @@ def element_residuals(mesh: Mesh, element_index: int, state: State, nu: float,
     batch = ElementBatch(mesh, elements=[element_index])
     Rvp, Rf = _residuals_batched(batch, _fields(batch, state, nu),
                                  _body_force_load(batch, body_force))
-    return ElementResiduals(Rc=Rvp[0, :6], Rp=Rvp[0, 6:], Rf=Rf[0])
+    return ElementResiduals(Rc=Rvp[:6, 0], Rp=Rvp[6:, 0], Rf=Rf[:, 0])
 
 
 def element_tangent(mesh: Mesh, element_index: int, state: State, nu: float
@@ -365,17 +371,17 @@ def element_tangent(mesh: Mesh, element_index: int, state: State, nu: float
     """The eight nonzero consistent tangent blocks of one element."""
     batch = ElementBatch(mesh, elements=[element_index])
     blocks = _tangent_batched(batch, _fields(batch, state, nu))
-    return ElementTangent(**{k: v[0] for k, v in blocks.items()})
+    return ElementTangent(**{k: v[..., 0] for k, v in blocks.items()})
 
 
 def condense(res: ElementResiduals, tan: ElementTangent,
              element_index: int = 0) -> CondensedElement:
     """Eliminate the fine-scale pair of one element by a Schur complement."""
-    blocks = {k: v[None] for k, v in vars(tan).items()}
-    K, R, Kff_inv, _ = _condense_batched(np.concatenate([res.Rc, res.Rp])[None],
-                                         res.Rf[None], blocks, np.array([element_index]))
+    blocks = {k: v[..., None] for k, v in vars(tan).items()}
+    K, R, Kff_inv, _ = _condense_batched(np.concatenate([res.Rc, res.Rp])[:, None],
+                                         res.Rf[:, None], blocks, np.array([element_index]))
     return CondensedElement(
-        K_hat=K[0], R_hat=R[0], Kff_inv=Kff_inv[0],
+        K_hat=K[..., 0], R_hat=R[:, 0], Kff_inv=Kff_inv[..., 0],
         Kfc=tan.Kfc.copy(), Kfp=tan.Kfp.copy(), Rf=res.Rf.copy(),
     )
 
@@ -427,26 +433,26 @@ def _csc_pattern(tris: np.ndarray, nodes: np.ndarray, node_of: np.ndarray, local
     """CSC pattern of the free-by-free element entries, and the slot of each entry.
 
     ``nodes`` is the dissection order, ``node_of`` the node of each free
-    DOF (the free DOFs go node by node in that order), and ``local`` (E, 9)
+    DOF (the free DOFs go node by node in that order), and ``local`` (9, E)
     the position among them of each element DOF (-1 where constrained).
     A node's free DOFs are adjacent, so every DOF column of a node holds
     the same rows: the free DOFs of the nodes it shares an element with,
     in order.  The pattern is built from the node pairs (column node, row
     node), 9 per element, sorted column-major in dissection order and
     expanded into DOF entries.
-    Entry ``K[e, i, j]`` goes to the start of column j, plus the rows of the
+    Entry ``K[i, j, e]`` goes to the start of column j, plus the rows of the
     pairs above its pair in that column, plus row i's offset among its
     node's DOFs; an entry with a constrained row or column goes to the
     discard slot ``nnz``.  Returns ``indices``, ``indptr`` and the
-    flattened (E*81,) slots.
+    flattened (81*E,) slots in the (i, j, e) order of the element matrices.
     """
     n = nodes.size
     n_dofs = np.bincount(node_of, minlength=n)            # free DOFs per node
     rank = np.empty(n, dtype=np.int64)
     rank[nodes] = np.arange(n)
     start = np.cumsum(n_dofs[nodes])[rank] - n_dofs       # position of a node's first one
-    ranked = rank[tris]
-    pairs, pair_of = np.unique(ranked[:, None, :] * n + ranked[:, :, None],  # [e, row, col]
+    ranked = rank[tris.T]
+    pairs, pair_of = np.unique(ranked[None] * n + ranked[:, None],  # [row, col, e]
                                return_inverse=True)
     col_node, row_node = nodes[pairs // n], nodes[pairs % n]
     rows_of_pair = n_dofs[row_node]
@@ -463,14 +469,13 @@ def _csc_pattern(tris: np.ndarray, nodes: np.ndarray, node_of: np.ndarray, local
     indices = pair_rows[np.repeat(col_first[node_of] - indptr[:-1], n_rows[node_of])
                         + np.arange(nnz)]
 
-    rows_above = (before - col_first[col_node])[pair_of.reshape(-1, 3, 3)]
-    offset = local - start[tris[:, _NODE_OF_DOF]]
-    slot = (offset[:, :, None] + indptr[local][:, None, :]
-            + rows_above[:, _NODE_OF_DOF][:, :, _NODE_OF_DOF])
+    rows_above = (before - col_first[col_node])[pair_of.reshape(3, 3, -1)]
+    offset = local - start[tris.T[_NODE_OF_DOF]]
+    slot = (offset[:, None] + indptr[local][None]
+            + rows_above[_NODE_OF_DOF][:, _NODE_OF_DOF])
     constrained = local < 0
-    slot[constrained] = nnz                       # constrained rows
-    slot.transpose(0, 2, 1)[constrained] = nnz    # constrained columns
-    return indices, indptr, slot.reshape(-1)
+    slot[constrained[:, None] | constrained[None]] = nnz   # constrained row or column
+    return indices, indptr, slot.ravel()
 
 
 class Discretization:
@@ -483,7 +488,8 @@ class Discretization:
     ``np.bincount``.  The pattern is built from the 9 node pairs of each
     element rather than its 81 DOF pairs (``_csc_pattern``), and entries
     with a constrained row or column share one discard slot past the
-    last.  Nothing is written to it once built.
+    last.  ``edofs`` (9, E) and the slots follow the element-last kernel
+    outputs, which are scattered without a copy.  Every array is read-only.
     ``free`` lists the free global DOFs in nested-dissection order
     (``mesh.nested_dissection``, (u, v, p) per node), so every assembled
     matrix and right-hand side arrives in a fill-reducing order and
@@ -495,7 +501,7 @@ class Discretization:
         self.mesh = mesh
         self.dofmap = dofmap
         self.batch = ElementBatch(mesh)
-        self.edofs = element_dofs(mesh, dofmap)
+        self.edofs = np.ascontiguousarray(element_dofs(mesh, dofmap).T)
         self.traction = traction_vector(mesh, dofmap, bc)
         self.load = _body_force_load(self.batch, body_force)
         nodes = nested_dissection(mesh)
@@ -509,11 +515,13 @@ class Discretization:
             mesh.triangles, nodes, np.repeat(nodes, 3)[kept], position[self.edofs])
         # scipy's index type, so no matrix scans or copies them.
         self._indices, self._indptr = indices.astype(np.intc), indptr.astype(np.intc)
-        for array in (self._indices, self._indptr, self._slot):
-            array.flags.writeable = False
+        for array in (self.edofs, self.free, self.traction, self.load,
+                      self._indices, self._indptr, self._slot):
+            if array is not None:
+                array.flags.writeable = False
 
     def free_matrix(self, K: np.ndarray) -> sp.csc_matrix:
-        """Sum element matrices (E, 9, 9) into the free-DOF CSC matrix (rows
+        """Sum element matrices (9, 9, E) into the free-DOF CSC matrix (rows
         sorted and unique in each column, so ``splu`` factors it as it is).
         Constrained entries land in the discard slot, which is dropped."""
         nnz = self._indices.size
@@ -523,7 +531,7 @@ class Discretization:
                              shape=(n_free, n_free))
 
     def global_vector(self, F: np.ndarray) -> np.ndarray:
-        """Sum element vectors (E, 9) over all global (v, p) DOFs."""
+        """Sum element vectors (9, E) over all global (v, p) DOFs."""
         return np.bincount(self.edofs.ravel(), weights=F.ravel(),
                            minlength=self.dofmap.total)
 
@@ -541,7 +549,7 @@ class NewtonSystem:
     """The residual of one Newton iterate, and its linearization on demand.
 
     The tangent and its condensation (``matrix``, ``rhs``, ``Kff_inv``,
-    ``coupling``) are built together on first access, which releases the
+    ``Kff_inv_coupling``) are built together on first access, which releases the
     fields and residuals kept for it and raises ``FineScaleSingularError``
     on a singular fine-scale block.
     """
@@ -549,8 +557,8 @@ class NewtonSystem:
     def __init__(self, disc: Discretization, fields: _Fields,
                  Rvp: np.ndarray, Rf: np.ndarray, state_digest: bytes):
         self.residual_norm = _norm_of(disc, Rvp, Rf)     # 2-norm of [assembled Rvp; all Rf]
-        self.Rf = Rf                                      # (E, 2)
-        self.edofs = disc.edofs                           # (E, 9)
+        self.Rf = Rf                                      # (2, E)
+        self.edofs = disc.edofs                           # (9, E)
         self.state_digest = state_digest
         self._pending = (disc, fields, Rvp)
 
@@ -558,19 +566,19 @@ class NewtonSystem:
     def _linearization(self):
         disc, fields, Rvp = self._pending
         blocks = _tangent_batched(disc.batch, fields)
-        K_hat, R_hat, Kff_inv, coupling = _condense_batched(Rvp, self.Rf, blocks,
-                                                            disc.batch.elements)
+        K_hat, R_hat, Kff_inv, X = _condense_batched(Rvp, self.Rf, blocks, disc.batch.elements)
         residual_hat = disc.global_vector(R_hat) - disc.traction
         self._pending = None
-        return disc.free_matrix(K_hat), -residual_hat[disc.free], Kff_inv, coupling
+        return disc.free_matrix(K_hat), -residual_hat[disc.free], Kff_inv, X
 
     matrix = _linearization_part(0, "condensed tangent on the free (v, p) DOFs, CSC")
     rhs = _linearization_part(1, "-R_hat on the free DOFs")
-    Kff_inv = _linearization_part(2, "(E, 2, 2) inverse fine-scale blocks")
-    coupling = _linearization_part(3, "(E, 2, 9) = [Kfc Kfp]")
+    Kff_inv = _linearization_part(2, "(2, 2, E) inverse fine-scale blocks")
+    Kff_inv_coupling = _linearization_part(3, "(2, 9, E) = Kff^-1 [Kfc Kfp]")
 
     def recover_beta(self, state: State, delta_full: np.ndarray) -> np.ndarray:
-        """Fine-scale increments for a global (v, p) increment vector.
+        """Fine-scale increments (E, 2) for a global (v, p) increment vector:
+        ``-Kff^-1 (Rf + [Kfc Kfp] d)`` on each element.
 
         Raises if the state was modified after assembly: the stored
         condensation data would then belong to a different linearization.
@@ -579,9 +587,10 @@ class NewtonSystem:
             raise RuntimeError(
                 "stale condensation data: state changed since assembly"
             )
-        d9 = delta_full[self.edofs]                           # (E, 9)
-        rhs = self.Rf[..., None] + np.matmul(self.coupling, d9[..., None])
-        return -np.matmul(self.Kff_inv, rhs)[..., 0]
+        d9 = delta_full[self.edofs]                           # (9, E)
+        dbeta = np.einsum("fge,ge->fe", self.Kff_inv, self.Rf)
+        dbeta += np.einsum("fxe,xe->fe", self.Kff_inv_coupling, d9)
+        return -dbeta.T
 
 
 def residual_norm(disc: Discretization, state: State, nu: float) -> float:

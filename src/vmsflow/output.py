@@ -30,38 +30,47 @@ def sample_field(mesh: Mesh, state: State, points) -> tuple[np.ndarray, np.ndarr
     of points outside the mesh are flagged and left as NaN.  The
     velocity includes the bubble fine scale of the containing element.
     A point on a shared edge or node takes the lowest-index triangle
-    that contains it.
+    that contains it.  All points are located at once: the points sorted
+    by x give each triangle the points in its x range, and only those
+    (triangle, point) pairs are tested.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     coords = mesh.node_coords.take(mesh.triangles, axis=0)  # (E, 3, 2)
-    origin = coords[:, 2]                              # local node 3
-    T = np.stack([coords[:, 0] - origin, coords[:, 1] - origin], axis=-1)  # (E, 2, 2)
-    Tinv, _ = inv2(T)
+    c0, c1, origin = coords.transpose(1, 0, 2)         # origin: local node 3
     # Bounding boxes, widened far past the barycentric tolerance below, so
     # every triangle that passes that test is among a point's candidates.
-    lo, hi = coords.min(axis=1), coords.max(axis=1)
+    lo = np.minimum(np.minimum(c0, c1), origin)
+    hi = np.maximum(np.maximum(c0, c1), origin)
     pad = 1e-6 * (hi - lo)
-    (x_lo, y_lo), (x_hi, y_hi) = (lo - pad).T.copy(), (hi + pad).T.copy()
+    lo, hi = lo - pad, hi + pad
+
+    # The pairs run triangle by triangle, so a point's first hit is its
+    # lowest-index triangle.
+    order = np.argsort(pts[:, 0])
+    start = np.searchsorted(pts[order, 0], lo[:, 0])
+    count = np.searchsorted(pts[order, 0], hi[:, 0], side="right") - start
+    e = np.repeat(np.arange(len(coords)), count)
+    point = order[np.repeat(start - np.cumsum(count) + count, count) + np.arange(e.size)]
+    boxed = (lo[e, 1] <= pts[point, 1]) & (pts[point, 1] <= hi[e, 1])
+    point, e = point[boxed], e[boxed]
+    Tinv, _ = inv2(np.stack([(c0[e] - origin[e]).T, (c1[e] - origin[e]).T], axis=1))
+    lam = np.einsum("ije,ej->ei", Tinv, pts[point] - origin[e])
+    lam3 = 1.0 - lam.sum(axis=1)
+    tol = 1e-10
+    ok = np.flatnonzero((lam[:, 0] >= -tol) & (lam[:, 1] >= -tol) & (lam3 >= -tol))
+    found, first = np.unique(point[ok], return_index=True)
+    pair = ok[first]
+    e = e[pair]
+    N = np.column_stack([lam[pair], lam3[pair]])
+    tris = mesh.triangles[e]
+    bubble = N[:, 0] * N[:, 1] * N[:, 2]
 
     vel = np.full((len(pts), 2), np.nan)
     prs = np.full(len(pts), np.nan)
     inside = np.zeros(len(pts), dtype=bool)
-    tol = 1e-10
-    for k, x in enumerate(pts):
-        cand = np.flatnonzero((x_lo <= x[0]) & (x[0] <= x_hi) & (y_lo <= x[1]) & (x[1] <= y_hi))
-        lam = np.einsum("eij,ej->ei", Tinv[cand], x[None, :] - origin[cand])
-        lam3 = 1.0 - lam.sum(axis=1)
-        ok = (lam[:, 0] >= -tol) & (lam[:, 1] >= -tol) & (lam3 >= -tol)
-        if not np.any(ok):
-            continue
-        c = int(np.argmax(ok))
-        e = int(cand[c])
-        N = np.array([lam[c, 0], lam[c, 1], lam3[c]])
-        tri = mesh.triangles[e]
-        bubble = N[0] * N[1] * N[2]
-        vel[k] = N @ state.vbar[tri] + bubble * state.beta[e]
-        prs[k] = N @ state.p[tri]
-        inside[k] = True
+    vel[found] = np.matmul(N[:, None], state.vbar[tris])[:, 0] + bubble[:, None] * state.beta[e]
+    prs[found] = np.matmul(N[:, None], state.p[tris][..., None])[:, 0, 0]
+    inside[found] = True
     return vel, prs, inside
 
 

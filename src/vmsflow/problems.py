@@ -308,7 +308,7 @@ def error_norms(state: State, exact: ExactSolution | None, mesh: Mesh) -> ErrorN
     vq = np.einsum("qa,eai->eqi", batch.N, vel)
     vq += batch.bq[None, :, None] * state.beta[:, None, :]
     pq = np.einsum("qa,ea->eq", batch.N, state.p[batch.tris])
-    gp = np.einsum("ea,eaj->ej", state.p[batch.tris], batch.G)
+    gp = np.einsum("ea,aje->ej", state.p[batch.tris], batch.G)
 
     xq = batch.xq
     dv = vq - exact.velocity(xq)

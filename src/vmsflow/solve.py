@@ -124,14 +124,15 @@ class SolverConfig:
 
     def __post_init__(self):
         # Each check is written so that NaN fails it.
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.increment_tol is not None and not self.increment_tol >= 0:
-            raise ValueError(f"increment_tol must be non-negative, got {self.increment_tol}")
+        if not 0 < self.tol < np.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        if self.increment_tol is not None and not 0 <= self.increment_tol < np.inf:
+            raise ValueError("increment_tol must be non-negative and finite, "
+                             f"got {self.increment_tol}")
         if self.strategy not in ("newton", "fixed_point"):
             raise ValueError(f"unknown strategy '{self.strategy}'")
-        if self.dt is not None and not self.dt > 0:
-            raise ValueError(f"time step must be positive, got {self.dt}")
+        if self.dt is not None and not 0 < self.dt < np.inf:
+            raise ValueError(f"time step must be positive and finite, got dt={self.dt}")
         counts = [("max_iter", 1), ("snapshot_stride", 1)]
         if self.n_steps is not None:
             counts.append(("n_steps", 0))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from vmsflow.fem import element_geometry, t3_bubble, t3_shape, triangle_quadrature
+from vmsflow.fem import element_geometry, inv2, t3_bubble, t3_shape, triangle_quadrature
 from vmsflow.mesh import (
     BoundaryConditions,
     Mesh,
@@ -73,8 +73,9 @@ def dof_pair_pattern(mesh, dofmap, edofs):
     Reference for ``Discretization``: ``free`` is (u, v, p) node by node in
     ``nested_dissection`` order; the sorted unique column-major keys of
     the free-by-free entries give ``indices`` and ``indptr``, and the
-    inverse is the slot of every kept entry.  Returns
-    (free, indices, indptr, kept, slot).
+    inverse is the slot of every kept entry.  ``edofs`` is (9, E) and the
+    entries run in the (i, j, e) order of (9, 9, E) element matrices.
+    Returns (free, indices, indptr, kept, slot).
     """
     nodes = nested_dissection(mesh)
     n = mesh.n_nodes
@@ -84,8 +85,8 @@ def dof_pair_pattern(mesh, dofmap, edofs):
     position = np.full(dofmap.total, -1, dtype=np.int64)
     position[free] = np.arange(n_free)
     local = position[edofs]
-    rows = np.repeat(local, 9, axis=1).ravel()
-    cols = np.tile(local, (1, 9)).ravel()
+    rows = np.broadcast_to(local[:, None], (9,) + local.shape).ravel()
+    cols = np.broadcast_to(local[None], (9,) + local.shape).ravel()
     kept = (rows >= 0) & (cols >= 0)
     keys, slot = np.unique(cols[kept] * n_free + rows[kept], return_inverse=True)
     indices = (keys % n_free).astype(np.intc)
@@ -111,7 +112,7 @@ def traction_reference(mesh, dofmap, bc) -> np.ndarray:
 
 
 def dof_pair_matrix(pattern, K) -> sp.csc_matrix:
-    """Free-DOF CSC matrix of element matrices K (E, 9, 9) on a ``dof_pair_pattern``."""
+    """Free-DOF CSC matrix of element matrices K (9, 9, E) on a ``dof_pair_pattern``."""
     free, indices, indptr, kept, slot = pattern
     data = np.bincount(slot, weights=K.reshape(-1)[kept], minlength=indices.size)
     return sp.csc_matrix((data, indices, indptr), shape=(free.size, free.size))
@@ -323,3 +324,37 @@ def fp_element_reference(mesh, e, v_c, vbar_prev, nu, dt=None, body_force=None,
             K += wd * W @ tau @ S.T
             F += wd * W @ tau @ known
     return K, F
+
+
+def sample_field_point_by_point(mesh: Mesh, state: State, points):
+    """``output.sample_field`` one point at a time: the candidates are the
+    triangles whose padded bounding box holds the point, and the lowest
+    index among those that pass the barycentric test wins."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    coords = mesh.node_coords.take(mesh.triangles, axis=0)  # (E, 3, 2)
+    origin = coords[:, 2]
+    Tinv, _ = inv2(np.stack([(coords[:, 0] - origin).T, (coords[:, 1] - origin).T], axis=1))
+    lo, hi = coords.min(axis=1), coords.max(axis=1)
+    pad = 1e-6 * (hi - lo)
+    (x_lo, y_lo), (x_hi, y_hi) = (lo - pad).T.copy(), (hi + pad).T.copy()
+
+    vel = np.full((len(pts), 2), np.nan)
+    prs = np.full(len(pts), np.nan)
+    inside = np.zeros(len(pts), dtype=bool)
+    tol = 1e-10
+    for k, x in enumerate(pts):
+        cand = np.flatnonzero((x_lo <= x[0]) & (x[0] <= x_hi) & (y_lo <= x[1]) & (x[1] <= y_hi))
+        lam = np.einsum("ije,ej->ei", Tinv[:, :, cand], x[None, :] - origin[cand])
+        lam3 = 1.0 - lam.sum(axis=1)
+        ok = (lam[:, 0] >= -tol) & (lam[:, 1] >= -tol) & (lam3 >= -tol)
+        if not np.any(ok):
+            continue
+        c = int(np.argmax(ok))
+        e = int(cand[c])
+        N = np.array([lam[c, 0], lam[c, 1], lam3[c]])
+        tri = mesh.triangles[e]
+        bubble = N[0] * N[1] * N[2]
+        vel[k] = N @ state.vbar[tri] + bubble * state.beta[e]
+        prs[k] = N @ state.p[tri]
+        inside[k] = True
+    return vel, prs, inside

@@ -173,7 +173,7 @@ def interior_pressure_h1_error(problem, state, lo, hi):
     centroids = mesh.node_coords[mesh.triangles].mean(axis=1)
     inside = np.flatnonzero(np.all((centroids > lo) & (centroids < hi), axis=1))
     batch = ElementBatch(mesh, elements=inside)
-    gp = np.einsum("ea,eaj->ej", state.p[batch.tris], batch.G)
+    gp = np.einsum("ea,aje->ej", state.p[batch.tris], batch.G)
     dpg = gp[:, None, :] - problem.exact.pressure_gradient(batch.xq)
     return float(np.sqrt(np.einsum("eq,eqi,eqi->", batch.wd, dpg, dpg)))
 

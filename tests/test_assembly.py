@@ -26,6 +26,7 @@ from vmsflow.newton import (
     residual_norm,
     traction_vector,
 )
+from vmsflow.newton import _fields
 from vmsflow.problems import backward_step, body_force_cavity, lid_cavity
 import vmsflow.solve as solve_module
 from vmsflow.solve import ContinuationConfig, SolverConfig, solve, time_march
@@ -131,7 +132,7 @@ def test_free_matrix_is_sorted_csc_of_the_coo_sum(case):
     mesh, bc, _ = case()
     dofmap = build_dof_map(mesh, bc)
     disc = Discretization(mesh, dofmap, bc)
-    K = np.random.default_rng(5).normal(size=(mesh.n_triangles, 9, 9))
+    K = np.random.default_rng(5).normal(size=(9, 9, mesh.n_triangles))
     matrix = disc.free_matrix(K)
     assert isinstance(matrix, sp.csc_matrix)
     n_free = disc.free.size
@@ -140,8 +141,8 @@ def test_free_matrix_is_sorted_csc_of_the_coo_sum(case):
 
     position = np.full(dofmap.total, -1)
     position[disc.free] = np.arange(n_free)
-    local = position[element_dofs(mesh, dofmap)]
-    rows, cols = np.repeat(local, 9, axis=1).ravel(), np.tile(local, (1, 9)).ravel()
+    local = position[element_dofs(mesh, dofmap).T]                # (9, E)
+    rows, cols = (a.ravel() for a in np.broadcast_arrays(local[:, None], local[None]))
     kept = (rows >= 0) & (cols >= 0)
     reference = sp.coo_matrix((K.ravel()[kept], (rows[kept], cols[kept])),
                               shape=(n_free, n_free))
@@ -153,7 +154,7 @@ def test_free_matrix_shares_the_read_only_intc_pattern(case):
     # scipy keeps intc index arrays as they are: no scan and no copy per matrix
     mesh, bc, _ = case()
     disc = Discretization(mesh, build_dof_map(mesh, bc), bc)
-    K = np.random.default_rng(6).normal(size=(mesh.n_triangles, 9, 9))
+    K = np.random.default_rng(6).normal(size=(9, 9, mesh.n_triangles))
     matrix = disc.free_matrix(K)
     assert matrix.indices.dtype == matrix.indptr.dtype == np.intc
     assert np.shares_memory(matrix.indices, disc.free_matrix(K).indices)
@@ -231,6 +232,33 @@ def test_set_up_is_not_written_during_solves(monkeypatch):
         assert _attributes(disc) == attributes
         assert _attributes(disc.batch) == tables
         assert disc.load is not None
+        # and none can be: every array of the set-up is read-only
+        for obj in (disc, disc.batch):
+            for name, array in vars(obj).items():
+                if isinstance(array, np.ndarray):
+                    with pytest.raises(ValueError, match="read-only"):
+                        array[...] = array
+
+
+def test_element_tables_are_c_contiguous_with_the_element_index_last():
+    mesh, bc, _ = step_case()
+    disc = Discretization(mesh, build_dof_map(mesh, bc), bc, linear_force)
+    E = mesh.n_triangles
+    shapes = {"G": (3, 2), "mass": (4, 4), "bmass": (3, 3), "stiff": (4, 4),
+              "mass_gb": (4, 4, 2), "gbgb": (2, 2), "div": (8, 3)}
+    for name, shape in shapes.items():
+        table = getattr(disc.batch, name)
+        assert table.shape == (*shape, E) and table.flags.c_contiguous, name
+    for array, shape in ((disc.load, (7, 2)), (disc.edofs, (9,))):
+        assert array.shape == (*shape, E) and array.flags.c_contiguous
+    # and so is the iterate every kernel reads (a strided one slows the
+    # einsum contractions several times over)
+    state = random_state(mesh, np.random.default_rng(2), dt=0.1)
+    fields = _fields(disc.batch, state, 0.5)
+    shapes = {"U": (4, 2), "p": (3,), "gvbar": (2, 2), "mu": (4, 2), "gbu": (4,), "prev": (3, 2)}
+    for name, shape in shapes.items():
+        array = getattr(fields, name)
+        assert array.shape == (*shape, E) and array.flags.c_contiguous, name
 
 
 def rotation_bc():

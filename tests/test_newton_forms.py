@@ -152,7 +152,8 @@ class TestElementTangent:
         batch = ElementBatch(mesh)
         load = _body_force_load(batch, smooth_body_force)
         E = mesh.n_triangles
-        b = _tangent_batched(batch, _fields(batch, state, nu))
+        b = {k: np.moveaxis(v, -1, 0)        # element index first
+             for k, v in _tangent_batched(batch, _fields(batch, state, nu)).items()}
         K = np.concatenate([
             np.concatenate([b["Kcc"], b["Kcp"], b["Kcf"]], axis=2),
             np.concatenate([b["Kpc"], np.zeros((E, 3, 3)), b["Kpf"]], axis=2),
@@ -168,8 +169,7 @@ class TestElementTangent:
             s.vbar += sign * eps * dv
             s.p += sign * eps * dp
             s.beta += sign * eps * db
-            return np.concatenate(_residuals_batched(batch, _fields(batch, s, nu), load),
-                                  axis=1)
+            return np.concatenate(_residuals_batched(batch, _fields(batch, s, nu), load)).T
 
         fd = (resid(+1) - resid(-1)) / (2 * eps)
         tris = mesh.triangles
@@ -365,7 +365,7 @@ class TestGlobalAssembly:
         far = np.setdiff1d(np.arange(self.dofmap.total), edofs[e])
         delta[far] = self.rng.normal(size=far.size)
         dbeta = system.recover_beta(state, delta)
-        base = -np.einsum("mn,n->m", system.Kff_inv[e], system.Rf[e])
+        base = -np.einsum("mn,n->m", system.Kff_inv[..., e], system.Rf[:, e])
         np.testing.assert_allclose(dbeta[e], base, atol=1e-14)
 
     def test_stale_condensation_data_rejected(self):

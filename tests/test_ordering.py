@@ -109,7 +109,7 @@ def test_node_pair_pattern_matches_the_dof_pair_construction(case, seed):
     # the same slot for every kept entry, and one discard slot for the rest
     np.testing.assert_array_equal(disc._slot[kept], slot)
     assert np.all(disc._slot[~kept] == indices.size)
-    K = rng.normal(size=(mesh.n_triangles, 9, 9))
+    K = rng.normal(size=(9, 9, mesh.n_triangles))
     matrix, expected = disc.free_matrix(K), dof_pair_matrix(reference, K)
     assert matrix.data.tobytes() == expected.data.tobytes()
 

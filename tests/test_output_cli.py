@@ -6,11 +6,11 @@ import pytest
 import vmsflow.problems as problems_module
 from vmsflow.fem import inv2
 from vmsflow.output import sample_field, write_outputs
-from vmsflow.problems import lid_cavity
+from vmsflow.problems import backward_step, lid_cavity
 from vmsflow.cli import run_cli
 from vmsflow.solve import SolverConfig, newton_solve
 
-from helpers import perturbed_square_mesh, random_state
+from helpers import perturbed_square_mesh, random_state, sample_field_point_by_point
 
 
 @pytest.fixture(scope="module")
@@ -50,37 +50,42 @@ class TestSampling:
         assert np.isnan(vel[0]).all()
 
     def test_matches_search_over_every_triangle(self):
+        # the whole-array search against the point-by-point loop it replaced
+        # and against a search without bounding boxes, on a perturbed square
+        # and on the long, non-convex step
         rng = np.random.default_rng(11)
-        mesh = perturbed_square_mesh(7, rng)
-        state = random_state(mesh, rng)
-        tris = mesh.triangles
-        edges = np.sort(tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-        keys, counts = np.unique(edges, axis=0, return_counts=True)
-        a, b = mesh.node_coords[keys[counts == 2]].transpose(1, 0, 2)   # shared edges
-        t = np.array([0.25, 0.5, 0.8])[:, None, None]
-        points = np.concatenate([
-            mesh.node_coords,
-            (a + t * (b - a)).reshape(-1, 2),
-            rng.uniform(-0.2, 1.2, (200, 2)),                  # some outside the mesh
-            [[-1.0, 0.5], [0.5, 1.5], [2.0, 2.0]],
-        ])
-        got = sample_field(mesh, state, points)
-        want = _sample_over_every_triangle(mesh, state, points)
-        assert 0 < np.count_nonzero(~want[2]) < len(points)
-        for g, w in zip(got, want):
-            np.testing.assert_array_equal(g, w)
+        for mesh in (perturbed_square_mesh(7, rng), backward_step(re=10, h=0.25).mesh):
+            state = random_state(mesh, rng)
+            lo, hi = mesh.node_coords.min(axis=0), mesh.node_coords.max(axis=0)
+            tris = mesh.triangles
+            edges = np.sort(tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+            keys, counts = np.unique(edges, axis=0, return_counts=True)
+            a, b = mesh.node_coords[keys[counts == 2]].transpose(1, 0, 2)   # shared edges
+            t = np.array([0.25, 0.5, 0.8])[:, None, None]
+            points = np.concatenate([
+                mesh.node_coords,
+                (a + t * (b - a)).reshape(-1, 2),
+                rng.uniform(lo - 0.2, hi + 0.2, (200, 2)),          # some outside the mesh
+                [[-1.0, 0.5], [0.5, 1.5], [2.0, 2.0], [np.nan, 0.5], [0.5, 1e300]],
+            ])
+            got = sample_field(mesh, state, points)
+            for want in (sample_field_point_by_point(mesh, state, points),
+                         _sample_over_every_triangle(mesh, state, points)):
+                assert 0 < np.count_nonzero(~want[2]) < len(points)
+                for g, w in zip(got, want):
+                    np.testing.assert_array_equal(g, w)
 
 
 def _sample_over_every_triangle(mesh, state, points):
     """``sample_field`` by testing each point against all triangles; the lowest index wins."""
     coords = mesh.node_coords[mesh.triangles]
     origin = coords[:, 2]
-    Tinv, _ = inv2(np.stack([coords[:, 0] - origin, coords[:, 1] - origin], axis=-1))
+    Tinv, _ = inv2(np.stack([(coords[:, 0] - origin).T, (coords[:, 1] - origin).T], axis=1))
     vel = np.full((len(points), 2), np.nan)
     prs = np.full(len(points), np.nan)
     inside = np.zeros(len(points), dtype=bool)
     for k, x in enumerate(points):
-        lam = np.einsum("eij,ej->ei", Tinv, x[None, :] - origin)
+        lam = np.einsum("ije,ej->ei", Tinv, x[None, :] - origin)
         lam3 = 1.0 - lam.sum(axis=1)
         ok = (lam[:, 0] >= -1e-10) & (lam[:, 1] >= -1e-10) & (lam3 >= -1e-10)
         if np.any(ok):

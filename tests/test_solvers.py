@@ -592,6 +592,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=message):
             SolverConfig(**{field: float("nan")})
 
+    @pytest.mark.parametrize("field", ["tol", "increment_tol", "dt"])
+    def test_infinite_solver_setting_rejected(self, field):
+        # tol=inf used to report converged=True after one iteration, and
+        # dt=inf to march a steady problem
+        with pytest.raises(ValueError, match="finite") as err:
+            SolverConfig(**{field: float("inf")})
+        assert field in str(err.value)
+
     @pytest.mark.parametrize("settings", [
         dict(factor=float("nan")), dict(re_start=float("nan")),
         dict(re_target=float("nan")), dict(re_target=float("inf")),
