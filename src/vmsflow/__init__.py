@@ -37,6 +37,7 @@ from vmsflow.mesh import (
     Mesh,
     backward_step_mesh,
     build_dof_map,
+    elimination_order,
     nested_dissection,
     read_mesh,
     unit_square_mesh,

@@ -5,8 +5,10 @@ built in one whole-array pass.  ``DofMap`` owns the global numbering:
 velocity unknowns node-major and component-interleaved (v1x, v1y, v2x,
 v2y, ...), then all pressure unknowns; the per-element fine-scale
 coefficients stay element-local and never receive global numbers on the
-production (condensed) path.  ``nested_dissection`` gives the
-fill-reducing node order in which a solve numbers its free unknowns.
+production (condensed) path.  ``elimination_order`` gives the node
+order in which a solve numbers its free unknowns: a coordinate sweep that
+keeps the matrix inside a narrow band where the mesh allows it, else the
+fill-reducing ``nested_dissection``.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 
 _GEOM_TOL = 1e-12
 ND_LEAF = 16           # nested dissection numbers node sets this small as they are
+BAND_LIMIT = 64        # widest half-bandwidth, in unknowns, factored as a band matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -27,10 +30,11 @@ class Mesh:
     ``boundary_edges`` holds (node_a, node_b, tag) triples; every listed
     edge belongs to exactly one triangle.  ``edges`` is the read-only
     (n_edges, 2) table of undirected (min, max) triangle edges in order of
-    first appearance, computed once while the mesh is built; validation
-    and ``nested_dissection`` read it.  ``unit_square_mesh`` and
-    ``backward_step_mesh`` compute it before tagging and pass it on as
-    ``edge_table`` (which must be ``_edge_counts(triangles)``).
+    first appearance, computed once while the mesh is built; validation,
+    ``elimination_order`` and ``nested_dissection`` read it.
+    ``unit_square_mesh`` and ``backward_step_mesh`` compute it before
+    tagging and pass it on as ``edge_table`` (which must be
+    ``_edge_counts(triangles)``).
     Meshes compare by identity.
     """
 
@@ -400,6 +404,30 @@ def nested_dissection(mesh: Mesh) -> np.ndarray:
 
     dissect(np.arange(n))
     return np.concatenate(order)
+
+
+def elimination_order(mesh: Mesh) -> np.ndarray:
+    """The node order in which a solve numbers its free unknowns.
+
+    The nodes sorted along the longer coordinate extent (x on a tie),
+    ties broken by the other coordinate, when that keeps every matrix
+    banded: with (u, v, p) numbered node by node, an edge between nodes
+    ``g`` ranks apart couples unknowns at most ``3 g + 2`` apart, so the
+    sweep is taken when ``3 g + 2 <= BAND_LIMIT`` for the largest such gap
+    over ``mesh.edges`` (George & Liu, *Computer Solution of Large Sparse
+    Positive Definite Systems*, 1981).  A long narrow mesh, such as a
+    coarse channel, qualifies; a square one only when it is small.
+    Otherwise ``nested_dissection(mesh)``.  Both orders depend on the
+    coordinates alone, not on the node numbering.  Returns a permutation
+    of ``range(n_nodes)``.
+    """
+    coords = mesh.node_coords
+    axis = int(np.argmax(np.ptp(coords, axis=0)))
+    order = np.lexsort((coords[:, 1 - axis], coords[:, axis]))
+    rank = np.empty(mesh.n_nodes, dtype=np.int64)
+    rank[order] = np.arange(mesh.n_nodes)
+    gap = np.abs(np.diff(rank[mesh.edges], axis=1)).max(initial=0)
+    return order if 3 * gap + 2 <= BAND_LIMIT else nested_dissection(mesh)
 
 
 def write_mesh(mesh: Mesh, path) -> None:

@@ -44,7 +44,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from vmsflow.fem import DN_REF, DegenerateElementError, inv2, triangle_quadrature
-from vmsflow.mesh import BoundaryConditions, DofMap, Mesh, checked_values, nested_dissection
+from vmsflow.mesh import BoundaryConditions, DofMap, Mesh, checked_values, elimination_order
 
 QUADRATURE_DEGREE = 8     # exact for b * b * grad b, the highest-degree table product
 
@@ -238,17 +238,28 @@ class _Fields:
     total velocity is ``u = sum_A Nb_A U_A`` and its gradient is
     ``grad vbar + beta (x) grad b``.  Fixed point reads only the coarse
     part (``U[:3]``, ``gvbar``, ``nu``, ``dt``, ``prev``), so its numbers
-    never depend on ``beta``.
+    never depend on ``beta``; Newton's ``mu`` and ``gbu`` are computed on
+    first read.
     """
 
+    batch: ElementBatch
     U: np.ndarray        # (4, 2, E) coarse nodal velocities, then beta
     p: np.ndarray        # (3, E) nodal pressures
     gvbar: np.ndarray    # (2, 2, E) coarse velocity gradient
-    mu: np.ndarray       # (4, 2, E) int Nb_A u
-    gbu: np.ndarray      # (4, E) int Nb_A (grad b . u)
     nu: float
     dt: float | None
     prev: np.ndarray | None  # (3, 2, E) vbar_prev at the nodes, with dt
+
+    @cached_property
+    def mu(self) -> np.ndarray:
+        """(4, 2, E) int Nb_A u"""
+        return np.einsum("ABe,Bie->Aie", self.batch.mass, self.U)
+
+    @cached_property
+    def gbu(self) -> np.ndarray:
+        """(4, E) int Nb_A (grad b . u)"""
+        E = self.U.shape[-1]
+        return np.einsum("Axe,xe->Ae", self.batch.mass_gb.reshape(4, 8, E), self.U.reshape(8, E))
 
 
 def _fields(batch: ElementBatch, state: State, nu: float) -> _Fields:
@@ -267,11 +278,10 @@ def _fields(batch: ElementBatch, state: State, nu: float) -> _Fields:
     U[:3] = state.vbar[tris].transpose(0, 2, 1)
     U[3] = state.beta[batch.elements].T
     return _Fields(
+        batch=batch,
         U=U,
         p=state.p[tris],
         gvbar=np.einsum("aie,aje->ije", U[:3], batch.G),
-        mu=np.einsum("ABe,Bie->Aie", batch.mass, U),
-        gbu=np.einsum("Axe,xe->Ae", batch.mass_gb.reshape(4, 8, E), U.reshape(8, E)),
         nu=nu,
         dt=state.dt,
         prev=prev,
@@ -432,13 +442,13 @@ _NODE_OF_DOF = [0, 0, 1, 1, 2, 2, 0, 1, 2]   # element node of each of the 9 ele
 def _csc_pattern(tris: np.ndarray, nodes: np.ndarray, node_of: np.ndarray, local: np.ndarray):
     """CSC pattern of the free-by-free element entries, and the slot of each entry.
 
-    ``nodes`` is the dissection order, ``node_of`` the node of each free
+    ``nodes`` is the elimination order, ``node_of`` the node of each free
     DOF (the free DOFs go node by node in that order), and ``local`` (9, E)
     the position among them of each element DOF (-1 where constrained).
     A node's free DOFs are adjacent, so every DOF column of a node holds
     the same rows: the free DOFs of the nodes it shares an element with,
     in order.  The pattern is built from the node pairs (column node, row
-    node), 9 per element, sorted column-major in dissection order and
+    node), 9 per element, sorted column-major in elimination order and
     expanded into DOF entries.
     Entry ``K[i, j, e]`` goes to the start of column j, plus the rows of the
     pairs above its pair in that column, plus row i's offset among its
@@ -483,17 +493,18 @@ class Discretization:
 
     Element tables and DOFs, the traction load, the body-force integrals
     ``load`` (None without a force), and the free-DOF CSC pattern (the
-    format ``splu`` factors; read-only ``np.intc`` index arrays that every
-    matrix shares) with the slot of every element-matrix entry, filled by
+    format ``linear_solve`` factors; read-only ``np.intc`` index arrays that
+    every matrix shares) with the slot of every element-matrix entry, filled by
     ``np.bincount``.  The pattern is built from the 9 node pairs of each
     element rather than its 81 DOF pairs (``_csc_pattern``), and entries
     with a constrained row or column share one discard slot past the
     last.  ``edofs`` (9, E) and the slots follow the element-last kernel
     outputs, which are scattered without a copy.  Every array is read-only.
-    ``free`` lists the free global DOFs in nested-dissection order
-    (``mesh.nested_dissection``, (u, v, p) per node), so every assembled
-    matrix and right-hand side arrives in a fill-reducing order and
-    ``full[free] = x`` scatters a solution.  The prescribed values stay
+    ``free`` lists the free global DOFs node by node ((u, v, p) per node)
+    in ``mesh.elimination_order``, so every assembled matrix and
+    right-hand side arrives in the order it is factored in: banded along
+    a narrow mesh, fill-reducing otherwise; ``full[free] = x`` scatters a
+    solution.  The prescribed values stay
     in ``dofmap.prescribed``.
     """
 
@@ -504,7 +515,7 @@ class Discretization:
         self.edofs = np.ascontiguousarray(element_dofs(mesh, dofmap).T)
         self.traction = traction_vector(mesh, dofmap, bc)
         self.load = _body_force_load(self.batch, body_force)
-        nodes = nested_dissection(mesh)
+        nodes = elimination_order(mesh)
         dofs = dofmap.node_dofs(nodes).ravel()
         kept = np.isin(dofs, dofmap.free)
         self.free = dofs[kept]
@@ -521,14 +532,17 @@ class Discretization:
                 array.flags.writeable = False
 
     def free_matrix(self, K: np.ndarray) -> sp.csc_matrix:
-        """Sum element matrices (9, 9, E) into the free-DOF CSC matrix (rows
-        sorted and unique in each column, so ``splu`` factors it as it is).
+        """Sum element matrices (9, 9, E) into the free-DOF CSC matrix.
+
+        Its rows are sorted and unique in each column by construction, so it
+        is marked canonical and nothing scans it again before the factor.
         Constrained entries land in the discard slot, which is dropped."""
         nnz = self._indices.size
         data = np.bincount(self._slot, weights=K.reshape(-1), minlength=nnz + 1)[:nnz]
         n_free = self.free.size
-        return sp.csc_matrix((data, self._indices, self._indptr),
-                             shape=(n_free, n_free))
+        matrix = sp.csc_matrix((data, self._indices, self._indptr), shape=(n_free, n_free))
+        matrix.has_canonical_format = True
+        return matrix
 
     def global_vector(self, F: np.ndarray) -> np.ndarray:
         """Sum element vectors (9, E) over all global (v, p) DOFs."""

@@ -3,13 +3,14 @@
 Fields go out as legacy-ASCII unstructured-grid files (point data:
 velocity vector, pressure scalar); centerline profiles, residual
 histories, convergence studies and time-march logs as CSV with a header
-row, every data block through the one row writer ``write_table``; the
+row, every data block through the one table writer ``write_table``; the
 run summary as structured text.
 """
 
 from __future__ import annotations
 
 import os
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -75,16 +76,19 @@ def sample_field(mesh: Mesh, state: State, points) -> tuple[np.ndarray, np.ndarr
 
 
 def write_table(path, blocks) -> None:
-    """The one row writer of every result file.
+    """The one table writer of every result file.
 
     Each block is ``(header, fmt, rows)``: the header line (skipped when
-    None), then ``fmt`` filled from each row, one line per row.
+    None), then one line per row, the ``%``-format ``fmt`` filled from the
+    row's values.  A block is written by one ``%`` operation over the
+    values of all its rows.
     """
     with open(path, "w", encoding="ascii") as f:
         for header, fmt, rows in blocks:
             if header is not None:
                 f.write(header + "\n")
-            f.writelines(fmt.format(*row) + "\n" for row in rows)
+            rows = list(rows)
+            f.write(((fmt + "\n") * len(rows)) % tuple(chain.from_iterable(rows)))
 
 
 def write_vtk(mesh: Mesh, state: State, path) -> None:
@@ -93,11 +97,11 @@ def write_vtk(mesh: Mesh, state: State, path) -> None:
     write_table(path, [
         ("# vtk DataFile Version 3.0\nvmsflow field output\nASCII\n"
          f"DATASET UNSTRUCTURED_GRID\nPOINTS {nn} double",
-         "{:.17g} {:.17g} 0", mesh.node_coords.tolist()),
-        (f"CELLS {ne} {4 * ne}", "3 {} {} {}", mesh.triangles.tolist()),
+         "%.17g %.17g 0", mesh.node_coords.tolist()),
+        (f"CELLS {ne} {4 * ne}", "3 %d %d %d", mesh.triangles.tolist()),
         (f"CELL_TYPES {ne}", "5", [()] * ne),
-        (f"POINT_DATA {nn}\nVECTORS velocity double", "{:.17g} {:.17g} 0", state.vbar.tolist()),
-        ("SCALARS pressure double\nLOOKUP_TABLE default", "{:.17g}", state.p[:, None].tolist()),
+        (f"POINT_DATA {nn}\nVECTORS velocity double", "%.17g %.17g 0", state.vbar.tolist()),
+        ("SCALARS pressure double\nLOOKUP_TABLE default", "%.17g", state.p[:, None].tolist()),
     ])
 
 
@@ -111,7 +115,7 @@ def write_profiles(mesh: Mesh, state: State, outdir: Path) -> list[Path]:
         vel, prs, inside = sample_field(mesh, state, pts)
         values = vel[:, 0] if column == "u" else prs
         written.append(outdir / name)
-        write_table(written[-1], [(f"{'xy'[axis]},{column}", "{:.17g},{:.17g}",
+        write_table(written[-1], [(f"{'xy'[axis]},{column}", "%.17g,%.17g",
                                    zip(pts[inside, axis], values[inside]))])
     return written
 
@@ -119,22 +123,22 @@ def write_profiles(mesh: Mesh, state: State, outdir: Path) -> list[Path]:
 def write_residuals(report: IterationReport, path) -> None:
     columns = {"residual": report.residual_history, "increment": report.increment_history}
     columns = {name: col for name, col in columns.items() if col is not None}
-    write_table(path, [(",".join(["iteration", *columns]), "{}" + ",{:.17g}" * len(columns),
+    write_table(path, [(",".join(["iteration", *columns]), "%d" + ",%.17g" * len(columns),
                         zip(range(1, report.iterations + 1), *columns.values()))])
 
 
 def write_study(table: ConvergenceTable, path) -> None:
     """Error norms per mesh size, then the fitted rates as comment lines."""
     write_table(path, [
-        ("h,l2_velocity,h1_semi_pressure,l2_pressure", ",".join(["{:.17g}"] * 4),
+        ("h,l2_velocity,h1_semi_pressure,l2_pressure", ",".join(["%.17g"] * 4),
          [(h, n.l2_velocity, n.h1_semi_pressure, n.l2_pressure) for h, n in table.rows]),
-        (None, "# rate_{} = {:.4f}", table.rates.items()),
+        (None, "# rate_%s = %.4f", table.rates.items()),
     ])
 
 
 def write_march(reports: list[IterationReport], path) -> None:
     """One row per time step: iterations, final residual, convergence flag."""
-    write_table(path, [("step,iterations,final_residual,converged", "{},{},{:.17g},{}",
+    write_table(path, [("step,iterations,final_residual,converged", "%d,%d,%.17g,%s",
                         [(k, r.iterations, r.final_residual, r.converged)
                          for k, r in enumerate(reports, start=1)])])
 

@@ -7,8 +7,10 @@ data and body force.  Reports are immutable once returned.  A solve
 builds one immutable ``Discretization`` (body-force load included),
 which both strategies assemble from with ``(disc, state, nu)`` and every
 rung and step shares.  Its ``free`` lists the free DOFs in
-nested-dissection order, so every assembled system arrives permuted and
-in CSC format; ``linear_solve`` factors it as it is.
+``mesh.elimination_order``, so every assembled system arrives permuted and
+in CSC format; ``linear_solve`` factors it as it is, with LAPACK's banded
+LU when the order keeps it within ``BAND_LIMIT`` of the diagonal and with
+SuperLU otherwise.
 
 One loop, ``_iterate``, drives both strategies: it records the residual
 of every update, tests for divergence and stops, and names why it
@@ -29,9 +31,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from vmsflow.fixed_point import TauSingularError, fp_assemble
-from vmsflow.mesh import DofMap, Mesh, build_dof_map
+from vmsflow.mesh import BAND_LIMIT, DofMap, Mesh, build_dof_map
 from vmsflow.newton import (
     Discretization,
     FineScaleSingularError,
@@ -51,16 +54,20 @@ class LinearSolveError(RuntimeError):
 def linear_solve(matrix, rhs: np.ndarray) -> np.ndarray:
     """Direct sparse solve with a verified residual.
 
-    The matrix is expected to arrive already in a fill-reducing order
-    (``Discretization.free`` numbers the unknowns by nested dissection)
-    and in the CSC format that ``splu`` factors (``free_matrix`` builds
-    it, and a CSC input is factored as it is; other inputs are
-    converted).  The LU factorization keeps the column order and pivots
-    only where a diagonal entry falls below 0.1 of its column's largest
-    (the systems are indefinite saddle-point matrices).  A finite solution
-    that fails the residual check ``|Ax - b| <= max(1e-12, LINEAR_TOL * |b|)``
-    gets one step of iterative refinement and is checked again.
-    Deterministic for identical inputs.
+    The matrix is expected to arrive already in the order in which it is
+    factored (``Discretization.free`` numbers the unknowns by
+    ``mesh.elimination_order``) and in CSC format (``free_matrix`` builds
+    it, and a CSC input is read as it is; other inputs are converted).
+    When neither its lower nor its upper half-bandwidth, read from the
+    first and last row of each column, exceeds ``BAND_LIMIT``, LAPACK's
+    banded LU with partial pivoting factors it (``dgbtrf``); otherwise
+    SuperLU does, keeping the column order and pivoting only where a
+    diagonal entry falls below 0.1 of its column's largest (the systems
+    are indefinite saddle-point matrices).  A finite solution that fails
+    the residual check ``|Ax - b| <= max(1e-12, LINEAR_TOL * |b|)`` gets
+    one step of iterative refinement and is checked again.  An exact zero
+    pivot, a failed factorization or a failed check raises
+    ``LinearSolveError``.  Deterministic for identical inputs.
     """
     rhs = np.asarray(rhs, dtype=float)
     if rhs.size == 0:
@@ -70,16 +77,21 @@ def linear_solve(matrix, rhs: np.ndarray) -> np.ndarray:
         raise LinearSolveError(
             f"matrix of shape {A.shape} does not match right-hand side of size {rhs.size}"
         )
+    A.sum_duplicates()       # in place, as splu does; free on a matrix marked canonical
+    kl, ku = _bandwidths(A)
     try:
-        lu = spla.splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.1)
-        x = lu.solve(rhs)
+        if max(kl, ku) <= BAND_LIMIT:
+            lu_solve = _band_lu(A, kl, ku)
+        else:
+            lu_solve = spla.splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.1).solve
+        x = lu_solve(rhs)
     except (RuntimeError, ValueError) as err:
-        raise LinearSolveError(f"sparse factorization failed: {err}") from err
+        raise LinearSolveError(f"LU factorization failed: {err}") from err
     bound = max(1e-12, LINEAR_TOL * float(np.linalg.norm(rhs)))
     resid = rhs - A @ x
     if not np.all(np.isfinite(x)) or np.linalg.norm(resid) > bound:
         if np.all(np.isfinite(x)):
-            x = x + lu.solve(resid)
+            x = x + lu_solve(resid)
             resid = rhs - A @ x
         if not np.all(np.isfinite(x)) or np.linalg.norm(resid) > bound:
             raise LinearSolveError(
@@ -88,6 +100,36 @@ def linear_solve(matrix, rhs: np.ndarray) -> np.ndarray:
                 "the matrix is likely singular or severely ill-conditioned"
             )
     return x
+
+
+def _bandwidths(A) -> tuple[int, int]:
+    """Lower and upper half-bandwidth of a canonical CSC matrix, from the
+    first and last stored row of each non-empty column."""
+    starts, ends = A.indptr[:-1], A.indptr[1:]
+    columns = np.flatnonzero(ends > starts)
+    lower = A.indices[ends[columns] - 1] - columns
+    upper = columns - A.indices[starts[columns]]
+    return int(lower.max(initial=0)), int(upper.max(initial=0))
+
+
+def _band_lu(A, kl: int, ku: int):
+    """LAPACK banded LU of a canonical CSC matrix with half-bandwidths
+    (kl, ku); returns its solve.
+
+    Entry (i, j) goes to row ``kl + ku + i - j`` of a Fortran-ordered
+    (2 kl + ku + 1, n) band array; the top ``kl`` rows take the fill of
+    the row interchanges.  An exact zero pivot raises ``LinearSolveError``.
+    """
+    n = A.shape[0]
+    depth = 2 * kl + ku + 1
+    flat = np.zeros(depth * n)
+    columns = np.repeat(np.arange(n), np.diff(A.indptr))
+    flat[A.indices + columns * (depth - 1) + kl + ku] = A.data
+    lu, pivots, info = lapack.dgbtrf(flat.reshape((depth, n), order="F"), kl, ku,
+                                     overwrite_ab=True)
+    if info > 0:    # U[info - 1, info - 1] is exactly zero
+        raise LinearSolveError(f"exact zero pivot in column {info - 1} of the banded LU")
+    return lambda b: lapack.dgbtrs(lu, kl, ku, b, pivots)[0]
 
 
 @dataclass(frozen=True)

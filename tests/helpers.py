@@ -8,6 +8,8 @@ for verification: the production path condenses the fine scale away.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -16,7 +18,7 @@ from vmsflow.mesh import (
     BoundaryConditions,
     Mesh,
     build_dof_map,
-    nested_dissection,
+    elimination_order,
     unit_square_mesh,
 )
 from vmsflow.newton import State, element_dofs, element_residuals, element_tangent
@@ -71,13 +73,13 @@ def dof_pair_pattern(mesh, dofmap, edofs):
     """The free-DOF CSC pattern from the 81 DOF pairs of every element.
 
     Reference for ``Discretization``: ``free`` is (u, v, p) node by node in
-    ``nested_dissection`` order; the sorted unique column-major keys of
+    ``elimination_order``; the sorted unique column-major keys of
     the free-by-free entries give ``indices`` and ``indptr``, and the
     inverse is the slot of every kept entry.  ``edofs`` is (9, E) and the
     entries run in the (i, j, e) order of (9, 9, E) element matrices.
     Returns (free, indices, indptr, kept, slot).
     """
-    nodes = nested_dissection(mesh)
+    nodes = elimination_order(mesh)
     n = mesh.n_nodes
     dofs = np.column_stack([2 * nodes, 2 * nodes + 1, 2 * n + nodes]).ravel()
     free = dofs[np.isin(dofs, dofmap.free)]
@@ -358,3 +360,24 @@ def sample_field_point_by_point(mesh: Mesh, state: State, points):
         prs[k] = N @ state.p[tri]
         inside[k] = True
     return vel, prs, inside
+
+
+def write_table_by_rows(path, blocks) -> None:
+    """``output.write_table`` row by row, with ``str.format`` fields: the
+    writer the one-``%``-operation table writer replaced, as an oracle.
+
+    Each block is ``(header, fmt, rows)``, ``fmt`` written with ``{}``
+    fields (``braced_format`` turns a ``%``-format into one)."""
+    with open(path, "w", encoding="ascii") as f:
+        for header, fmt, rows in blocks:
+            if header is not None:
+                f.write(header + "\n")
+            f.writelines(fmt.format(*row) + "\n" for row in rows)
+
+
+def braced_format(fmt: str) -> str:
+    """A ``%``-format of ``%d``, ``%s`` and ``%.Ng``/``%.Nf`` conversions as
+    the ``str.format`` string that writes the same text: ``%d`` and ``%s``
+    become ``{}``, ``%.17g`` becomes ``{:.17g}``."""
+    return re.sub(r"%(\.\d+[fg]|[ds])",
+                  lambda m: "{}" if m[1] in "ds" else "{:" + m[1] + "}", fmt)

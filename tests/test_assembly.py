@@ -138,6 +138,16 @@ def test_free_matrix_is_sorted_csc_of_the_coo_sum(case):
     n_free = disc.free.size
     column = np.repeat(np.arange(n_free), np.diff(matrix.indptr))
     assert np.all(np.diff(column * n_free + matrix.indices) > 0)   # sorted, unique rows
+    # so it is marked canonical (the flag is set, not found by a scan of
+    # the matrix), and scipy's own scan and sum agree
+    assert vars(matrix).get("_has_canonical_format") is True
+    scanned = sp.csc_matrix((matrix.data.copy(), matrix.indices, matrix.indptr),
+                            shape=matrix.shape)
+    assert scanned.has_canonical_format
+    data = matrix.data.copy()
+    matrix.sum_duplicates()
+    scanned.sum_duplicates()
+    assert matrix.data.tobytes() == scanned.data.tobytes() == data.tobytes()
 
     position = np.full(dofmap.total, -1)
     position[disc.free] = np.arange(n_free)

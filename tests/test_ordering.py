@@ -1,8 +1,11 @@
-"""The nested-dissection numbering of the free DOFs and the fill it buys.
+"""The numbering of the free DOFs: the band it keeps, and the fill it buys.
 
-``mesh.nested_dissection`` orders the nodes; ``Discretization.free``
-numbers the free (u, v, p) DOFs node by node in that order, and
-``linear_solve`` factors the assembled matrix without reordering it.
+``mesh.elimination_order`` orders the nodes, by a coordinate sweep when
+that keeps the matrix within ``BAND_LIMIT`` of the diagonal and by
+``mesh.nested_dissection`` otherwise; ``Discretization.free`` numbers the
+free (u, v, p) DOFs node by node in that order, and ``linear_solve``
+factors the assembled matrix without reordering it (banded LU on the
+narrow side, SuperLU on the wide one).
 """
 
 import dataclasses
@@ -16,7 +19,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vmsflow.solve as solve_module
-from vmsflow.mesh import BoundaryConditions, Mesh, build_dof_map, nested_dissection
+from vmsflow.mesh import (
+    BAND_LIMIT,
+    BoundaryConditions,
+    Mesh,
+    build_dof_map,
+    elimination_order,
+    nested_dissection,
+)
 from vmsflow.newton import Discretization, assemble_system
 from vmsflow.problems import backward_step, lid_cavity
 from vmsflow.solve import SolverConfig, lifted_state, linear_solve, solve
@@ -79,13 +89,14 @@ cases = st.one_of(
 @given(case=cases)
 def test_orders_are_permutations(case):
     mesh, bc = problem_case(*case)
-    order = nested_dissection(mesh)
+    np.testing.assert_array_equal(np.sort(nested_dissection(mesh)), np.arange(mesh.n_nodes))
+    order = elimination_order(mesh)
     np.testing.assert_array_equal(np.sort(order), np.arange(mesh.n_nodes))
 
     dofmap = build_dof_map(mesh, bc)
     free = Discretization(mesh, dofmap, bc).free
     np.testing.assert_array_equal(np.sort(free), dofmap.free)
-    # node by node in the dissection order: (u, v, p) of one node are adjacent
+    # node by node in the elimination order: (u, v, p) of one node are adjacent
     n = mesh.n_nodes
     node = np.where(free < 2 * n, free // 2, free - 2 * n)
     rank = np.empty(n, dtype=np.int64)
@@ -151,6 +162,31 @@ def test_top_separator_splits_the_edge_graph(case):
     assert (0, 1) not in joined
 
 
+@pytest.mark.parametrize("problem, band", [
+    (lambda: backward_step(re=50, h=0.25), True),
+    (lambda: backward_step(re=50, h=0.125), True),
+    (lambda: lid_cavity(8, re=100), True),
+    (lambda: lid_cavity(16, re=100), True),
+    (lambda: lid_cavity(24, re=100), False),
+    (lambda: lid_cavity(32, re=100), False),
+    (lambda: backward_step(re=50, h=0.05), False),
+], ids=["step0.25", "step0.125", "lid8", "lid16", "lid24", "lid32", "step0.05"])
+def test_elimination_order_keeps_narrow_meshes_banded(problem, band):
+    # the coordinate sweep where it keeps the matrix within BAND_LIMIT of
+    # the diagonal, and nested dissection where it would not
+    prob = problem()
+    xy = prob.mesh.node_coords
+    axis = int(np.argmax(np.ptp(xy, axis=0)))
+    sweep = np.lexsort((xy[:, 1 - axis], xy[:, axis]))
+    expected = sweep if band else nested_dissection(prob.mesh)
+    np.testing.assert_array_equal(elimination_order(prob.mesh), expected)
+
+    disc = Discretization(prob.mesh, build_dof_map(prob.mesh, prob.bc), prob.bc)
+    K = np.random.default_rng(1).normal(size=(9, 9, prob.mesh.n_triangles))
+    coo = disc.free_matrix(K).tocoo()
+    assert (np.abs(coo.row - coo.col).max() <= BAND_LIMIT) == band
+
+
 def factored_fill(matrix, monkeypatch):
     """L+U nonzeros of the factor ``linear_solve`` computes for ``matrix``."""
     factors = []
@@ -176,10 +212,10 @@ def test_dissection_fill_not_above_colamd(problem, monkeypatch):
 
     The matrix is the Newton matrix at the lifted start, the same
     system factored both ways (COLAMD with SuperLU's default pivot
-    threshold).  The coarse step mesh ``h=0.25`` (333 unknowns) is a
-    known exception and not tested: there the dissection fill is 14.2k
-    against COLAMD's 10.0k, although factor plus solve is still faster
-    (0.45 ms against 0.54-0.60 ms on one core).
+    threshold).  Each of these meshes is too wide for the banded LU.
+    The coarse step mesh ``h=0.25`` (333 unknowns), where the dissection
+    fill was 14.2k against COLAMD's 10.0k, is now numbered by the
+    coordinate sweep and factored as a band.
     """
     prob = problem()
     dofmap = build_dof_map(prob.mesh, prob.bc)

@@ -1,16 +1,25 @@
 """Field/profile/report writers and the command-line driver."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import vmsflow.output as output_module
 import vmsflow.problems as problems_module
 from vmsflow.fem import inv2
 from vmsflow.output import sample_field, write_outputs
-from vmsflow.problems import backward_step, lid_cavity
+from vmsflow.problems import ConvergenceTable, ErrorNorms, backward_step, lid_cavity
 from vmsflow.cli import run_cli
-from vmsflow.solve import SolverConfig, newton_solve
+from vmsflow.solve import IterationReport, SolverConfig, newton_solve
 
-from helpers import perturbed_square_mesh, random_state, sample_field_point_by_point
+from helpers import (
+    braced_format,
+    perturbed_square_mesh,
+    random_state,
+    sample_field_point_by_point,
+    write_table_by_rows,
+)
 
 
 @pytest.fixture(scope="module")
@@ -19,6 +28,44 @@ def solved_lid():
     state, report = newton_solve(prob, SolverConfig(tol=1e-10, max_iter=20))
     assert report.converged
     return prob, state, report
+
+
+def test_every_table_matches_the_row_writer(tmp_path, monkeypatch):
+    # each writer's file, byte for byte, against the row-by-row str.format
+    # writer, with NaN, infinities, -0.0, integers and booleans in the rows
+    written = []
+    write_table = output_module.write_table
+
+    def both(path, blocks):
+        blocks = [(header, fmt, list(rows)) for header, fmt, rows in blocks]
+        write_table(path, blocks)
+        write_table_by_rows(f"{path}.rows",
+                            [(header, braced_format(fmt), rows) for header, fmt, rows in blocks])
+        written.append(Path(path))
+
+    monkeypatch.setattr(output_module, "write_table", both)
+    prob = lid_cavity(8, re=100)
+    state = random_state(prob.mesh, np.random.default_rng(8))
+    state.vbar[:4] = [[np.nan, -0.0], [np.inf, 1e-300], [-np.inf, 1e300], [0.1, -1 / 3]]
+    state.p[:3] = [-0.0, np.nan, 12345678901234567.0]
+    report = IterationReport(residual_history=np.array([1.0, np.nan, -0.0, 2.5e-17]),
+                             converged=False, diverged=True, iterations=4,
+                             increment_history=np.array([np.inf, 0.1, -0.0, np.nan]))
+    steps = [report, IterationReport(np.array([]), False, False, 0),
+             IterationReport(np.array([3e-11]), True, False, 1)]
+    study = ConvergenceTable(
+        rows=((0.5, ErrorNorms(0.25, np.nan, -0.0)), (0.25, ErrorNorms(1e-3, 2.0, 7.0))),
+        rates={"l2_velocity": 7.965784, "h1_semi_pressure": np.nan, "l2_pressure": -0.0})
+    output_module.write_vtk(prob.mesh, state, tmp_path / "field.vtk")
+    output_module.write_profiles(prob.mesh, state, tmp_path)
+    output_module.write_residuals(report, tmp_path / "residuals.csv")
+    output_module.write_study(study, tmp_path / "study.csv")
+    output_module.write_march(steps, tmp_path / "march.csv")
+    assert len(written) == 6
+    for path in written:
+        assert path.read_bytes() == Path(f"{path}.rows").read_bytes(), path.name
+    text = (tmp_path / "march.csv").read_text()
+    assert text.endswith("1,4,2.4999999999999999e-17,False\n2,0,nan,False\n3,1,3e-11,True\n")
 
 
 class TestSampling:

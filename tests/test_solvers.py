@@ -9,7 +9,7 @@ import scipy.sparse as sp
 import vmsflow.newton as newton_module
 import vmsflow.solve as solve_module
 from vmsflow.fixed_point import TauSingularError, fp_element_system
-from vmsflow.mesh import build_dof_map, unit_square_mesh
+from vmsflow.mesh import BAND_LIMIT, build_dof_map, unit_square_mesh
 from vmsflow.newton import FineScaleSingularError, State, element_residuals
 from vmsflow.problems import backward_step, body_force_cavity, lid_cavity
 from vmsflow.solve import (
@@ -26,27 +26,60 @@ from vmsflow.solve import (
 )
 
 
+# Where each side of ``linear_solve`` looks up its factorization.
+FACTORS = {"band": (solve_module, "_band_lu"), "superlu": (solve_module.spla, "splu")}
+
+
 class TestLinearSolve:
+    """The linear-solve contract on narrow matrices, which the banded LU factors.
+
+    ``solve`` hands a test matrix to ``linear_solve`` and returns the
+    solution; calling the other side's factorization fails the test.
+    """
+
+    side, other = "band", "superlu"
+    csc_problem = staticmethod(lambda: backward_step(re=50, h=0.5))
+
+    @pytest.fixture(autouse=True)
+    def this_side_only(self, monkeypatch):
+        owner, name = FACTORS[self.other]
+        monkeypatch.setattr(owner, name, lambda *args, **kwargs: pytest.fail(
+            f"{name} factored a matrix of the {self.side} side"))
+
+    def solve(self, A, b):
+        return linear_solve(A, b)
+
     def test_identity(self):
         b = np.array([3.0, -1.0, 2.0])
-        np.testing.assert_allclose(linear_solve(sp.eye(3).tocsr(), b), b)
+        np.testing.assert_allclose(self.solve(sp.eye(3).tocsr(), b), b)
 
     def test_saddle_2x2(self):
         A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 0.0]]))
-        np.testing.assert_allclose(linear_solve(A, [2.0, 1.0]), [1.0, 1.0], atol=1e-14)
+        np.testing.assert_allclose(self.solve(A, [2.0, 1.0]), [1.0, 1.0], atol=1e-14)
 
     def test_random_spd(self):
         rng = np.random.default_rng(0)
         M = rng.normal(size=(50, 50))
         A = sp.csr_matrix(M.T @ M + np.eye(50))
         b = rng.normal(size=50)
-        x = linear_solve(A, b)
+        x = self.solve(A, b)
         assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
 
     def test_singular_rejected(self):
         A = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
         with pytest.raises(LinearSolveError):
-            linear_solve(A, [1.0, 1.0])
+            self.solve(A, [1.0, 1.0])
+
+    def test_exact_zero_pivot_rejected(self):
+        # no empty column: the second pivot cancels to exactly zero
+        A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
+        with pytest.raises(LinearSolveError):
+            self.solve(A, [1.0, 1.0])
+
+    def test_nan_entry_rejected(self):
+        A = sp.csr_matrix(np.array([[2.0, 1.0], [np.nan, 1.0]]))
+        with pytest.raises(LinearSolveError):
+            self.solve(A, [1.0, 1.0])
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(LinearSolveError):
@@ -57,15 +90,16 @@ class TestLinearSolve:
 
     def test_csc_matrix_is_factored_as_it_is(self, monkeypatch):
         # a second csc_matrix wrapper would run scipy's format check again
-        prob = backward_step(re=50, h=0.5)
+        prob = self.csc_problem()
         dofmap = build_dof_map(prob.mesh, prob.bc)
         disc = newton_module.Discretization(prob.mesh, dofmap, prob.bc)
         system = newton_module.assemble_system(disc, lifted_state(prob.mesh, dofmap), prob.nu)
         matrix = system.matrix
         factored = []
-        splu = solve_module.spla.splu
-        monkeypatch.setattr(solve_module.spla, "splu",
-                            lambda A, **kw: factored.append(A) or splu(A, **kw))
+        owner, name = FACTORS[self.side]
+        factor = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
+                            lambda A, *args, **kw: factored.append(A) or factor(A, *args, **kw))
         x = linear_solve(matrix, system.rhs)
         assert len(factored) == 1 and factored[0] is matrix
         assert np.linalg.norm(matrix @ x - system.rhs) <= 1e-10 * np.linalg.norm(system.rhs)
@@ -73,7 +107,41 @@ class TestLinearSolve:
     def test_dense_input_still_solves(self):
         A = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
         b = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_allclose(linear_solve(A, b), np.linalg.solve(A, b), rtol=1e-13)
+        np.testing.assert_allclose(self.solve(A, b), np.linalg.solve(A, b), rtol=1e-13)
+
+
+class TestLinearSolveWide(TestLinearSolve):
+    """The same contract on wide matrices, which SuperLU factors.
+
+    ``solve`` borders the test matrix ``A`` (k x k) with an identity and
+    one entry ``BAND_LIMIT + k`` rows below the diagonal, in the input's
+    format, and pads the right-hand side with zeros: the first k entries
+    of the solution solve ``A``.
+    """
+
+    side, other = "superlu", "band"
+    csc_problem = staticmethod(lambda: lid_cavity(24, re=100))
+    # neither reaches a factorization, so the narrow side covers them
+    test_shape_mismatch_rejected = test_empty_system = None
+
+    def solve(self, A, b):
+        k, m = len(b), BAND_LIMIT + 1
+        wide = sp.block_diag([sp.csr_matrix(A), sp.eye(m)], format="lil")
+        wide[k + m - 1, 0] = 1.0
+        wide = wide.toarray() if isinstance(A, np.ndarray) else wide.tocsr()
+        return linear_solve(wide, np.concatenate([b, np.zeros(m)]))[:k]
+
+
+def test_band_and_superlu_solutions_agree():
+    prob = backward_step(re=150, h=0.25)
+    dofmap = build_dof_map(prob.mesh, prob.bc)
+    disc = newton_module.Discretization(prob.mesh, dofmap, prob.bc)
+    system = newton_module.assemble_system(disc, lifted_state(prob.mesh, dofmap), prob.nu)
+    assert max(solve_module._bandwidths(system.matrix)) <= BAND_LIMIT
+    superlu = solve_module.spla.splu(system.matrix, permc_spec="NATURAL", diag_pivot_thresh=0.1)
+    reference = superlu.solve(system.rhs)
+    band = linear_solve(system.matrix, system.rhs)
+    assert np.linalg.norm(band - reference) <= 1e-12 * np.linalg.norm(reference)
 
 
 class TestNewtonSolve:
