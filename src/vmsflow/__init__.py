@@ -19,17 +19,9 @@ exposes them as the ``vmsflow`` command.
 """
 
 from vmsflow.fem import (
-    BubbleEval,
     DegenerateElementError,
-    ElementGeometry,
     QuadratureRule,
-    ShapeEval,
-    element_geometry,
-    kron,
-    t3_bubble,
-    t3_shape,
     triangle_quadrature,
-    vec,
 )
 from vmsflow.mesh import (
     BoundaryConditions,

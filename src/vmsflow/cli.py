@@ -140,14 +140,13 @@ def _cmd_march(args) -> int:
     return 0 if ok else 2
 
 
-def _add_common(sub):
+def _add_common(sub, strategies=("newton", "fixed_point")):
     sub.add_argument("--problem", required=True, choices=sorted(PROBLEM_BUILDERS))
     sub.add_argument("--re", type=float, default=None, help="Reynolds number")
     sub.add_argument("--nu", type=float, default=None, help="kinematic viscosity")
     sub.add_argument("--n", type=int, default=32, help="subdivisions per side (cavities)")
     sub.add_argument("--h", type=float, default=0.25, help="edge length (backward step)")
-    sub.add_argument("--strategy", default="newton",
-                     choices=("newton", "fixed_point", "both"))
+    sub.add_argument("--strategy", default="newton", choices=strategies)
     sub.add_argument("--tol", type=float, default=1e-8)
     sub.add_argument("--max-iter", type=int, default=25, dest="max_iter")
     sub.add_argument("--out", default=None, help="output directory")
@@ -171,7 +170,7 @@ def _parser() -> argparse.ArgumentParser:
     _add_common(p_solve)
 
     p_study = subs.add_parser("study", help="mesh-refinement convergence study")
-    _add_common(p_study)
+    _add_common(p_study, strategies=("newton", "fixed_point", "both"))
     p_study.add_argument("--levels", default="8,16,32,64",
                          help="comma-separated subdivision counts")
 

@@ -7,11 +7,10 @@ Conventions used by the whole package:
   positions of local nodes 0, 1, 2 are (1,0), (0,1), (0,0).
 * Gradients of vector fields are stored as ``(grad v)[i, j] = dv_i/dx_j``
   (rows are components, columns are derivative directions).
-* ``vec`` stacks matrix COLUMNS.  With column stacking,
-  ``kron(N, I2) @ vec(vhat.T)`` reproduces the interpolated velocity
-  ``vhat.T @ N.T`` at a point, and ``vec`` of the transposed 3x2 nodal
-  array yields the node-major interleaved ordering
-  (v1x, v1y, v2x, v2y, v3x, v3y) used for element degrees of freedom.
+* Element velocity unknowns are node-major and interleaved:
+  (v1x, v1y, v2x, v2y, v3x, v3y).
+
+``vmsflow.newton.ElementBatch`` evaluates the basis on every element.
 """
 
 from __future__ import annotations
@@ -32,84 +31,12 @@ DN_REF.setflags(write=False)
 
 
 @dataclass(frozen=True)
-class ShapeEval:
-    """Linear shape functions at one reference point.
-
-    ``grad_phys`` is ``DN @ Jinv`` and is only present when the
-    evaluation was given an element geometry.
-    """
-
-    N: np.ndarray            # (3,)
-    DN: np.ndarray           # (3, 2) reference gradients
-    grad_phys: np.ndarray | None = None  # (3, 2) physical gradients
-
-
-@dataclass(frozen=True)
-class BubbleEval:
-    """Cubic bubble xi1*xi2*(1 - xi1 - xi2) at one reference point."""
-
-    b: float
-    grad_ref: np.ndarray     # (2,)
-    grad_phys: np.ndarray | None = None  # (2,)
-
-
-@dataclass(frozen=True)
-class ElementGeometry:
-    """Affine reference-to-physical map of one triangle."""
-
-    J: np.ndarray            # (2, 2)
-    detJ: float
-    Jinv: np.ndarray         # (2, 2)
-
-
-@dataclass(frozen=True)
 class QuadratureRule:
     """Interior positive-weight rule on the reference triangle."""
 
     points: np.ndarray       # (n, 2)
     weights: np.ndarray      # (n,), sums to 1/2
     degree: int              # exact for every polynomial of this total degree
-
-
-def t3_shape(xi, geometry: ElementGeometry | None = None) -> ShapeEval:
-    """Evaluate the linear shape functions at reference point ``xi``.
-
-    Evaluation outside the reference triangle is permitted (used by
-    finite-difference checks); the partition-of-unity identities hold
-    everywhere since the functions are linear.
-    """
-    x1, x2 = float(xi[0]), float(xi[1])
-    N = np.array([x1, x2, 1.0 - x1 - x2])
-    grad = None if geometry is None else DN_REF @ geometry.Jinv
-    return ShapeEval(N=N, DN=DN_REF, grad_phys=grad)
-
-
-def t3_bubble(xi, geometry: ElementGeometry | None = None) -> BubbleEval:
-    """Evaluate the cubic bubble and its gradient at reference point ``xi``."""
-    x1, x2 = float(xi[0]), float(xi[1])
-    x3 = 1.0 - x1 - x2
-    b = x1 * x2 * x3
-    grad_ref = np.array([x2 * (x3 - x1), x1 * (x3 - x2)])
-    grad = None if geometry is None else geometry.Jinv.T @ grad_ref
-    return BubbleEval(b=b, grad_ref=grad_ref, grad_phys=grad)
-
-
-def element_geometry(coords, index: int | None = None) -> ElementGeometry:
-    """Geometry of the affine map for a triangle given its node coordinates.
-
-    ``coords`` is a (3, 2) array whose local nodes map to the reference
-    vertices (1, 0), (0, 1) and (0, 0), in that order (node a is where
-    N_a = 1); counterclockwise triangles then have ``detJ = 2 * area > 0``.
-    """
-    coords = np.asarray(coords, dtype=float)
-    J = coords.T @ DN_REF
-    Jinv, detJ = inv2(J)
-    if detJ <= 1e-14:
-        where = "" if index is None else f" (element {index})"
-        raise DegenerateElementError(
-            f"triangle{where} is degenerate or negatively oriented: detJ = {detJ:.3e}"
-        )
-    return ElementGeometry(J=J, detJ=detJ, Jinv=Jinv)
 
 
 def inv2(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -162,12 +89,3 @@ def triangle_quadrature(min_degree: int) -> QuadratureRule:
         )
     return _collapsed_gauss(-(-min_degree // 2) + 1)
 
-
-def kron(A, B) -> np.ndarray:
-    """Kronecker product with blocks a_ij * B."""
-    return np.kron(np.asarray(A), np.asarray(B))
-
-
-def vec(A) -> np.ndarray:
-    """Column-stacking vectorization of a matrix."""
-    return np.asarray(A).reshape(-1, order="F").copy()

@@ -98,6 +98,18 @@ def _check_triangles(mesh: Mesh) -> None:
     n = mesh.n_nodes
     if mesh.triangles.size and (mesh.triangles.min() < 0 or mesh.triangles.max() >= n):
         raise ValueError("triangle connectivity references nodes out of range")
+    finite = np.isfinite(mesh.node_coords)
+    if not finite.all():
+        bad = int(np.argmin(finite)) // 2
+        raise ValueError(f"node {bad} has a non-finite coordinate: {mesh.node_coords[bad]}")
+    # Tags are single words, so that write_mesh/read_mesh round-trip them.
+    for tag in mesh.tags:
+        if not isinstance(tag, str) or tag.split() != [tag]:
+            raise ValueError(f"tag {tag!r} is not one word without whitespace")
+    known = set(mesh.tags)
+    unknown = [t for _, _, t in mesh.boundary_edges if t not in known]
+    if unknown:
+        raise ValueError(f"boundary edge tag {unknown[0]!r} is not in the mesh tags {mesh.tags}")
     areas = mesh.triangle_areas()
     if np.any(areas <= _GEOM_TOL):
         bad = int(np.argmin(areas))

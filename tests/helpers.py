@@ -1,5 +1,10 @@
 """Shared oracles for the test suite.
 
+``t3_shape``, ``t3_bubble`` and ``element_geometry`` evaluate the basis,
+the bubble and the affine map of one triangle at one reference point;
+they are the per-point reference for the batched tables of
+``vmsflow.newton.ElementBatch``.
+
 The monolithic global system built here is assembled from the public
 per-element operations, keeping the fine-scale coefficients as explicit
 unknowns appended after the (velocity, pressure) block.  It exists only
@@ -9,11 +14,12 @@ for verification: the production path condenses the fine scale away.
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from vmsflow.fem import element_geometry, inv2, t3_bubble, t3_shape, triangle_quadrature
+from vmsflow.fem import DN_REF, DegenerateElementError, inv2, triangle_quadrature
 from vmsflow.mesh import (
     BoundaryConditions,
     Mesh,
@@ -24,6 +30,78 @@ from vmsflow.mesh import (
 from vmsflow.newton import State, element_dofs, element_residuals, element_tangent
 
 BLOCK_NAMES = ("Kcc", "Kcp", "Kcf", "Kpc", "Kpf", "Kfc", "Kfp", "Kff")
+
+
+@dataclass(frozen=True)
+class ShapeEval:
+    """Linear shape functions at one reference point.
+
+    ``grad_phys`` is ``DN @ Jinv`` and is only present when the
+    evaluation was given an element geometry.
+    """
+
+    N: np.ndarray            # (3,)
+    DN: np.ndarray           # (3, 2) reference gradients
+    grad_phys: np.ndarray | None = None  # (3, 2) physical gradients
+
+
+@dataclass(frozen=True)
+class BubbleEval:
+    """Cubic bubble xi1*xi2*(1 - xi1 - xi2) at one reference point."""
+
+    b: float
+    grad_ref: np.ndarray     # (2,)
+    grad_phys: np.ndarray | None = None  # (2,)
+
+
+@dataclass(frozen=True)
+class ElementGeometry:
+    """Affine reference-to-physical map of one triangle."""
+
+    J: np.ndarray            # (2, 2)
+    detJ: float
+    Jinv: np.ndarray         # (2, 2)
+
+
+def t3_shape(xi, geometry: ElementGeometry | None = None) -> ShapeEval:
+    """Evaluate the linear shape functions at reference point ``xi``.
+
+    Evaluation outside the reference triangle is permitted (used by
+    finite-difference checks); the partition-of-unity identities hold
+    everywhere since the functions are linear.
+    """
+    x1, x2 = float(xi[0]), float(xi[1])
+    N = np.array([x1, x2, 1.0 - x1 - x2])
+    grad = None if geometry is None else DN_REF @ geometry.Jinv
+    return ShapeEval(N=N, DN=DN_REF, grad_phys=grad)
+
+
+def t3_bubble(xi, geometry: ElementGeometry | None = None) -> BubbleEval:
+    """Evaluate the cubic bubble and its gradient at reference point ``xi``."""
+    x1, x2 = float(xi[0]), float(xi[1])
+    x3 = 1.0 - x1 - x2
+    b = x1 * x2 * x3
+    grad_ref = np.array([x2 * (x3 - x1), x1 * (x3 - x2)])
+    grad = None if geometry is None else geometry.Jinv.T @ grad_ref
+    return BubbleEval(b=b, grad_ref=grad_ref, grad_phys=grad)
+
+
+def element_geometry(coords, index: int | None = None) -> ElementGeometry:
+    """Geometry of the affine map for a triangle given its node coordinates.
+
+    ``coords`` is a (3, 2) array whose local nodes map to the reference
+    vertices (1, 0), (0, 1) and (0, 0), in that order (node a is where
+    N_a = 1); counterclockwise triangles then have ``detJ = 2 * area > 0``.
+    """
+    coords = np.asarray(coords, dtype=float)
+    J = coords.T @ DN_REF
+    Jinv, detJ = inv2(J)
+    if detJ <= 1e-14:
+        where = "" if index is None else f" (element {index})"
+        raise DegenerateElementError(
+            f"triangle{where} is degenerate or negatively oriented: detJ = {detJ:.3e}"
+        )
+    return ElementGeometry(J=J, detJ=detJ, Jinv=Jinv)
 
 
 def all_neumann_bc(mesh) -> BoundaryConditions:

@@ -1,5 +1,8 @@
-"""Reference-element checks: shape functions, bubble, geometry, quadrature,
-and the Kronecker/vectorization conventions.
+"""Reference-element checks: shape functions, bubble, geometry and quadrature.
+
+The point evaluators checked here are the test suite's own
+(``helpers.t3_shape``, ``t3_bubble``, ``element_geometry``); they are
+the per-point oracle that ``ElementBatch``'s tables are compared with.
 
 Quadrature exactness is judged against the closed-form monomial integral
 over the reference triangle, int xi1^a xi2^b xi3^c dA = a! b! c! /
@@ -12,15 +15,10 @@ import math
 import numpy as np
 import pytest
 
-from vmsflow.fem import (
-    DegenerateElementError,
-    element_geometry,
-    kron,
-    t3_bubble,
-    t3_shape,
-    triangle_quadrature,
-    vec,
-)
+from vmsflow.fem import DegenerateElementError, triangle_quadrature
+from vmsflow.newton import ElementBatch
+
+from helpers import element_geometry, perturbed_square_mesh, t3_bubble, t3_shape
 
 # Physical coordinates that make the element coincide with the reference
 # triangle (node a sits at the reference vertex carrying N_a).
@@ -186,55 +184,29 @@ class TestQuadrature:
             triangle_quadrature(-1)
 
 
-class TestKronVec:
-    def test_kron_identity_blocks(self):
-        B = np.array([[1.0, 2.0], [3.0, 4.0]])
-        expected = np.block([[B, np.zeros((2, 2))], [np.zeros((2, 2)), B]])
-        np.testing.assert_array_equal(kron(np.eye(2), B), expected)
-
-    def test_kron_scalar(self):
-        B = np.arange(6.0).reshape(2, 3)
-        np.testing.assert_array_equal(kron([[2.5]], B), 2.5 * B)
-
-    def test_kron_row_with_identity(self):
-        n = np.array([[0.2, 0.3, 0.5]])
-        K = kron(n, np.eye(2))
-        assert K.shape == (2, 6)
-        for a in range(3):
-            np.testing.assert_array_equal(K[:, 2 * a:2 * a + 2], n[0, a] * np.eye(2))
-
-    def test_mixed_product_identity(self):
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            A, C = rng.normal(size=(2, 3)), rng.normal(size=(3, 2))
-            B, D = rng.normal(size=(3, 2)), rng.normal(size=(2, 3))
-            np.testing.assert_allclose(
-                kron(A, B) @ kron(C, D), kron(A @ C, B @ D), atol=1e-12
-            )
-
-    def test_vec_identity(self):
-        np.testing.assert_array_equal(vec(np.eye(2)), [1.0, 0.0, 0.0, 1.0])
-
-    def test_vec_stacks_columns(self):
-        A = np.arange(6.0).reshape(2, 3)
-        np.testing.assert_array_equal(vec(A), np.concatenate([A[:, 0], A[:, 1], A[:, 2]]))
-
-    def test_vec_kron_compatibility(self):
-        rng = np.random.default_rng(4)
-        for _ in range(10):
-            A = rng.normal(size=(2, 2))
-            X = rng.normal(size=(2, 3))
-            B = rng.normal(size=(3, 2))
-            np.testing.assert_allclose(
-                vec(A @ X @ B), kron(B.T, A) @ vec(X), atol=1e-12
-            )
-
-    def test_interpolation_identity(self):
-        # kron(N, I) applied to vec of the transposed nodal array reproduces
-        # the interpolated vector field.
-        rng = np.random.default_rng(9)
-        vhat = rng.normal(size=(3, 2))
-        for xi in random_reference_points(rng, 20):
-            N = t3_shape(xi).N
-            lhs = kron(N[None, :], np.eye(2)) @ vec(vhat.T)
-            np.testing.assert_allclose(lhs, vhat.T @ N, atol=1e-14)
+def test_element_batch_tables_match_the_point_oracle():
+    # Every ElementBatch table, summed point by point over the degree-8
+    # rule from the scalar evaluators, element by element.
+    mesh = perturbed_square_mesh(4, np.random.default_rng(11))
+    batch = ElementBatch(mesh)
+    rule = triangle_quadrature(8)
+    ref = {name: np.zeros_like(getattr(batch, name))
+           for name in ("G", "mass", "bmass", "stiff", "mass_gb", "gbgb", "div")}
+    for e, tri in enumerate(mesh.triangles):
+        geo = element_geometry(mesh.node_coords[tri], e)
+        ref["G"][..., e] = t3_shape((0.0, 0.0), geo).grad_phys
+        for xi, w in zip(rule.points, rule.weights):
+            sh, bub = t3_shape(xi, geo), t3_bubble(xi, geo)
+            wd = w * geo.detJ
+            Nb = np.append(sh.N, bub.b)                          # (4,)
+            dNb = np.vstack([sh.grad_phys, bub.grad_phys])       # (4, 2)
+            ref["mass"][..., e] += wd * np.outer(Nb, Nb)
+            ref["bmass"][..., e] += wd * bub.b * np.outer(sh.N, sh.N)
+            ref["stiff"][..., e] += wd * dNb @ dNb.T
+            ref["mass_gb"][..., e] += wd * np.outer(Nb, Nb)[..., None] * bub.grad_phys
+            ref["gbgb"][..., e] += wd * np.outer(bub.grad_phys, bub.grad_phys)
+            ref["div"][..., e] -= wd * np.outer(dNb.reshape(8), sh.N)
+    for name, expected in ref.items():
+        # Relative to the largest entry of each row, so the small bubble rows count too.
+        scale = np.abs(expected).max(axis=tuple(range(1, expected.ndim)), keepdims=True)
+        assert np.all(np.abs(getattr(batch, name) - expected) <= 1e-13 * scale), name

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -354,6 +355,36 @@ class TestMeshValidation:
         with pytest.raises(ValueError, match="out of range"):
             Mesh(coords, np.array([[0, 1, 3]]),
                  ((0, 1, "e"), (1, 3, "e"), (3, 0, "e")), ("e",))
+
+    def test_nan_coordinate_rejected_by_node(self, tmp_path):
+        coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, np.nan]])
+        edges = ((0, 1, "e"), (1, 2, "e"), (2, 0, "e"))
+        with pytest.raises(ValueError, match="node 2 has a non-finite coordinate"):
+            Mesh(coords, np.array([[0, 1, 2]]), edges, ("e",))
+        path = tmp_path / "mesh.txt"
+        path.write_text("3\n0 0\n1 0\n0 nan\n1\n0 1 2\n3\n0 1 e\n1 2 e\n2 0 e\n")
+        with pytest.raises(ValueError, match="node 2 has a non-finite coordinate"):
+            read_mesh(path)
+
+    def test_inf_coordinate_rejected_by_node(self):
+        coords = np.array([[0.0, 0.0], [np.inf, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="node 1 has a non-finite coordinate"):
+            Mesh(coords, np.array([[0, 1, 2]]),
+                 ((0, 1, "e"), (1, 2, "e"), (2, 0, "e")), ("e",))
+
+    def test_edge_tag_missing_from_tags_rejected(self):
+        coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="boundary edge tag 'wall' is not in the mesh tags"):
+            Mesh(coords, np.array([[0, 1, 2]]),
+                 ((0, 1, "e"), (1, 2, "wall"), (2, 0, "e")), ("e",))
+
+    @pytest.mark.parametrize("tag", ["no slip", "", "lid\t"])
+    def test_tag_with_whitespace_rejected(self, tag):
+        # write_mesh/read_mesh could not round-trip it
+        coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match=re.escape(f"tag {tag!r} is not one word")):
+            Mesh(coords, np.array([[0, 1, 2]]),
+                 ((0, 1, "e"), (1, 2, tag), (2, 0, "e")), ("e", tag))
 
 
 class TestEdgeTable:

@@ -36,6 +36,7 @@ from vmsflow.solve import SolverConfig, newton_solve
 
 from helpers import (
     all_neumann_bc,
+    element_geometry,
     element_tangent_matrix,
     get_monolithic,
     monolithic_residual,
@@ -185,7 +186,7 @@ class TestElementTangent:
         nu = 0.65
         e = 4
         tan = element_tangent(mesh, e, State.zeros(mesh), nu)
-        from vmsflow.fem import DN_REF, element_geometry
+        from vmsflow.fem import DN_REF
 
         coords = mesh.node_coords[mesh.triangles[e]]
         geom = element_geometry(coords)
@@ -213,8 +214,6 @@ class TestElementTangent:
         state.vbar_prev = np.zeros_like(state.vbar)
         t_trans = element_tangent(mesh, 0, state, 1.0)
         dKcc = t_trans.Kcc - t_steady.Kcc
-        from vmsflow.fem import element_geometry
-
         area = mesh.triangle_areas()[0]
         # mass matrix of linear triangles: area/12 * (1 + delta_ab)
         mass = area / 12 * (np.ones((3, 3)) + np.eye(3))

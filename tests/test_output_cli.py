@@ -231,6 +231,25 @@ class TestCli:
         assert text.startswith("h,l2_velocity")
         assert "# rate_l2_velocity" in text
 
+    def test_both_strategies_only_for_study(self, tmp_path, capsys):
+        for command in ("solve", "march"):
+            argv = [command, "--problem", "body_force_cavity", "--nu", "1.0", "--n", "4",
+                    "--strategy", "both", "--out", str(tmp_path / command)]
+            if command == "march":
+                argv += ["--dt", "0.5", "--steps", "1"]
+            assert run_cli(argv) == 1
+            err = capsys.readouterr().err
+            assert "usage:" in err and "invalid choice: 'both'" in err
+            assert not (tmp_path / command).exists()
+        code = run_cli([
+            "study", "--problem", "body_force_cavity", "--nu", "1.0",
+            "--levels", "4,6,8", "--strategy", "both", "--tol", "1e-10",
+            "--out", str(tmp_path / "study"),
+        ])
+        assert code == 0
+        for strategy in ("newton", "fixed_point"):
+            assert (tmp_path / "study" / f"study_{strategy}.csv").exists()
+
     def test_study_without_exact_solution_leaves_no_directory(self, tmp_path):
         out = tmp_path / "d"
         assert run_cli(["study", "--problem", "lid_cavity", "--re", "100",
