@@ -140,7 +140,7 @@ def _cmd_march(args) -> int:
     return 0 if ok else 2
 
 
-def _add_common(sub, strategies=("newton", "fixed_point")):
+def _add_common(sub, strategies=("newton", "fixed_point"), steady=True):
     sub.add_argument("--problem", required=True, choices=sorted(PROBLEM_BUILDERS))
     sub.add_argument("--re", type=float, default=None, help="Reynolds number")
     sub.add_argument("--nu", type=float, default=None, help="kinematic viscosity")
@@ -150,11 +150,12 @@ def _add_common(sub, strategies=("newton", "fixed_point")):
     sub.add_argument("--tol", type=float, default=1e-8)
     sub.add_argument("--max-iter", type=int, default=25, dest="max_iter")
     sub.add_argument("--out", default=None, help="output directory")
-    sub.add_argument("--continuation-from", type=float, default=None,
-                     dest="continuation_from",
-                     help="start Reynolds number of a continuation ladder up to --re")
-    sub.add_argument("--continuation-factor", type=float, default=1.1,
-                     dest="continuation_factor")
+    if steady:
+        sub.add_argument("--continuation-from", type=float, default=None,
+                         dest="continuation_from",
+                         help="start Reynolds number of a continuation ladder up to --re")
+        sub.add_argument("--continuation-factor", type=float, default=1.1,
+                         dest="continuation_factor")
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -175,7 +176,7 @@ def _parser() -> argparse.ArgumentParser:
                          help="comma-separated subdivision counts")
 
     p_march = subs.add_parser("march", help="backward-Euler time marching")
-    _add_common(p_march)
+    _add_common(p_march, steady=False)
     p_march.add_argument("--dt", type=float, required=True)
     p_march.add_argument("--steps", type=int, required=True)
     p_march.add_argument("--stride", type=int, default=1)

@@ -102,10 +102,14 @@ def _check_triangles(mesh: Mesh) -> None:
     if not finite.all():
         bad = int(np.argmin(finite)) // 2
         raise ValueError(f"node {bad} has a non-finite coordinate: {mesh.node_coords[bad]}")
-    # Tags are single words, so that write_mesh/read_mesh round-trip them.
-    for tag in mesh.tags:
+    # read_mesh reads tags off the edges: each must be one word, carried and listed once.
+    carried = {t for _, _, t in mesh.boundary_edges}
+    for i, tag in enumerate(mesh.tags):
         if not isinstance(tag, str) or tag.split() != [tag]:
             raise ValueError(f"tag {tag!r} is not one word without whitespace")
+        if tag not in carried or tag in mesh.tags[:i]:
+            why = "listed twice" if tag in carried else "carried by no boundary edge"
+            raise ValueError(f"mesh tag {tag!r} is {why}")
     known = set(mesh.tags)
     unknown = [t for _, _, t in mesh.boundary_edges if t not in known]
     if unknown:
@@ -346,9 +350,7 @@ def build_dof_map(mesh: Mesh, bc: BoundaryConditions) -> DofMap:
     vbar_values, p_values = _split(prescribed, n)
     vbar_fixed, p_fixed = _split(fixed, n)
     for tag, func in bc.dirichlet.items():  # later tags override at shared nodes
-        nodes = mesh.boundary_nodes(tag)
-        if nodes.size == 0:
-            continue
+        nodes = mesh.boundary_nodes(tag)    # never empty: every mesh tag is carried
         vbar_values[nodes] = checked_values(func, mesh.node_coords[nodes],
                                             f"Dirichlet function for tag '{tag}'", "boundary node")
         vbar_fixed[nodes] = True

@@ -1,16 +1,16 @@
 """Nonlinear solution strategies and the sparse linear-solve contract.
 
 A problem object must expose ``mesh``, ``bc``, ``nu`` and ``body_force``
-attributes (``vmsflow.problems.ProblemSpec`` does); continuation
-additionally requires a ``with_re`` method that keeps the mesh, boundary
-data and body force.  Reports are immutable once returned.  A solve
-builds one immutable ``Discretization`` (body-force load included),
-which both strategies assemble from with ``(disc, state, nu)`` and every
-rung and step shares.  Its ``free`` lists the free DOFs in
-``mesh.elimination_order``, so every assembled system arrives permuted and
-in CSC format; ``linear_solve`` factors it as it is, with LAPACK's banded
-LU when the order keeps it within ``BAND_LIMIT`` of the diagonal and with
-SuperLU otherwise.
+attributes (``vmsflow.problems.ProblemSpec`` does); continuation also
+needs a ``with_re`` that keeps the mesh, boundary data and body force and
+re-targets only the viscosity, as ``ProblemSpec.with_re`` does.  Reports
+are immutable once returned.  A solve builds one immutable
+``Discretization`` (body-force load included), which both strategies
+assemble from with ``(disc, state, nu)`` and every rung and step shares.
+Its ``free`` lists the free DOFs in ``mesh.elimination_order``, so every
+assembled system arrives permuted and in CSC format; ``linear_solve``
+factors it as it is, with LAPACK's banded LU when the order keeps it
+within ``BAND_LIMIT`` of the diagonal and with SuperLU otherwise.
 
 One loop, ``_iterate``, drives both strategies: it records the residual
 of every update, tests for divergence and stops, and names why it

@@ -378,6 +378,17 @@ class TestMeshValidation:
             Mesh(coords, np.array([[0, 1, 2]]),
                  ((0, 1, "e"), (1, 2, "wall"), (2, 0, "e")), ("e",))
 
+    @pytest.mark.parametrize("tags, message", [
+        (("e", "unused"), "mesh tag 'unused' is carried by no boundary edge"),
+        (("e", "e"), "mesh tag 'e' is listed twice"),
+    ])
+    def test_tag_list_must_match_the_edges(self, tags, message):
+        # read_mesh recovers the tags from the edges, and Dirichlet data on
+        # a tag that no edge carries would reach no node
+        coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Mesh(coords, np.array([[0, 1, 2]]), ((0, 1, "e"), (1, 2, "e"), (2, 0, "e")), tags)
+
     @pytest.mark.parametrize("tag", ["no slip", "", "lid\t"])
     def test_tag_with_whitespace_rejected(self, tag):
         # write_mesh/read_mesh could not round-trip it
@@ -473,6 +484,30 @@ class TestMeshIO:
 
         for strategy in ("newton", "fixed_point"):
             assert digest(back, strategy) == digest(mesh, strategy)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(2, 4), data=st.data())
+    def test_every_accepted_mesh_keeps_its_tags(self, n, data):
+        square = unit_square_mesh(n)
+        words = st.sampled_from(["a", "b", "lid", "wall"])
+        labels = data.draw(st.lists(words, min_size=len(square.boundary_edges),
+                                    max_size=len(square.boundary_edges)))
+        edges = tuple((a, b, tag) for (a, b, _), tag in zip(square.boundary_edges, labels))
+        extra = data.draw(st.lists(words, max_size=2))
+        tags = tuple(data.draw(st.permutations(sorted(set(labels))))) + tuple(extra)
+        try:
+            mesh = Mesh(square.node_coords, square.triangles, edges, tags)
+        except ValueError:
+            assert extra   # an idle or repeated tag, and nothing else, is rejected
+            return
+        assert not extra
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "mesh.txt")
+            write_mesh(mesh, path)
+            back = read_mesh(path)
+        # the file keeps no tag order: read_mesh lists them by first edge
+        assert sorted(back.tags) == sorted(mesh.tags)
+        assert back.boundary_edges == mesh.boundary_edges
 
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "mesh.txt"

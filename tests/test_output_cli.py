@@ -250,6 +250,24 @@ class TestCli:
         for strategy in ("newton", "fixed_point"):
             assert (tmp_path / "study" / f"study_{strategy}.csv").exists()
 
+    def test_continuation_flags_only_for_steady_commands(self, tmp_path, capsys):
+        march = ["march", "--problem", "lid_cavity", "--n", "8", "--re", "100",
+                 "--dt", "0.1", "--steps", "2", "--out", str(tmp_path / "march")]
+        for flag, value in (("--continuation-from", "10"), ("--continuation-factor", "1.5")):
+            assert run_cli(march + [flag, value]) == 1
+            err = capsys.readouterr().err
+            assert "usage:" in err and f"unrecognized arguments: {flag} {value}" in err
+            assert not (tmp_path / "march").exists()
+        for command, argv in (
+            ("solve", ["--problem", "lid_cavity", "--n", "8", "--re", "20"]),
+            ("study", ["--problem", "body_force_cavity", "--nu", "1.0", "--levels", "4,6,8",
+                       "--tol", "1e-10"]),
+        ):
+            out = tmp_path / command
+            assert run_cli([command, *argv, "--continuation-from", "0.5",
+                            "--continuation-factor", "2", "--out", str(out)]) == 0
+            assert any(out.iterdir())
+
     def test_study_without_exact_solution_leaves_no_directory(self, tmp_path):
         out = tmp_path / "d"
         assert run_cli(["study", "--problem", "lid_cavity", "--re", "100",

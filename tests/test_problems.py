@@ -151,10 +151,28 @@ class TestProblemBuilders:
         assert prob.bc.pressure_pin is None
 
     def test_with_re(self):
-        prob = body_force_cavity(8, re=100)
-        prob2 = prob.with_re(200)
-        assert prob2.nu == pytest.approx(1 / 200)
-        assert prob2.mesh is not prob.mesh or prob2.mesh.n_nodes == prob.mesh.n_nodes
+        # re-targeting keeps the mesh, boundary data and force objects and
+        # sets re, nu and exact as a fresh build at that Reynolds number does
+        pts = interior_points(np.random.default_rng(3), 20)
+        fields = ("velocity", "pressure", "velocity_gradient", "velocity_laplacian",
+                  "pressure_gradient")
+        for build in (lambda re: body_force_cavity(8, re=re),
+                      lambda re: lid_cavity(8, re=re),
+                      lambda re: backward_step(re=re, h=0.5)):
+            for re_from, re_to in ((1.0, 100.0), (100.0, 1.0)):
+                prob, fresh = build(re_from), build(re_to)
+                rung = prob.with_re(re_to)
+                assert rung.name == fresh.name
+                assert rung.mesh is prob.mesh and rung.bc is prob.bc
+                assert rung.body_force is prob.body_force
+                assert (rung.re, rung.nu) == (fresh.re, fresh.nu) == (re_to, 1 / re_to)
+                assert (rung.exact is None) == (fresh.exact is None)
+                if fresh.exact is not None:
+                    for name in fields:
+                        np.testing.assert_array_equal(getattr(rung.exact, name)(pts),
+                                                      getattr(fresh.exact, name)(pts))
+        with pytest.raises(ValueError, match="re must be positive"):
+            lid_cavity(8, re=10).with_re(0.0)
 
     def test_comparison_returns_bool(self):
         # specs compare through their meshes, which compare by identity

@@ -1,6 +1,7 @@
 """Linear-solve contract and the nonlinear solution strategies."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -284,6 +285,31 @@ class TestFixedPointSolve:
         assert diff <= 10.0 * min(err_n, err_f)
 
 
+def assert_ladder_matches_fresh_builds(monkeypatch, problem, config, build):
+    """Run the ladder, then check that every rung's residual history, stop
+    reason and state equal those of a Newton solve on ``build(re)``, each
+    warm-started from the one before; returns the ladder's report."""
+    records = []
+    iterate = solve_module._iterate
+
+    def recording(*args):
+        state, report = iterate(*args)
+        records.append((report.residual_history.tobytes(), report.stop_reason, state.digest()))
+        return state, report
+
+    monkeypatch.setattr(solve_module, "_iterate", recording)
+    _, report = continuation_solve(problem, config)
+    assert report.converged
+    rungs = records[:]
+    records.clear()
+    state = None
+    for re, _ in report.sub_reports:
+        state, _ = newton_solve(build(re), dataclasses.replace(config, continuation=None),
+                                state0=state)
+    assert records == rungs
+    return report
+
+
 class TestContinuation:
     def test_ladder_values(self):
         cfg = ContinuationConfig(re_start=15, re_target=150, factor=1.1)
@@ -353,7 +379,7 @@ class TestContinuation:
             solve(prob, cfg, state0=start)
 
     @pytest.mark.parametrize("changed_at", [10, 15], ids=["replaced", "later_rung"])
-    def test_rung_that_changes_the_body_force_is_named(self, changed_at):
+    def test_rung_that_changes_the_body_force_is_named(self, changed_at, monkeypatch):
         # the shared set-up integrates problem.body_force once, so a rung
         # with another force would silently be solved with the first one
         base = body_force_cavity(8, re=20)
@@ -361,16 +387,35 @@ class TestContinuation:
         def doubled(points):
             return 2.0 * base.body_force(points)
 
-        def rebuild(re):
-            rung = body_force_cavity(8, re=re)
+        cfg = SolverConfig(tol=1e-9, continuation=ContinuationConfig(10, 20, 1.5))
+        if changed_at == 10:
+            # a force given to the problem is kept by with_re on every rung
+            assert_ladder_matches_fresh_builds(
+                monkeypatch, dataclasses.replace(base, body_force=doubled), cfg,
+                lambda re: dataclasses.replace(body_force_cavity(8, re=re), body_force=doubled))
+            return
+
+        def with_re(re):
+            rung = base.with_re(re)
             return dataclasses.replace(rung, body_force=doubled) if re >= changed_at else rung
 
-        prob = dataclasses.replace(base, rebuild=rebuild)
-        if changed_at == 10:   # the force given to the problem, dropped by with_re
-            prob = dataclasses.replace(base, body_force=doubled)
-        cfg = SolverConfig(tol=1e-9, continuation=ContinuationConfig(10, 20, 1.5))
+        # a duck-typed problem whose rungs from Re=15 on carry another force
+        prob = SimpleNamespace(mesh=base.mesh, bc=base.bc, nu=base.nu,
+                               body_force=base.body_force, with_re=with_re)
         with pytest.raises(ValueError, match=f"rung Re={changed_at} changes the body force"):
             continuation_solve(prob, cfg)
+
+    @pytest.mark.parametrize("build, ladder", [
+        (lambda re: body_force_cavity(8, re=re), ContinuationConfig(5, 50, 1.5)),
+        (lambda re: backward_step(re=re, h=0.5), ContinuationConfig(15, 150, 1.1)),
+    ], ids=["body_force_cavity", "backward_step"])
+    def test_ladder_matches_fresh_builds_bitwise(self, build, ladder, monkeypatch):
+        # re-targeting the viscosity gives every rung exactly what a problem
+        # built afresh at that Reynolds number gives
+        cfg = SolverConfig(tol=1e-10, continuation=ladder)
+        report = assert_ladder_matches_fresh_builds(monkeypatch, build(ladder.re_target), cfg,
+                                                    build)
+        assert [re for re, _ in report.sub_reports] == ladder.ladder()
 
     def test_dispatch_through_solve(self):
         prob = body_force_cavity(8, re=20)
