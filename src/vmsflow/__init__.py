@@ -12,6 +12,8 @@ carried by a cubic bubble.  Two nonlinear strategies are provided:
   problem is solved analytically, yielding a tensor-valued
   stabilization parameter (``vmsflow.fixed_point``).
 
+``vmsflow.solve.solve`` is the one steady entry point: its ``SolverConfig``
+alone picks the strategy and any Reynolds continuation ladder.
 ``vmsflow.problems`` defines the benchmark cases (body-force-driven
 cavity with manufactured solution, lid-driven cavity, backward-facing
 step) and the error norms used in convergence studies; ``vmsflow.cli``
@@ -60,10 +62,7 @@ from vmsflow.solve import (
     IterationReport,
     LinearSolveError,
     SolverConfig,
-    continuation_solve,
-    fixed_point_solve,
     linear_solve,
-    newton_solve,
     time_march,
 )
 from vmsflow.problems import (

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -95,17 +96,15 @@ def _cmd_study(args) -> int:
     if args.problem != "body_force_cavity":
         print("study requires a problem with an exact solution", file=sys.stderr)
         return 1
+    build = partial(body_force_cavity, re=args.re, nu=args.nu)
+    # Every level climbs the same continuation ladder, up to the study's Re.
+    target = build(levels[0])
     outdir = _outdir(args)
     exit_code = 0
     for strategy in strategies:
-        table = convergence_study(
-            lambda n: body_force_cavity(n, re=args.re, nu=args.nu),
-            levels,
-            strategy=strategy,
-            config=SolverConfig(
-                strategy=strategy, tol=args.tol, max_iter=max(args.max_iter, 50),
-            ),
-        )
+        config = _solver_config(args, target, strategy=strategy,
+                                max_iter=max(args.max_iter, 50))
+        table = convergence_study(build, levels, config)
         path = outdir / f"study_{strategy}.csv"
         os.makedirs(outdir, exist_ok=True)
         write_study(table, path)
@@ -144,8 +143,6 @@ def _add_common(sub, strategies=("newton", "fixed_point"), steady=True):
     sub.add_argument("--problem", required=True, choices=sorted(PROBLEM_BUILDERS))
     sub.add_argument("--re", type=float, default=None, help="Reynolds number")
     sub.add_argument("--nu", type=float, default=None, help="kinematic viscosity")
-    sub.add_argument("--n", type=int, default=32, help="subdivisions per side (cavities)")
-    sub.add_argument("--h", type=float, default=0.25, help="edge length (backward step)")
     sub.add_argument("--strategy", default="newton", choices=strategies)
     sub.add_argument("--tol", type=float, default=1e-8)
     sub.add_argument("--max-iter", type=int, default=25, dest="max_iter")
@@ -170,7 +167,9 @@ def _parser() -> argparse.ArgumentParser:
     p_solve = subs.add_parser("solve", help="run one steady solve")
     _add_common(p_solve)
 
-    p_study = subs.add_parser("study", help="mesh-refinement convergence study")
+    # Without abbreviations, so that a stray --n is not read as --nu.
+    p_study = subs.add_parser("study", help="mesh-refinement convergence study",
+                              allow_abbrev=False)
     _add_common(p_study, strategies=("newton", "fixed_point", "both"))
     p_study.add_argument("--levels", default="8,16,32,64",
                          help="comma-separated subdivision counts")
@@ -180,6 +179,10 @@ def _parser() -> argparse.ArgumentParser:
     p_march.add_argument("--dt", type=float, required=True)
     p_march.add_argument("--steps", type=int, required=True)
     p_march.add_argument("--stride", type=int, default=1)
+    # A study's meshes come from --levels alone.
+    for sub in (p_solve, p_march):
+        sub.add_argument("--n", type=int, default=32, help="subdivisions per side (cavities)")
+        sub.add_argument("--h", type=float, default=0.25, help="edge length (backward step)")
     return parser
 
 

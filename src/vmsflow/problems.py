@@ -348,15 +348,15 @@ def fit_rates(rows) -> dict[str, float]:
 
 
 def convergence_study(problem_factory: Callable[[int], ProblemSpec],
-                      ns, strategy: str = "newton",
-                      config: SolverConfig | None = None) -> ConvergenceTable:
+                      ns, config: SolverConfig | None = None) -> ConvergenceTable:
     """Solve a mesh family and tabulate errors against the exact solution.
 
     ``problem_factory`` maps a subdivision count to a problem whose
-    ``exact`` field is set; ``h = 1/n`` is recorded per row.  At least
-    three strictly increasing counts are checked before any solve.  A level
-    that fails to converge ends the study and the partial table is
-    returned with ``complete=False``.
+    ``exact`` field is set; ``h = 1/n`` is recorded per row.  ``solve``
+    runs every level with ``config`` (default: Newton, tol 1e-10, 50
+    iterations).  At least three strictly increasing counts are checked
+    before any solve.  A level that fails to converge ends the study and
+    the partial table is returned with ``complete=False``.
     """
     ns = list(ns)
     if len(ns) < 3:
@@ -364,7 +364,7 @@ def convergence_study(problem_factory: Callable[[int], ProblemSpec],
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError(f"mesh levels must increase strictly, got {ns}")
     if config is None:
-        config = SolverConfig(strategy=strategy, tol=1e-10, max_iter=50)
+        config = SolverConfig(tol=1e-10, max_iter=50)
     rows = []
     reports = []
     complete = True

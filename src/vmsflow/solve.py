@@ -1,8 +1,11 @@
 """Nonlinear solution strategies and the sparse linear-solve contract.
 
+``solve`` is the one steady entry point and ``time_march`` the transient
+one; a ``SolverConfig`` alone picks the strategy (Newton or fixed point)
+and, through ``continuation``, the Reynolds ladder ``solve`` climbs.
 A problem object must expose ``mesh``, ``bc``, ``nu`` and ``body_force``
-attributes (``vmsflow.problems.ProblemSpec`` does); continuation also
-needs a ``with_re`` that keeps the mesh, boundary data and body force and
+attributes (``vmsflow.problems.ProblemSpec`` does); a ladder also needs a
+``with_re`` that keeps the mesh, boundary data and body force and
 re-targets only the viscosity, as ``ProblemSpec.with_re`` does.  Reports
 are immutable once returned.  A solve builds one immutable
 ``Discretization`` (body-force load included), which both strategies
@@ -315,77 +318,34 @@ def _iterate(disc: Discretization, nu: float, config: SolverConfig, state0: Stat
     )
 
 
-def newton_solve(problem, config: SolverConfig, state0: State | None = None
-                 ) -> tuple[State, IterationReport]:
-    """``solve`` with the consistent Newton strategy.
+def solve(problem, config: SolverConfig, state0: State | None = None
+          ) -> tuple[State, IterationReport]:
+    """Steady solve with ``config.strategy``, up ``config.continuation``'s ladder if set.
 
-    Starts from the Dirichlet-lifted zero state unless ``state0`` is
-    given.  Each iteration solves the condensed system, updates velocity
-    and pressure, and recovers the fine-scale increment element by
-    element; the assembly at the new state gives its residual, and its
-    linearization is built only if the loop goes on to another update.
+    Starts from ``state0`` or the Dirichlet-lifted zero state.  Fixed
+    point also stops on the velocity increment (``increment_tol``), at the
+    scheme's own fixed point, off the Newton solution by the stabilization
+    approximation.  A ladder starts cold at ``re_start`` and warm-starts
+    each rung from the last; the first rung that fails ends it, and the
+    per-rung reports come back as ``sub_reports`` of (re, report) pairs.
+    Every rung shares one set-up, so ``problem.with_re`` must keep the
+    body force.  ``dt``, ``n_steps`` and a ``state0`` carrying ``dt`` or
+    ``vbar_prev`` belong to ``time_march``, and a ladder takes no
+    ``state0``; each of these raises ``ValueError``.
     """
-    return solve(problem, replace(config, strategy="newton"), state0)
-
-
-def fixed_point_solve(problem, config: SolverConfig, state0: State | None = None
-                      ) -> tuple[State, IterationReport]:
-    """``solve`` with the fixed-point (Picard) strategy on the stabilized linearized form.
-
-    The fine scale never appears as an unknown (``state.beta`` stays
-    zero).  Each iteration records the comparison residual at the new
-    iterate and the velocity-increment 2-norm, and stops when the
-    residual reaches ``tol`` or the increment falls below
-    ``increment_tol`` (the iterate then sits on the scheme's own fixed
-    point, which differs from the Newton solution at the level of the
-    stabilization approximation).
-    """
-    return solve(problem, replace(config, strategy="fixed_point"), state0)
-
-
-def _check_steady(config: SolverConfig) -> None:
     if config.dt is not None or config.n_steps is not None:
         raise ValueError("dt and n_steps configure time_march; a steady solve takes neither")
-
-
-def solve(problem, config: SolverConfig, state0: State | None = None):
-    """Steady solve with the configured strategy (continuation when requested).
-
-    ``config.dt`` and ``config.n_steps`` belong to ``time_march``, and so
-    does a ``state0`` carrying ``dt`` or ``vbar_prev``; a continuation
-    ladder starts cold.  Each of these raises ``ValueError``.
-    """
-    if config.continuation is not None:
-        if state0 is not None:
-            raise ValueError("a continuation ladder starts cold; it takes no state0")
-        return continuation_solve(problem, config)
-    _check_steady(config)
+    if state0 is not None and config.continuation is not None:
+        raise ValueError("a continuation ladder starts cold; it takes no state0")
     if state0 is not None and (state0.dt is not None or state0.vbar_prev is not None):
         raise ValueError("a state0 with dt or vbar_prev is a time_march step; "
                          "a steady solve takes a steady start state")
-    return _iterate(_setup(problem), problem.nu, config, state0)
-
-
-def continuation_solve(problem, config: SolverConfig
-                       ) -> tuple[State, IterationReport]:
-    """Reynolds continuation: warm-start each rung from the previous solution.
-
-    Solves at ``re_start`` from a cold start, multiplies the Reynolds
-    number by the configured factor (capped at ``re_target``) and reuses
-    the converged state as the next starting point.  The first rung that
-    fails terminates the ladder; the partial chain is returned with the
-    per-rung reports attached as ``sub_reports`` of (re, report) pairs.
-    Every rung shares one set-up: ``problem.with_re`` must keep the
-    geometry, boundary data and body force (else ``ValueError``).
-    """
-    if config.continuation is None:
-        raise ValueError("continuation_solve needs config.continuation")
-    _check_steady(config)
-    ladder = config.continuation.ladder()
     disc = _setup(problem)
+    if config.continuation is None:
+        return _iterate(disc, problem.nu, config, state0)
     state = None
     subs: list[tuple[float, IterationReport]] = []
-    for re in ladder:
+    for re in config.continuation.ladder():
         rung = problem.with_re(re)
         if rung.body_force is not problem.body_force:
             raise ValueError(f"continuation rung Re={re:g} changes the body force")
@@ -441,11 +401,8 @@ __all__ = [
     "IterationReport",
     "LinearSolveError",
     "SolverConfig",
-    "continuation_solve",
-    "fixed_point_solve",
     "lifted_state",
     "linear_solve",
-    "newton_solve",
     "solve",
     "time_march",
 ]

@@ -59,9 +59,6 @@ from vmsflow.problems import (
 from vmsflow.solve import (
     ContinuationConfig,
     SolverConfig,
-    continuation_solve,
-    fixed_point_solve,
-    newton_solve,
     solve,
     time_march,
 )
@@ -220,8 +217,8 @@ def test_criterion_2c_newton_error_never_worse(cavity_studies):
 def test_criterion_3_re400_contrast():
     prob = body_force_cavity(32, re=400)
     cfg = SolverConfig(tol=1e-8, max_iter=25)
-    _, newton_rep = newton_solve(prob, cfg)
-    _, fp_rep = fixed_point_solve(
+    _, newton_rep = solve(prob, cfg)
+    _, fp_rep = solve(
         prob, SolverConfig(strategy="fixed_point", tol=1e-8, max_iter=25,
                            increment_tol=0.0)
     )
@@ -245,7 +242,7 @@ def test_criterion_3_re400_contrast():
 
 def test_criterion_4_re5000_contrast():
     prob = body_force_cavity(32, re=5000)
-    _, fp_rep = fixed_point_solve(
+    _, fp_rep = solve(
         prob, SolverConfig(strategy="fixed_point", tol=1e-8, max_iter=25)
     )
     fp_ok = fp_rep.diverged and fp_rep.iterations <= 25
@@ -253,7 +250,7 @@ def test_criterion_4_re5000_contrast():
           f"diverged flag {fp_rep.diverged} after {fp_rep.iterations} iterations")
 
     cfg = SolverConfig(tol=1e-8, max_iter=8)
-    _, cold = newton_solve(prob, cfg)
+    _, cold = solve(prob, cfg)
     if cold.converged:
         newton_ok = True
         record = f"cold start converged in {cold.iterations} iterations"
@@ -262,7 +259,7 @@ def test_criterion_4_re5000_contrast():
             tol=1e-8, max_iter=8,
             continuation=ContinuationConfig(re_start=1000, re_target=5000, factor=5.0),
         )
-        _, chain = continuation_solve(prob, chain_cfg)
+        _, chain = solve(prob, chain_cfg)
         newton_ok = chain.converged
         rungs = ", ".join(
             f"Re={re:.0f}: {'ok' if rep.converged else 'failed'} "
@@ -281,7 +278,7 @@ def test_criterion_4_re5000_contrast():
 
 def test_criterion_5_lid_quadratic_signature():
     prob = lid_cavity(64, re=400)
-    _, rep = newton_solve(prob, SolverConfig(tol=1e-10, max_iter=14))
+    _, rep = solve(prob, SolverConfig(tol=1e-10, max_iter=14))
     r = rep.residual_history
     converged_ok = rep.converged and rep.iterations <= 14 and r[-1] < 1e-10
     q = np.array([r[k + 1] / r[k] ** 2 for k in range(len(r) - 4, len(r) - 1)])
@@ -301,8 +298,8 @@ def test_criterion_5_lid_quadratic_signature():
 def test_criterion_6_backward_step_continuation():
     prob15 = backward_step(re=15)
     cfg = SolverConfig(tol=1e-8, max_iter=25)
-    _, newton_rep = newton_solve(prob15, cfg)
-    _, fp_rep = fixed_point_solve(
+    _, newton_rep = solve(prob15, cfg)
+    _, fp_rep = solve(
         prob15, SolverConfig(strategy="fixed_point", tol=1e-8, max_iter=25,
                              increment_tol=0.0)
     )
@@ -315,7 +312,7 @@ def test_criterion_6_backward_step_continuation():
         tol=1e-8, max_iter=25,
         continuation=ContinuationConfig(re_start=15, re_target=150, factor=1.1),
     )
-    _, chain = continuation_solve(prob150, chain_cfg)
+    _, chain = solve(prob150, chain_cfg)
     ladder_ok = chain.converged and all(rep.converged for _, rep in chain.sub_reports)
     _line(6, count_ok and ladder_ok,
           f"Re=15: Newton {newton_rep.iterations} it < fixed point "
@@ -386,7 +383,7 @@ def test_criterion_7_micro_oracles():
 def test_criterion_8_transient_sanity():
     # part 1: marching from the converged steady lid state leaves it unchanged
     prob = lid_cavity(32, re=400)
-    steady, steady_rep = newton_solve(prob, SolverConfig(tol=1e-11, max_iter=20))
+    steady, steady_rep = solve(prob, SolverConfig(tol=1e-11, max_iter=20))
     assert steady_rep.converged
     states, reports = time_march(
         prob, SolverConfig(tol=1e-8, max_iter=5, dt=0.1, n_steps=10), state0=steady

@@ -32,7 +32,7 @@ from vmsflow.newton import (
     recover_fine_scale,
     traction_vector,
 )
-from vmsflow.solve import SolverConfig, newton_solve
+from vmsflow.solve import SolverConfig, solve
 
 from helpers import (
     all_neumann_bc,
@@ -316,7 +316,7 @@ class TestGlobalAssembly:
         from vmsflow.problems import body_force_cavity
 
         prob = body_force_cavity(4, nu=1.0)
-        state, report = newton_solve(prob, SolverConfig(tol=1e-11, max_iter=20))
+        state, report = solve(prob, SolverConfig(tol=1e-11, max_iter=20))
         assert report.converged
         dofmap = build_dof_map(prob.mesh, prob.bc)
         rhs = assemble_system(Discretization(prob.mesh, dofmap, prob.bc, prob.body_force),

@@ -11,7 +11,7 @@ from vmsflow.fem import inv2
 from vmsflow.output import sample_field, write_outputs
 from vmsflow.problems import ConvergenceTable, ErrorNorms, backward_step, lid_cavity
 from vmsflow.cli import run_cli
-from vmsflow.solve import IterationReport, SolverConfig, newton_solve
+from vmsflow.solve import ContinuationConfig, IterationReport, SolverConfig, solve
 
 from helpers import (
     braced_format,
@@ -25,7 +25,7 @@ from helpers import (
 @pytest.fixture(scope="module")
 def solved_lid():
     prob = lid_cavity(8, re=100)
-    state, report = newton_solve(prob, SolverConfig(tol=1e-10, max_iter=20))
+    state, report = solve(prob, SolverConfig(tol=1e-10, max_iter=20))
     assert report.converged
     return prob, state, report
 
@@ -267,6 +267,38 @@ class TestCli:
             assert run_cli([command, *argv, "--continuation-from", "0.5",
                             "--continuation-factor", "2", "--out", str(out)]) == 0
             assert any(out.iterdir())
+
+    def test_study_takes_its_meshes_from_levels_alone(self, tmp_path, capsys):
+        # --n and --h used to be parsed and ignored
+        out = tmp_path / "d"
+        for flag, value in (("--n", "8"), ("--h", "0.5")):
+            assert run_cli(["study", "--problem", "body_force_cavity", "--nu", "1.0",
+                            "--levels", "4,6,8", flag, value, "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert "usage:" in err and f"unrecognized arguments: {flag} {value}" in err
+            assert not out.exists()
+
+    def test_study_climbs_the_continuation_ladder(self, tmp_path, monkeypatch, capsys):
+        # the ladder flags used to be parsed and dropped
+        configs = []
+
+        def recording(problem, config):
+            configs.append(config)
+            return solve(problem, config)
+
+        monkeypatch.setattr(problems_module, "solve", recording)
+        study = ["study", "--problem", "body_force_cavity", "--continuation-from", "0.5",
+                 "--continuation-factor", "2"]
+        assert run_cli(study + ["--nu", "1", "--levels", "4,6,8", "--strategy", "both",
+                                "--out", str(tmp_path / "study")]) == 0
+        assert [c.strategy for c in configs] == ["newton"] * 3 + ["fixed_point"] * 3
+        assert all(c.continuation == ContinuationConfig(0.5, 1.0, 2.0) for c in configs)
+
+        out = tmp_path / "d"
+        assert run_cli(study + ["--nu", "0", "--out", str(out)]) == 1
+        assert "error: nu must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+        assert len(configs) == 6
 
     def test_study_without_exact_solution_leaves_no_directory(self, tmp_path):
         out = tmp_path / "d"

@@ -252,10 +252,10 @@ class TestLidProfile:
         # classic steady-cavity signature: lid value at the top, no-slip at
         # the bottom, and a distinct backflow minimum in the lower half
         from vmsflow.output import sample_field
-        from vmsflow.solve import newton_solve
+        from vmsflow.solve import solve
 
         prob = lid_cavity(32, re=400)
-        state, report = newton_solve(prob, SolverConfig(tol=1e-9, max_iter=15))
+        state, report = solve(prob, SolverConfig(tol=1e-9, max_iter=15))
         assert report.converged
         ys = np.linspace(0.0, 1.0, 101)
         pts = np.column_stack([np.full_like(ys, 0.5), ys])
@@ -271,7 +271,6 @@ class TestConvergenceStudy:
         table = convergence_study(
             lambda n: body_force_cavity(n, nu=1.0),
             [8, 12, 16],
-            strategy="newton",
             config=SolverConfig(tol=1e-10, max_iter=20),
         )
         assert table.complete

@@ -17,15 +17,19 @@ from vmsflow.solve import (
     ContinuationConfig,
     LinearSolveError,
     SolverConfig,
-    continuation_solve,
-    fixed_point_solve,
     lifted_state,
     linear_solve,
-    newton_solve,
     solve,
     time_march,
 )
 
+
+def _strategy_id(value):
+    """Node id of a strategy parameter, ``<strategy>_solve``; the default id otherwise."""
+    return f"{value}_solve" if value in ("newton", "fixed_point") else None
+
+
+EACH_STRATEGY = pytest.mark.parametrize("strategy", ["newton", "fixed_point"], ids=_strategy_id)
 
 # Where each side of ``linear_solve`` looks up its factorization.
 FACTORS = {"band": (solve_module, "_band_lu"), "superlu": (solve_module.spla, "splu")}
@@ -148,7 +152,7 @@ def test_band_and_superlu_solutions_agree():
 class TestNewtonSolve:
     def test_trivial_problem_one_iteration(self):
         prob = dataclasses.replace(body_force_cavity(4, nu=1.0), body_force=None)
-        state, report = newton_solve(prob, SolverConfig(tol=1e-12, max_iter=5))
+        state, report = solve(prob, SolverConfig(tol=1e-12, max_iter=5))
         assert report.converged
         assert report.iterations == 1
         assert np.abs(state.vbar).max() == 0.0
@@ -156,7 +160,7 @@ class TestNewtonSolve:
 
     def test_manufactured_cavity_quadratic(self):
         prob = body_force_cavity(8, nu=1.0)
-        state, report = newton_solve(prob, SolverConfig(tol=1e-12, max_iter=10))
+        state, report = solve(prob, SolverConfig(tol=1e-12, max_iter=10))
         assert report.converged
         assert report.iterations <= 4
         # steep contraction in the tail
@@ -183,8 +187,7 @@ class TestNewtonSolve:
 
         r0 = assemble_system(Discretization(prob.mesh, dofmap, prob.bc, prob.body_force),
                              state0, prob.nu).residual_norm
-        _, report = newton_solve(prob, SolverConfig(tol=1e-14, max_iter=12),
-                                 state0=state0)
+        _, report = solve(prob, SolverConfig(tol=1e-14, max_iter=12), state0=state0)
         r = [r0] + [v for v in report.residual_history if v > 1e-13]
         assert len(r) >= 3
         # convergence order from the final three usable residuals
@@ -193,7 +196,7 @@ class TestNewtonSolve:
 
     def test_divergence_flagged_not_raised(self):
         prob = body_force_cavity(16, re=5000)
-        state, report = newton_solve(prob, SolverConfig(tol=1e-8, max_iter=25))
+        state, report = solve(prob, SolverConfig(tol=1e-8, max_iter=25))
         assert report.diverged
         assert not report.converged
         assert report.stop_reason == "diverged"
@@ -201,8 +204,8 @@ class TestNewtonSolve:
 
     def test_stop_reasons_tol_and_max_iter(self):
         prob = lid_cavity(8, re=100)
-        _, done = newton_solve(prob, SolverConfig(tol=1e-12, max_iter=25))
-        _, cut = newton_solve(prob, SolverConfig(tol=1e-12, max_iter=2))
+        _, done = solve(prob, SolverConfig(tol=1e-12, max_iter=25))
+        _, cut = solve(prob, SolverConfig(tol=1e-12, max_iter=2))
         assert (done.stop_reason, done.converged) == ("tol", True)
         assert (cut.stop_reason, cut.converged, cut.diverged) == ("max_iter", False, False)
         assert cut.iterations == 2
@@ -210,8 +213,8 @@ class TestNewtonSolve:
     def test_determinism(self):
         prob = body_force_cavity(8, re=50)
         cfg = SolverConfig(tol=1e-10, max_iter=15)
-        _, r1 = newton_solve(prob, cfg)
-        _, r2 = newton_solve(prob, cfg)
+        _, r1 = solve(prob, cfg)
+        _, r2 = solve(prob, cfg)
         assert r1.iterations == r2.iterations
         np.testing.assert_array_equal(r1.residual_history, r2.residual_history)
 
@@ -219,7 +222,7 @@ class TestNewtonSolve:
 class TestFixedPointSolve:
     def test_low_reynolds_converges(self):
         prob = body_force_cavity(8, re=1)
-        state, report = fixed_point_solve(
+        state, report = solve(
             prob, SolverConfig(strategy="fixed_point", tol=1e-8, max_iter=50)
         )
         assert report.converged
@@ -232,10 +235,10 @@ class TestFixedPointSolve:
         prob = body_force_cavity(8, nu=1.0)
         cfg = SolverConfig(strategy="fixed_point", tol=1e-12, max_iter=50,
                            increment_tol=1e-13)
-        state, report = fixed_point_solve(prob, cfg)
+        state, report = solve(prob, cfg)
         assert report.converged
         # one more sweep from the fixed point barely moves
-        state2, report2 = fixed_point_solve(
+        state2, report2 = solve(
             prob, SolverConfig(strategy="fixed_point", tol=1e-12, max_iter=1,
                                increment_tol=0.0),
             state0=state,
@@ -246,7 +249,7 @@ class TestFixedPointSolve:
         # the fixed-point iterate stagnates above the Newton residual scale:
         # the two discretizations differ at the stabilization level
         prob = body_force_cavity(8, nu=1.0)
-        state, report = fixed_point_solve(
+        state, report = solve(
             prob, SolverConfig(strategy="fixed_point", tol=1e-12, max_iter=30)
         )
         assert report.converged          # by increment stagnation
@@ -256,7 +259,7 @@ class TestFixedPointSolve:
     def test_residual_stop_told_apart_from_increment_stall(self):
         # the residual reaches tol while the velocity still moves
         prob = lid_cavity(8, re=100)
-        _, report = fixed_point_solve(
+        _, report = solve(
             prob, SolverConfig(strategy="fixed_point", tol=0.05, increment_tol=1e-12)
         )
         assert report.converged
@@ -270,8 +273,8 @@ class TestFixedPointSolve:
         from vmsflow.problems import error_norms
 
         prob = body_force_cavity(16, nu=1.0)
-        newton_state, newton_rep = newton_solve(prob, SolverConfig(tol=1e-11, max_iter=20))
-        fp_state, fp_rep = fixed_point_solve(
+        newton_state, newton_rep = solve(prob, SolverConfig(tol=1e-11, max_iter=20))
+        fp_state, fp_rep = solve(
             prob, SolverConfig(strategy="fixed_point", tol=1e-11, max_iter=50)
         )
         assert newton_rep.converged and fp_rep.converged
@@ -298,14 +301,14 @@ def assert_ladder_matches_fresh_builds(monkeypatch, problem, config, build):
         return state, report
 
     monkeypatch.setattr(solve_module, "_iterate", recording)
-    _, report = continuation_solve(problem, config)
+    _, report = solve(problem, config)
     assert report.converged
     rungs = records[:]
     records.clear()
     state = None
     for re, _ in report.sub_reports:
-        state, _ = newton_solve(build(re), dataclasses.replace(config, continuation=None),
-                                state0=state)
+        state, _ = solve(build(re), dataclasses.replace(config, continuation=None),
+                         state0=state)
     assert records == rungs
     return report
 
@@ -323,8 +326,8 @@ class TestContinuation:
         prob = body_force_cavity(8, re=40)
         cfg = SolverConfig(tol=1e-10, max_iter=15,
                            continuation=ContinuationConfig(40, 40))
-        state_c, report_c = continuation_solve(prob, cfg)
-        state_d, report_d = newton_solve(prob, SolverConfig(tol=1e-10, max_iter=15))
+        state_c, report_c = solve(prob, cfg)
+        state_d, report_d = solve(prob, SolverConfig(tol=1e-10, max_iter=15))
         assert len(report_c.sub_reports) == 1
         np.testing.assert_array_equal(
             report_c.sub_reports[0][1].residual_history, report_d.residual_history
@@ -336,16 +339,11 @@ class TestContinuation:
         prob = backward_step(re=25, h=0.25)
         cfg = SolverConfig(tol=1e-8, max_iter=25,
                            continuation=ContinuationConfig(15, 25, factor=1.3))
-        _, chain = continuation_solve(prob, cfg)
+        _, chain = solve(prob, cfg)
         assert chain.converged
         for re, sub in chain.sub_reports[1:]:
-            _, cold = newton_solve(prob.with_re(re), SolverConfig(tol=1e-8, max_iter=25))
+            _, cold = solve(prob.with_re(re), SolverConfig(tol=1e-8, max_iter=25))
             assert sub.iterations <= cold.iterations
-
-    def test_requires_continuation_config(self):
-        prob = body_force_cavity(8, re=40)
-        with pytest.raises(ValueError):
-            continuation_solve(prob, SolverConfig())
 
     def test_step_direct_solve_struggles_against_warm_rungs(self):
         # the cold solve at the target Reynolds number takes more iterations
@@ -353,21 +351,21 @@ class TestContinuation:
         prob = backward_step(re=150)
         cfg = SolverConfig(tol=1e-8, max_iter=25,
                            continuation=ContinuationConfig(15, 150, factor=1.1))
-        _, chain = continuation_solve(prob, cfg)
+        _, chain = solve(prob, cfg)
         assert chain.converged
-        _, direct = newton_solve(prob, SolverConfig(tol=1e-8, max_iter=25))
+        _, direct = solve(prob, SolverConfig(tol=1e-8, max_iter=25))
         warm_counts = [rep.iterations for _, rep in chain.sub_reports[1:]]
         assert (not direct.converged) or direct.iterations > max(warm_counts)
 
-    @pytest.mark.parametrize("solver", [newton_solve, fixed_point_solve])
-    def test_strategy_entry_points_run_the_ladder(self, solver):
+    @EACH_STRATEGY
+    def test_strategy_entry_points_run_the_ladder(self, strategy):
         prob = body_force_cavity(8, re=20)
-        cfg = SolverConfig(strategy="newton" if solver is fixed_point_solve else "fixed_point",
-                           tol=1e-9, max_iter=30, continuation=ContinuationConfig(10, 20, 1.5))
-        _, report = solver(prob, cfg)
+        cfg = SolverConfig(strategy=strategy, tol=1e-9, max_iter=30,
+                           continuation=ContinuationConfig(10, 20, 1.5))
+        _, report = solve(prob, cfg)
         assert [re for re, _ in report.sub_reports] == [10, 15, 20]
-        # the entry point, not the config, picks the strategy
-        tracks_increment = solver is fixed_point_solve
+        # the configured strategy runs every rung
+        tracks_increment = strategy == "fixed_point"
         assert all((r.increment_history is not None) == tracks_increment
                    for _, r in report.sub_reports)
 
@@ -403,7 +401,7 @@ class TestContinuation:
         prob = SimpleNamespace(mesh=base.mesh, bc=base.bc, nu=base.nu,
                                body_force=base.body_force, with_re=with_re)
         with pytest.raises(ValueError, match=f"rung Re={changed_at} changes the body force"):
-            continuation_solve(prob, cfg)
+            solve(prob, cfg)
 
     @pytest.mark.parametrize("build, ladder", [
         (lambda re: body_force_cavity(8, re=re), ContinuationConfig(5, 50, 1.5)),
@@ -435,7 +433,7 @@ class TestTimeMarch:
 
     def test_steady_state_is_fixed_point_of_march(self):
         prob = body_force_cavity(8, nu=1.0)
-        steady, rep = newton_solve(prob, SolverConfig(tol=1e-12, max_iter=10))
+        steady, rep = solve(prob, SolverConfig(tol=1e-12, max_iter=10))
         assert rep.converged
         states, reports = time_march(
             prob, SolverConfig(tol=1e-8, max_iter=5, dt=0.5, n_steps=3), state0=steady
@@ -447,7 +445,7 @@ class TestTimeMarch:
 
     def test_huge_step_matches_steady(self):
         prob = body_force_cavity(8, nu=1.0)
-        steady, _ = newton_solve(prob, SolverConfig(tol=1e-12, max_iter=10))
+        steady, _ = solve(prob, SolverConfig(tol=1e-12, max_iter=10))
         states, reports = time_march(prob, SolverConfig(tol=1e-12, max_iter=10,
                                                         dt=1e6, n_steps=1))
         assert reports[0].converged
@@ -477,7 +475,7 @@ class TestTimeMarch:
         # transient fixed-point path: a few large steps from rest settle
         # onto the same flow the steady solvers find
         prob = body_force_cavity(8, nu=1.0)
-        steady, _ = newton_solve(prob, SolverConfig(tol=1e-12, max_iter=10))
+        steady, _ = solve(prob, SolverConfig(tol=1e-12, max_iter=10))
         states, reports = time_march(
             prob,
             SolverConfig(strategy="fixed_point", tol=1e-10, max_iter=30,
@@ -506,11 +504,11 @@ class TestFailurePaths:
     """A failure inside an update ends the iteration with a flagged report."""
 
     @pytest.mark.parametrize("k", [1, 3])
-    @pytest.mark.parametrize("solver", [newton_solve, fixed_point_solve])
-    def test_linear_failure_on_kth_solve(self, monkeypatch, solver, k):
+    @EACH_STRATEGY
+    def test_linear_failure_on_kth_solve(self, monkeypatch, strategy, k):
         _counted_calls(monkeypatch, "linear_solve", k, LinearSolveError("injected LU failure"))
-        _, report = solver(lid_cavity(8, re=100),
-                           SolverConfig(tol=1e-14, increment_tol=0.0, max_iter=25))
+        _, report = solve(lid_cavity(8, re=100), SolverConfig(
+            strategy=strategy, tol=1e-14, increment_tol=0.0, max_iter=25))
         assert report.diverged
         assert not report.converged
         assert report.iterations == k - 1
@@ -519,7 +517,7 @@ class TestFailurePaths:
     def test_fine_scale_singular_before_first_update(self, monkeypatch):
         _counted_calls(monkeypatch, "assemble_system", 1,
                       FineScaleSingularError("injected singular Kff"))
-        _, report = newton_solve(lid_cavity(8, re=100), SolverConfig())
+        _, report = solve(lid_cavity(8, re=100), SolverConfig())
         assert report.diverged and not report.converged
         assert report.iterations == 0
         assert report.failure == "injected singular Kff"
@@ -527,32 +525,32 @@ class TestFailurePaths:
 
     def test_tau_singular_before_first_update(self, monkeypatch):
         _counted_calls(monkeypatch, "fp_assemble", 1, TauSingularError("injected singular A"))
-        _, report = fixed_point_solve(lid_cavity(8, re=100),
-                                      SolverConfig(strategy="fixed_point"))
+        _, report = solve(lid_cavity(8, re=100), SolverConfig(strategy="fixed_point"))
         assert report.diverged and not report.converged
         assert report.iterations == 0
         assert report.failure == "injected singular A"
         assert isinstance(report.increment_history, np.ndarray)
         assert report.increment_history.size == 0
 
-    @pytest.mark.parametrize("name, error, solver, reason", [
-        ("linear_solve", LinearSolveError("x"), newton_solve, "linear_failure"),
-        ("linear_solve", LinearSolveError("x"), fixed_point_solve, "linear_failure"),
-        ("assemble_system", FineScaleSingularError("x"), newton_solve, "fine_scale_singular"),
-        ("fp_assemble", TauSingularError("x"), fixed_point_solve, "tau_singular"),
-    ])
-    def test_failure_stop_reason(self, monkeypatch, name, error, solver, reason):
+    @pytest.mark.parametrize("name, error, strategy, reason", [
+        ("linear_solve", LinearSolveError("x"), "newton", "linear_failure"),
+        ("linear_solve", LinearSolveError("x"), "fixed_point", "linear_failure"),
+        ("assemble_system", FineScaleSingularError("x"), "newton", "fine_scale_singular"),
+        ("fp_assemble", TauSingularError("x"), "fixed_point", "tau_singular"),
+    ], ids=_strategy_id)
+    def test_failure_stop_reason(self, monkeypatch, name, error, strategy, reason):
         _counted_calls(monkeypatch, name, 2, error)
-        _, report = solver(lid_cavity(8, re=100), SolverConfig(tol=1e-14, increment_tol=0.0))
+        _, report = solve(lid_cavity(8, re=100),
+                          SolverConfig(strategy=strategy, tol=1e-14, increment_tol=0.0))
         assert report.stop_reason == reason
 
     def test_continuation_takes_last_rung_reason(self, monkeypatch):
         prob = body_force_cavity(8, re=20)
         cfg = SolverConfig(tol=1e-9, max_iter=15, continuation=ContinuationConfig(10, 20, 1.5))
-        _, chain = continuation_solve(prob, cfg)
+        _, chain = solve(prob, cfg)
         assert chain.stop_reason == "tol"
         _counted_calls(monkeypatch, "linear_solve", 6, LinearSolveError("late failure"))
-        _, chain = continuation_solve(prob, cfg)
+        _, chain = solve(prob, cfg)
         assert chain.stop_reason == chain.sub_reports[-1][1].stop_reason == "linear_failure"
         assert chain.failure == "late failure"
 
@@ -561,8 +559,8 @@ class TestLinearizationOnDemand:
     """Newton builds the tangent of an iterate only when it updates from it."""
 
     @pytest.mark.parametrize("run, loops", [
-        (lambda: newton_solve(lid_cavity(8, re=100), SolverConfig(tol=1e-10)), 1),
-        (lambda: continuation_solve(body_force_cavity(8, re=20), SolverConfig(
+        (lambda: solve(lid_cavity(8, re=100), SolverConfig(tol=1e-10)), 1),
+        (lambda: solve(body_force_cavity(8, re=20), SolverConfig(
             tol=1e-9, continuation=ContinuationConfig(10, 20, 1.5))), 3),
         (lambda: time_march(lid_cavity(8, re=100), SolverConfig(tol=1e-10, dt=0.5, n_steps=3)),
          3),
@@ -595,7 +593,7 @@ class TestLinearizationOnDemand:
             return systems[-1]
 
         monkeypatch.setattr(solve_module, "assemble_system", kept)
-        _, report = newton_solve(lid_cavity(8, re=100), SolverConfig(tol=1e-10))
+        _, report = solve(lid_cavity(8, re=100), SolverConfig(tol=1e-10))
         assert report.stop_reason == "tol"
         assert len(systems) == report.iterations + 1 == len(builds) + 1
         assert systems[-1].residual_norm == report.final_residual
@@ -607,16 +605,16 @@ class TestLinearizationOnDemand:
 
     def test_fine_scale_check_only_where_a_tangent_is_built(self, monkeypatch):
         prob, config = lid_cavity(8, re=100), SolverConfig(tol=1e-10)
-        _, reference = newton_solve(prob, config)
+        _, reference = solve(prob, config)
         n, singular = reference.iterations, FineScaleSingularError("injected singular Kff")
         _counted_calls(monkeypatch, "_invert_fine_blocks", n + 1, singular, newton_module)
-        _, report = newton_solve(prob, config)
+        _, report = solve(prob, config)
         assert report.stop_reason == "tol"
         np.testing.assert_array_equal(report.residual_history, reference.residual_history)
 
         monkeypatch.undo()
         _counted_calls(monkeypatch, "_invert_fine_blocks", n, singular, newton_module)
-        _, report = newton_solve(prob, config)
+        _, report = solve(prob, config)
         assert report.stop_reason == "fine_scale_singular"
         np.testing.assert_array_equal(report.residual_history,
                                       reference.residual_history[:n - 1])
@@ -644,17 +642,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             SolverConfig(**{name: value})
 
-    @pytest.mark.parametrize("solver", [newton_solve, fixed_point_solve])
-    def test_zero_time_step_in_state_is_named(self, solver):
+    @EACH_STRATEGY
+    def test_zero_time_step_in_state_is_named(self, strategy):
         # a steady solve names time_march; the element kernels of both
         # strategies name the non-positive step instead of failing in the LU
         prob = body_force_cavity(8, nu=1.0)
         start = lifted_state(prob.mesh, build_dof_map(prob.mesh, prob.bc))
         start.dt, start.vbar_prev = 0.0, start.vbar.copy()
         with pytest.raises(ValueError, match="time_march"):
-            solver(prob, SolverConfig(strategy="fixed_point"), state0=start)
+            solve(prob, SolverConfig(strategy=strategy), state0=start)
         with pytest.raises(ValueError, match="time step must be positive"):
-            if solver is newton_solve:
+            if strategy == "newton":
                 element_residuals(prob.mesh, 0, start, prob.nu)
             else:
                 fp_element_system(prob.mesh, 0, start.vbar, start.vbar_prev, prob.nu,
