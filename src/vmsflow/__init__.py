@@ -59,9 +59,11 @@ from vmsflow.fixed_point import (
     fp_element_system,
 )
 from vmsflow.solve import (
+    Factorization,
     IterationReport,
     LinearSolveError,
     SolverConfig,
+    factorize,
     linear_solve,
     time_march,
 )

@@ -102,7 +102,8 @@ def _check_triangles(mesh: Mesh) -> None:
     if not finite.all():
         bad = int(np.argmin(finite)) // 2
         raise ValueError(f"node {bad} has a non-finite coordinate: {mesh.node_coords[bad]}")
-    # read_mesh reads tags off the edges: each must be one word, carried and listed once.
+    # The text format holds a tag as one word, and read_mesh recovers the tags of a file
+    # without a tag list from its edges: each must be carried and listed once.
     carried = {t for _, _, t in mesh.boundary_edges}
     for i, tag in enumerate(mesh.tags):
         if not isinstance(tag, str) or tag.split() != [tag]:
@@ -397,13 +398,15 @@ def nested_dissection(mesh: Mesh) -> np.ndarray:
         if nodes.size == 0:    # a half that was all separator
             return
         coords = mesh.node_coords[nodes]
-        extent = np.ptp(coords, axis=0)
-        axis = int(np.argmax(extent))
+        extent = coords.max(axis=0) - coords.min(axis=0)
+        axis = int(extent[1] > extent[0])
         if nodes.size <= ND_LEAF or extent[axis] == 0.0:
             order.append(nodes)
             return
         x = coords[:, axis]
-        median = np.median(x)
+        middle = ((x.size - 1) // 2, x.size // 2)     # one index twice for an odd count
+        low, high = np.partition(x, middle)[list(middle)]
+        median = (low + high) / 2
         left = x <= median
         if left.all():
             left = x < median
@@ -448,8 +451,9 @@ def write_mesh(mesh: Mesh, path) -> None:
     """Write a mesh in the plain-text exchange format.
 
     Node count, then "x y" lines; triangle count, then "i j k" lines;
-    boundary-edge count, then "a b tag" lines.  Whitespace-delimited
-    ASCII, coordinates at full double precision.
+    boundary-edge count, then "a b tag" lines; tag count, then the tags
+    in ``mesh.tags`` order, one a line.  Whitespace-delimited ASCII,
+    coordinates at full double precision.
     """
     with open(path, "w", encoding="ascii") as f:
         f.write(f"{mesh.n_nodes}\n")
@@ -461,10 +465,17 @@ def write_mesh(mesh: Mesh, path) -> None:
         f.write(f"{len(mesh.boundary_edges)}\n")
         for a, b, tag in mesh.boundary_edges:
             f.write(f"{a} {b} {tag}\n")
+        f.write(f"{len(mesh.tags)}\n")
+        for tag in mesh.tags:
+            f.write(f"{tag}\n")
 
 
 def read_mesh(path) -> Mesh:
-    """Read a mesh written by :func:`write_mesh`."""
+    """Read a mesh written by :func:`write_mesh`.
+
+    A file that ends after its boundary edges, as files written before
+    the tag list was added do, lists its tags by first appearance.
+    """
     with open(path, encoding="ascii") as f:
         tokens = f.read().split()
     pos = 0
@@ -486,5 +497,8 @@ def read_mesh(path) -> Mesh:
     for _ in range(n_edges):
         a, b, tag = take(3)
         edges.append((int(a), int(b), tag))
-    tags = tuple(dict.fromkeys(tag for _, _, tag in edges))
+    if pos < len(tokens):
+        tags = tuple(take(int(take(1)[0])))
+    else:
+        tags = tuple(dict.fromkeys(tag for _, _, tag in edges))
     return Mesh(coords, tris, tuple(edges), tags)

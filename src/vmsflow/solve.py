@@ -11,9 +11,13 @@ are immutable once returned.  A solve builds one immutable
 ``Discretization`` (body-force load included), which both strategies
 assemble from with ``(disc, state, nu)`` and every rung and step shares.
 Its ``free`` lists the free DOFs in ``mesh.elimination_order``, so every
-assembled system arrives permuted and in CSC format; ``linear_solve``
-factors it as it is, with LAPACK's banded LU when the order keeps it
-within ``BAND_LIMIT`` of the diagonal and with SuperLU otherwise.
+assembled system arrives permuted and in CSC format; ``factorize``
+factors it in that order, with LAPACK's banded LU in float64 when the
+order keeps it within ``BAND_LIMIT`` of the diagonal and with SuperLU
+otherwise, in float32 when every entry fits.  The solve of the returned
+``Factorization`` refines in float64 until the residual bound of
+``LINEAR_TOL`` holds, falling back once to a float64 factor when the
+float32 one cannot get there; ``linear_solve`` is ``factorize(A).solve(b)``.
 
 One loop, ``_iterate``, drives both strategies: it records the residual
 of every update, tests for divergence and stops, and names why it
@@ -47,15 +51,56 @@ from vmsflow.newton import (
 )
 
 LINEAR_TOL = 1e-10        # relative residual bound of every linear solve
+MAX_REFINEMENTS = 3       # refinement steps one solve may take, each cutting the residual tenfold
 DIVERGENCE_RATIO = 1e3    # residual growth over its running minimum that means divergence
+_SINGLE_MAX = float(np.finfo(np.float32).max)
 
 
 class LinearSolveError(RuntimeError):
     """Raised when the sparse linear solver cannot produce a usable solution."""
 
 
-def linear_solve(matrix, rhs: np.ndarray) -> np.ndarray:
-    """Direct sparse solve with a verified residual.
+class Factorization:
+    """LU factors of one square CSC matrix and the solve that checks its residual.
+
+    ``kind`` names the factor: ``"band"`` (LAPACK's banded LU in float64),
+    ``"superlu32"`` (SuperLU of the entries cast to float32) or
+    ``"superlu"`` (SuperLU in float64).  ``solve(b)`` refines in float64,
+    with the residual computed from the float64 matrix, until
+    ``|b - Ax| <= max(1e-12, LINEAR_TOL * |b|)`` holds, in at most
+    ``MAX_REFINEMENTS`` steps that must each cut the residual tenfold.  A
+    float32 factor that misses the bound is replaced, once, by the float64
+    one, which runs the same loop; a float64 factor that misses it raises
+    ``LinearSolveError``.
+    """
+
+    def __init__(self, matrix, kind: str, lu_solve):
+        self._matrix, self.kind, self._lu_solve = matrix, kind, lu_solve
+
+    def solve(self, rhs) -> np.ndarray:
+        rhs = np.asarray(rhs, dtype=float)
+        A = self._matrix
+        if A.shape[0] != rhs.size:
+            raise LinearSolveError(f"matrix of shape {A.shape} does not match "
+                                   f"right-hand side of size {rhs.size}")
+        if rhs.size == 0:
+            return np.zeros(0)
+        bound = max(1e-12, LINEAR_TOL * float(np.linalg.norm(rhs)))
+        x, resid = _refine(A, rhs, self._lu_solve, bound)
+        if x is None and self.kind == "superlu32":
+            self.kind, self._lu_solve = "superlu", _superlu(A)
+            x, resid = _refine(A, rhs, self._lu_solve, bound)
+        if x is None:
+            raise LinearSolveError(
+                "linear solve did not reach the requested accuracy "
+                f"(|r| = {resid:.3e}, bound = {bound:.3e}); "
+                "the matrix is likely singular or severely ill-conditioned"
+            )
+        return x
+
+
+def factorize(matrix) -> Factorization:
+    """LU factorization of a square matrix, in the order in which it arrives.
 
     The matrix is expected to arrive already in the order in which it is
     factored (``Discretization.free`` numbers the unknowns by
@@ -63,46 +108,87 @@ def linear_solve(matrix, rhs: np.ndarray) -> np.ndarray:
     it, and a CSC input is read as it is; other inputs are converted).
     When neither its lower nor its upper half-bandwidth, read from the
     first and last row of each column, exceeds ``BAND_LIMIT``, LAPACK's
-    banded LU with partial pivoting factors it (``dgbtrf``); otherwise
-    SuperLU does, keeping the column order and pivoting only where a
-    diagonal entry falls below 0.1 of its column's largest (the systems
-    are indefinite saddle-point matrices).  A finite solution that fails
-    the residual check ``|Ax - b| <= max(1e-12, LINEAR_TOL * |b|)`` gets
-    one step of iterative refinement and is checked again.  An exact zero
-    pivot, a failed factorization or a failed check raises
+    banded LU with partial pivoting factors it in float64 (``dgbtrf``;
+    ``sgbtrf`` is no faster).  Otherwise SuperLU does, keeping the column
+    order and pivoting only where a diagonal entry falls below 0.1 of its
+    column's largest (the systems are indefinite saddle-point matrices),
+    on the entries cast to float32 when every one is finite and within
+    float32's range, and in float64 otherwise or when the float32 factor
+    fails.  An exact zero pivot or a failed factorization raises
     ``LinearSolveError``.  Deterministic for identical inputs.
     """
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.size == 0:
-        return np.zeros(0)
     A = matrix if sp.issparse(matrix) and matrix.format == "csc" else sp.csc_matrix(matrix)
-    if A.shape[0] != A.shape[1] or A.shape[0] != rhs.size:
-        raise LinearSolveError(
-            f"matrix of shape {A.shape} does not match right-hand side of size {rhs.size}"
-        )
+    if A.shape[0] != A.shape[1]:
+        raise LinearSolveError(f"matrix of shape {A.shape} is not square")
     A.sum_duplicates()       # in place, as splu does; free on a matrix marked canonical
     kl, ku = _bandwidths(A)
+    if max(kl, ku) <= BAND_LIMIT:
+        return Factorization(A, "band", _band_lu(A, kl, ku))
+    if _fits_single(A.data):
+        single = sp.csc_matrix((A.data.astype(np.float32), A.indices, A.indptr), shape=A.shape)
+        single.has_canonical_format = True      # A's pattern, which is canonical
+        try:
+            return Factorization(A, "superlu32", _superlu(single))
+        except LinearSolveError:
+            pass
+    return Factorization(A, "superlu", _superlu(A))
+
+
+def linear_solve(matrix, rhs: np.ndarray) -> np.ndarray:
+    """Direct sparse solve with a verified residual: ``factorize(matrix).solve(rhs)``.
+
+    The banded LU factors in float64, SuperLU in float32 when every entry
+    fits.  The solution is refined in float64 until the ``LINEAR_TOL``
+    bound holds, and a float32 factor that cannot get there is replaced
+    once by the float64 one; a float64 factor that misses the bound, an
+    exact zero pivot or a failed factorization raises ``LinearSolveError``
+    (see ``Factorization``).
+    """
+    return factorize(matrix).solve(rhs)
+
+
+def _fits_single(data: np.ndarray) -> bool:
+    """Whether every entry is finite and within float32's range (NaN fails)."""
+    return bool(np.all(np.abs(data) <= _SINGLE_MAX))
+
+
+def _refine(A, b: np.ndarray, lu_solve, bound: float) -> tuple[np.ndarray | None, float]:
+    """``lu_solve(b)``, refined with ``lu_solve`` of the float64 residual until
+    its norm is at most ``bound``; at most ``MAX_REFINEMENTS`` steps, each of
+    which must cut it tenfold.  Returns the solution, or None if it missed
+    the bound, and the last residual norm."""
+    x = lu_solve(b)
+    resid = b - A @ x
+    norm = float(np.linalg.norm(resid))
+    for _ in range(MAX_REFINEMENTS):
+        if not bound < norm < np.inf:     # met, or past repair
+            break
+        x = x + lu_solve(resid)
+        resid = b - A @ x
+        last, norm = norm, float(np.linalg.norm(resid))
+        if not norm <= 0.1 * last:
+            break
+    return (x if norm <= bound and np.all(np.isfinite(x)) else None), norm
+
+
+def _superlu(A):
+    """SuperLU's factor of a canonical CSC matrix in its own precision; returns
+    its float64 solve.
+
+    A float32 factor solves a right-hand side scaled to unit max, so that
+    its cast neither overflows nor flushes to zero.
+    """
     try:
-        if max(kl, ku) <= BAND_LIMIT:
-            lu_solve = _band_lu(A, kl, ku)
-        else:
-            lu_solve = spla.splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.1).solve
-        x = lu_solve(rhs)
+        lu = spla.splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.1)
     except (RuntimeError, ValueError) as err:
         raise LinearSolveError(f"LU factorization failed: {err}") from err
-    bound = max(1e-12, LINEAR_TOL * float(np.linalg.norm(rhs)))
-    resid = rhs - A @ x
-    if not np.all(np.isfinite(x)) or np.linalg.norm(resid) > bound:
-        if np.all(np.isfinite(x)):
-            x = x + lu_solve(resid)
-            resid = rhs - A @ x
-        if not np.all(np.isfinite(x)) or np.linalg.norm(resid) > bound:
-            raise LinearSolveError(
-                "linear solve did not reach the requested accuracy "
-                f"(|r| = {np.linalg.norm(resid):.3e}, bound = {bound:.3e}); "
-                "the matrix is likely singular or severely ill-conditioned"
-            )
-    return x
+    if A.dtype == np.float64:
+        return lu.solve
+
+    def solve(b):
+        scale = np.abs(b).max(initial=0.0) or 1.0
+        return lu.solve((b / scale).astype(np.float32)).astype(float) * scale
+    return solve
 
 
 def _bandwidths(A) -> tuple[int, int]:
@@ -398,9 +484,11 @@ def time_march(problem, config: SolverConfig, state0: State | None = None
 
 __all__ = [
     "ContinuationConfig",
+    "Factorization",
     "IterationReport",
     "LinearSolveError",
     "SolverConfig",
+    "factorize",
     "lifted_state",
     "linear_solve",
     "solve",

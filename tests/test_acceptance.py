@@ -29,7 +29,8 @@ to fail; each printed line carries the measured numbers.
   body-force cavity keeps its unit-viscosity force at every Re, so the
   velocity grows with Re (max|v| 3.98 at Re = 400, 5.45 at Re = 1000).
   At n = 32 the Re = 1000 rung converges in 7 iterations; the jump to
-  Re = 5000 diverges after 5 and a cold start stalls.  Natural
+  Re = 5000 fails after its 8 iterations (after 5 while SuperLU factored
+  in float64: the count moves with round-off) and a cold start stalls.  Natural
   continuation with 5% steps, halved on failure, reaches Re ~ 3400;
   past that Newton stalls even on 0.16% steps.  Along that branch the
   per-element fine-scale blocks lose conditioning: the smallest

@@ -456,6 +456,21 @@ class TestMeshIO:
         np.testing.assert_array_equal(back.triangles, mesh.triangles)
         assert back.boundary_edges == mesh.boundary_edges
 
+    @pytest.mark.parametrize("build, tags", [
+        (lambda: unit_square_mesh(4), ("left", "right", "bottom", "top")),
+        (backward_step_mesh, ("inflow", "outflow", "walls")),
+    ])
+    def test_round_trip_keeps_the_tag_order(self, tmp_path, build, tags):
+        mesh = build()
+        path = tmp_path / "mesh.txt"
+        write_mesh(mesh, path)
+        assert mesh.tags == read_mesh(path).tags == tags
+
+    def test_file_without_a_tag_list_lists_tags_by_first_edge(self, tmp_path):
+        path = tmp_path / "mesh.txt"
+        path.write_text("3\n0 0\n1 0\n0 1\n1\n0 1 2\n3\n0 1 b\n1 2 a\n2 0 b\n")
+        assert read_mesh(path).tags == ("b", "a")
+
     def test_round_trip_irrational_coords(self, tmp_path):
         mesh = unit_square_mesh(3)  # coordinates with 1/3 are not exact decimals
         path = tmp_path / "mesh.txt"
@@ -505,8 +520,7 @@ class TestMeshIO:
             path = os.path.join(tmp, "mesh.txt")
             write_mesh(mesh, path)
             back = read_mesh(path)
-        # the file keeps no tag order: read_mesh lists them by first edge
-        assert sorted(back.tags) == sorted(mesh.tags)
+        assert back.tags == mesh.tags
         assert back.boundary_edges == mesh.boundary_edges
 
     def test_truncated_file_rejected(self, tmp_path):

@@ -34,6 +34,7 @@ from vmsflow.solve import SolverConfig, lifted_state, linear_solve, solve
 from helpers import (
     dof_pair_matrix,
     dof_pair_pattern,
+    median_nested_dissection,
     perturbed_square_mesh,
     renumbered,
     renumbering,
@@ -102,6 +103,16 @@ def test_orders_are_permutations(case):
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
     assert np.all(np.diff(rank[node]) >= 0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=cases, seed=st.integers(0, 2**32 - 1))
+def test_dissection_matches_the_median_reference(case, seed):
+    # min/max extents and a partitioned median split exactly where
+    # np.ptp, np.argmax and np.median do, under any node numbering
+    mesh, _ = renumbered(*problem_case(*case), np.random.default_rng(seed))
+    got, want = nested_dissection(mesh), median_nested_dissection(mesh)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,6 +1,7 @@
 """Linear-solve contract and the nonlinear solution strategies."""
 
 import dataclasses
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -106,7 +107,15 @@ class TestLinearSolve:
         monkeypatch.setattr(owner, name,
                             lambda A, *args, **kw: factored.append(A) or factor(A, *args, **kw))
         x = linear_solve(matrix, system.rhs)
-        assert len(factored) == 1 and factored[0] is matrix
+        assert len(factored) == 1
+        if self.side == "band":
+            assert factored[0] is matrix
+        else:    # SuperLU factors the entries cast to float32, on the same pattern
+            single = factored[0]
+            np.testing.assert_array_equal(single.indptr, matrix.indptr)
+            np.testing.assert_array_equal(single.indices, matrix.indices)
+            assert single.data.dtype == np.float32
+            np.testing.assert_array_equal(single.data, matrix.data.astype(np.float32))
         assert np.linalg.norm(matrix @ x - system.rhs) <= 1e-10 * np.linalg.norm(system.rhs)
 
     def test_dense_input_still_solves(self):
@@ -135,6 +144,79 @@ class TestLinearSolveWide(TestLinearSolve):
         wide[k + m - 1, 0] = 1.0
         wide = wide.toarray() if isinstance(A, np.ndarray) else wide.tocsr()
         return linear_solve(wide, np.concatenate([b, np.zeros(m)]))[:k]
+
+
+def bordered(A):
+    """``A`` bordered as ``TestLinearSolveWide.solve`` borders it, in CSC format."""
+    k, m = A.shape[0], BAND_LIMIT + 1
+    wide = sp.block_diag([sp.csr_matrix(A), sp.eye(m)], format="lil")
+    wide[k + m - 1, 0] = 1.0
+    return wide.tocsc()
+
+
+def conditioned(kappa, seed=0):
+    """A bordered 40 x 40 matrix of condition number ``kappa``, and ``b = A @ x_true``."""
+    rng = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(rng.normal(size=(40, 40)))
+    V, _ = np.linalg.qr(rng.normal(size=(40, 40)))
+    A = bordered(U @ np.diag(np.logspace(0, -np.log10(kappa), 40)) @ V.T)
+    return A, A @ rng.normal(size=A.shape[0])
+
+
+class TestSinglePrecisionFactor:
+    """The SuperLU side factors in float32 and refines in float64, falling back
+    to a float64 factor when refinement cannot meet the bound."""
+
+    @pytest.fixture
+    def factored_dtypes(self, monkeypatch):
+        dtypes = []
+        factor = solve_module.spla.splu
+        monkeypatch.setattr(solve_module.spla, "splu",
+                            lambda A, *args, **kw: dtypes.append(A.dtype) or factor(A, *args, **kw))
+        return dtypes
+
+    @pytest.mark.parametrize("kappa, kinds, kind", [
+        (1e6, [np.float32], "superlu32"),
+        (1e9, [np.float32, np.float64], "superlu"),
+    ])
+    def test_conditioning_decides_the_precision(self, factored_dtypes, kappa, kinds, kind):
+        A, b = conditioned(kappa)
+        factor = solve_module.factorize(A)
+        x = factor.solve(b)
+        assert factored_dtypes == kinds and factor.kind == kind
+        assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+    def test_entries_past_single_range_factor_in_double(self, factored_dtypes):
+        A = bordered(1e39 * np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]]))
+        b = A @ np.arange(1.0, A.shape[0] + 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            factor = solve_module.factorize(A)
+            x = factor.solve(b)
+        assert factored_dtypes == [np.float64] and factor.kind == "superlu"
+        assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+    def test_right_hand_side_past_single_range_is_scaled(self, factored_dtypes):
+        A, b = conditioned(1e3)
+        b = 1e39 * b
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = solve_module.factorize(A).solve(b)
+        assert factored_dtypes == [np.float32]
+        assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+    @EACH_STRATEGY
+    def test_lid_iterations_match_the_double_factor(self, monkeypatch, factored_dtypes, strategy):
+        def run():
+            _, report = solve(lid_cavity(32, re=400), SolverConfig(strategy=strategy, tol=1e-10))
+            return report.iterations, report.stop_reason
+
+        single = run()
+        assert factored_dtypes and all(d == np.float32 for d in factored_dtypes)  # no fallback
+        monkeypatch.setattr(solve_module, "_fits_single", lambda data: False)
+        factored_dtypes.clear()
+        assert run() == single
+        assert factored_dtypes and all(d == np.float64 for d in factored_dtypes)
 
 
 def test_band_and_superlu_solutions_agree():
