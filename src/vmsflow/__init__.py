@@ -13,7 +13,8 @@ carried by a cubic bubble.  Two nonlinear strategies are provided:
   stabilization parameter (``vmsflow.fixed_point``).
 
 ``vmsflow.solve.solve`` is the one steady entry point: its ``SolverConfig``
-alone picks the strategy and any Reynolds continuation ladder.
+alone picks the strategy and, through a ``ContinuationConfig``, any
+Reynolds continuation ladder.
 ``vmsflow.problems`` defines the benchmark cases (body-force-driven
 cavity with manufactured solution, lid-driven cavity, backward-facing
 step) and the error norms used in convergence studies; ``vmsflow.cli``
@@ -59,6 +60,7 @@ from vmsflow.fixed_point import (
     fp_element_system,
 )
 from vmsflow.solve import (
+    ContinuationConfig,
     Factorization,
     IterationReport,
     LinearSolveError,

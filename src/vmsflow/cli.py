@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -96,7 +96,8 @@ def _cmd_study(args) -> int:
     if args.problem != "body_force_cavity":
         print("study requires a problem with an exact solution", file=sys.stderr)
         return 1
-    build = partial(body_force_cavity, re=args.re, nu=args.nu)
+    # Each level is built once, and every strategy solves that problem.
+    build = cache(partial(body_force_cavity, re=args.re, nu=args.nu))
     # Every level climbs the same continuation ladder, up to the study's Re.
     target = build(levels[0])
     outdir = _outdir(args)
@@ -192,19 +193,23 @@ def _config_file_args(argv: list[str]) -> list[str]:
         return argv
     i = argv.index("--config")
     if i + 1 >= len(argv):
-        raise SystemExit("--config needs a file argument")
+        raise ValueError("--config needs a file argument")
     path = argv[i + 1]
     rest = argv[:i] + argv[i + 2:]
+    try:
+        with open(path, encoding="ascii") as f:
+            lines = f.readlines()
+    except (OSError, UnicodeDecodeError) as err:
+        raise ValueError(f"cannot read config file {path}: {err}") from err
     tokens: list[str] = []
-    with open(path, encoding="ascii") as f:
-        for line in f:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise SystemExit(f"bad config line (want key = value): {line!r}")
-            key, value = (tok.strip() for tok in line.split("=", 1))
-            tokens += [f"--{key.replace('_', '-')}", value]
+    for line in lines:
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"bad config line (want key = value): {line!r}")
+        key, value = (tok.strip() for tok in line.split("=", 1))
+        tokens += [f"--{key.replace('_', '-')}", value]
     # Config tokens go right after the subcommand so explicit flags win.
     if rest and not rest[0].startswith("-"):
         return rest[:1] + tokens + rest[1:]
@@ -213,17 +218,11 @@ def _config_file_args(argv: list[str]) -> list[str]:
 
 def run_cli(argv: list[str]) -> int:
     try:
-        argv = _config_file_args(list(argv))
-        args = _parser().parse_args(argv)
+        args = _parser().parse_args(_config_file_args(list(argv)))
+        command = {"solve": _cmd_solve, "study": _cmd_study, "march": _cmd_march}
+        return command[args.command](args)
     except SystemExit as err:
-        code = err.code if isinstance(err.code, int) else 1
-        return 0 if code == 0 else 1
-    try:
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "study":
-            return _cmd_study(args)
-        return _cmd_march(args)
+        return 0 if err.code == 0 else 1
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

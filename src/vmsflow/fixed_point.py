@@ -200,8 +200,8 @@ def fp_element_system(mesh: Mesh, element_index: int, v_c: np.ndarray,
     return FpElementSystem(K=K[..., 0], F=F[:, 0])
 
 
-def fp_assemble(disc: Discretization, state: State, nu: float, stabilize: bool = True):
-    """Global linearized system at ``state`` on the free DOFs, Dirichlet values lifted.
+def fp_assemble(disc: Discretization, state: State, nu: float):
+    """Global stabilized linearized system at ``state`` on the free DOFs, lifted.
 
     The iterate is the coarse part of ``state`` (``vbar``, and ``dt`` with
     ``vbar_prev``, read as Newton's ``assemble_system`` reads them) and the
@@ -209,7 +209,7 @@ def fp_assemble(disc: Discretization, state: State, nu: float, stabilize: bool =
     solution values directly, so each element moves its prescribed values
     to the right-hand side (``F_e -= K_e g_e``) before the shared scatter.
     """
-    K, F = _fp_batched(disc.batch, _fields(disc.batch, state, nu), disc.load, stabilize)
+    K, F = _fp_batched(disc.batch, _fields(disc.batch, state, nu), disc.load, True)
     F -= np.einsum("rse,se->re", K, disc.dofmap.prescribed[disc.edofs])
     load = disc.global_vector(F) + disc.traction
     return disc.free_matrix(K), load[disc.free]

@@ -3,8 +3,8 @@
 Fields go out as legacy-ASCII unstructured-grid files (point data:
 velocity vector, pressure scalar); centerline profiles, residual
 histories, convergence studies and time-march logs as CSV with a header
-row, every data block through the one table writer ``write_table``; the
-run summary as structured text.
+row, and the run summary as ``key: value`` lines; every file goes
+through the one table writer ``write_table``.
 """
 
 from __future__ import annotations
@@ -144,26 +144,19 @@ def write_march(reports: list[IterationReport], path) -> None:
 
 
 def write_summary(report: IterationReport, path, extra: dict | None = None) -> None:
-    with open(path, "w", encoding="ascii") as f:
-        for key, value in (extra or {}).items():
-            f.write(f"{key}: {value}\n")
-        f.write(f"iterations: {report.iterations}\n")
-        f.write(f"converged: {report.converged}\n")
-        f.write(f"diverged: {report.diverged}\n")
-        if report.stop_reason:
-            f.write(f"stop_reason: {report.stop_reason}\n")
-        if report.iterations:
-            f.write(f"final_residual: {report.final_residual:.17g}\n")
-        if report.failure:
-            f.write(f"failure: {report.failure}\n")
-        if report.sub_reports:
-            f.write("continuation:\n")
-            for re, sub in report.sub_reports:
-                f.write(
-                    f"  re {re:.6g}: iterations {sub.iterations}, "
-                    f"converged {sub.converged}, "
-                    f"final_residual {sub.final_residual:.6g}\n"
-                )
+    """``key: value`` lines, ``extra`` first, then the rungs of a continuation."""
+    lines = [*(extra or {}).items(), ("iterations", report.iterations),
+             ("converged", report.converged), ("diverged", report.diverged)]
+    if report.stop_reason:
+        lines.append(("stop_reason", report.stop_reason))
+    if report.iterations:
+        lines.append(("final_residual", f"{report.final_residual:.17g}"))
+    if report.failure:
+        lines.append(("failure", report.failure))
+    rungs = [(re, r.iterations, r.converged, r.final_residual) for re, r in report.sub_reports]
+    write_table(path, [(None, "%s: %s", lines),
+                       ("continuation:" if rungs else None,
+                        "  re %.6g: iterations %d, converged %s, final_residual %.6g", rungs)])
 
 
 def write_outputs(state: State, mesh: Mesh, report: IterationReport, outdir,

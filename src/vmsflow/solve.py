@@ -7,9 +7,10 @@ A problem object must expose ``mesh``, ``bc``, ``nu`` and ``body_force``
 attributes (``vmsflow.problems.ProblemSpec`` does); a ladder also needs a
 ``with_re`` that keeps the mesh, boundary data and body force and
 re-targets only the viscosity, as ``ProblemSpec.with_re`` does.  Reports
-are immutable once returned.  A solve builds one immutable
+are immutable once returned.  Each call builds one immutable
 ``Discretization`` (body-force load included), which both strategies
-assemble from with ``(disc, state, nu)`` and every rung and step shares.
+assemble from with ``(disc, state, nu)`` and every rung and step shares;
+nothing it returns and nothing on the problem keeps it.
 Its ``free`` lists the free DOFs in ``mesh.elimination_order``, so every
 assembled system arrives permuted and in CSC format; ``factorize``
 factors it in that order, with LAPACK's banded LU in float64 when the
@@ -33,6 +34,7 @@ strategies directly comparable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -53,6 +55,7 @@ from vmsflow.newton import (
 LINEAR_TOL = 1e-10        # relative residual bound of every linear solve
 MAX_REFINEMENTS = 3       # refinement steps one solve may take, each cutting the residual tenfold
 DIVERGENCE_RATIO = 1e3    # residual growth over its running minimum that means divergence
+MAX_RUNGS = 1000          # most rungs a continuation ladder may have
 _SINGLE_MAX = float(np.finfo(np.float32).max)
 
 
@@ -105,22 +108,28 @@ def factorize(matrix) -> Factorization:
     The matrix is expected to arrive already in the order in which it is
     factored (``Discretization.free`` numbers the unknowns by
     ``mesh.elimination_order``) and in CSC format (``free_matrix`` builds
-    it, and a CSC input is read as it is; other inputs are converted).
-    When neither its lower nor its upper half-bandwidth, read from the
-    first and last row of each column, exceeds ``BAND_LIMIT``, LAPACK's
-    banded LU with partial pivoting factors it in float64 (``dgbtrf``;
-    ``sgbtrf`` is no faster).  Otherwise SuperLU does, keeping the column
-    order and pivoting only where a diagonal entry falls below 0.1 of its
-    column's largest (the systems are indefinite saddle-point matrices),
-    on the entries cast to float32 when every one is finite and within
-    float32's range, and in float64 otherwise or when the float32 factor
-    fails.  An exact zero pivot or a failed factorization raises
-    ``LinearSolveError``.  Deterministic for identical inputs.
+    it, and a CSC input is read as it is; other inputs are converted).  A
+    non-finite entry raises ``LinearSolveError`` naming it before any
+    factor is tried.  When neither its lower nor its upper half-bandwidth,
+    read from the first and last row of each column, exceeds
+    ``BAND_LIMIT``, LAPACK's banded LU with partial pivoting factors it in
+    float64 (``dgbtrf``; ``sgbtrf`` is no faster).  Otherwise SuperLU does,
+    keeping the column order and pivoting only where a diagonal entry
+    falls below 0.1 of its column's largest (the systems are indefinite
+    saddle-point matrices), on the entries cast to float32 when every one
+    is within float32's range, and in float64 otherwise or when the
+    float32 factor fails.  An exact zero pivot or a failed factorization
+    raises ``LinearSolveError``.  Deterministic for identical inputs.
     """
     A = matrix if sp.issparse(matrix) and matrix.format == "csc" else sp.csc_matrix(matrix)
     if A.shape[0] != A.shape[1]:
         raise LinearSolveError(f"matrix of shape {A.shape} is not square")
     A.sum_duplicates()       # in place, as splu does; free on a matrix marked canonical
+    if not np.isfinite(A.data).all():
+        k = int(np.flatnonzero(~np.isfinite(A.data))[0])
+        column = int(np.searchsorted(A.indptr, k, side="right")) - 1
+        raise LinearSolveError(f"matrix entry ({A.indices[k]}, {column}) is {A.data[k]}; "
+                               "a matrix with a non-finite entry is not factored")
     kl, ku = _bandwidths(A)
     if max(kl, ku) <= BAND_LIMIT:
         return Factorization(A, "band", _band_lu(A, kl, ku))
@@ -140,15 +149,15 @@ def linear_solve(matrix, rhs: np.ndarray) -> np.ndarray:
     The banded LU factors in float64, SuperLU in float32 when every entry
     fits.  The solution is refined in float64 until the ``LINEAR_TOL``
     bound holds, and a float32 factor that cannot get there is replaced
-    once by the float64 one; a float64 factor that misses the bound, an
-    exact zero pivot or a failed factorization raises ``LinearSolveError``
-    (see ``Factorization``).
+    once by the float64 one; a non-finite entry, a float64 factor that
+    misses the bound, an exact zero pivot or a failed factorization raises
+    ``LinearSolveError`` (see ``Factorization`` and ``factorize``).
     """
     return factorize(matrix).solve(rhs)
 
 
 def _fits_single(data: np.ndarray) -> bool:
-    """Whether every entry is finite and within float32's range (NaN fails)."""
+    """Whether every entry, finite by then, is within float32's range."""
     return bool(np.all(np.abs(data) <= _SINGLE_MAX))
 
 
@@ -223,6 +232,12 @@ def _band_lu(A, kl: int, ku: int):
 
 @dataclass(frozen=True)
 class ContinuationConfig:
+    """Reynolds ladder from ``re_start`` up to ``re_target`` in steps of ``factor``.
+
+    A ladder of more than ``MAX_RUNGS`` rungs, counted before any is
+    built, raises ``ValueError``.
+    """
+
     re_start: float
     re_target: float
     factor: float = 1.1
@@ -234,6 +249,12 @@ class ContinuationConfig:
         if not 0 < self.re_start <= self.re_target < np.inf:
             raise ValueError("continuation needs 0 < re_start <= re_target < inf, "
                              f"got {self.re_start}, {self.re_target}")
+        # Logs of each end, since re_target / re_start can overflow.
+        rungs = math.ceil((math.log(self.re_target) - math.log(self.re_start))
+                          / math.log(self.factor)) + 1
+        if rungs > MAX_RUNGS:
+            raise ValueError(f"continuation ladder of {rungs} rungs exceeds the limit of "
+                             f"{MAX_RUNGS}; raise re_start or the factor")
 
     def ladder(self) -> list[float]:
         rungs = [self.re_start]
@@ -459,8 +480,9 @@ def time_march(problem, config: SolverConfig, state0: State | None = None
     Every step solves the transient nonlinear problem with the previous
     step's velocity in the acceleration term, warm-started from that
     same state.  Snapshots (including the initial state) are kept every
-    ``snapshot_stride`` steps; an unconverged step terminates the march
-    and the partial history is returned.  A continuation raises
+    ``snapshot_stride`` steps and after the last step; an unconverged step
+    terminates the march, and the partial history is returned with the
+    last converged state as its final snapshot.  A continuation raises
     ``ValueError``.
     """
     if config.dt is None or config.n_steps is None:
@@ -471,26 +493,17 @@ def time_march(problem, config: SolverConfig, state0: State | None = None
     state = lifted_state(problem.mesh, disc.dofmap) if state0 is None else state0.copy()
     states = [state.copy()]
     reports: list[IterationReport] = []
+    kept = True                 # whether states[-1] is the last converged state
     for step in range(1, config.n_steps + 1):
         start = replace(state, dt=config.dt, vbar_prev=state.vbar)  # _iterate copies it
-        state, report = _iterate(disc, problem.nu, config, start)
+        stepped, report = _iterate(disc, problem.nu, config, start)
         reports.append(report)
         if not report.converged:
             break
-        if step % config.snapshot_stride == 0 or step == config.n_steps:
+        state = stepped
+        kept = step % config.snapshot_stride == 0 or step == config.n_steps
+        if kept:
             states.append(state.copy())
+    if not kept:
+        states.append(state.copy())
     return states, reports
-
-
-__all__ = [
-    "ContinuationConfig",
-    "Factorization",
-    "IterationReport",
-    "LinearSolveError",
-    "SolverConfig",
-    "factorize",
-    "lifted_state",
-    "linear_solve",
-    "solve",
-    "time_march",
-]

@@ -5,10 +5,15 @@ the bubble and the affine map of one triangle at one reference point;
 they are the per-point reference for the batched tables of
 ``vmsflow.newton.ElementBatch``.
 
+``cavity_velocity_gradient`` and ``cavity_velocity_laplacian`` are the
+derivatives of the manufactured cavity velocity, the oracle its body
+force is checked against.
+
 The monolithic global system built here is assembled from the public
 per-element operations, keeping the fine-scale coefficients as explicit
 unknowns appended after the (velocity, pressure) block.  It exists only
 for verification: the production path condenses the fine scale away.
+``dense_fixed_point`` sums the lifted fixed-point system the same way.
 """
 
 from __future__ import annotations
@@ -28,7 +33,14 @@ from vmsflow.mesh import (
     elimination_order,
     unit_square_mesh,
 )
-from vmsflow.newton import State, element_dofs, element_residuals, element_tangent
+from vmsflow.fixed_point import fp_element_system
+from vmsflow.newton import (
+    State,
+    element_dofs,
+    element_residuals,
+    element_tangent,
+    traction_vector,
+)
 
 BLOCK_NAMES = ("Kcc", "Kcp", "Kcf", "Kpc", "Kpf", "Kfc", "Kfp", "Kff")
 
@@ -289,6 +301,52 @@ def random_state(mesh, rng, dt=None) -> State:
         state.dt = dt
         state.vbar_prev = rng.uniform(-1.0, 1.0, (mesh.n_nodes, 2))
     return state
+
+
+def _f(x):
+    return x**2 * (1 - x) ** 2
+
+
+def _df(x):
+    return 2 * x - 6 * x**2 + 4 * x**3
+
+
+def _ddf(x):
+    return 2 - 12 * x + 12 * x**2
+
+
+def cavity_velocity_gradient(points) -> np.ndarray:
+    """``(grad v)[..., i, j] = dv_i/dx_j`` of ``cavity_exact_solution().velocity``,
+    whose stream function is x^2 (1-x)^2 y^2 (1-y)^2."""
+    x, y = points[..., 0], points[..., 1]
+    g = np.empty(np.shape(x) + (2, 2))
+    g[..., 0, 0] = _df(x) * _df(y)
+    g[..., 0, 1] = _f(x) * _ddf(y)
+    g[..., 1, 0] = -_f(y) * _ddf(x)
+    g[..., 1, 1] = -_df(y) * _df(x)
+    return g
+
+
+def cavity_velocity_laplacian(points) -> np.ndarray:
+    """Laplacian of ``cavity_exact_solution().velocity``, per component."""
+    x, y = points[..., 0], points[..., 1]
+    lx = _ddf(x) * _df(y) + _f(x) * (-12 + 24 * y)
+    ly = -(_f(y) * (-12 + 24 * x) + _ddf(y) * _df(x))
+    return np.stack([lx, ly], axis=-1)
+
+
+def dense_fixed_point(mesh, dofmap, bc, free, v_c, vbar_prev, nu, dt, body_force,
+                      stabilize=True):
+    """Lifted linearized system summed element by element, on the DOFs ``free``;
+    ``stabilize=False`` sums the plain Galerkin element systems."""
+    total = dofmap.total
+    K = np.zeros((total, total))
+    F = traction_vector(mesh, dofmap, bc)
+    for e, dofs in enumerate(element_dofs(mesh, dofmap)):
+        sys_e = fp_element_system(mesh, e, v_c, vbar_prev, nu, dt, body_force, stabilize)
+        K[np.ix_(dofs, dofs)] += sys_e.K
+        F[dofs] += sys_e.F
+    return K[np.ix_(free, free)], F[free] - K[free] @ dofmap.prescribed
 
 
 def element_tangent_matrix(tan) -> np.ndarray:

@@ -31,7 +31,7 @@ from vmsflow.problems import backward_step, body_force_cavity, lid_cavity
 import vmsflow.solve as solve_module
 from vmsflow.solve import ContinuationConfig, SolverConfig, solve, time_march
 
-from helpers import random_state
+from helpers import dense_fixed_point, random_state
 
 
 def linear_force(points):
@@ -86,18 +86,6 @@ def dense_newton(mesh, dofmap, bc, free, state, nu, body_force):
     load = traction_vector(mesh, dofmap, bc)
     norm = np.sqrt(np.sum((R_vp - load)[free] ** 2) + rf2)
     return K[np.ix_(free, free)], -(R_hat - load)[free], norm
-
-
-def dense_fixed_point(mesh, dofmap, bc, free, v_c, vbar_prev, nu, dt, body_force):
-    """Lifted linearized system summed element by element, on the DOFs ``free``."""
-    total = dofmap.total
-    K = np.zeros((total, total))
-    F = traction_vector(mesh, dofmap, bc)
-    for e, dofs in enumerate(element_dofs(mesh, dofmap)):
-        sys_e = fp_element_system(mesh, e, v_c, vbar_prev, nu, dt, body_force)
-        K[np.ix_(dofs, dofs)] += sys_e.K
-        F[dofs] += sys_e.F
-    return K[np.ix_(free, free)], F[free] - K[free] @ dofmap.prescribed
 
 
 def assert_close(actual, expected, rel):

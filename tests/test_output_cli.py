@@ -61,11 +61,23 @@ def test_every_table_matches_the_row_writer(tmp_path, monkeypatch):
     output_module.write_residuals(report, tmp_path / "residuals.csv")
     output_module.write_study(study, tmp_path / "study.csv")
     output_module.write_march(steps, tmp_path / "march.csv")
-    assert len(written) == 6
+    ladder = IterationReport(np.array([1.0, 0.5]), False, True, 2, sub_reports=(
+        (15.0, steps[2]), (16.5, IterationReport(np.array([0.5]), False, True, 1))),
+        failure="LU of 100% fill: x", stop_reason="linear_failure")
+    output_module.write_summary(ladder, tmp_path / "summary.txt",
+                                {"problem": "step", "re": 16.5, "dt": None, "steps": 3})
+    assert len(written) == 7
     for path in written:
         assert path.read_bytes() == Path(f"{path}.rows").read_bytes(), path.name
     text = (tmp_path / "march.csv").read_text()
     assert text.endswith("1,4,2.4999999999999999e-17,False\n2,0,nan,False\n3,1,3e-11,True\n")
+    # the text of the line writer that summary.txt had before it went through write_table
+    assert (tmp_path / "summary.txt").read_text() == (
+        "problem: step\nre: 16.5\ndt: None\nsteps: 3\niterations: 2\nconverged: False\n"
+        "diverged: True\nstop_reason: linear_failure\nfinal_residual: 0.5\n"
+        "failure: LU of 100% fill: x\ncontinuation:\n"
+        "  re 15: iterations 1, converged True, final_residual 3e-11\n"
+        "  re 16.5: iterations 1, converged False, final_residual 0.5\n")
 
 
 class TestSampling:
@@ -300,6 +312,24 @@ class TestCli:
         assert not out.exists()
         assert len(configs) == 6
 
+    def test_study_builds_each_level_once(self, tmp_path, monkeypatch):
+        # --strategy both used to build every level once per strategy
+        solved = []
+
+        def recording(problem, config):
+            solved.append((problem, config.strategy))
+            return solve(problem, config)
+
+        monkeypatch.setattr(problems_module, "solve", recording)
+        assert run_cli(["study", "--problem", "body_force_cavity", "--nu", "1",
+                        "--levels", "4,6,8", "--strategy", "both",
+                        "--out", str(tmp_path)]) == 0
+        newton, fixed_point = solved[:3], solved[3:]
+        assert [s for _, s in newton] == ["newton"] * 3
+        assert [s for _, s in fixed_point] == ["fixed_point"] * 3
+        assert all(a is b for (a, _), (b, _) in zip(newton, fixed_point))
+        assert [p.mesh.n_nodes for p, _ in newton] == [25, 49, 81]
+
     def test_study_without_exact_solution_leaves_no_directory(self, tmp_path):
         out = tmp_path / "d"
         assert run_cli(["study", "--problem", "lid_cavity", "--re", "100",
@@ -387,6 +417,30 @@ class TestCli:
         code = run_cli(["solve", "--config", str(cfg), "--out", str(out)])
         assert code == 0
         assert (out / "summary.txt").exists()
+
+    @pytest.mark.parametrize("content", [None, "problem = lid_cavity\nre = 1\u00e9\n".encode()],
+                             ids=["directory", "not_ascii"])
+    def test_unreadable_config_is_a_named_error(self, tmp_path, capsys, content):
+        # both used to escape run_cli as a traceback
+        cfg = tmp_path / "run.cfg"
+        if content is None:
+            cfg.mkdir()
+        else:
+            cfg.write_bytes(content)
+        out = tmp_path / "out"
+        assert run_cli(["solve", "--config", str(cfg), "--problem", "lid_cavity", "--n", "8",
+                        "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config file {cfg}")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_bad_config_line_is_a_named_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("problem lid_cavity\n")
+        assert run_cli(["solve", "--config", str(cfg)]) == 1
+        assert "error: bad config line (want key = value): 'problem lid_cavity'" in \
+            capsys.readouterr().err
 
     def test_env_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("VMSFLOW_OUTDIR", str(tmp_path / "envout"))

@@ -1,7 +1,9 @@
 """Linear-solve contract and the nonlinear solution strategies."""
 
 import dataclasses
+import gc
 import warnings
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -82,9 +84,22 @@ class TestLinearSolve:
         with pytest.raises(LinearSolveError):
             self.solve(A, [1.0, 1.0])
 
-    def test_nan_entry_rejected(self):
+    @pytest.fixture
+    def no_factor(self, monkeypatch):
+        owner, name = FACTORS[self.side]
+        monkeypatch.setattr(owner, name, lambda *args, **kwargs: pytest.fail(
+            f"{name} factored a matrix with a non-finite entry"))
+
+    def test_nan_entry_rejected(self, no_factor):
+        # used to reach the factor and come back as "likely singular"
         A = sp.csr_matrix(np.array([[2.0, 1.0], [np.nan, 1.0]]))
-        with pytest.raises(LinearSolveError):
+        with pytest.raises(LinearSolveError, match=r"entry \(1, 0\) is nan; .* non-finite"):
+            self.solve(A, [1.0, 1.0])
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_inf_entry_rejected(self, no_factor, value):
+        A = sp.csr_matrix(np.array([[2.0, value], [1.0, 1.0]]))
+        with pytest.raises(LinearSolveError, match=rf"entry \(0, 1\) is {value}; .* non-finite"):
             self.solve(A, [1.0, 1.0])
 
     def test_shape_mismatch_rejected(self):
@@ -396,6 +411,24 @@ def assert_ladder_matches_fresh_builds(monkeypatch, problem, config, build):
 
 
 class TestContinuation:
+    def test_ladder_size_is_bounded_before_it_is_built(self):
+        # this ladder has about 4.6e10 rungs, which ladder() used to build
+        with pytest.raises(ValueError, match="ladder of 46051698053 rungs exceeds the limit "
+                                             f"of {solve_module.MAX_RUNGS}"):
+            ContinuationConfig(1, 100, 1.0000000001)
+
+    @pytest.mark.parametrize("re_start, re_target, factor, rungs", [
+        (15, 150, 1.1, 26), (40, 40, 1.1, 1), (0.5, 1.0, 2.0, 2), (10, 20, 1.5, 3),
+        (1.0, 1.5 * 2.0 ** (solve_module.MAX_RUNGS - 2), 2.0, solve_module.MAX_RUNGS),
+    ])
+    def test_ladder_count(self, re_start, re_target, factor, rungs):
+        # the count the bound is checked against is the length of the ladder
+        assert len(ContinuationConfig(re_start, re_target, factor).ladder()) == rungs
+
+    def test_one_rung_past_the_bound_is_rejected(self):
+        with pytest.raises(ValueError, match=f"of {solve_module.MAX_RUNGS + 1} rungs"):
+            ContinuationConfig(1.0, 1.5 * 2.0 ** (solve_module.MAX_RUNGS - 1), 2.0)
+
     def test_ladder_values(self):
         cfg = ContinuationConfig(re_start=15, re_target=150, factor=1.1)
         ladder = cfg.ladder()
@@ -505,6 +538,30 @@ class TestContinuation:
         assert len(report.sub_reports) >= 2
 
 
+@pytest.mark.parametrize("entry, problem, config", [
+    (solve, lid_cavity(8, re=100), SolverConfig(tol=1e-10)),
+    (solve, body_force_cavity(8, re=20),
+     SolverConfig(tol=1e-9, continuation=ContinuationConfig(10, 20, 1.5))),
+    (time_march, lid_cavity(8, re=100), SolverConfig(tol=1e-10, dt=0.5, n_steps=2)),
+], ids=["solve", "continuation", "time_march"])
+def test_one_set_up_per_call_and_none_outlives_it(monkeypatch, entry, problem, config):
+    # every rung and step shares the call's one set-up; neither the problem
+    # nor anything returned keeps it or its element tables
+    built = []
+    setup = solve_module.Discretization
+
+    def recorded(*args):
+        disc = setup(*args)
+        built.append((weakref.ref(disc), weakref.ref(disc.batch)))
+        return disc
+
+    monkeypatch.setattr(solve_module, "Discretization", recorded)
+    result = entry(problem, config)
+    gc.collect()
+    assert len(built) == 1
+    assert [ref() for ref in built[0]] == [None, None]     # while result is still held
+
+
 class TestTimeMarch:
     def test_zero_steps_returns_initial(self):
         prob = body_force_cavity(8, nu=1.0)
@@ -552,6 +609,29 @@ class TestTimeMarch:
         )
         assert len(reports) == 4
         assert len(states) == 3  # initial, step 2, step 4
+
+    def test_failed_step_keeps_the_last_converged_state(self, monkeypatch):
+        # with stride 2 a failure at step 4 used to leave step 2 as the last state
+        prob = body_force_cavity(8, nu=1.0)
+        config = SolverConfig(tol=1e-6, max_iter=8, dt=0.2, n_steps=6, snapshot_stride=2)
+        reference, _ = time_march(prob, dataclasses.replace(config, n_steps=3,
+                                                            snapshot_stride=1))
+        iterate, starts = solve_module._iterate, []
+
+        def failing_at_step_4(disc, nu, config, start):
+            starts.append(start)
+            state, report = iterate(disc, nu, config, start)
+            if len(starts) == 4:
+                report = dataclasses.replace(report, converged=False, stop_reason="max_iter")
+            return state, report
+
+        monkeypatch.setattr(solve_module, "_iterate", failing_at_step_4)
+        states, reports = time_march(prob, config)
+        assert len(reports) == 4 and not reports[-1].converged
+        # initial, step 2, then step 3, the last converged
+        for got, want in zip(states, [reference[0], reference[2], reference[3]], strict=True):
+            np.testing.assert_array_equal(got.vbar, want.vbar)
+            np.testing.assert_array_equal(got.p, want.p)
 
     def test_fixed_point_march_approaches_steady(self):
         # transient fixed-point path: a few large steps from rest settle
