@@ -16,8 +16,6 @@ import sys
 from functools import cache, partial
 from pathlib import Path
 
-import numpy as np
-
 from vmsflow.problems import (
     PROBLEM_BUILDERS,
     backward_step,
@@ -27,13 +25,7 @@ from vmsflow.problems import (
     lid_cavity,
 )
 from vmsflow.output import write_march, write_outputs, write_study
-from vmsflow.solve import (
-    ContinuationConfig,
-    IterationReport,
-    SolverConfig,
-    solve,
-    time_march,
-)
+from vmsflow.solve import ContinuationConfig, SolverConfig, solve, time_march
 
 
 def _build_problem(args):
@@ -119,25 +111,23 @@ def _cmd_study(args) -> int:
 
 def _cmd_march(args) -> int:
     problem = _build_problem(args)
-    config = _solver_config(args, problem, dt=args.dt, n_steps=args.steps,
-                            snapshot_stride=args.stride)
-    states, reports = time_march(problem, config)
+    config = _solver_config(args, problem, dt=args.dt, n_steps=args.steps)
+    reports = []
+    for state, report in time_march(problem, config):
+        reports.append(report)
+    completed = sum(r.converged for r in reports)      # the step field.vtk holds
     outdir = _outdir(args)
     os.makedirs(outdir, exist_ok=True)
     write_march(reports, outdir / "march.csv")
-    ok = all(r.converged for r in reports) and len(reports) == args.steps
-    last_report = reports[-1] if reports else IterationReport(
-        residual_history=np.zeros(0), converged=True, diverged=False, iterations=0,
-    )
-    write_outputs(states[-1], problem.mesh, last_report, outdir, {
+    write_outputs(state, problem.mesh, reports[-1], outdir, {
         "problem": problem.name,
         "strategy": args.strategy,
         "dt": args.dt,
-        "steps_completed": len(reports),
+        "steps_completed": completed,
     })
-    print(f"{problem.name}: marched {len(reports)}/{args.steps} steps, "
-          f"all converged: {ok}")
-    return 0 if ok else 2
+    print(f"{problem.name}: marched {completed}/{args.steps} steps, "
+          f"all converged: {completed == args.steps}")
+    return 0 if completed == args.steps else 2
 
 
 def _add_common(sub, strategies=("newton", "fixed_point"), steady=True):
@@ -179,7 +169,6 @@ def _parser() -> argparse.ArgumentParser:
     _add_common(p_march, steady=False)
     p_march.add_argument("--dt", type=float, required=True)
     p_march.add_argument("--steps", type=int, required=True)
-    p_march.add_argument("--stride", type=int, default=1)
     # A study's meshes come from --levels alone.
     for sub in (p_solve, p_march):
         sub.add_argument("--n", type=int, default=32, help="subdivisions per side (cavities)")

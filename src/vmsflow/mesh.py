@@ -15,12 +15,14 @@ from __future__ import annotations
 
 from collections.abc import Callable, Mapping
 from dataclasses import InitVar, dataclass, field
+from decimal import Decimal
 
 import numpy as np
 
 _GEOM_TOL = 1e-12
 ND_LEAF = 16           # nested dissection numbers node sets this small as they are
 BAND_LIMIT = 64        # widest half-bandwidth, in unknowns, factored as a band matrix
+MAX_NODES = 1_000_000  # most nodes a mesh builder makes
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,14 +180,22 @@ def _grid_triangles(ids: np.ndarray, cells: np.ndarray) -> np.ndarray:
     return np.column_stack([ll, lr, ur, ll, ur, ul]).reshape(-1, 3)
 
 
+def _check_node_count(what: str, count: int) -> None:
+    """``ValueError`` naming ``count`` when it exceeds ``MAX_NODES``."""
+    if count > MAX_NODES:
+        shown = count if count < 10**15 else f"{Decimal(count):.3e}"
+        raise ValueError(f"{what} would have {shown} nodes, more than MAX_NODES = {MAX_NODES}")
+
+
 def unit_square_mesh(n: int) -> Mesh:
     """Uniform n-by-n cell triangulation of the unit square.
 
     Boundary tags: ``left`` (x=0), ``right`` (x=1), ``bottom`` (y=0),
-    ``top`` (y=1).
+    ``top`` (y=1).  More than ``MAX_NODES`` nodes raises ``ValueError``.
     """
     if n < 2:
         raise ValueError(f"unit_square_mesh needs n >= 2, got {n}")
+    _check_node_count(f"unit_square_mesh({n})", (n + 1) ** 2)
     xs = np.linspace(0.0, 1.0, n + 1)
     xx, yy = np.meshgrid(xs, xs, indexing="xy")
     coords = np.column_stack([xx.ravel(), yy.ravel()])
@@ -200,35 +210,31 @@ def unit_square_mesh(n: int) -> Mesh:
     return _tagged_mesh(coords, tris, sides, ("left", "right", "bottom", "top"))
 
 
-def backward_step_mesh(
-    upstream_len: float = 1.0,
-    downstream_len: float = 7.0,
-    step_height: float = 0.5,
-    channel_height: float = 1.0,
-    h: float = 0.25,
-) -> Mesh:
+def backward_step_mesh(h: float = 0.25) -> Mesh:
     """Structured triangulation of the L-shaped backward-facing step channel.
 
-    The inflow section spans x in [0, upstream_len] above the step
-    (y in [step_height, channel_height]); downstream of the step edge the
-    channel occupies the full height.  Tags: ``inflow`` (x=0),
-    ``outflow`` (x=upstream_len+downstream_len), ``walls`` (the rest).
-    ``h`` must be positive and divide all geometric dimensions.
+    The channel is 1 high.  Its inflow section spans x in [0, 1] above the
+    step (y in [0.5, 1]); downstream of the step edge, over x in [1, 8],
+    it occupies the full height.  Tags: ``inflow`` (x=0), ``outflow``
+    (x=8), ``walls`` (the rest).  ``h`` must be positive and divide 0.5;
+    more than ``MAX_NODES`` nodes raises ``ValueError``.
     """
     if not h > 0:    # NaN fails it too
         raise ValueError(f"edge length h must be positive, got {h}")
-    if not 0.0 < step_height < channel_height:
-        raise ValueError("step_height must lie strictly between 0 and channel_height")
-    dims = (upstream_len, downstream_len, step_height, channel_height - step_height)
+    upstream_len, downstream_len, step_height, channel_height = 1.0, 7.0, 0.5, 1.0
     counts = []
-    for d in dims:
+    for d in (upstream_len, downstream_len, step_height, channel_height - step_height):
         c = d / h
+        if not c < np.inf:
+            raise ValueError(f"edge length h={h} is too small: {d}/h overflows")
         if abs(c - round(c)) > 1e-9 or round(c) < 1:
             raise ValueError(f"edge length h={h} does not divide geometric dimension {d}")
         counts.append(int(round(c)))
     n_up, n_down, n_step, _ = counts
     nx = n_up + n_down
     ny = int(round(channel_height / h))
+    # The grid's nodes less those that touch only the solid corner.
+    _check_node_count(f"backward_step_mesh(h={h})", (nx + 1) * (ny + 1) - n_up * n_step)
     total_len = upstream_len + downstream_len
 
     xs = np.linspace(0.0, total_len, nx + 1)

@@ -15,9 +15,8 @@ zero.  The production path eliminates the fine-scale pair on each
 element by a Schur complement before global assembly; the full 11x11
 element system exists only as a verification oracle in the tests.
 Both strategies assemble through the one set-up of a solve,
-``Discretization``; ``residual_norm`` evaluates the residual alone, and
-``assemble_system`` the residual at once and the condensed
-linearization only when it is first read.
+``Discretization``; ``assemble_system`` evaluates the residual at once
+and the condensed linearization only when it is first read.
 
 Every state-independent integral is computed once, in ``ElementBatch``:
 mass and stiffness over the three coarse functions and the bubble
@@ -570,7 +569,7 @@ class NewtonSystem:
 
     def __init__(self, disc: Discretization, fields: _Fields,
                  Rvp: np.ndarray, Rf: np.ndarray, state_digest: bytes):
-        self.residual_norm = _norm_of(disc, Rvp, Rf)     # 2-norm of [assembled Rvp; all Rf]
+        self.residual = _norm_of(disc, Rvp, Rf)          # 2-norm of [assembled Rvp; all Rf]
         self.Rf = Rf                                      # (2, E)
         self.edofs = disc.edofs                           # (9, E)
         self.state_digest = state_digest
@@ -605,17 +604,6 @@ class NewtonSystem:
         dbeta = np.einsum("fge,ge->fe", self.Kff_inv, self.Rf)
         dbeta += np.einsum("fxe,xe->fe", self.Kff_inv_coupling, d9)
         return -dbeta.T
-
-
-def residual_norm(disc: Discretization, state: State, nu: float) -> float:
-    """2-norm of the monolithic nonlinear residual at ``state``.
-
-    Assembled coarse momentum and continuity over the free DOFs (traction
-    and body force included) plus every element's fine-scale residual; no
-    tangent is built.
-    """
-    fields = _fields(disc.batch, state, nu)
-    return _norm_of(disc, *_residuals_batched(disc.batch, fields, disc.load))
 
 
 def assemble_system(disc: Discretization, state: State, nu: float) -> NewtonSystem:

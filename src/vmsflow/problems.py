@@ -221,7 +221,7 @@ def backward_step(re: float | None = None, nu: float | None = None,
                   h: float = 0.25) -> ProblemSpec:
     """Backward-facing step with parabolic inflow and natural outflow.
 
-    The channel is ``backward_step_mesh``'s default, and the inflow profile
+    The channel is ``backward_step_mesh``'s, and the inflow profile
     peaks at 1 in the middle of its opening 0.5 <= y <= 1; the outflow
     boundary is traction-free, so no pressure pin is needed.
     """

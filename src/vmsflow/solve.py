@@ -3,6 +3,8 @@
 ``solve`` is the one steady entry point and ``time_march`` the transient
 one; a ``SolverConfig`` alone picks the strategy (Newton or fixed point)
 and, through ``continuation``, the Reynolds ladder ``solve`` climbs.
+``time_march`` checks its inputs and builds its set-up at the call, then
+returns an iterator that yields each step's state and report.
 A problem object must expose ``mesh``, ``bc``, ``nu`` and ``body_force``
 attributes (``vmsflow.problems.ProblemSpec`` does); a ladder also needs a
 ``with_re`` that keeps the mesh, boundary data and body force and
@@ -10,7 +12,8 @@ re-targets only the viscosity, as ``ProblemSpec.with_re`` does.  Reports
 are immutable once returned.  Each call builds one immutable
 ``Discretization`` (body-force load included), which both strategies
 assemble from with ``(disc, state, nu)`` and every rung and step shares;
-nothing it returns and nothing on the problem keeps it.
+nothing on the problem keeps it, nor anything ``solve`` returns, and the
+iterator of ``time_march`` holds it only until it is exhausted or dropped.
 Its ``free`` lists the free DOFs in ``mesh.elimination_order``, so every
 assembled system arrives permuted and in CSC format; ``factorize``
 factors it in that order, with LAPACK's banded LU in float64 when the
@@ -28,13 +31,14 @@ the stabilized fixed-point solve.  The recorded residual is the 2-norm
 of the monolithic nonlinear residual (assembled coarse momentum and
 continuity over the free DOFs, plus every element's fine-scale
 residual); fixed point evaluates it at its iterate with zero fine-scale
-coefficients (``residual_norm``), which makes the histories of the two
-strategies directly comparable.
+coefficients (``assemble_system``, which linearizes only on demand), which
+makes the histories of the two strategies directly comparable.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -49,7 +53,6 @@ from vmsflow.newton import (
     FineScaleSingularError,
     State,
     assemble_system,
-    residual_norm,
 )
 
 LINEAR_TOL = 1e-10        # relative residual bound of every linear solve
@@ -86,9 +89,13 @@ class Factorization:
         if A.shape[0] != rhs.size:
             raise LinearSolveError(f"matrix of shape {A.shape} does not match "
                                    f"right-hand side of size {rhs.size}")
+        if not np.isfinite(rhs).all():
+            k = int(np.flatnonzero(~np.isfinite(rhs))[0])
+            raise LinearSolveError(f"right-hand side entry {k} is {rhs[k]}; "
+                                   "a non-finite right-hand side is not solved")
         if rhs.size == 0:
             return np.zeros(0)
-        bound = max(1e-12, LINEAR_TOL * float(np.linalg.norm(rhs)))
+        bound = max(1e-12, LINEAR_TOL * _norm(rhs))
         x, resid = _refine(A, rhs, self._lu_solve, bound)
         if x is None and self.kind == "superlu32":
             self.kind, self._lu_solve = "superlu", _superlu(A)
@@ -109,11 +116,12 @@ def factorize(matrix) -> Factorization:
     factored (``Discretization.free`` numbers the unknowns by
     ``mesh.elimination_order``) and in CSC format (``free_matrix`` builds
     it, and a CSC input is read as it is; other inputs are converted).  A
-    non-finite entry raises ``LinearSolveError`` naming it before any
-    factor is tried.  When neither its lower nor its upper half-bandwidth,
-    read from the first and last row of each column, exceeds
-    ``BAND_LIMIT``, LAPACK's banded LU with partial pivoting factors it in
-    float64 (``dgbtrf``; ``sgbtrf`` is no faster).  Otherwise SuperLU does,
+    non-finite entry, or a row or column without any stored entry, raises
+    ``LinearSolveError`` naming it before any factor is tried.  When
+    neither its lower nor its upper half-bandwidth, read from the first
+    and last row of each column, exceeds ``BAND_LIMIT``, LAPACK's banded
+    LU with partial pivoting factors it in float64 (``dgbtrf``;
+    ``sgbtrf`` is no faster).  Otherwise SuperLU does,
     keeping the column order and pivoting only where a diagonal entry
     falls below 0.1 of its column's largest (the systems are indefinite
     saddle-point matrices), on the entries cast to float32 when every one
@@ -130,6 +138,12 @@ def factorize(matrix) -> Factorization:
         column = int(np.searchsorted(A.indptr, k, side="right")) - 1
         raise LinearSolveError(f"matrix entry ({A.indices[k]}, {column}) is {A.data[k]}; "
                                "a matrix with a non-finite entry is not factored")
+    # SuperLU writes out of bounds when a row is empty, and can crash the process.
+    for line, counts in (("row", np.bincount(A.indices, minlength=A.shape[0])),
+                         ("column", np.diff(A.indptr))):
+        if not counts.all():
+            raise LinearSolveError(f"matrix {line} {int(np.argmin(counts))} is empty; "
+                                   "a structurally singular matrix is not factored")
     kl, ku = _bandwidths(A)
     if max(kl, ku) <= BAND_LIMIT:
         return Factorization(A, "band", _band_lu(A, kl, ku))
@@ -149,7 +163,8 @@ def linear_solve(matrix, rhs: np.ndarray) -> np.ndarray:
     The banded LU factors in float64, SuperLU in float32 when every entry
     fits.  The solution is refined in float64 until the ``LINEAR_TOL``
     bound holds, and a float32 factor that cannot get there is replaced
-    once by the float64 one; a non-finite entry, a float64 factor that
+    once by the float64 one; a non-finite entry or right-hand side, an
+    empty row or column, a float64 factor that
     misses the bound, an exact zero pivot or a failed factorization raises
     ``LinearSolveError`` (see ``Factorization`` and ``factorize``).
     """
@@ -161,23 +176,36 @@ def _fits_single(data: np.ndarray) -> bool:
     return bool(np.all(np.abs(data) <= _SINGLE_MAX))
 
 
+def _norm(v: np.ndarray) -> float:
+    """2-norm of ``v``, rescaled by its largest entry when the squares overflow."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
+    if norm == np.inf and np.isfinite(v).all():
+        scale = float(np.abs(v).max())
+        norm = scale * float(np.linalg.norm(v / scale))
+    return norm
+
+
 def _refine(A, b: np.ndarray, lu_solve, bound: float) -> tuple[np.ndarray | None, float]:
     """``lu_solve(b)``, refined with ``lu_solve`` of the float64 residual until
     its norm is at most ``bound``; at most ``MAX_REFINEMENTS`` steps, each of
     which must cut it tenfold.  Returns the solution, or None if it missed
-    the bound, and the last residual norm."""
-    x = lu_solve(b)
-    resid = b - A @ x
-    norm = float(np.linalg.norm(resid))
-    for _ in range(MAX_REFINEMENTS):
-        if not bound < norm < np.inf:     # met, or past repair
-            break
-        x = x + lu_solve(resid)
+    the bound, and the last residual norm.  An overflow on the way is silent:
+    it leaves a non-finite solution or residual, which misses the bound."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = lu_solve(b)
         resid = b - A @ x
-        last, norm = norm, float(np.linalg.norm(resid))
-        if not norm <= 0.1 * last:
-            break
-    return (x if norm <= bound and np.all(np.isfinite(x)) else None), norm
+        norm = _norm(resid)
+        for _ in range(MAX_REFINEMENTS):
+            if not bound < norm < np.inf:     # met, or past repair
+                break
+            x = x + lu_solve(resid)
+            resid = b - A @ x
+            last, norm = norm, _norm(resid)
+            if not norm <= 0.1 * last:
+                break
+    met = norm <= bound and norm < np.inf and np.all(np.isfinite(x))
+    return (x if met else None), norm
 
 
 def _superlu(A):
@@ -272,7 +300,6 @@ class SolverConfig:
     n_steps: int | None = None
     continuation: ContinuationConfig | None = None
     increment_tol: float | None = None  # fixed-point stagnation tolerance; tol if None
-    snapshot_stride: int = 1
 
     def __post_init__(self):
         # Each check is written so that NaN fails it.
@@ -285,9 +312,9 @@ class SolverConfig:
             raise ValueError(f"unknown strategy '{self.strategy}'")
         if self.dt is not None and not 0 < self.dt < np.inf:
             raise ValueError(f"time step must be positive and finite, got dt={self.dt}")
-        counts = [("max_iter", 1), ("snapshot_stride", 1)]
+        counts = [("max_iter", 1)]
         if self.n_steps is not None:
-            counts.append(("n_steps", 0))
+            counts.append(("n_steps", 1))
         for name, low in counts:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
@@ -346,7 +373,7 @@ def _newton_steps(disc: Discretization, nu: float, state: State):
         state.p += dp
         state.beta += dbeta
         system = assemble_system(disc, state, nu)
-        yield system.residual_norm, None
+        yield system.residual, None
 
 
 def _fixed_point_steps(disc: Discretization, nu: float, state: State):
@@ -359,7 +386,7 @@ def _fixed_point_steps(disc: Discretization, nu: float, state: State):
         new_vbar, new_p = disc.dofmap.split(full)
         increment = float(np.linalg.norm(new_vbar - state.vbar))
         state.vbar, state.p = new_vbar, new_p
-        yield residual_norm(disc, state, nu), increment
+        yield assemble_system(disc, state, nu).residual, increment
 
 
 # Per strategy: its updates, and whether the velocity increment is recorded and stops.
@@ -474,36 +501,38 @@ def solve(problem, config: SolverConfig, state0: State | None = None
 
 
 def time_march(problem, config: SolverConfig, state0: State | None = None
-               ) -> tuple[list[State], list[IterationReport]]:
+               ) -> Iterator[tuple[State, IterationReport]]:
     """Backward-Euler marching with the configured nonlinear strategy.
 
+    The inputs are checked and the one set-up is built before any step: a
+    missing ``dt`` or ``n_steps``, a continuation, or a ``state0`` that
+    does not fit the mesh raises ``ValueError`` at the call.  The returned
+    iterator then runs the steps, from ``state0`` or the lifted zero state.
     Every step solves the transient nonlinear problem with the previous
-    step's velocity in the acceleration term, warm-started from that
-    same state.  Snapshots (including the initial state) are kept every
-    ``snapshot_stride`` steps and after the last step; an unconverged step
-    terminates the march, and the partial history is returned with the
-    last converged state as its final snapshot.  A continuation raises
-    ``ValueError``.
+    step's velocity in the acceleration term, warm-started from that same
+    state, and yields a copy of the state the march holds after it, with
+    the step's report.  An unconverged step yields the last converged state
+    and ends the march.  The set-up lives until the iterator is exhausted
+    or dropped.
     """
     if config.dt is None or config.n_steps is None:
         raise ValueError("time_march needs dt and n_steps in the configuration")
     if config.continuation is not None:
         raise ValueError("time_march does not run a continuation ladder")
+    if state0 is not None:
+        _check_fits(state0, problem.mesh)
     disc = _setup(problem)
     state = lifted_state(problem.mesh, disc.dofmap) if state0 is None else state0.copy()
-    states = [state.copy()]
-    reports: list[IterationReport] = []
-    kept = True                 # whether states[-1] is the last converged state
-    for step in range(1, config.n_steps + 1):
+    return _march(disc, problem.nu, config, state)
+
+
+def _march(disc: Discretization, nu: float, config: SolverConfig, state: State):
+    """The steps of ``time_march`` from ``state``, each yielding (state copy, report)."""
+    for _ in range(config.n_steps):
         start = replace(state, dt=config.dt, vbar_prev=state.vbar)  # _iterate copies it
-        stepped, report = _iterate(disc, problem.nu, config, start)
-        reports.append(report)
+        stepped, report = _iterate(disc, nu, config, start)
+        if report.converged:
+            state = stepped
+        yield state.copy(), report
         if not report.converged:
-            break
-        state = stepped
-        kept = step % config.snapshot_stride == 0 or step == config.n_steps
-        if kept:
-            states.append(state.copy())
-    if not kept:
-        states.append(state.copy())
-    return states, reports
+            return

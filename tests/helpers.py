@@ -265,15 +265,13 @@ def square_side(mid) -> str:
     raise AssertionError("boundary edge not on the unit-square boundary")
 
 
-def step_side(total_len):
+def step_side(mid) -> str:
     """Tag of a backward-step boundary point, one point at a time."""
-    def side(mid):
-        if abs(mid[0]) < 1e-12:
-            return "inflow"
-        if abs(mid[0] - total_len) < 1e-12:
-            return "outflow"
-        return "walls"
-    return side
+    if abs(mid[0]) < 1e-12:
+        return "inflow"
+    if abs(mid[0] - 8.0) < 1e-12:
+        return "outflow"
+    return "walls"
 
 
 def reference_boundary_edges(mesh, side):

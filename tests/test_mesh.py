@@ -119,18 +119,14 @@ class TestBackwardStep:
         np.testing.assert_array_equal(mesh.triangles[:2], [[0, 2, 3], [0, 3, 1]])
         np.testing.assert_array_equal(mesh.triangles[-2:], [[44, 47, 48], [44, 48, 45]])
 
-    @pytest.mark.parametrize("dims", [
-        dict(h=0.25), dict(upstream_len=0.5, downstream_len=1.5, step_height=0.75, h=0.25),
-    ])
+    @pytest.mark.parametrize("dims", [dict(h=0.25)])
     def test_matches_loop_reference(self, dims):
         mesh = backward_step_mesh(**dims)
         h = dims["h"]
-        length = dims.get("upstream_len", 1.0) + dims.get("downstream_len", 7.0)
-        nx, ny = round(length / h), round(1.0 / h)
+        nx, ny = round(8.0 / h), round(1.0 / h)
 
         def solid(ix, iy):
-            return (ix < round(dims.get("upstream_len", 1.0) / h)
-                    and iy < round(dims.get("step_height", 0.5) / h))
+            return ix < round(1.0 / h) and iy < round(0.5 / h)
 
         ids, coords = {}, []
         for ix in range(nx + 1):
@@ -142,10 +138,6 @@ class TestBackwardStep:
         np.testing.assert_allclose(mesh.node_coords, coords, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(
             mesh.triangles, loop_triangles(lambda ix, iy: ids[ix, iy], nx, ny, solid))
-
-    def test_invalid_step_height(self):
-        with pytest.raises(ValueError):
-            backward_step_mesh(step_height=1.0, channel_height=1.0)
 
     def test_nonconforming_h(self):
         with pytest.raises(ValueError):
@@ -173,6 +165,34 @@ class TestBackwardStep:
         outflow = mesh.edges_with_tag("outflow")
         for a, b in outflow:
             assert mesh.node_coords[a][0] == pytest.approx(8.0)
+
+
+class TestNodeBound:
+    """A mesh past ``MAX_NODES`` is refused, by its node count, before any array exists."""
+
+    @pytest.mark.parametrize("build, nodes", [
+        (lambda: unit_square_mesh(8), 81), (lambda: backward_step_mesh(h=0.25), 157),
+    ], ids=["square", "step"])
+    def test_count_is_checked_before_building(self, monkeypatch, build, nodes):
+        assert build().n_nodes == nodes
+        monkeypatch.setattr(mesh_module, "MAX_NODES", nodes - 1)
+        monkeypatch.setattr(np, "linspace", lambda *args, **kwargs: pytest.fail("allocated"))
+        with pytest.raises(ValueError, match=f"would have {nodes} nodes, more than "
+                                             f"MAX_NODES = {nodes - 1}"):
+            build()
+
+    def test_tiny_edge_length_is_named_by_its_node_count(self):
+        # used to end in numpy's "Maximum allowed size exceeded"
+        with pytest.raises(ValueError, match=r"h=1e-300\) would have 7\.500e\+600 nodes"):
+            backward_step_mesh(h=1e-300)
+        with pytest.raises(ValueError, match="h=5e-324 is too small"):
+            backward_step_mesh(h=5e-324)
+
+    def test_largest_benchmark_mesh_is_within_the_bound(self, monkeypatch):
+        assert 257**2 <= mesh_module.MAX_NODES      # lid n=256
+        monkeypatch.setattr(np, "linspace", lambda *args, **kwargs: pytest.fail("allocated"))
+        with pytest.raises(ValueError, match=f"would have {1001**2} nodes"):
+            unit_square_mesh(1000)
 
 
 class TestDofMap:
@@ -404,17 +424,10 @@ class TestEdgeTable:
         mesh = unit_square_mesh(n)
         assert_same_edges(mesh.boundary_edges, reference_boundary_edges(mesh, square_side))
 
-    @pytest.mark.parametrize("dims", [
-        dict(h=0.5), dict(h=0.25), dict(h=0.125), dict(h=0.05),
-        dict(upstream_len=0.5, downstream_len=1.5, step_height=0.75, h=0.25),
-        dict(upstream_len=2.0, downstream_len=3.0, step_height=0.25, channel_height=1.5,
-             h=0.125),
-    ])
+    @pytest.mark.parametrize("dims", [dict(h=0.5), dict(h=0.25), dict(h=0.125), dict(h=0.05)])
     def test_step_tags_match_edge_by_edge_reference(self, dims):
         mesh = backward_step_mesh(**dims)
-        total_len = dims.get("upstream_len", 1.0) + dims.get("downstream_len", 7.0)
-        assert_same_edges(mesh.boundary_edges,
-                          reference_boundary_edges(mesh, step_side(total_len)))
+        assert_same_edges(mesh.boundary_edges, reference_boundary_edges(mesh, step_side))
 
     def test_table_lists_every_edge_once_and_is_read_only(self):
         mesh = unit_square_mesh(5)

@@ -1,5 +1,6 @@
 """Field/profile/report writers and the command-line driver."""
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 import vmsflow.output as output_module
 import vmsflow.problems as problems_module
+import vmsflow.solve as solve_module
 from vmsflow.fem import inv2
 from vmsflow.output import sample_field, write_outputs
 from vmsflow.problems import ConvergenceTable, ErrorNorms, backward_step, lid_cavity
@@ -232,6 +234,27 @@ class TestCli:
         rows = (tmp_path / "march.csv").read_text().strip().splitlines()
         assert len(rows) == 3
 
+    def test_failed_march_reports_the_step_its_field_holds(self, tmp_path, monkeypatch):
+        # the summary used to count the failed step next to the last converged field
+        argv = ["march", "--problem", "lid_cavity", "--re", "100", "--n", "8", "--dt", "0.1"]
+        assert run_cli(argv + ["--steps", "3", "--out", str(tmp_path / "three")]) == 0
+        iterate, steps = solve_module._iterate, []
+
+        def failing_at_step_4(*args):
+            steps.append(None)
+            state, report = iterate(*args)
+            if len(steps) == 4:
+                report = dataclasses.replace(report, converged=False, stop_reason="max_iter")
+            return state, report
+
+        monkeypatch.setattr(solve_module, "_iterate", failing_at_step_4)
+        assert run_cli(argv + ["--steps", "6", "--out", str(tmp_path / "six")]) == 2
+        rows = (tmp_path / "six" / "march.csv").read_text().strip().splitlines()
+        assert len(rows) == 1 + 4
+        assert "steps_completed: 3" in (tmp_path / "six" / "summary.txt").read_text().splitlines()
+        assert ((tmp_path / "six" / "field.vtk").read_bytes()
+                == (tmp_path / "three" / "field.vtk").read_bytes())
+
     def test_study_subcommand(self, tmp_path):
         code = run_cli([
             "study", "--problem", "body_force_cavity", "--nu", "1.0",
@@ -396,7 +419,9 @@ class TestCli:
         assert "nu: 0.013" in lines
         assert "stop_reason: tol" in lines
 
-    @pytest.mark.parametrize("flags", [["--stride", "0"], ["--steps", "-3"], ["--dt", "0"]])
+    # a march takes at least one step, and has no snapshot stride
+    @pytest.mark.parametrize("flags", [["--steps", "0"], ["--steps", "-3"], ["--dt", "0"],
+                                       ["--stride", "2"]])
     def test_bad_march_flags(self, tmp_path, flags):
         argv = ["march", "--problem", "body_force_cavity", "--nu", "1.0", "--n", "4",
                 "--dt", "0.5", "--steps", "2", "--out", str(tmp_path)]

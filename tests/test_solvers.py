@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import math
 import warnings
 import weakref
 from types import SimpleNamespace
@@ -9,6 +10,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vmsflow.newton as newton_module
 import vmsflow.solve as solve_module
@@ -88,7 +91,7 @@ class TestLinearSolve:
     def no_factor(self, monkeypatch):
         owner, name = FACTORS[self.side]
         monkeypatch.setattr(owner, name, lambda *args, **kwargs: pytest.fail(
-            f"{name} factored a matrix with a non-finite entry"))
+            f"{name} factored a matrix it should have rejected"))
 
     def test_nan_entry_rejected(self, no_factor):
         # used to reach the factor and come back as "likely singular"
@@ -101,6 +104,24 @@ class TestLinearSolve:
         A = sp.csr_matrix(np.array([[2.0, value], [1.0, 1.0]]))
         with pytest.raises(LinearSolveError, match=rf"entry \(0, 1\) is {value}; .* non-finite"):
             self.solve(A, [1.0, 1.0])
+
+    @pytest.mark.parametrize("A, line", [
+        ([[2.0, 1.0], [0.0, 0.0]], "row 1"), ([[2.0, 0.0], [1.0, 0.0]], "column 1"),
+    ], ids=["row", "column"])
+    def test_empty_line_rejected(self, no_factor, A, line):
+        # SuperLU wrote out of bounds on an empty row and could crash the process
+        with pytest.raises(LinearSolveError, match=f"matrix {line} is empty; .* singular"):
+            self.solve(np.array(A), np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rhs_rejected(self, monkeypatch, value):
+        # used to reach the triangular solves and come back as "likely singular"
+        monkeypatch.setattr(solve_module, "_refine", lambda *args: pytest.fail(
+            "a non-finite right-hand side reached the triangular solves"))
+        A = np.array([[2.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(LinearSolveError,
+                           match=rf"right-hand side entry 1 is {value}; .* non-finite"):
+            self.solve(A, np.array([1.0, value]))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(LinearSolveError):
@@ -169,6 +190,46 @@ def bordered(A):
     return wide.tocsc()
 
 
+@st.composite
+def sparse_systems(draw):
+    """A random sparse system for either side, and its right-hand side.
+
+    Narrow matrices (n <= 65) go to the banded LU, bordered ones to SuperLU.
+    Entries span 1e-40 to 1e40 and right-hand sides 1e-300 to 1e300; some
+    matrices lose a row (singular), and some carry one 1e300, nan or inf.
+    """
+    wide = draw(st.booleans())
+    n = draw(st.integers(1, 20 if wide else 65))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = sp.random(n, n, density=draw(st.floats(0.05, 1.0)), random_state=rng,
+                  data_rvs=rng.standard_normal, format="lil")
+    if draw(st.booleans()):
+        A.setdiag(rng.standard_normal(n))
+    A = (A * 10.0 ** draw(st.floats(-40, 40))).tolil()
+    flaw = draw(st.sampled_from([None, None, None, "singular", 1e300, np.nan, np.inf, -np.inf]))
+    if flaw == "singular":
+        A[draw(st.integers(0, n - 1)), :] = 0.0
+    elif flaw is not None:
+        A[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] = flaw
+    A = bordered(A) if wide else A.tocsc()
+    return A, rng.standard_normal(A.shape[0]) * 10.0 ** draw(st.floats(-300, 300))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_systems())
+def test_any_sparse_system_meets_the_bound_or_names_the_failure(system):
+    # an overflow inside the refinement used to escape as a RuntimeWarning
+    A, b = system
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            x = solve_module.factorize(A).solve(b)
+        except LinearSolveError:
+            return
+    residual = b - A @ x
+    assert math.hypot(*residual) <= max(1e-12, solve_module.LINEAR_TOL * math.hypot(*b))
+
+
 def conditioned(kappa, seed=0):
     """A bordered 40 x 40 matrix of condition number ``kappa``, and ``b = A @ x_true``."""
     rng = np.random.default_rng(seed)
@@ -189,6 +250,16 @@ class TestSinglePrecisionFactor:
         monkeypatch.setattr(solve_module.spla, "splu",
                             lambda A, *args, **kw: dtypes.append(A.dtype) or factor(A, *args, **kw))
         return dtypes
+
+    def test_overflow_of_the_scaled_solve_is_a_named_failure(self, factored_dtypes):
+        # the float32 solution of b/max|b|, scaled back by max|b| = 1e300,
+        # used to overflow with a RuntimeWarning; both factors now miss the bound
+        A = bordered(np.array([[1e-37]]))
+        b = np.zeros(A.shape[0])
+        b[0] = 1e300
+        with pytest.raises(LinearSolveError, match="did not reach the requested accuracy"):
+            solve_module.factorize(A).solve(b)
+        assert factored_dtypes == [np.float32, np.float64]
 
     @pytest.mark.parametrize("kappa, kinds, kind", [
         (1e6, [np.float32], "superlu32"),
@@ -283,7 +354,7 @@ class TestNewtonSolve:
         from vmsflow.newton import Discretization, assemble_system
 
         r0 = assemble_system(Discretization(prob.mesh, dofmap, prob.bc, prob.body_force),
-                             state0, prob.nu).residual_norm
+                             state0, prob.nu).residual
         _, report = solve(prob, SolverConfig(tol=1e-14, max_iter=12), state0=state0)
         r = [r0] + [v for v in report.residual_history if v > 1e-13]
         assert len(r) >= 3
@@ -542,11 +613,13 @@ class TestContinuation:
     (solve, lid_cavity(8, re=100), SolverConfig(tol=1e-10)),
     (solve, body_force_cavity(8, re=20),
      SolverConfig(tol=1e-9, continuation=ContinuationConfig(10, 20, 1.5))),
-    (time_march, lid_cavity(8, re=100), SolverConfig(tol=1e-10, dt=0.5, n_steps=2)),
+    (lambda *args: list(time_march(*args)), lid_cavity(8, re=100),
+     SolverConfig(tol=1e-10, dt=0.5, n_steps=2)),
 ], ids=["solve", "continuation", "time_march"])
 def test_one_set_up_per_call_and_none_outlives_it(monkeypatch, entry, problem, config):
     # every rung and step shares the call's one set-up; neither the problem
-    # nor anything returned keeps it or its element tables
+    # nor anything returned (or yielded by a finished march) keeps it or its
+    # element tables
     built = []
     setup = solve_module.Discretization
 
@@ -562,20 +635,46 @@ def test_one_set_up_per_call_and_none_outlives_it(monkeypatch, entry, problem, c
     assert [ref() for ref in built[0]] == [None, None]     # while result is still held
 
 
+def marched(*args):
+    """``time_march(*args)`` run to its end: the yielded states and reports."""
+    states, reports = [], []
+    for state, report in time_march(*args):
+        states.append(state)
+        reports.append(report)
+    return states, reports
+
+
 class TestTimeMarch:
-    def test_zero_steps_returns_initial(self):
+    def test_inputs_are_checked_before_any_step(self, monkeypatch):
+        # the march is lazy, but a bad input fails at the call; at least one
+        # step is needed, so a march never ends without a report
+        monkeypatch.setattr(solve_module, "_iterate", lambda *args: pytest.fail("stepped"))
         prob = body_force_cavity(8, nu=1.0)
-        states, reports = time_march(prob, SolverConfig(dt=0.1, n_steps=0))
-        assert len(states) == 1
-        assert reports == []
-        assert np.all(states[0].vbar == 0.0)
+        with pytest.raises(ValueError, match="n_steps must be an integer of at least 1"):
+            SolverConfig(dt=0.1, n_steps=0)
+        with pytest.raises(ValueError, match="start state vbar"):
+            time_march(prob, SolverConfig(dt=0.1, n_steps=2), State.zeros(unit_square_mesh(4)))
+        time_march(prob, SolverConfig(dt=0.1, n_steps=2))
+
+    def test_yields_a_copy_of_every_step(self):
+        prob = body_force_cavity(8, nu=1.0)
+        config = SolverConfig(tol=1e-6, max_iter=8, dt=0.2, n_steps=4)
+        states, reports = marched(prob, config)
+        assert len(states) == len(reports) == 4 and all(r.converged for r in reports)
+        assert all(s.dt == 0.2 and s.vbar_prev is not None for s in states)
+        # the consumer may write to what it is given without changing the march
+        march, spoiled = time_march(prob, config), []
+        for state, _ in march:
+            spoiled.append(state.digest())
+            state.vbar[:] = np.nan
+        assert spoiled == [s.digest() for s in states]
 
     def test_steady_state_is_fixed_point_of_march(self):
         prob = body_force_cavity(8, nu=1.0)
         steady, rep = solve(prob, SolverConfig(tol=1e-12, max_iter=10))
         assert rep.converged
-        states, reports = time_march(
-            prob, SolverConfig(tol=1e-8, max_iter=5, dt=0.5, n_steps=3), state0=steady
+        states, reports = marched(
+            prob, SolverConfig(tol=1e-8, max_iter=5, dt=0.5, n_steps=3), steady
         )
         assert all(r.converged for r in reports)
         assert all(r.iterations <= 2 for r in reports)
@@ -585,8 +684,8 @@ class TestTimeMarch:
     def test_huge_step_matches_steady(self):
         prob = body_force_cavity(8, nu=1.0)
         steady, _ = solve(prob, SolverConfig(tol=1e-12, max_iter=10))
-        states, reports = time_march(prob, SolverConfig(tol=1e-12, max_iter=10,
-                                                        dt=1e6, n_steps=1))
+        states, reports = marched(prob, SolverConfig(tol=1e-12, max_iter=10,
+                                                     dt=1e6, n_steps=1))
         assert reports[0].converged
         assert np.abs(states[-1].vbar - steady.vbar).max() <= 1e-6
 
@@ -601,21 +700,10 @@ class TestTimeMarch:
         with pytest.raises(ValueError, match="continuation"):
             time_march(prob, cfg)
 
-    def test_snapshot_stride(self):
-        prob = body_force_cavity(8, nu=1.0)
-        states, reports = time_march(
-            prob, SolverConfig(tol=1e-6, max_iter=8, dt=0.2, n_steps=4,
-                               snapshot_stride=2)
-        )
-        assert len(reports) == 4
-        assert len(states) == 3  # initial, step 2, step 4
-
     def test_failed_step_keeps_the_last_converged_state(self, monkeypatch):
-        # with stride 2 a failure at step 4 used to leave step 2 as the last state
         prob = body_force_cavity(8, nu=1.0)
-        config = SolverConfig(tol=1e-6, max_iter=8, dt=0.2, n_steps=6, snapshot_stride=2)
-        reference, _ = time_march(prob, dataclasses.replace(config, n_steps=3,
-                                                            snapshot_stride=1))
+        config = SolverConfig(tol=1e-6, max_iter=8, dt=0.2, n_steps=6)
+        reference, _ = marched(prob, dataclasses.replace(config, n_steps=3))
         iterate, starts = solve_module._iterate, []
 
         def failing_at_step_4(disc, nu, config, start):
@@ -626,10 +714,10 @@ class TestTimeMarch:
             return state, report
 
         monkeypatch.setattr(solve_module, "_iterate", failing_at_step_4)
-        states, reports = time_march(prob, config)
+        states, reports = marched(prob, config)
         assert len(reports) == 4 and not reports[-1].converged
-        # initial, step 2, then step 3, the last converged
-        for got, want in zip(states, [reference[0], reference[2], reference[3]], strict=True):
+        # steps 1 to 3, then step 3 again, the last converged
+        for got, want in zip(states, reference + reference[-1:], strict=True):
             np.testing.assert_array_equal(got.vbar, want.vbar)
             np.testing.assert_array_equal(got.p, want.p)
 
@@ -638,7 +726,7 @@ class TestTimeMarch:
         # onto the same flow the steady solvers find
         prob = body_force_cavity(8, nu=1.0)
         steady, _ = solve(prob, SolverConfig(tol=1e-12, max_iter=10))
-        states, reports = time_march(
+        states, reports = marched(
             prob,
             SolverConfig(strategy="fixed_point", tol=1e-10, max_iter=30,
                          dt=5.0, n_steps=4),
@@ -724,7 +812,7 @@ class TestLinearizationOnDemand:
         (lambda: solve(lid_cavity(8, re=100), SolverConfig(tol=1e-10)), 1),
         (lambda: solve(body_force_cavity(8, re=20), SolverConfig(
             tol=1e-9, continuation=ContinuationConfig(10, 20, 1.5))), 3),
-        (lambda: time_march(lid_cavity(8, re=100), SolverConfig(tol=1e-10, dt=0.5, n_steps=3)),
+        (lambda: marched(lid_cavity(8, re=100), SolverConfig(tol=1e-10, dt=0.5, n_steps=3)),
          3),
     ], ids=["solve", "continuation", "time_march"])
     def test_one_tangent_per_iteration(self, monkeypatch, run, loops):
@@ -758,7 +846,7 @@ class TestLinearizationOnDemand:
         _, report = solve(lid_cavity(8, re=100), SolverConfig(tol=1e-10))
         assert report.stop_reason == "tol"
         assert len(systems) == report.iterations + 1 == len(builds) + 1
-        assert systems[-1].residual_norm == report.final_residual
+        assert systems[-1].residual == report.final_residual
         for system in systems[:-1]:
             system.matrix
         assert len(builds) == report.iterations
@@ -788,19 +876,18 @@ class TestConfigValidation:
             SolverConfig(strategy="secant")
 
     @pytest.mark.parametrize("settings", [
-        dict(dt=0.0), dict(dt=-0.1), dict(n_steps=-3), dict(snapshot_stride=0),
+        dict(dt=0.0), dict(dt=-0.1), dict(n_steps=-3), dict(n_steps=0),
         dict(max_iter=float("nan")), dict(max_iter=2.5), dict(max_iter=0),
-        dict(n_steps=float("nan")), dict(n_steps=1.5), dict(snapshot_stride=float("nan")),
+        dict(n_steps=float("nan")), dict(n_steps=1.5), dict(n_steps=True),
     ])
     def test_bad_march_settings(self, settings):
         with pytest.raises(ValueError):
             SolverConfig(**settings)
 
-    @pytest.mark.parametrize("name", ["max_iter", "n_steps", "snapshot_stride"])
+    @pytest.mark.parametrize("name", ["max_iter", "n_steps"])
     @pytest.mark.parametrize("value", [float("nan"), 2.5, True, -1])
     def test_count_fields_are_named_integers(self, name, value):
         # NaN and 2.5 used to pass, then escape a solve as a bare TypeError
-        # or keep only the first and last snapshots of a march
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             SolverConfig(**{name: value})
 
