@@ -95,8 +95,7 @@ def _cmd_study(args) -> int:
     outdir = _outdir(args)
     exit_code = 0
     for strategy in strategies:
-        config = _solver_config(args, target, strategy=strategy,
-                                max_iter=max(args.max_iter, 50))
+        config = _solver_config(args, target, strategy=strategy)
         table = convergence_study(build, levels, config)
         path = outdir / f"study_{strategy}.csv"
         os.makedirs(outdir, exist_ok=True)
@@ -130,13 +129,13 @@ def _cmd_march(args) -> int:
     return 0 if completed == args.steps else 2
 
 
-def _add_common(sub, strategies=("newton", "fixed_point"), steady=True):
+def _add_common(sub, strategies=("newton", "fixed_point"), steady=True, max_iter=25):
     sub.add_argument("--problem", required=True, choices=sorted(PROBLEM_BUILDERS))
     sub.add_argument("--re", type=float, default=None, help="Reynolds number")
     sub.add_argument("--nu", type=float, default=None, help="kinematic viscosity")
     sub.add_argument("--strategy", default="newton", choices=strategies)
     sub.add_argument("--tol", type=float, default=1e-8)
-    sub.add_argument("--max-iter", type=int, default=25, dest="max_iter")
+    sub.add_argument("--max-iter", type=int, default=max_iter, dest="max_iter")
     sub.add_argument("--out", default=None, help="output directory")
     if steady:
         sub.add_argument("--continuation-from", type=float, default=None,
@@ -146,26 +145,30 @@ def _add_common(sub, strategies=("newton", "fixed_point"), steady=True):
                          dest="continuation_factor")
 
 
-def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="vmsflow",
-        description="Stabilized multiscale finite elements for 2D incompressible flow",
-    )
-    parser.add_argument("--config", default=None,
-                        help="key = value file supplying default flags")
-    subs = parser.add_subparsers(dest="command", required=True)
+def _config_parser() -> argparse.ArgumentParser:
+    """The one reader of ``--config FILE`` and ``--config=FILE``, anywhere in argv."""
+    parser = argparse.ArgumentParser(prog="vmsflow", add_help=False, allow_abbrev=False)
+    parser.add_argument("--config", help="key = value file supplying default flags")
+    return parser
 
-    p_solve = subs.add_parser("solve", help="run one steady solve")
+
+def _parser() -> argparse.ArgumentParser:
+    # No parser takes abbreviations, so --n is not read as --nu, nor --conf as --config.
+    parser = argparse.ArgumentParser(
+        prog="vmsflow", parents=[_config_parser()], allow_abbrev=False,
+        description="Stabilized multiscale finite elements for 2D incompressible flow")
+    add = partial(parser.add_subparsers(dest="command", required=True).add_parser,
+                  allow_abbrev=False)
+
+    p_solve = add("solve", help="run one steady solve")
     _add_common(p_solve)
 
-    # Without abbreviations, so that a stray --n is not read as --nu.
-    p_study = subs.add_parser("study", help="mesh-refinement convergence study",
-                              allow_abbrev=False)
-    _add_common(p_study, strategies=("newton", "fixed_point", "both"))
+    p_study = add("study", help="mesh-refinement convergence study")
+    _add_common(p_study, strategies=("newton", "fixed_point", "both"), max_iter=50)
     p_study.add_argument("--levels", default="8,16,32,64",
                          help="comma-separated subdivision counts")
 
-    p_march = subs.add_parser("march", help="backward-Euler time marching")
+    p_march = add("march", help="backward-Euler time marching")
     _add_common(p_march, steady=False)
     p_march.add_argument("--dt", type=float, required=True)
     p_march.add_argument("--steps", type=int, required=True)
@@ -178,18 +181,14 @@ def _parser() -> argparse.ArgumentParser:
 
 def _config_file_args(argv: list[str]) -> list[str]:
     """Expand ``--config FILE`` into flag tokens placed before the CLI flags."""
-    if "--config" not in argv:
-        return argv
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
-        raise ValueError("--config needs a file argument")
-    path = argv[i + 1]
-    rest = argv[:i] + argv[i + 2:]
+    known, rest = _config_parser().parse_known_args(argv)
+    if known.config is None:
+        return rest
     try:
-        with open(path, encoding="ascii") as f:
+        with open(known.config, encoding="ascii") as f:
             lines = f.readlines()
     except (OSError, UnicodeDecodeError) as err:
-        raise ValueError(f"cannot read config file {path}: {err}") from err
+        raise ValueError(f"cannot read config file {known.config}: {err}") from err
     tokens: list[str] = []
     for line in lines:
         line = line.split("#", 1)[0].strip()

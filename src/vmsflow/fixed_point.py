@@ -75,9 +75,6 @@ class TauTensor:
     Ainv: np.ndarray   # (2, 2)
     A: np.ndarray      # (2, 2)
 
-    def at(self, bubble_value: float) -> np.ndarray:
-        return bubble_value * self.w_b * self.Ainv
-
 
 @dataclass(frozen=True)
 class FpElementSystem:

@@ -221,24 +221,20 @@ def backward_step_mesh(h: float = 0.25) -> Mesh:
     """
     if not h > 0:    # NaN fails it too
         raise ValueError(f"edge length h must be positive, got {h}")
-    upstream_len, downstream_len, step_height, channel_height = 1.0, 7.0, 0.5, 1.0
-    counts = []
-    for d in (upstream_len, downstream_len, step_height, channel_height - step_height):
-        c = d / h
-        if not c < np.inf:
-            raise ValueError(f"edge length h={h} is too small: {d}/h overflows")
-        if abs(c - round(c)) > 1e-9 or round(c) < 1:
-            raise ValueError(f"edge length h={h} does not divide geometric dimension {d}")
-        counts.append(int(round(c)))
-    n_up, n_down, n_step, _ = counts
-    nx = n_up + n_down
-    ny = int(round(channel_height / h))
+    # Every length of the channel is a multiple of the step height 0.5.
+    c = 0.5 / h
+    if not c < np.inf:
+        raise ValueError(f"edge length h={h} is too small: 0.5/h overflows")
+    k = round(c)
+    if abs(c - k) > 1e-9 or k < 1:
+        raise ValueError(f"edge length h={h} does not divide the step height 0.5")
+    n_up, n_step = 2 * k, k                    # cells upstream of and under the step
+    nx, ny = n_up + 14 * k, 2 * k              # 14k cells downstream, 2k across
     # The grid's nodes less those that touch only the solid corner.
     _check_node_count(f"backward_step_mesh(h={h})", (nx + 1) * (ny + 1) - n_up * n_step)
-    total_len = upstream_len + downstream_len
 
-    xs = np.linspace(0.0, total_len, nx + 1)
-    ys = np.linspace(0.0, channel_height, ny + 1)
+    xs = np.linspace(0.0, 8.0, nx + 1)
+    ys = np.linspace(0.0, 1.0, ny + 1)
 
     fluid = np.ones((nx, ny), dtype=bool)
     fluid[:n_up, :n_step] = False              # the solid corner below and before the step
@@ -253,7 +249,7 @@ def backward_step_mesh(h: float = 0.25) -> Mesh:
 
     def sides(mid):
         mx = mid[:, 0]
-        return [abs(mx) < _GEOM_TOL, abs(mx - total_len) < _GEOM_TOL,
+        return [abs(mx) < _GEOM_TOL, abs(mx - 8.0) < _GEOM_TOL,
                 np.ones(mx.shape, dtype=bool)]
 
     return _tagged_mesh(coords, tris, sides, ("inflow", "outflow", "walls"))

@@ -551,7 +551,8 @@ class Discretization:
 
 def _norm_of(disc: Discretization, Rvp, Rf) -> float:
     residual_vp = disc.global_vector(Rvp) - disc.traction
-    return float(np.sqrt(np.sum(residual_vp[disc.free] ** 2) + np.sum(Rf**2)))
+    with np.errstate(over="ignore"):        # inf, which the loop reads as divergence
+        return float(np.sqrt(np.sum(residual_vp[disc.free] ** 2) + np.sum(Rf**2)))
 
 
 def _linearization_part(index: int, doc: str) -> property:

@@ -3,7 +3,8 @@
 Reynolds numbers follow the usual benchmark convention: unit reference
 velocity and length for the cavities, and for the backward-facing step a
 unit peak inflow speed with the full channel height as length, so
-``nu = 1 / Re`` in every case.  The body-force-driven cavity keeps the
+``nu = 1 / Re`` in every case, and a builder refuses a Reynolds number
+outside [1e-100, 1e100].  The body-force-driven cavity keeps the
 same polynomial body force at every Reynolds number; its closed-form
 solution is attached only at unit viscosity, where it satisfies the
 momentum balance ``v . grad v - laplacian(v) + grad p = b`` exactly.
@@ -147,6 +148,8 @@ def _resolve_nu(re, nu):
         nu = 1.0 / re
     else:
         re = 1.0 / nu
+    if not 1e-100 <= re <= 1e100:      # past it, 1/given or nu squared overflows
+        raise ValueError(f"{name}={given:g} gives Reynolds number {re:g}, outside [1e-100, 1e100]")
     return float(re), float(nu)
 
 

@@ -2,7 +2,8 @@
 
 ``solve`` is the one steady entry point and ``time_march`` the transient
 one; a ``SolverConfig`` alone picks the strategy (Newton or fixed point)
-and, through ``continuation``, the Reynolds ladder ``solve`` climbs.
+and, through ``continuation``, the Reynolds ladder ``solve`` climbs (its
+rungs and their bound come from ``ContinuationConfig.ladder`` alone).
 ``time_march`` checks its inputs and builds its set-up at the call, then
 returns an iterator that yields each step's state and report.
 A problem object must expose ``mesh``, ``bc``, ``nu`` and ``body_force``
@@ -262,8 +263,8 @@ def _band_lu(A, kl: int, ku: int):
 class ContinuationConfig:
     """Reynolds ladder from ``re_start`` up to ``re_target`` in steps of ``factor``.
 
-    A ladder of more than ``MAX_RUNGS`` rungs, counted before any is
-    built, raises ``ValueError``.
+    Construction builds ``ladder()`` once, which raises ``ValueError`` as
+    soon as a rung past ``MAX_RUNGS`` would be added.
     """
 
     re_start: float
@@ -277,17 +278,21 @@ class ContinuationConfig:
         if not 0 < self.re_start <= self.re_target < np.inf:
             raise ValueError("continuation needs 0 < re_start <= re_target < inf, "
                              f"got {self.re_start}, {self.re_target}")
-        # Logs of each end, since re_target / re_start can overflow.
-        rungs = math.ceil((math.log(self.re_target) - math.log(self.re_start))
-                          / math.log(self.factor)) + 1
-        if rungs > MAX_RUNGS:
-            raise ValueError(f"continuation ladder of {rungs} rungs exceeds the limit of "
-                             f"{MAX_RUNGS}; raise re_start or the factor")
+        self.ladder()
 
     def ladder(self) -> list[float]:
+        """``re_start`` times powers of ``factor``, the first product within
+        1e-12 (relative) of ``re_target``, or past it, replaced by ``re_target``."""
+        target = self.re_target
         rungs = [self.re_start]
-        while rungs[-1] < self.re_target - 1e-12:
-            rungs.append(min(rungs[-1] * self.factor, self.re_target))
+        while target - rungs[-1] > 1e-12 * target:
+            if len(rungs) == MAX_RUNGS:     # logs of each end, as their ratio can overflow
+                count = math.ceil((math.log(target) - math.log(self.re_start))
+                                  / math.log(self.factor)) + 1
+                raise ValueError(f"continuation ladder of {count} rungs exceeds the limit of "
+                                 f"{MAX_RUNGS}; raise re_start or the factor")
+            rung = rungs[-1] * self.factor
+            rungs.append(rung if target - rung > 1e-12 * target else target)
         return rungs
 
 
@@ -310,15 +315,12 @@ class SolverConfig:
                              f"got {self.increment_tol}")
         if self.strategy not in ("newton", "fixed_point"):
             raise ValueError(f"unknown strategy '{self.strategy}'")
-        if self.dt is not None and not 0 < self.dt < np.inf:
-            raise ValueError(f"time step must be positive and finite, got dt={self.dt}")
-        counts = [("max_iter", 1)]
-        if self.n_steps is not None:
-            counts.append(("n_steps", 1))
-        for name, low in counts:
+        if self.dt is not None and not 1e-100 <= self.dt < np.inf:   # mass / dt overflows below
+            raise ValueError(f"time step must be positive, finite and >= 1e-100, got dt={self.dt}")
+        for name in ["max_iter"] + ["n_steps"] * (self.n_steps is not None):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-                raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -460,8 +462,9 @@ def solve(problem, config: SolverConfig, state0: State | None = None
     point also stops on the velocity increment (``increment_tol``), at the
     scheme's own fixed point, off the Newton solution by the stabilization
     approximation.  A ladder starts cold at ``re_start`` and warm-starts
-    each rung from the last; the first rung that fails ends it, and the
-    per-rung reports come back as ``sub_reports`` of (re, report) pairs.
+    each rung from the last; the first rung that fails ends it.  Its report
+    is the last rung's, with every rung's residual and increment histories
+    joined, iterations summed and (re, report) pairs as ``sub_reports``.
     Every rung shares one set-up, so ``problem.with_re`` must keep the
     body force.  ``dt``, ``n_steps`` and a ``state0`` carrying ``dt`` or
     ``vbar_prev`` belong to ``time_march``, and a ladder takes no
@@ -489,14 +492,14 @@ def solve(problem, config: SolverConfig, state0: State | None = None
             break
         state = state_out
     # Every rung before the last converged, so the last rung decides the flags.
-    return (state if state is not None else state_out), IterationReport(
+    increments = None if report.increment_history is None else \
+        np.concatenate([r.increment_history for _, r in subs])
+    return (state if state is not None else state_out), replace(
+        report,
         residual_history=np.concatenate([r.residual_history for _, r in subs]),
-        converged=report.converged,
-        diverged=report.diverged,
+        increment_history=increments,
         iterations=sum(r.iterations for _, r in subs),
         sub_reports=tuple(subs),
-        failure=report.failure,
-        stop_reason=report.stop_reason,
     )
 
 

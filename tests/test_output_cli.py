@@ -1,10 +1,13 @@
 """Field/profile/report writers and the command-line driver."""
 
 import dataclasses
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vmsflow.output as output_module
 import vmsflow.problems as problems_module
@@ -353,6 +356,24 @@ class TestCli:
         assert all(a is b for (a, _), (b, _) in zip(newton, fixed_point))
         assert [p.mesh.n_nodes for p, _ in newton] == [25, 49, 81]
 
+    def test_study_takes_max_iter_as_given(self, tmp_path, monkeypatch):
+        # --max-iter 1 used to be raised to 50, so this study converged
+        configs = []
+
+        def recording(problem, config):
+            configs.append(config)
+            return solve(problem, config)
+
+        monkeypatch.setattr(problems_module, "solve", recording)
+        study = ["study", "--problem", "body_force_cavity", "--nu", "1", "--levels", "4,8,12"]
+        assert run_cli(study + ["--max-iter", "1", "--out", str(tmp_path / "one")]) == 2
+        rows = (tmp_path / "one" / "study_newton.csv").read_text().splitlines()
+        assert [row for row in rows if not row.startswith("#")] == [
+            "h,l2_velocity,h1_semi_pressure,l2_pressure"]
+        assert [c.max_iter for c in configs] == [1]
+        assert run_cli(study + ["--out", str(tmp_path / "default")]) == 0
+        assert [c.max_iter for c in configs] == [1, 50, 50, 50]
+
     def test_study_without_exact_solution_leaves_no_directory(self, tmp_path):
         out = tmp_path / "d"
         assert run_cli(["study", "--problem", "lid_cavity", "--re", "100",
@@ -467,6 +488,24 @@ class TestCli:
         assert "error: bad config line (want key = value): 'problem lid_cavity'" in \
             capsys.readouterr().err
 
+    def test_config_is_read_in_both_forms_and_never_abbreviated(self, tmp_path, capsys):
+        # --config=F used to be accepted and the file never read, and --conf F
+        # taken for --config
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 8\n")
+        solve_argv = ["solve", "--problem", "lid_cavity", "--re", "100"]
+        for i, config in enumerate(([f"--config={cfg}"], ["--config", str(cfg)])):
+            out = tmp_path / str(i)
+            assert run_cli(config + solve_argv + ["--out", str(out)]) == 0
+            assert "POINTS 81 double" in (out / "field.vtk").read_text()
+        capsys.readouterr()
+        for argv in (["--conf", str(cfg)] + solve_argv, solve_argv + ["--conf", str(cfg)],
+                     solve_argv + ["--prob", "lid_cavity"]):
+            out = tmp_path / "abbreviated"
+            assert run_cli(argv + ["--out", str(out)]) == 1
+            assert "usage:" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_env_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("VMSFLOW_OUTDIR", str(tmp_path / "envout"))
         code = run_cli([
@@ -474,3 +513,90 @@ class TestCli:
         ])
         assert code == 0
         assert (tmp_path / "envout" / "summary.txt").exists()
+
+
+# Valid and invalid values of every flag, for the run_cli property.  The
+# valid ones keep each run small: n <= 16, h = 0.5, at most 2 steps, two
+# level sets and short ladders; both lists hold the edges of the ranges.
+CLI_VALUES = {
+    "--problem": (["lid_cavity", "body_force_cavity", "backward_step"], ["step", ""]),
+    "--re": (["100", "20", "1", "1e100", "1e-100"],
+             ["1e101", "1e-101", "5e-324", "0", "-5", "nan", "inf", "x"]),
+    "--nu": (["1", "0.05", "1e100", "1e-100"], ["1e300", "1e-300", "5e-324", "0", "nan", "x"]),
+    "--strategy": (["newton", "fixed_point"], ["both", "picard"]),
+    "--tol": (["1e-8", "1e-3", "1e308"], ["0", "-1", "nan", "inf", "x"]),
+    "--max-iter": (["1", "3", "25"], ["0", "-2", "1.5", "x"]),
+    "--out": (["{dir}/out"], ["{cfg}"]),
+    "--continuation-from": (["50", "20"], ["1e-300", "0", "-1", "nan", "x"]),
+    "--continuation-factor": (["2", "1.5", "inf"], ["1", "0.5", "nan", "x"]),
+    "--n": (["8", "16"], ["4", "0", "1", "-8", "x"]),
+    "--h": (["0.5"], ["0.3", "0", "-0.5", "nan", "1e-300", "x"]),
+    "--dt": (["0.1", "1e6", "1e-100"], ["1e-300", "5e-324", "0", "-1", "nan", "inf", "x"]),
+    "--steps": (["1", "2"], ["0", "-1", "x"]),
+    "--levels": (["4,6,8", "4,8,12"], ["8,4,12", "4,8", "4,,8", "", "x"]),
+}
+COMMON = ["--re", "--nu", "--strategy", "--tol", "--max-iter", "--out"]
+LADDER = ["--continuation-from", "--continuation-factor"]
+CLI_FLAGS = {"solve": COMMON + LADDER + ["--n", "--h"],
+             "study": COMMON + LADDER + ["--levels"],
+             "march": COMMON + ["--n", "--h", "--dt", "--steps"]}
+CLI_JUNK = st.sampled_from(["", "-", "--", "-x", "--bogus", "=", "--n=", "--re=x", "solve",
+                            "\u00e9", "\x00", "-h"]) | st.text("abcdefinxy", max_size=4)
+
+
+@st.composite
+def cli_runs(draw):
+    """(argv, config file bytes) of one run_cli call; argv holds ``{cfg}`` and
+    ``{dir}`` where the config file's and a directory's paths go.
+
+    A tame run gives its command only its own flags, with valid values,
+    and perhaps a config file of more of them; a hostile one adds invalid
+    values, flags of other commands, bad config flags, files and paths,
+    and junk tokens.
+    """
+    hostile = draw(st.booleans())
+
+    def value(flag):
+        valid, invalid = CLI_VALUES[flag]
+        return st.sampled_from(valid + invalid if hostile else valid)
+
+    command = draw(st.sampled_from(["solve", "study", "march"] + ["stud"] * hostile))
+    flags = CLI_FLAGS.get(command, CLI_FLAGS["solve"])
+    # every size is given, so that no default builds a larger mesh
+    required = ["--problem", draw(st.sampled_from(["--re", "--nu"]))]
+    required += {"study": ["--levels"], "march": ["--n", "--h", "--dt", "--steps"]}.get(
+        command, ["--n", "--h"])
+    optional = [f for f in (sorted(CLI_VALUES) if hostile else flags) if f not in ("--re", "--nu")]
+    tokens = [command]
+    for flag in required + draw(st.lists(st.sampled_from(optional), max_size=3)):
+        tokens += [flag, draw(value(flag))]
+    if draw(st.booleans()):
+        if hostile:
+            path = draw(st.sampled_from(["{cfg}", "{dir}", "{dir}/missing"]))
+            forms = [["--config", path], [f"--config={path}"], ["--conf", path], ["--config"]]
+        else:
+            forms = [["--config", "{cfg}"], ["--config={cfg}"]]
+        tokens[0:0] = draw(st.sampled_from(forms))
+        if hostile:      # anywhere
+            tokens.insert(draw(st.integers(0, len(tokens))), tokens.pop(0))
+    for junk in draw(st.lists(CLI_JUNK, max_size=2 * hostile)):
+        tokens.insert(draw(st.integers(0, len(tokens))), junk)
+    lines = st.sampled_from(optional).flatmap(
+        lambda flag: value(flag).map(lambda v: f"{flag[2:]} = {v}"))
+    content = st.lists(lines, max_size=3).map(lambda ls: "\n".join(ls).encode())
+    return tokens, draw(content | st.binary(max_size=64) if hostile else content)
+
+
+@settings(max_examples=100, deadline=None)
+@given(run=cli_runs())
+def test_run_cli_only_returns_an_exit_code(run):
+    # every run ends in 0, 1 or 2, and no exception (a RuntimeWarning is one) escapes
+    argv, content = run
+    # the working directory is temporary too: a path in the config file stays
+    # as drawn, so its "{dir}" is a relative directory
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setenv("VMSFLOW_OUTDIR", f"{tmp}/env")
+        mp.chdir(tmp)
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_bytes(content)
+        assert run_cli([tok.format(cfg=cfg, dir=tmp) for tok in argv]) in (0, 1, 2)

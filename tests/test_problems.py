@@ -6,6 +6,8 @@ coded in factored form in ``helpers``, substituted into the momentum
 balance must reproduce the transcribed force pointwise.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,22 @@ class TestProblemBuilders:
     def test_viscosity_checked_before_inversion(self, builder, name, value):
         with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
             builder(**{name: value})
+
+    @pytest.mark.parametrize("builder", [
+        lambda **kw: body_force_cavity(8, **kw), lambda **kw: lid_cavity(8, **kw),
+        lambda **kw: backward_step(h=0.5, **kw),
+    ], ids=["body_force_cavity", "lid_cavity", "backward_step"])
+    @pytest.mark.parametrize("name, value, reynolds", [
+        ("re", 1e-101, "1e-101"), ("nu", 1e101, "1e-101"), ("re", 1e101, "1e+101"),
+        ("nu", 5e-324, "inf"), ("re", 5e-324, "4.94066e-324"),
+    ], ids=["re_low", "nu_high", "re_high", "nu_subnormal", "re_subnormal"])
+    def test_reynolds_number_outside_its_range_is_named(self, builder, name, value, reynolds):
+        # nu=1e300 used to overflow in the solve, and re=5e-324 to give nu=inf
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name}={value:g} gives Reynolds number {reynolds}, outside [1e-100, 1e100]")):
+            builder(**{name: value})
+        builder(**{name: 1e100 if name == "re" else 1e-100})
+        builder(**{name: 1e-100 if name == "re" else 1e100})
 
     def test_minimum_sizes(self):
         with pytest.raises(ValueError):

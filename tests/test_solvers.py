@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import vmsflow.newton as newton_module
@@ -508,6 +508,58 @@ class TestContinuation:
         np.testing.assert_allclose(ladder[:-1], 15 * 1.1 ** np.arange(len(ladder) - 1))
         assert ladder[-2] < 150
 
+    @settings(max_examples=200, deadline=None)
+    @given(re_start=st.floats(1e-3, 1e4), factor=st.floats(1.01, 2.0),
+           k=st.integers(0, solve_module.MAX_RUNGS + 1),
+           offset=st.sampled_from([0.0, 5e-13, -5e-13, 2e-12, -2e-12]) | st.floats(-0.5, 0.5))
+    def test_ladder_climbs_by_factor_to_the_target(self, re_start, factor, k, offset):
+        # the target is re_start * factor**k, moved by a relative offset
+        re_target = re_start * factor**k * (1 + offset)
+        assume(re_start <= re_target)
+        try:
+            rungs = ContinuationConfig(re_start, re_target, factor).ladder()
+        except ValueError as err:
+            assert "exceeds the limit" in str(err)
+            # the rungs needed, less one: more than MAX_RUNGS - 1
+            assert k + math.log1p(offset) / math.log(factor) > solve_module.MAX_RUNGS - 1 - 1e-6
+            return
+        assert len(rungs) <= solve_module.MAX_RUNGS
+        assert rungs[0] == re_start
+        if re_target - re_start <= 1e-12 * re_target:
+            assert rungs == [re_start]
+        else:
+            assert rungs[-1] == re_target
+        # each rung is more than 1e-12 (relative) above the last, and not more
+        # than that above factor times it: the ratio lies in (1 + 1e-12, factor (1 + 1e-12)]
+        for a, b in zip(rungs, rungs[1:]):
+            assert b - a > 1e-12 * b
+            assert b - a * factor <= 1e-12 * b
+        if abs(offset) <= 5e-13:
+            assert len(rungs) == k + 1
+
+    def test_ladder_length_is_the_bound_count(self):
+        # the first was rejected as 1001 rungs yet built 1000, and the second
+        # built 42, solving Re ~ 7523 twice, 2.2e-16 apart
+        assert len(ContinuationConfig(1, 1.1**999, 1.1).ladder()) == solve_module.MAX_RUNGS
+        rungs = ContinuationConfig(1, 1.25**40, 1.25).ladder()
+        assert len(rungs) == 41
+        assert rungs[-1] == 1.25**40
+
+    def test_fixed_point_ladder_joins_the_increment_histories(self):
+        # the ladder's report used to drop them, and residuals.csv its increment column
+        prob = body_force_cavity(8, re=20)
+        cfg = SolverConfig(strategy="fixed_point", tol=1e-9, max_iter=30,
+                           continuation=ContinuationConfig(10, 20, 1.5))
+        _, report = solve(prob, cfg)
+        rungs = [r for _, r in report.sub_reports]
+        assert len(rungs) == 3
+        np.testing.assert_array_equal(report.increment_history,
+                                      np.concatenate([r.increment_history for r in rungs]))
+        assert report.iterations == sum(r.iterations for r in rungs) == \
+            report.increment_history.size
+        assert (report.converged, report.stop_reason) == (rungs[-1].converged,
+                                                          rungs[-1].stop_reason)
+
     def test_single_rung_identical_to_direct(self):
         prob = body_force_cavity(8, re=40)
         cfg = SolverConfig(tol=1e-10, max_iter=15,
@@ -804,6 +856,13 @@ class TestFailurePaths:
         assert chain.stop_reason == chain.sub_reports[-1][1].stop_reason == "linear_failure"
         assert chain.failure == "late failure"
 
+    def test_overflowing_residual_is_divergence(self):
+        # at Re=1e100 the first Newton step is about 1/nu; the squares of its
+        # residual used to overflow with a RuntimeWarning
+        _, report = solve(body_force_cavity(8, re=1e100), SolverConfig())
+        assert report.stop_reason == "diverged"
+        assert report.residual_history.tolist() == [np.inf]
+
 
 class TestLinearizationOnDemand:
     """Newton builds the tangent of an iterate only when it updates from it."""
@@ -951,6 +1010,14 @@ class TestConfigValidation:
     def test_nan_solver_setting_rejected(self, field, message):
         with pytest.raises(ValueError, match=message):
             SolverConfig(**{field: float("nan")})
+
+    def test_time_step_below_its_floor_rejected(self):
+        # the mass term over dt=5e-324 used to overflow in the first assembly
+        SolverConfig(dt=1e-100)
+        for dt in (9e-101, 5e-324):
+            with pytest.raises(ValueError, match="time step must be positive, finite and "
+                                                 ">= 1e-100"):
+                SolverConfig(dt=dt)
 
     @pytest.mark.parametrize("field", ["tol", "increment_tol", "dt"])
     def test_infinite_solver_setting_rejected(self, field):
