@@ -14,72 +14,15 @@ carried by a cubic bubble.  Two nonlinear strategies are provided:
 
 ``vmsflow.solve.solve`` is the one steady entry point: its ``SolverConfig``
 alone picks the strategy and, through a ``ContinuationConfig``, any
-Reynolds continuation ladder.
+Reynolds continuation ladder; ``vmsflow.solve.time_march`` is the
+transient one.  ``vmsflow.mesh`` builds the meshes and the DOF numbering,
+and ``vmsflow.fem`` holds the reference element and quadrature.
 ``vmsflow.problems`` defines the benchmark cases (body-force-driven
 cavity with manufactured solution, lid-driven cavity, backward-facing
-step) and the error norms used in convergence studies; ``vmsflow.cli``
-exposes them as the ``vmsflow`` command.
+step) and the error norms used in convergence studies;
+``vmsflow.output`` writes the result files, and ``vmsflow.cli`` exposes
+all of it as the ``vmsflow`` command.  Each name is imported from its
+module; the package root re-exports none.
 """
 
-from vmsflow.fem import (
-    DegenerateElementError,
-    QuadratureRule,
-    triangle_quadrature,
-)
-from vmsflow.mesh import (
-    BoundaryConditions,
-    DofMap,
-    Mesh,
-    backward_step_mesh,
-    build_dof_map,
-    elimination_order,
-    nested_dissection,
-    read_mesh,
-    unit_square_mesh,
-    write_mesh,
-)
-from vmsflow.newton import (
-    CondensedElement,
-    Discretization,
-    ElementResiduals,
-    ElementTangent,
-    FineScaleSingularError,
-    State,
-    assemble_system,
-    condense,
-    element_residuals,
-    element_tangent,
-    recover_fine_scale,
-)
-from vmsflow.fixed_point import (
-    FpElementSystem,
-    TauSingularError,
-    TauTensor,
-    compute_tau,
-    fp_assemble,
-    fp_element_system,
-)
-from vmsflow.solve import (
-    ContinuationConfig,
-    Factorization,
-    IterationReport,
-    LinearSolveError,
-    SolverConfig,
-    factorize,
-    linear_solve,
-    time_march,
-)
-from vmsflow.problems import (
-    ConvergenceTable,
-    ErrorNorms,
-    ExactSolution,
-    ProblemSpec,
-    backward_step,
-    body_force_cavity,
-    convergence_study,
-    error_norms,
-    lid_cavity,
-)
-
-__all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -110,9 +110,9 @@ def _cmd_study(args) -> int:
 
 def _cmd_march(args) -> int:
     problem = _build_problem(args)
-    config = _solver_config(args, problem, dt=args.dt, n_steps=args.steps)
+    config = _solver_config(args, problem)
     reports = []
-    for state, report in time_march(problem, config):
+    for state, report in time_march(problem, config, args.dt, args.steps):
         reports.append(report)
     completed = sum(r.converged for r in reports)      # the step field.vtk holds
     outdir = _outdir(args)

@@ -146,9 +146,8 @@ def write_march(reports: list[IterationReport], path) -> None:
 def write_summary(report: IterationReport, path, extra: dict | None = None) -> None:
     """``key: value`` lines, ``extra`` first, then the rungs of a continuation."""
     lines = [*(extra or {}).items(), ("iterations", report.iterations),
-             ("converged", report.converged), ("diverged", report.diverged)]
-    if report.stop_reason:
-        lines.append(("stop_reason", report.stop_reason))
+             ("converged", report.converged), ("diverged", report.diverged),
+             ("stop_reason", report.stop_reason)]
     if report.iterations:
         lines.append(("final_residual", f"{report.final_residual:.17g}"))
     if report.failure:

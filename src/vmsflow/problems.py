@@ -6,8 +6,9 @@ unit peak inflow speed with the full channel height as length, so
 ``nu = 1 / Re`` in every case, and a builder refuses a Reynolds number
 outside [1e-100, 1e100].  The body-force-driven cavity keeps the
 same polynomial body force at every Reynolds number; its closed-form
-solution is attached only at unit viscosity, where it satisfies the
-momentum balance ``v . grad v - laplacian(v) + grad p = b`` exactly.
+solution is a problem's ``exact`` only at unit viscosity, where it
+satisfies the momentum balance ``v . grad v - laplacian(v) + grad p = b``
+exactly.
 """
 
 from __future__ import annotations
@@ -123,15 +124,20 @@ class ProblemSpec:
     bc: BoundaryConditions
     nu: float
     body_force: Callable | None
-    exact: ExactSolution | None = None
     re: float | None = None
 
+    @property
+    def exact(self) -> ExactSolution | None:
+        """The cavity's closed-form solution, which holds only with the cavity's
+        body force at unit viscosity; None otherwise."""
+        if self.body_force is cavity_body_force and self.nu == 1.0:
+            return cavity_exact_solution()
+        return None
+
     def with_re(self, re: float) -> "ProblemSpec":
-        """The same mesh, boundary data and body force at another Reynolds number,
-        with the ``exact`` that a fresh build there attaches (see ``body_force_cavity``)."""
+        """The same mesh, boundary data and body force at another Reynolds number."""
         re, nu = _resolve_nu(re, None)
-        known = self.body_force is cavity_body_force and nu == 1.0
-        return replace(self, re=re, nu=nu, exact=cavity_exact_solution() if known else None)
+        return replace(self, re=re, nu=nu)
 
 
 def _zero_velocity(points):
@@ -158,16 +164,15 @@ def body_force_cavity(n: int, re: float | None = None, nu: float | None = None
     """Body-force-driven cavity on the unit square, no-slip everywhere.
 
     The pressure is pinned at the node nearest the origin to the value
-    of the manufactured pressure there; the closed-form solution is
-    attached only at unit viscosity.
+    of the manufactured pressure there; the closed-form solution is its
+    ``exact`` only at unit viscosity.
     """
     if n < 4:
         raise ValueError(f"body_force_cavity needs n >= 4, got {n}")
     re, nu = _resolve_nu(re, nu)
     mesh = unit_square_mesh(n)
-    exact = cavity_exact_solution()
     pin_node = int(np.argmin(np.einsum("ni,ni->n", mesh.node_coords, mesh.node_coords)))
-    pin_value = float(exact.pressure(mesh.node_coords[pin_node]))
+    pin_value = float(cavity_exact_solution().pressure(mesh.node_coords[pin_node]))
     bc = BoundaryConditions(
         dirichlet={tag: _zero_velocity for tag in ("left", "right", "bottom", "top")},
         pressure_pin=(pin_node, pin_value),
@@ -178,7 +183,6 @@ def body_force_cavity(n: int, re: float | None = None, nu: float | None = None
         bc=bc,
         nu=nu,
         body_force=cavity_body_force,
-        exact=exact if nu == 1.0 else None,
         re=re,
     )
 
@@ -299,17 +303,25 @@ _NORM_FIELDS = ("l2_velocity", "h1_semi_pressure", "l2_pressure")
 
 @dataclass(frozen=True)
 class ConvergenceTable:
-    """Mesh-refinement errors with least-squares convergence rates."""
+    """Mesh-refinement errors and the solve of each level, from which the
+    least-squares convergence rates and ``complete`` derive."""
 
     rows: tuple[tuple[float, ErrorNorms], ...]
-    rates: dict[str, float]
     reports: tuple[IterationReport, ...] = ()
-    complete: bool = True
 
     def __post_init__(self):
         hs = [h for h, _ in self.rows]
         if any(b >= a for a, b in zip(hs, hs[1:])):
             raise ValueError("mesh sizes must decrease strictly down the table")
+
+    @property
+    def rates(self) -> dict[str, float]:
+        return fit_rates(self.rows)
+
+    @property
+    def complete(self) -> bool:
+        """Whether every solve converged, so that every level has its row."""
+        return all(r.converged for r in self.reports)
 
 
 def fit_rates(rows) -> dict[str, float]:
@@ -330,11 +342,11 @@ def convergence_study(problem_factory: Callable[[int], ProblemSpec],
     """Solve a mesh family and tabulate errors against the exact solution.
 
     ``problem_factory`` maps a subdivision count to a problem whose
-    ``exact`` field is set; ``h = 1/n`` is recorded per row.  ``solve``
+    ``exact`` is set; ``h = 1/n`` is recorded per row.  ``solve``
     runs every level with ``config`` (default: Newton, tol 1e-10, 50
     iterations).  At least three strictly increasing counts are checked
-    before any solve.  A level that fails to converge ends the study and
-    the partial table is returned with ``complete=False``.
+    before any solve.  A level that fails to converge ends the study, and
+    the partial table is returned (its ``complete`` is False).
     """
     ns = list(ns)
     if len(ns) < 3:
@@ -345,18 +357,11 @@ def convergence_study(problem_factory: Callable[[int], ProblemSpec],
         config = SolverConfig(tol=1e-10, max_iter=50)
     rows = []
     reports = []
-    complete = True
     for n in ns:
         problem = problem_factory(n)
         state, report = solve(problem, config)
         reports.append(report)
         if not report.converged:
-            complete = False
             break
         rows.append((1.0 / n, error_norms(state, problem.exact, problem.mesh)))
-    return ConvergenceTable(
-        rows=tuple(rows),
-        rates=fit_rates(rows),
-        reports=tuple(reports),
-        complete=complete,
-    )
+    return ConvergenceTable(rows=tuple(rows), reports=tuple(reports))

@@ -4,8 +4,9 @@
 one; a ``SolverConfig`` alone picks the strategy (Newton or fixed point)
 and, through ``continuation``, the Reynolds ladder ``solve`` climbs (its
 rungs and their bound come from ``ContinuationConfig.ladder`` alone).
-``time_march`` checks its inputs and builds its set-up at the call, then
-returns an iterator that yields each step's state and report.
+``time_march`` takes its step size and count as arguments, checks its
+inputs and builds its set-up at the call, then returns an iterator that
+yields each step's state and report.
 A problem object must expose ``mesh``, ``bc``, ``nu`` and ``body_force``
 attributes (``vmsflow.problems.ProblemSpec`` does); a ladder also needs a
 ``with_re`` that keeps the mesh, boundary data and body force and
@@ -296,13 +297,16 @@ class ContinuationConfig:
         return rungs
 
 
+def _check_count(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     strategy: str = "newton"          # "newton" or "fixed_point"
     tol: float = 1e-8                 # absolute tolerance on the residual 2-norm
     max_iter: int = 25
-    dt: float | None = None
-    n_steps: int | None = None
     continuation: ContinuationConfig | None = None
     increment_tol: float | None = None  # fixed-point stagnation tolerance; tol if None
 
@@ -315,38 +319,68 @@ class SolverConfig:
                              f"got {self.increment_tol}")
         if self.strategy not in ("newton", "fixed_point"):
             raise ValueError(f"unknown strategy '{self.strategy}'")
-        if self.dt is not None and not 1e-100 <= self.dt < np.inf:   # mass / dt overflows below
-            raise ValueError(f"time step must be positive, finite and >= 1e-100, got dt={self.dt}")
-        for name in ["max_iter"] + ["n_steps"] * (self.n_steps is not None):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+        _check_count("max_iter", self.max_iter)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class IterationReport:
-    """Residual history and outcome flags of one nonlinear solve.
+    """Residual history and stop reason of one nonlinear solve, and the flags
+    derived from them.
 
-    ``iterations`` equals ``len(residual_history)``; the fixed-point
-    strategy additionally records the velocity-increment norm of every
-    update.  Divergence means the residual grew past
-    ``DIVERGENCE_RATIO`` times its running minimum, stopped being
-    finite, or a linear/stabilization failure ended the iteration (the
-    message is kept in ``failure``).  ``stop_reason`` is ``tol``,
-    ``increment``, ``max_iter``, ``diverged``, ``linear_failure``,
-    ``fine_scale_singular`` or ``tau_singular``.  A singular fine-scale
-    block is detected only when a Newton linearization is built, so the
-    iterate whose residual stops the solve is never checked for one.
+    ``stop_reason`` is ``tol``, ``increment``, ``max_iter``, ``diverged``,
+    ``linear_failure``, ``fine_scale_singular`` or ``tau_singular``; the
+    first two mean ``converged``, and every one but those and ``max_iter``
+    means ``diverged``: the residual grew past ``DIVERGENCE_RATIO`` times
+    its running minimum or stopped being finite, or a linear/stabilization
+    failure ended the iteration (the message is kept in ``failure``).
+    ``iterations`` is ``len(residual_history)``; the fixed-point strategy
+    additionally records the velocity-increment norm of every update.  A
+    singular fine-scale block is detected only when a Newton linearization
+    is built, so the iterate whose residual stops the solve is never
+    checked for one.
+
+    A report may instead be built from the flags ``converged``, ``diverged``
+    and ``iterations`` (the benchmark's gate test does): with no
+    ``stop_reason`` they give ``tol``, ``diverged`` or ``max_iter``.  They
+    are checked, never stored, so a flag that contradicts the report's own
+    data raises ``ValueError``.
     """
 
     residual_history: np.ndarray
-    converged: bool
-    diverged: bool
-    iterations: int
+    stop_reason: str
     increment_history: np.ndarray | None = None
     sub_reports: tuple = ()
     failure: str | None = None
-    stop_reason: str | None = None
+
+    def __init__(self, residual_history, stop_reason=None, increment_history=None,
+                 sub_reports=(), failure=None, *, converged=None, diverged=None,
+                 iterations=None):
+        if stop_reason is None:
+            if converged is None:
+                raise TypeError("IterationReport needs a stop_reason or converged")
+            stop_reason = "tol" if converged else "diverged" if diverged else "max_iter"
+        for name, value in (("residual_history", residual_history),
+                            ("stop_reason", stop_reason),
+                            ("increment_history", increment_history),
+                            ("sub_reports", sub_reports), ("failure", failure)):
+            object.__setattr__(self, name, value)
+        for name, given in (("converged", converged), ("diverged", diverged),
+                            ("iterations", iterations)):
+            if given is not None and given != getattr(self, name):
+                raise ValueError(f"{name}={given!r} contradicts stop_reason "
+                                 f"'{stop_reason}' with {self.iterations} residuals")
+
+    @property
+    def iterations(self) -> int:
+        return len(self.residual_history)
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason in ("tol", "increment")
+
+    @property
+    def diverged(self) -> bool:
+        return not self.converged and self.stop_reason != "max_iter"
 
     @property
     def final_residual(self) -> float:
@@ -445,12 +479,9 @@ def _iterate(disc: Discretization, nu: float, config: SolverConfig, state0: Stat
 
     return state, IterationReport(
         residual_history=np.array(history),
-        converged=stop in ("tol", "increment"),
-        diverged=stop not in ("tol", "increment", "max_iter"),
-        iterations=len(history),
+        stop_reason=stop,
         increment_history=np.array(increments) if tracks_increment else None,
         failure=failure,
-        stop_reason=stop,
     )
 
 
@@ -464,14 +495,12 @@ def solve(problem, config: SolverConfig, state0: State | None = None
     approximation.  A ladder starts cold at ``re_start`` and warm-starts
     each rung from the last; the first rung that fails ends it.  Its report
     is the last rung's, with every rung's residual and increment histories
-    joined, iterations summed and (re, report) pairs as ``sub_reports``.
-    Every rung shares one set-up, so ``problem.with_re`` must keep the
-    body force.  ``dt``, ``n_steps`` and a ``state0`` carrying ``dt`` or
-    ``vbar_prev`` belong to ``time_march``, and a ladder takes no
-    ``state0``; each of these raises ``ValueError``.
+    joined (so its iterations are their sum) and (re, report) pairs as
+    ``sub_reports``.  Every rung shares one set-up, so ``problem.with_re``
+    must keep the body force.  A ``state0`` carrying ``dt`` or
+    ``vbar_prev`` belongs to ``time_march``, and a ladder takes no
+    ``state0``; each raises ``ValueError``.
     """
-    if config.dt is not None or config.n_steps is not None:
-        raise ValueError("dt and n_steps configure time_march; a steady solve takes neither")
     if state0 is not None and config.continuation is not None:
         raise ValueError("a continuation ladder starts cold; it takes no state0")
     if state0 is not None and (state0.dt is not None or state0.vbar_prev is not None):
@@ -491,48 +520,52 @@ def solve(problem, config: SolverConfig, state0: State | None = None
         if not report.converged:
             break
         state = state_out
-    # Every rung before the last converged, so the last rung decides the flags.
+    # Every rung before the last converged, so the last rung's stop reason is the ladder's.
     increments = None if report.increment_history is None else \
         np.concatenate([r.increment_history for _, r in subs])
     return (state if state is not None else state_out), replace(
         report,
         residual_history=np.concatenate([r.residual_history for _, r in subs]),
         increment_history=increments,
-        iterations=sum(r.iterations for _, r in subs),
         sub_reports=tuple(subs),
     )
 
 
-def time_march(problem, config: SolverConfig, state0: State | None = None
-               ) -> Iterator[tuple[State, IterationReport]]:
-    """Backward-Euler marching with the configured nonlinear strategy.
+def time_march(problem, config: SolverConfig, dt: float, n_steps: int,
+               state0: State | None = None) -> Iterator[tuple[State, IterationReport]]:
+    """Backward-Euler marching, ``n_steps`` steps of size ``dt``, with the
+    configured nonlinear strategy.
 
     The inputs are checked and the one set-up is built before any step: a
-    missing ``dt`` or ``n_steps``, a continuation, or a ``state0`` that
-    does not fit the mesh raises ``ValueError`` at the call.  The returned
-    iterator then runs the steps, from ``state0`` or the lifted zero state.
-    Every step solves the transient nonlinear problem with the previous
-    step's velocity in the acceleration term, warm-started from that same
-    state, and yields a copy of the state the march holds after it, with
-    the step's report.  An unconverged step yields the last converged state
-    and ends the march.  The set-up lives until the iterator is exhausted
-    or dropped.
+    ``dt`` outside [1e-100, inf) (the mass term over ``dt`` overflows
+    below), an ``n_steps`` that is not an integer of at least 1, a
+    continuation, or a ``state0`` that does not fit the mesh raises
+    ``ValueError`` at the call.  The returned iterator then runs the
+    steps, from ``state0`` or the lifted zero state.  Every step solves the
+    transient nonlinear problem with the previous step's velocity in the
+    acceleration term, warm-started from that same state, and yields a
+    copy of the state the march holds after it, with the step's report.
+    An unconverged step yields the last converged state and ends the
+    march.  The set-up lives until the iterator is exhausted or dropped.
     """
-    if config.dt is None or config.n_steps is None:
-        raise ValueError("time_march needs dt and n_steps in the configuration")
+    # Each check is written so that NaN fails it.
+    if not 1e-100 <= dt < np.inf:
+        raise ValueError(f"time step must be positive, finite and >= 1e-100, got dt={dt}")
+    _check_count("n_steps", n_steps)
     if config.continuation is not None:
         raise ValueError("time_march does not run a continuation ladder")
     if state0 is not None:
         _check_fits(state0, problem.mesh)
     disc = _setup(problem)
     state = lifted_state(problem.mesh, disc.dofmap) if state0 is None else state0.copy()
-    return _march(disc, problem.nu, config, state)
+    return _march(disc, problem.nu, config, dt, n_steps, state)
 
 
-def _march(disc: Discretization, nu: float, config: SolverConfig, state: State):
+def _march(disc: Discretization, nu: float, config: SolverConfig, dt: float, n_steps: int,
+           state: State):
     """The steps of ``time_march`` from ``state``, each yielding (state copy, report)."""
-    for _ in range(config.n_steps):
-        start = replace(state, dt=config.dt, vbar_prev=state.vbar)  # _iterate copies it
+    for _ in range(n_steps):
+        start = replace(state, dt=dt, vbar_prev=state.vbar)  # _iterate copies it
         stepped, report = _iterate(disc, nu, config, start)
         if report.converged:
             state = stepped

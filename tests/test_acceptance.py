@@ -391,7 +391,7 @@ def test_criterion_8_transient_sanity():
     steady, steady_rep = solve(prob, SolverConfig(tol=1e-11, max_iter=20))
     assert steady_rep.converged
     states, reports = zip(*time_march(
-        prob, SolverConfig(tol=1e-8, max_iter=5, dt=0.1, n_steps=10), state0=steady
+        prob, SolverConfig(tol=1e-8, max_iter=5), 0.1, 10, state0=steady
     ))
     drift = max(np.abs(s.vbar - steady.vbar).max() for s in states)
     march_ok = (len(reports) == 10 and all(r.converged for r in reports)
@@ -405,9 +405,7 @@ def test_criterion_8_transient_sanity():
     # limit dt -> infinity are checked against the steady solve
     vbar, converged = {}, {}
     for dt in (1e6, 1e7):
-        [(state, report)] = time_march(
-            prob, SolverConfig(tol=1e-11, max_iter=20, dt=dt, n_steps=1)
-        )
+        [(state, report)] = time_march(prob, SolverConfig(tol=1e-11, max_iter=20), dt, 1)
         vbar[dt], converged[dt] = state.vbar, report.converged
     dev6, dev7 = vbar[1e6] - steady.vbar, vbar[1e7] - steady.vbar
     scale = float(np.abs(dev6).max())

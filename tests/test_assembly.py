@@ -222,7 +222,7 @@ def test_set_up_is_not_written_during_solves(monkeypatch):
             strategy=strategy, tol=1e-9, max_iter=30,
             continuation=ContinuationConfig(10, 20, 1.5)))
         list(time_march(body_force_cavity(8, re=20), SolverConfig(
-            strategy=strategy, tol=1e-9, max_iter=30, dt=0.5, n_steps=2)))
+            strategy=strategy, tol=1e-9, max_iter=30), 0.5, 2))
     assert len(built) == 4
     for disc, attributes, tables in built:
         assert _attributes(disc) == attributes
@@ -376,7 +376,7 @@ def test_traction_evaluated_once_per_tag_per_set_up():
         _, report = solve(prob, config)
         assert report.iterations > 2 and calls == one_call
     calls.clear()
-    march = list(time_march(prob, SolverConfig(dt=0.1, n_steps=3)))
+    march = list(time_march(prob, SolverConfig(), 0.1, 3))
     assert len(march) == 3 and calls == one_call
 
 

@@ -54,26 +54,29 @@ def test_every_table_matches_the_row_writer(tmp_path, monkeypatch):
     state.vbar[:4] = [[np.nan, -0.0], [np.inf, 1e-300], [-np.inf, 1e300], [0.1, -1 / 3]]
     state.p[:3] = [-0.0, np.nan, 12345678901234567.0]
     report = IterationReport(residual_history=np.array([1.0, np.nan, -0.0, 2.5e-17]),
-                             converged=False, diverged=True, iterations=4,
+                             stop_reason="diverged",
                              increment_history=np.array([np.inf, 0.1, -0.0, np.nan]))
-    steps = [report, IterationReport(np.array([]), False, False, 0),
-             IterationReport(np.array([3e-11]), True, False, 1)]
-    study = ConvergenceTable(
-        rows=((0.5, ErrorNorms(0.25, np.nan, -0.0)), (0.25, ErrorNorms(1e-3, 2.0, 7.0))),
-        rates={"l2_velocity": 7.965784, "h1_semi_pressure": np.nan, "l2_pressure": -0.0})
+    steps = [report, IterationReport(np.array([]), "max_iter"),
+             IterationReport(np.array([3e-11]), "tol")]
+    # rates log2(250) = 7.9658, NaN (a NaN error) and a negative one that rounds to -0.0000
+    study = ConvergenceTable(rows=((0.5, ErrorNorms(0.25, np.nan, 7.0)),
+                                   (0.25, ErrorNorms(1e-3, 2.0, 7.000000001))))
     output_module.write_vtk(prob.mesh, state, tmp_path / "field.vtk")
     output_module.write_profiles(prob.mesh, state, tmp_path)
     output_module.write_residuals(report, tmp_path / "residuals.csv")
     output_module.write_study(study, tmp_path / "study.csv")
     output_module.write_march(steps, tmp_path / "march.csv")
-    ladder = IterationReport(np.array([1.0, 0.5]), False, True, 2, sub_reports=(
-        (15.0, steps[2]), (16.5, IterationReport(np.array([0.5]), False, True, 1))),
-        failure="LU of 100% fill: x", stop_reason="linear_failure")
+    ladder = IterationReport(np.array([1.0, 0.5]), "linear_failure", sub_reports=(
+        (15.0, steps[2]), (16.5, IterationReport(np.array([0.5]), "linear_failure"))),
+        failure="LU of 100% fill: x")
     output_module.write_summary(ladder, tmp_path / "summary.txt",
                                 {"problem": "step", "re": 16.5, "dt": None, "steps": 3})
     assert len(written) == 7
     for path in written:
         assert path.read_bytes() == Path(f"{path}.rows").read_bytes(), path.name
+    assert (tmp_path / "study.csv").read_text().endswith(
+        "# rate_l2_velocity = 7.9658\n# rate_h1_semi_pressure = nan\n"
+        "# rate_l2_pressure = -0.0000\n")
     text = (tmp_path / "march.csv").read_text()
     assert text.endswith("1,4,2.4999999999999999e-17,False\n2,0,nan,False\n3,1,3e-11,True\n")
     # the text of the line writer that summary.txt had before it went through write_table
@@ -247,7 +250,7 @@ class TestCli:
             steps.append(None)
             state, report = iterate(*args)
             if len(steps) == 4:
-                report = dataclasses.replace(report, converged=False, stop_reason="max_iter")
+                report = dataclasses.replace(report, stop_reason="max_iter")
             return state, report
 
         monkeypatch.setattr(solve_module, "_iterate", failing_at_step_4)

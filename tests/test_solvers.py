@@ -21,6 +21,7 @@ from vmsflow.newton import FineScaleSingularError, State, element_residuals
 from vmsflow.problems import backward_step, body_force_cavity, lid_cavity
 from vmsflow.solve import (
     ContinuationConfig,
+    IterationReport,
     LinearSolveError,
     SolverConfig,
     lifted_state,
@@ -661,12 +662,50 @@ class TestContinuation:
         assert len(report.sub_reports) >= 2
 
 
+@pytest.fixture(scope="module")
+def fixed_point_ladder_report():
+    _, report = solve(lid_cavity(8, re=100), SolverConfig(
+        strategy="fixed_point", continuation=ContinuationConfig(50, 100, 1.5)))
+    return report
+
+
+@pytest.mark.parametrize("stop, converged, diverged", [
+    ("tol", True, False), ("increment", True, False), ("max_iter", False, False),
+    ("diverged", False, True), ("linear_failure", False, True),
+    ("fine_scale_singular", False, True), ("tau_singular", False, True),
+])
+def test_flags_follow_the_stop_reason(fixed_point_ladder_report, stop, converged, diverged):
+    # a report stores its stop reason and history; the flags and the count
+    # derive from them, so no report can contradict itself
+    report = dataclasses.replace(fixed_point_ladder_report, stop_reason=stop)
+    assert (report.converged, report.diverged) == (converged, diverged)
+    rungs = [r for _, r in report.sub_reports]
+    assert len(rungs) == 3 and report.increment_history is not None
+    assert report.iterations == len(report.residual_history) == sum(r.iterations for r in rungs)
+
+
+def test_flags_given_at_construction_are_checked_not_stored():
+    # a report built from flags alone (as perfbench's gate test builds one)
+    # gets the stop reason they name; a flag the data contradicts is an error
+    history = np.array([1.0, 1e-3, 1e-9])
+    for flags, stop in (({"converged": True, "diverged": False, "iterations": 3}, "tol"),
+                        ({"converged": False, "diverged": True}, "diverged"),
+                        ({"converged": False}, "max_iter")):
+        assert IterationReport(residual_history=history, **flags).stop_reason == stop
+    for flags in ({"converged": True, "diverged": True}, {"converged": True, "iterations": 2},
+                  {"stop_reason": "tol", "converged": False}):
+        with pytest.raises(ValueError, match="contradicts stop_reason"):
+            IterationReport(residual_history=history, **flags)
+    with pytest.raises(TypeError, match="needs a stop_reason"):
+        IterationReport(residual_history=history)
+
+
 @pytest.mark.parametrize("entry, problem, config", [
     (solve, lid_cavity(8, re=100), SolverConfig(tol=1e-10)),
     (solve, body_force_cavity(8, re=20),
      SolverConfig(tol=1e-9, continuation=ContinuationConfig(10, 20, 1.5))),
-    (lambda *args: list(time_march(*args)), lid_cavity(8, re=100),
-     SolverConfig(tol=1e-10, dt=0.5, n_steps=2)),
+    (lambda prob, config: list(time_march(prob, config, 0.5, 2)), lid_cavity(8, re=100),
+     SolverConfig(tol=1e-10)),
 ], ids=["solve", "continuation", "time_march"])
 def test_one_set_up_per_call_and_none_outlives_it(monkeypatch, entry, problem, config):
     # every rung and step shares the call's one set-up; neither the problem
@@ -702,20 +741,24 @@ class TestTimeMarch:
         # step is needed, so a march never ends without a report
         monkeypatch.setattr(solve_module, "_iterate", lambda *args: pytest.fail("stepped"))
         prob = body_force_cavity(8, nu=1.0)
-        with pytest.raises(ValueError, match="n_steps must be an integer of at least 1"):
-            SolverConfig(dt=0.1, n_steps=0)
+        with monkeypatch.context() as patched:      # the step is checked before any set-up
+            patched.setattr(solve_module, "_setup", lambda problem: pytest.fail("set up"))
+            with pytest.raises(ValueError, match="n_steps must be an integer of at least 1"):
+                time_march(prob, SolverConfig(), 0.1, 0)
+            with pytest.raises(ValueError, match="time step must be positive"):
+                time_march(prob, SolverConfig(), 0.0, 2)
         with pytest.raises(ValueError, match="start state vbar"):
-            time_march(prob, SolverConfig(dt=0.1, n_steps=2), State.zeros(unit_square_mesh(4)))
-        time_march(prob, SolverConfig(dt=0.1, n_steps=2))
+            time_march(prob, SolverConfig(), 0.1, 2, State.zeros(unit_square_mesh(4)))
+        time_march(prob, SolverConfig(), 0.1, 2)
 
     def test_yields_a_copy_of_every_step(self):
         prob = body_force_cavity(8, nu=1.0)
-        config = SolverConfig(tol=1e-6, max_iter=8, dt=0.2, n_steps=4)
-        states, reports = marched(prob, config)
+        config = SolverConfig(tol=1e-6, max_iter=8)
+        states, reports = marched(prob, config, 0.2, 4)
         assert len(states) == len(reports) == 4 and all(r.converged for r in reports)
         assert all(s.dt == 0.2 and s.vbar_prev is not None for s in states)
         # the consumer may write to what it is given without changing the march
-        march, spoiled = time_march(prob, config), []
+        march, spoiled = time_march(prob, config, 0.2, 4), []
         for state, _ in march:
             spoiled.append(state.digest())
             state.vbar[:] = np.nan
@@ -725,9 +768,7 @@ class TestTimeMarch:
         prob = body_force_cavity(8, nu=1.0)
         steady, rep = solve(prob, SolverConfig(tol=1e-12, max_iter=10))
         assert rep.converged
-        states, reports = marched(
-            prob, SolverConfig(tol=1e-8, max_iter=5, dt=0.5, n_steps=3), steady
-        )
+        states, reports = marched(prob, SolverConfig(tol=1e-8, max_iter=5), 0.5, 3, steady)
         assert all(r.converged for r in reports)
         assert all(r.iterations <= 2 for r in reports)
         drift = max(np.abs(s.vbar - steady.vbar).max() for s in states)
@@ -736,37 +777,37 @@ class TestTimeMarch:
     def test_huge_step_matches_steady(self):
         prob = body_force_cavity(8, nu=1.0)
         steady, _ = solve(prob, SolverConfig(tol=1e-12, max_iter=10))
-        states, reports = marched(prob, SolverConfig(tol=1e-12, max_iter=10,
-                                                     dt=1e6, n_steps=1))
+        states, reports = marched(prob, SolverConfig(tol=1e-12, max_iter=10), 1e6, 1)
         assert reports[0].converged
         assert np.abs(states[-1].vbar - steady.vbar).max() <= 1e-6
 
     def test_requires_dt_and_steps(self):
+        # the step size and count are arguments without defaults
         prob = body_force_cavity(8, nu=1.0)
-        with pytest.raises(ValueError):
-            time_march(prob, SolverConfig(dt=0.1))
+        with pytest.raises(TypeError, match="n_steps"):
+            time_march(prob, SolverConfig(), 0.1)
 
     def test_rejects_continuation(self):
         prob = body_force_cavity(8, nu=1.0)
-        cfg = SolverConfig(dt=0.1, n_steps=2, continuation=ContinuationConfig(0.5, 1.0))
+        cfg = SolverConfig(continuation=ContinuationConfig(0.5, 1.0))
         with pytest.raises(ValueError, match="continuation"):
-            time_march(prob, cfg)
+            time_march(prob, cfg, 0.1, 2)
 
     def test_failed_step_keeps_the_last_converged_state(self, monkeypatch):
         prob = body_force_cavity(8, nu=1.0)
-        config = SolverConfig(tol=1e-6, max_iter=8, dt=0.2, n_steps=6)
-        reference, _ = marched(prob, dataclasses.replace(config, n_steps=3))
+        config = SolverConfig(tol=1e-6, max_iter=8)
+        reference, _ = marched(prob, config, 0.2, 3)
         iterate, starts = solve_module._iterate, []
 
         def failing_at_step_4(disc, nu, config, start):
             starts.append(start)
             state, report = iterate(disc, nu, config, start)
             if len(starts) == 4:
-                report = dataclasses.replace(report, converged=False, stop_reason="max_iter")
+                report = dataclasses.replace(report, stop_reason="max_iter")
             return state, report
 
         monkeypatch.setattr(solve_module, "_iterate", failing_at_step_4)
-        states, reports = marched(prob, config)
+        states, reports = marched(prob, config, 0.2, 6)
         assert len(reports) == 4 and not reports[-1].converged
         # steps 1 to 3, then step 3 again, the last converged
         for got, want in zip(states, reference + reference[-1:], strict=True):
@@ -779,10 +820,7 @@ class TestTimeMarch:
         prob = body_force_cavity(8, nu=1.0)
         steady, _ = solve(prob, SolverConfig(tol=1e-12, max_iter=10))
         states, reports = marched(
-            prob,
-            SolverConfig(strategy="fixed_point", tol=1e-10, max_iter=30,
-                         dt=5.0, n_steps=4),
-        )
+            prob, SolverConfig(strategy="fixed_point", tol=1e-10, max_iter=30), 5.0, 4)
         assert all(r.converged for r in reports)
         assert np.abs(states[-1].vbar - steady.vbar).max() <= 1e-3
 
@@ -871,8 +909,7 @@ class TestLinearizationOnDemand:
         (lambda: solve(lid_cavity(8, re=100), SolverConfig(tol=1e-10)), 1),
         (lambda: solve(body_force_cavity(8, re=20), SolverConfig(
             tol=1e-9, continuation=ContinuationConfig(10, 20, 1.5))), 3),
-        (lambda: marched(lid_cavity(8, re=100), SolverConfig(tol=1e-10, dt=0.5, n_steps=3)),
-         3),
+        (lambda: marched(lid_cavity(8, re=100), SolverConfig(tol=1e-10), 0.5, 3), 3),
     ], ids=["solve", "continuation", "time_march"])
     def test_one_tangent_per_iteration(self, monkeypatch, run, loops):
         builds = _counted_calls(monkeypatch, "_tangent_batched", module=newton_module)
@@ -929,6 +966,13 @@ class TestLinearizationOnDemand:
                                       reference.residual_history[:n - 1])
 
 
+def _march_with(**settings):
+    """A march on the lid cavity: ``dt`` and ``n_steps`` from ``settings`` (0.1
+    and 2 by default) go to ``time_march``, the rest to its ``SolverConfig``."""
+    step = {"dt": settings.pop("dt", 0.1), "n_steps": settings.pop("n_steps", 2)}
+    return time_march(lid_cavity(8, re=100), SolverConfig(**settings), **step)
+
+
 class TestConfigValidation:
     def test_bad_strategy(self):
         with pytest.raises(ValueError):
@@ -941,14 +985,14 @@ class TestConfigValidation:
     ])
     def test_bad_march_settings(self, settings):
         with pytest.raises(ValueError):
-            SolverConfig(**settings)
+            _march_with(**settings)
 
     @pytest.mark.parametrize("name", ["max_iter", "n_steps"])
     @pytest.mark.parametrize("value", [float("nan"), 2.5, True, -1])
     def test_count_fields_are_named_integers(self, name, value):
         # NaN and 2.5 used to pass, then escape a solve as a bare TypeError
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
-            SolverConfig(**{name: value})
+            _march_with(**{name: value})
 
     @EACH_STRATEGY
     def test_zero_time_step_in_state_is_named(self, strategy):
@@ -970,7 +1014,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("run", [
         lambda prob, start: solve(prob, SolverConfig(), start),
         lambda prob, start: solve(prob, SolverConfig(strategy="fixed_point"), start),
-        lambda prob, start: time_march(prob, SolverConfig(dt=0.1, n_steps=2), start),
+        lambda prob, start: time_march(prob, SolverConfig(), 0.1, 2, start),
     ], ids=["newton", "fixed_point", "time_march"])
     def test_start_state_must_fit_the_mesh(self, run, n):
         # a start state from another mesh used to escape as an IndexError
@@ -991,14 +1035,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="time_march"):
             solve(prob, SolverConfig(tol=1e-10), state0=start)
 
-    @pytest.mark.parametrize("settings", [dict(dt=0.1), dict(n_steps=3),
-                                          dict(dt=0.1, n_steps=3)])
-    @pytest.mark.parametrize("continuation", [None, ContinuationConfig(50, 100)])
-    def test_steady_solve_rejects_march_settings(self, settings, continuation):
-        prob = lid_cavity(8, re=100)
-        with pytest.raises(ValueError, match="time_march"):
-            solve(prob, SolverConfig(continuation=continuation, **settings))
-
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
             SolverConfig(tol=0.0)
@@ -1009,22 +1045,22 @@ class TestConfigValidation:
     ])
     def test_nan_solver_setting_rejected(self, field, message):
         with pytest.raises(ValueError, match=message):
-            SolverConfig(**{field: float("nan")})
+            _march_with(**{field: float("nan")})
 
     def test_time_step_below_its_floor_rejected(self):
         # the mass term over dt=5e-324 used to overflow in the first assembly
-        SolverConfig(dt=1e-100)
+        _march_with(dt=1e-100)
         for dt in (9e-101, 5e-324):
             with pytest.raises(ValueError, match="time step must be positive, finite and "
                                                  ">= 1e-100"):
-                SolverConfig(dt=dt)
+                _march_with(dt=dt)
 
     @pytest.mark.parametrize("field", ["tol", "increment_tol", "dt"])
     def test_infinite_solver_setting_rejected(self, field):
         # tol=inf used to report converged=True after one iteration, and
         # dt=inf to march a steady problem
         with pytest.raises(ValueError, match="finite") as err:
-            SolverConfig(**{field: float("inf")})
+            _march_with(**{field: float("inf")})
         assert field in str(err.value)
 
     @pytest.mark.parametrize("settings", [
