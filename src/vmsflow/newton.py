@@ -493,11 +493,11 @@ class Discretization:
     Element tables and DOFs, the traction load, the body-force integrals
     ``load`` (None without a force), and the free-DOF CSC pattern (the
     format ``linear_solve`` factors; read-only ``np.intc`` index arrays that
-    every matrix shares) with the slot of every element-matrix entry, filled by
-    ``np.bincount``.  The pattern is built from the 9 node pairs of each
-    element rather than its 81 DOF pairs (``_csc_pattern``), and entries
-    with a constrained row or column share one discard slot past the
-    last.  ``edofs`` (9, E) and the slots follow the element-last kernel
+    every matrix shares) with the ``np.intc`` slot of every element-matrix
+    entry, filled by ``np.add.at``.  The pattern is built from the 9 node
+    pairs of each element rather than its 81 DOF pairs (``_csc_pattern``),
+    and entries with a constrained row or column share one discard slot
+    past the last.  ``edofs`` (9, E) and the slots follow the element-last kernel
     outputs, which are scattered without a copy.  Every array is read-only.
     ``free`` lists the free global DOFs node by node ((u, v, p) per node)
     in ``mesh.elimination_order``, so every assembled matrix and
@@ -521,10 +521,12 @@ class Discretization:
 
         position = np.full(dofmap.total, -1, dtype=np.int64)
         position[self.free] = np.arange(self.free.size)
-        indices, indptr, self._slot = _csc_pattern(
+        indices, indptr, slot = _csc_pattern(
             mesh.triangles, nodes, np.repeat(nodes, 3)[kept], position[self.edofs])
-        # scipy's index type, so no matrix scans or copies them.
-        self._indices, self._indptr = indices.astype(np.intc), indptr.astype(np.intc)
+        # scipy's index type, so no matrix scans or copies them; the slots,
+        # the set-up's largest array, at half the size of int64.
+        self._indices, self._indptr, self._slot = (
+            indices.astype(np.intc), indptr.astype(np.intc), slot.astype(np.intc))
         for array in (self.edofs, self.free, self.traction, self.load,
                       self._indices, self._indptr, self._slot):
             if array is not None:
@@ -537,7 +539,9 @@ class Discretization:
         is marked canonical and nothing scans it again before the factor.
         Constrained entries land in the discard slot, which is dropped."""
         nnz = self._indices.size
-        data = np.bincount(self._slot, weights=K.reshape(-1), minlength=nnz + 1)[:nnz]
+        data = np.zeros(nnz + 1)
+        np.add.at(data, self._slot, K.reshape(-1))  # np.bincount copies int32 slots to intp
+        data = data[:nnz]
         n_free = self.free.size
         matrix = sp.csc_matrix((data, self._indices, self._indptr), shape=(n_free, n_free))
         matrix.has_canonical_format = True

@@ -24,6 +24,20 @@ otherwise, in float32 when every entry fits.  The solve of the returned
 ``Factorization`` refines in float64 until the residual bound of
 ``LINEAR_TOL`` holds, falling back once to a float64 factor when the
 float32 one cannot get there; ``linear_solve`` is ``factorize(A).solve(b)``.
+The fixed-point update alone keeps a factor: within one ``_iterate``
+call it hands ``linear_solve`` a list that holds the last SuperLU factor,
+without its matrix.  Each new matrix is solved first with that factor,
+refined against the new matrix to the same bound, and factored only when
+that misses, after the kept factor is dropped, so one factor is alive at
+a time; the list dies with the loop at the end of the solve, rung or
+step.  On the lid cavity at n=32, Re=400, 6 of 10 updates factor.
+Newton factors every matrix: a kept Newton factor lives through the
+tangent and condensation build, and on the lid cavity at n=64, Re=400
+keeping it saved one factor in 7 but raised the peak memory of 12 solves
+in one process from 111 to 144 MB.  A band factor is not kept either:
+``dgbtrf`` takes about 100 us on the step's 333 unknowns at h=0.25, and
+keeping band factors cut a fixed-point solve there from 9 factors to 4
+but not its time (about 9.5 ms either way).
 
 One loop, ``_iterate``, drives both strategies: it records the residual
 of every update, tests for divergence and stops, and names why it
@@ -79,15 +93,23 @@ class Factorization:
     ``MAX_REFINEMENTS`` steps that must each cut the residual tenfold.  A
     float32 factor that misses the bound is replaced, once, by the float64
     one, which runs the same loop; a float64 factor that misses it raises
-    ``LinearSolveError``.
+    ``LinearSolveError``.  ``solve(b, matrix)`` runs the loop against
+    another matrix of the same size, the next one of a fixed-point
+    iteration, with this factor's solves: it returns the solution when the
+    bound holds against ``matrix``, and None when it misses, with no
+    fallback; it raises only on a right-hand side that does not fit or is
+    not finite, as ``solve(b)`` does.  ``linear_solve`` keeps a SuperLU
+    factor this way between the updates of one fixed-point solve, without
+    the matrix it was built from (so it solves only with ``matrix``
+    given), and drops it before it factors the next matrix.
     """
 
     def __init__(self, matrix, kind: str, lu_solve):
         self._matrix, self.kind, self._lu_solve = matrix, kind, lu_solve
 
-    def solve(self, rhs) -> np.ndarray:
+    def solve(self, rhs, matrix=None) -> np.ndarray | None:
         rhs = np.asarray(rhs, dtype=float)
-        A = self._matrix
+        A = self._matrix if matrix is None else matrix
         if A.shape[0] != rhs.size:
             raise LinearSolveError(f"matrix of shape {A.shape} does not match "
                                    f"right-hand side of size {rhs.size}")
@@ -99,6 +121,8 @@ class Factorization:
             return np.zeros(0)
         bound = max(1e-12, LINEAR_TOL * _norm(rhs))
         x, resid = _refine(A, rhs, self._lu_solve, bound)
+        if matrix is not None:
+            return x
         if x is None and self.kind == "superlu32":
             self.kind, self._lu_solve = "superlu", _superlu(A)
             x, resid = _refine(A, rhs, self._lu_solve, bound)
@@ -159,7 +183,7 @@ def factorize(matrix) -> Factorization:
     return Factorization(A, "superlu", _superlu(A))
 
 
-def linear_solve(matrix, rhs: np.ndarray) -> np.ndarray:
+def linear_solve(matrix, rhs: np.ndarray, kept: list | None = None) -> np.ndarray:
     """Direct sparse solve with a verified residual: ``factorize(matrix).solve(rhs)``.
 
     The banded LU factors in float64, SuperLU in float32 when every entry
@@ -169,8 +193,23 @@ def linear_solve(matrix, rhs: np.ndarray) -> np.ndarray:
     empty row or column, a float64 factor that
     misses the bound, an exact zero pivot or a failed factorization raises
     ``LinearSolveError`` (see ``Factorization`` and ``factorize``).
+
+    ``kept``, a list the caller holds across calls, carries a SuperLU
+    factor from one call to the next: ``matrix`` is solved first with it
+    (``Factorization.solve(rhs, matrix)``), and only when that misses is
+    the kept factor dropped and ``matrix`` factored.  A SuperLU factor of
+    ``matrix`` is then kept, without ``matrix``; a band factor is not.
     """
-    return factorize(matrix).solve(rhs)
+    if kept is None:
+        return factorize(matrix).solve(rhs)
+    x = kept[0].solve(rhs, matrix) if kept else None
+    if x is None:
+        kept.clear()                # one factor alive at a time
+        factor = factorize(matrix)
+        x = factor.solve(rhs)
+        if factor.kind != "band":
+            kept.append(Factorization(None, factor.kind, factor._lu_solve))
+    return x
 
 
 def _fits_single(data: np.ndarray) -> bool:
@@ -415,10 +454,12 @@ def _newton_steps(disc: Discretization, nu: float, state: State):
 def _fixed_point_steps(disc: Discretization, nu: float, state: State):
     """Fixed-point updates of ``state`` in place, each yielding (residual, increment)."""
     state.beta[:] = 0.0
+    kept: list[Factorization] = []
     while True:
         matrix, rhs = fp_assemble(disc, state, nu)
         full = disc.dofmap.prescribed.copy()
-        full[disc.free] = linear_solve(matrix, rhs)
+        full[disc.free] = linear_solve(matrix, rhs, kept)
+        del matrix, rhs             # not held through the next assembly
         new_vbar, new_p = disc.dofmap.split(full)
         increment = float(np.linalg.norm(new_vbar - state.vbar))
         state.vbar, state.p = new_vbar, new_p

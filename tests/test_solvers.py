@@ -217,18 +217,28 @@ def sparse_systems(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(sparse_systems())
-def test_any_sparse_system_meets_the_bound_or_names_the_failure(system):
-    # an overflow inside the refinement used to escape as a RuntimeWarning
+@given(sparse_systems(), st.floats(-12, 0), st.integers(0, 2**32 - 1))
+def test_any_sparse_system_meets_the_bound_or_names_the_failure(system, log_change, seed):
+    # an overflow inside the refinement used to escape as a RuntimeWarning;
+    # a factor solving a perturbed matrix B returns None on a miss
     A, b = system
+    B = A.copy()
+    B.data *= 1.0 + 10.0**log_change * np.random.default_rng(seed).uniform(-1, 1, B.nnz)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            x = solve_module.factorize(A).solve(b)
+            factor = solve_module.factorize(A)
         except LinearSolveError:
             return
-    residual = b - A @ x
-    assert math.hypot(*residual) <= max(1e-12, solve_module.LINEAR_TOL * math.hypot(*b))
+        solved = [(B, factor.solve(b, matrix=B))]
+        try:
+            solved.append((A, factor.solve(b)))
+        except LinearSolveError:
+            pass
+    for matrix, x in solved:
+        if x is not None:
+            residual = b - matrix @ x
+            assert math.hypot(*residual) <= max(1e-12, solve_module.LINEAR_TOL * math.hypot(*b))
 
 
 def conditioned(kappa, seed=0):
@@ -304,6 +314,61 @@ class TestSinglePrecisionFactor:
         factored_dtypes.clear()
         assert run() == single
         assert factored_dtypes and all(d == np.float64 for d in factored_dtypes)
+
+
+def _counted_factors(monkeypatch):
+    """Log the kind of every factor ``factorize`` returns."""
+    factorize, kinds = solve_module.factorize, []
+
+    def counted(matrix):
+        factor = factorize(matrix)
+        kinds.append(factor.kind)
+        return factor
+
+    monkeypatch.setattr(solve_module, "factorize", counted)
+    return kinds
+
+
+class TestKeptFactor:
+    """The fixed-point updates of one solve keep the last SuperLU factor and
+    factor a new matrix only when the kept one misses the bound against it."""
+
+    def test_kept_factor_saves_factors_not_iterations(self, monkeypatch):
+        prob, config = lid_cavity(32, re=400), SolverConfig(strategy="fixed_point", tol=1e-10)
+        kinds = _counted_factors(monkeypatch)
+        state, report = solve(prob, config)
+        assert set(kinds) == {"superlu32"}
+        assert len(kinds) == 6 and report.iterations == 10
+        own_solve = solve_module.Factorization.solve
+        monkeypatch.setattr(solve_module.Factorization, "solve", lambda self, rhs, matrix=None:
+                            None if matrix is not None else own_solve(self, rhs))
+        kinds.clear()
+        reference, forced = solve(prob, config)     # every update misses and factors
+        assert len(kinds) == forced.iterations == report.iterations
+        assert forced.stop_reason == report.stop_reason
+        assert np.abs(state.vbar - reference.vbar).max() <= 1e-9 * np.abs(reference.vbar).max()
+
+    @pytest.mark.parametrize("prob, config, kind", [
+        (lid_cavity(32, re=400), SolverConfig(tol=1e-10), "superlu32"),
+        (backward_step(re=50, h=0.25), SolverConfig(strategy="fixed_point", tol=1e-10), "band"),
+    ], ids=["newton", "band_fixed_point"])
+    def test_newton_and_band_factors_are_not_kept(self, monkeypatch, prob, config, kind):
+        kinds = _counted_factors(monkeypatch)
+        _, report = solve(prob, config)
+        assert report.converged
+        assert kinds == [kind] * report.iterations
+
+    def test_kept_factor_never_answers_a_non_finite_matrix(self):
+        A, b = conditioned(1e3)
+        kept = []
+        linear_solve(A, b, kept)
+        assert [f.kind for f in kept] == ["superlu32"]
+        B = A.copy()
+        B.data[0] = np.nan
+        assert kept[0].solve(b, B) is None
+        with pytest.raises(LinearSolveError, match=r"is nan; a matrix with a non-finite"):
+            linear_solve(B, b, kept)
+        assert kept == []
 
 
 def test_band_and_superlu_solutions_agree():
@@ -853,6 +918,21 @@ class TestFailurePaths:
         assert not report.converged
         assert report.iterations == k - 1
         assert report.failure == "injected LU failure"
+
+    def test_linear_failure_of_a_kept_factor(self, monkeypatch):
+        own_solve = solve_module.Factorization.solve
+
+        def kept_fails(self, rhs, matrix=None):
+            if matrix is not None:
+                raise LinearSolveError("injected kept-factor failure")
+            return own_solve(self, rhs)
+
+        monkeypatch.setattr(solve_module.Factorization, "solve", kept_fails)
+        _, report = solve(lid_cavity(32, re=400), SolverConfig(strategy="fixed_point"))
+        # update 1 factors its matrix; update 2 solves with the kept factor
+        assert report.stop_reason == "linear_failure"
+        assert report.iterations == 1
+        assert report.failure == "injected kept-factor failure"
 
     def test_fine_scale_singular_before_first_update(self, monkeypatch):
         _counted_calls(monkeypatch, "assemble_system", 1,
