@@ -25,19 +25,16 @@ otherwise, in float32 when every entry fits.  The solve of the returned
 ``LINEAR_TOL`` holds, falling back once to a float64 factor when the
 float32 one cannot get there; ``linear_solve`` is ``factorize(A).solve(b)``.
 The fixed-point update alone keeps a factor: within one ``_iterate``
-call it hands ``linear_solve`` a list that holds the last SuperLU factor,
-without its matrix.  Each new matrix is solved first with that factor,
+call it hands ``linear_solve`` a list that holds the solve of the last
+factor, without its matrix.  Each new matrix is solved first with it,
 refined against the new matrix to the same bound, and factored only when
-that misses, after the kept factor is dropped, so one factor is alive at
+that misses, after the kept solve is dropped, so one factor is alive at
 a time; the list dies with the loop at the end of the solve, rung or
 step.  On the lid cavity at n=32, Re=400, 6 of 10 updates factor.
 Newton factors every matrix: a kept Newton factor lives through the
 tangent and condensation build, and on the lid cavity at n=64, Re=400
 keeping it saved one factor in 7 but raised the peak memory of 12 solves
-in one process from 111 to 144 MB.  A band factor is not kept either:
-``dgbtrf`` takes about 100 us on the step's 333 unknowns at h=0.25, and
-keeping band factors cut a fixed-point solve there from 9 factors to 4
-but not its time (about 9.5 ms either way).
+in one process from 111 to 144 MB.
 
 One loop, ``_iterate``, drives both strategies: it records the residual
 of every update, tests for divergence and stops, and names why it
@@ -95,34 +92,21 @@ class Factorization:
     one, which runs the same loop; a float64 factor that misses it raises
     ``LinearSolveError``.  ``solve(b, matrix)`` runs the loop against
     another matrix of the same size, the next one of a fixed-point
-    iteration, with this factor's solves: it returns the solution when the
-    bound holds against ``matrix``, and None when it misses, with no
-    fallback; it raises only on a right-hand side that does not fit or is
-    not finite, as ``solve(b)`` does.  ``linear_solve`` keeps a SuperLU
-    factor this way between the updates of one fixed-point solve, without
-    the matrix it was built from (so it solves only with ``matrix``
-    given), and drops it before it factors the next matrix.
+    iteration, with this factor's solves (``_kept_solve``): it returns the
+    solution when the bound holds against ``matrix``, and None when it
+    misses, with no fallback; it raises only on a right-hand side that
+    does not fit or is not finite, as ``solve(b)`` does.
     """
 
     def __init__(self, matrix, kind: str, lu_solve):
         self._matrix, self.kind, self._lu_solve = matrix, kind, lu_solve
 
     def solve(self, rhs, matrix=None) -> np.ndarray | None:
-        rhs = np.asarray(rhs, dtype=float)
-        A = self._matrix if matrix is None else matrix
-        if A.shape[0] != rhs.size:
-            raise LinearSolveError(f"matrix of shape {A.shape} does not match "
-                                   f"right-hand side of size {rhs.size}")
-        if not np.isfinite(rhs).all():
-            k = int(np.flatnonzero(~np.isfinite(rhs))[0])
-            raise LinearSolveError(f"right-hand side entry {k} is {rhs[k]}; "
-                                   "a non-finite right-hand side is not solved")
-        if rhs.size == 0:
-            return np.zeros(0)
-        bound = max(1e-12, LINEAR_TOL * _norm(rhs))
-        x, resid = _refine(A, rhs, self._lu_solve, bound)
         if matrix is not None:
-            return x
+            return _kept_solve(self._lu_solve, matrix, rhs)
+        A = self._matrix
+        rhs, bound = _checked_rhs(A, rhs)
+        x, resid = _refine(A, rhs, self._lu_solve, bound)
         if x is None and self.kind == "superlu32":
             self.kind, self._lu_solve = "superlu", _superlu(A)
             x, resid = _refine(A, rhs, self._lu_solve, bound)
@@ -194,22 +178,43 @@ def linear_solve(matrix, rhs: np.ndarray, kept: list | None = None) -> np.ndarra
     misses the bound, an exact zero pivot or a failed factorization raises
     ``LinearSolveError`` (see ``Factorization`` and ``factorize``).
 
-    ``kept``, a list the caller holds across calls, carries a SuperLU
-    factor from one call to the next: ``matrix`` is solved first with it
-    (``Factorization.solve(rhs, matrix)``), and only when that misses is
-    the kept factor dropped and ``matrix`` factored.  A SuperLU factor of
-    ``matrix`` is then kept, without ``matrix``; a band factor is not.
+    ``kept``, a list the caller holds across calls, carries the solve of
+    the last factor from one call to the next: ``matrix`` is solved first
+    with it (``_kept_solve``), and only when that misses is it dropped and
+    ``matrix`` factored.  The new factor's solve is then kept, without
+    ``matrix``.
     """
     if kept is None:
         return factorize(matrix).solve(rhs)
-    x = kept[0].solve(rhs, matrix) if kept else None
+    x = _kept_solve(kept[0], matrix, rhs) if kept else None
     if x is None:
         kept.clear()                # one factor alive at a time
         factor = factorize(matrix)
         x = factor.solve(rhs)
-        if factor.kind != "band":
-            kept.append(Factorization(None, factor.kind, factor._lu_solve))
+        kept.append(factor._lu_solve)
     return x
+
+
+def _kept_solve(lu_solve, matrix, rhs) -> np.ndarray | None:
+    """``matrix`` solved with ``lu_solve``, another matrix's factor, and refined
+    against ``matrix``: the solution when the ``LINEAR_TOL`` bound holds, else
+    None.  A right-hand side that does not fit or is not finite raises."""
+    rhs, bound = _checked_rhs(matrix, rhs)
+    return _refine(matrix, rhs, lu_solve, bound)[0]
+
+
+def _checked_rhs(A, rhs) -> tuple[np.ndarray, float]:
+    """``rhs`` in float64 and its residual bound; ``LinearSolveError`` when it
+    does not match ``A`` or has a non-finite entry."""
+    rhs = np.asarray(rhs, dtype=float)
+    if A.shape[0] != rhs.size:
+        raise LinearSolveError(f"matrix of shape {A.shape} does not match "
+                               f"right-hand side of size {rhs.size}")
+    if not np.isfinite(rhs).all():
+        k = int(np.flatnonzero(~np.isfinite(rhs))[0])
+        raise LinearSolveError(f"right-hand side entry {k} is {rhs[k]}; "
+                               "a non-finite right-hand side is not solved")
+    return rhs, max(1e-12, LINEAR_TOL * _norm(rhs))
 
 
 def _fits_single(data: np.ndarray) -> bool:
@@ -232,7 +237,10 @@ def _refine(A, b: np.ndarray, lu_solve, bound: float) -> tuple[np.ndarray | None
     its norm is at most ``bound``; at most ``MAX_REFINEMENTS`` steps, each of
     which must cut it tenfold.  Returns the solution, or None if it missed
     the bound, and the last residual norm.  An overflow on the way is silent:
-    it leaves a non-finite solution or residual, which misses the bound."""
+    it leaves a non-finite solution or residual, which misses the bound.
+    An empty ``b`` is solved without ``lu_solve``."""
+    if b.size == 0:
+        return np.zeros(0), 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         x = lu_solve(b)
         resid = b - A @ x
@@ -454,7 +462,7 @@ def _newton_steps(disc: Discretization, nu: float, state: State):
 def _fixed_point_steps(disc: Discretization, nu: float, state: State):
     """Fixed-point updates of ``state`` in place, each yielding (residual, increment)."""
     state.beta[:] = 0.0
-    kept: list[Factorization] = []
+    kept: list = []
     while True:
         matrix, rhs = fp_assemble(disc, state, nu)
         full = disc.dofmap.prescribed.copy()

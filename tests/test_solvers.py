@@ -330,42 +330,41 @@ def _counted_factors(monkeypatch):
 
 
 class TestKeptFactor:
-    """The fixed-point updates of one solve keep the last SuperLU factor and
-    factor a new matrix only when the kept one misses the bound against it."""
+    """The fixed-point updates of one solve keep the last factor's solve and
+    factor a new matrix only when it misses the bound against that matrix."""
 
-    def test_kept_factor_saves_factors_not_iterations(self, monkeypatch):
-        prob, config = lid_cavity(32, re=400), SolverConfig(strategy="fixed_point", tol=1e-10)
+    @pytest.mark.parametrize("prob, kind, factors, iterations", [
+        (lid_cavity(32, re=400), "superlu32", 6, 10),
+        (backward_step(re=50, h=0.25), "band", 3, 7),
+    ], ids=["superlu", "band"])
+    def test_kept_factor_saves_factors_not_iterations(self, monkeypatch, prob, kind,
+                                                      factors, iterations):
+        config = SolverConfig(strategy="fixed_point", tol=1e-10)
         kinds = _counted_factors(monkeypatch)
         state, report = solve(prob, config)
-        assert set(kinds) == {"superlu32"}
-        assert len(kinds) == 6 and report.iterations == 10
-        own_solve = solve_module.Factorization.solve
-        monkeypatch.setattr(solve_module.Factorization, "solve", lambda self, rhs, matrix=None:
-                            None if matrix is not None else own_solve(self, rhs))
+        assert kinds == [kind] * factors and report.iterations == iterations
+        monkeypatch.setattr(solve_module, "_kept_solve", lambda *args: None)
         kinds.clear()
         reference, forced = solve(prob, config)     # every update misses and factors
         assert len(kinds) == forced.iterations == report.iterations
         assert forced.stop_reason == report.stop_reason
         assert np.abs(state.vbar - reference.vbar).max() <= 1e-9 * np.abs(reference.vbar).max()
 
-    @pytest.mark.parametrize("prob, config, kind", [
-        (lid_cavity(32, re=400), SolverConfig(tol=1e-10), "superlu32"),
-        (backward_step(re=50, h=0.25), SolverConfig(strategy="fixed_point", tol=1e-10), "band"),
-    ], ids=["newton", "band_fixed_point"])
-    def test_newton_and_band_factors_are_not_kept(self, monkeypatch, prob, config, kind):
+    def test_newton_factors_every_matrix(self, monkeypatch):
         kinds = _counted_factors(monkeypatch)
-        _, report = solve(prob, config)
+        _, report = solve(lid_cavity(32, re=400), SolverConfig(tol=1e-10))
         assert report.converged
-        assert kinds == [kind] * report.iterations
+        assert kinds == ["superlu32"] * report.iterations
 
-    def test_kept_factor_never_answers_a_non_finite_matrix(self):
+    def test_kept_factor_never_answers_a_non_finite_matrix(self, monkeypatch):
+        kinds = _counted_factors(monkeypatch)
         A, b = conditioned(1e3)
         kept = []
         linear_solve(A, b, kept)
-        assert [f.kind for f in kept] == ["superlu32"]
+        assert kinds == ["superlu32"] and len(kept) == 1
         B = A.copy()
         B.data[0] = np.nan
-        assert kept[0].solve(b, B) is None
+        assert solve_module._kept_solve(kept[0], B, b) is None
         with pytest.raises(LinearSolveError, match=r"is nan; a matrix with a non-finite"):
             linear_solve(B, b, kept)
         assert kept == []
@@ -920,14 +919,10 @@ class TestFailurePaths:
         assert report.failure == "injected LU failure"
 
     def test_linear_failure_of_a_kept_factor(self, monkeypatch):
-        own_solve = solve_module.Factorization.solve
+        def kept_fails(*args):
+            raise LinearSolveError("injected kept-factor failure")
 
-        def kept_fails(self, rhs, matrix=None):
-            if matrix is not None:
-                raise LinearSolveError("injected kept-factor failure")
-            return own_solve(self, rhs)
-
-        monkeypatch.setattr(solve_module.Factorization, "solve", kept_fails)
+        monkeypatch.setattr(solve_module, "_kept_solve", kept_fails)
         _, report = solve(lid_cavity(32, re=400), SolverConfig(strategy="fixed_point"))
         # update 1 factors its matrix; update 2 solves with the kept factor
         assert report.stop_reason == "linear_failure"
