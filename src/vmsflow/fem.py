@@ -21,10 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class DegenerateElementError(RuntimeError):
-    """Raised when a triangle has (nearly) zero or negative area."""
-
-
 # Reference gradients of the three shape functions; constant on the element.
 DN_REF = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
 DN_REF.setflags(write=False)
@@ -43,8 +39,8 @@ def inv2(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inverses and determinants of 2x2 matrices held in the two leading
     axes, ``M`` of shape ``(2, 2, ...)`` (the element index last).
 
-    Singular entries come out as inf/nan without a warning; callers check
-    the returned determinants against their own threshold.
+    Singular entries come out as inf/nan without a warning; callers rule
+    them out (``Mesh`` rejects every triangle of area <= 1e-12).
     """
     det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
     with np.errstate(divide="ignore", invalid="ignore"):

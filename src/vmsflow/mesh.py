@@ -104,12 +104,12 @@ def _check_triangles(mesh: Mesh) -> None:
     if not finite.all():
         bad = int(np.argmin(finite)) // 2
         raise ValueError(f"node {bad} has a non-finite coordinate: {mesh.node_coords[bad]}")
-    # The text format holds a tag as one word, and read_mesh recovers the tags of a file
-    # without a tag list from its edges: each must be carried and listed once.
+    # The text format holds a tag as one ASCII word, and read_mesh recovers the tags of a
+    # file without a tag list from its edges: each must be carried and listed once.
     carried = {t for _, _, t in mesh.boundary_edges}
     for i, tag in enumerate(mesh.tags):
-        if not isinstance(tag, str) or tag.split() != [tag]:
-            raise ValueError(f"tag {tag!r} is not one word without whitespace")
+        if not isinstance(tag, str) or not tag.isascii() or tag.split() != [tag]:
+            raise ValueError(f"tag {tag!r} is not one word of non-space ASCII characters")
         if tag not in carried or tag in mesh.tags[:i]:
             why = "listed twice" if tag in carried else "carried by no boundary edge"
             raise ValueError(f"mesh tag {tag!r} is {why}")

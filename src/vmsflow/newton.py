@@ -42,7 +42,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from vmsflow.fem import DN_REF, DegenerateElementError, inv2, triangle_quadrature
+from vmsflow.fem import DN_REF, inv2, triangle_quadrature
 from vmsflow.mesh import BoundaryConditions, DofMap, Mesh, checked_values, elimination_order
 
 QUADRATURE_DEGREE = 8     # exact for b * b * grad b, the highest-degree table product
@@ -157,13 +157,7 @@ class ElementBatch:
         self.tris = tris
         coords = mesh.node_coords.take(tris, axis=0)         # (E, 3, 2)
         J = np.einsum("eai,ak->ike", coords, DN_REF)         # (2, 2, E)
-        Jinv, detJ = inv2(J)
-        if np.any(detJ <= 1e-14):
-            bad = int(self.elements[np.argmin(detJ)])
-            raise DegenerateElementError(
-                f"triangle (element {bad}) is degenerate or negatively "
-                f"oriented: detJ = {detJ.min():.3e}"
-            )
+        Jinv, detJ = inv2(J)       # detJ = 2 * area > 2e-12: Mesh rejects smaller areas
 
         rule = triangle_quadrature(QUADRATURE_DEGREE)
         pts, w = rule.points, rule.weights

@@ -8,9 +8,9 @@ rungs and their bound come from ``ContinuationConfig.ladder`` alone).
 inputs and builds its set-up at the call, then returns an iterator that
 yields each step's state and report.
 A problem object must expose ``mesh``, ``bc``, ``nu`` and ``body_force``
-attributes (``vmsflow.problems.ProblemSpec`` does); a ladder also needs a
-``with_re`` that keeps the mesh, boundary data and body force and
-re-targets only the viscosity, as ``ProblemSpec.with_re`` does.  Reports
+attributes (``vmsflow.problems.ProblemSpec`` does); a ladder also needs
+``re``, its last rung, and a ``with_re`` that keeps the mesh, boundary
+data and body force and re-targets only the viscosity.  Reports
 are immutable once returned.  Each call builds one immutable
 ``Discretization`` (body-force load included), which both strategies
 assemble from with ``(disc, state, nu)`` and every rung and step shares;
@@ -20,8 +20,8 @@ Its ``free`` lists the free DOFs in ``mesh.elimination_order``, so every
 assembled system arrives permuted and in CSC format; ``factorize``
 factors it in that order, with LAPACK's banded LU in float64 when the
 order keeps it within ``BAND_LIMIT`` of the diagonal and with SuperLU
-otherwise, in float32 when every entry fits.  The solve of the returned
-``Factorization`` refines in float64 until the residual bound of
+otherwise, in float32 when every entry fits.  The returned ``Factorization``
+has one method, ``solve(b)``, which refines in float64 until the bound of
 ``LINEAR_TOL`` holds, falling back once to a float64 factor when the
 float32 one cannot get there; ``linear_solve`` is ``factorize(A).solve(b)``.
 The fixed-point update alone keeps a factor: within one ``_iterate``
@@ -90,20 +90,14 @@ class Factorization:
     ``MAX_REFINEMENTS`` steps that must each cut the residual tenfold.  A
     float32 factor that misses the bound is replaced, once, by the float64
     one, which runs the same loop; a float64 factor that misses it raises
-    ``LinearSolveError``.  ``solve(b, matrix)`` runs the loop against
-    another matrix of the same size, the next one of a fixed-point
-    iteration, with this factor's solves (``_kept_solve``): it returns the
-    solution when the bound holds against ``matrix``, and None when it
-    misses, with no fallback; it raises only on a right-hand side that
-    does not fit or is not finite, as ``solve(b)`` does.
+    ``LinearSolveError``, as does a right-hand side that does not fit or is
+    not finite.
     """
 
     def __init__(self, matrix, kind: str, lu_solve):
         self._matrix, self.kind, self._lu_solve = matrix, kind, lu_solve
 
-    def solve(self, rhs, matrix=None) -> np.ndarray | None:
-        if matrix is not None:
-            return _kept_solve(self._lu_solve, matrix, rhs)
+    def solve(self, rhs) -> np.ndarray:
         A = self._matrix
         rhs, bound = _checked_rhs(A, rhs)
         x, resid = _refine(A, rhs, self._lu_solve, bound)
@@ -492,12 +486,8 @@ def _check_fits(state: State, mesh: Mesh) -> None:
 
 def _iterate(disc: Discretization, nu: float, config: SolverConfig, state0: State | None
              ) -> tuple[State, IterationReport]:
-    """Run ``config.strategy`` from a copy of ``state0`` (transient fields kept) or lifted.
-
-    A ``state0`` whose fields do not fit the mesh raises ``ValueError``.
-    """
-    if state0 is not None:
-        _check_fits(state0, disc.mesh)
+    """Run ``config.strategy`` from a copy of a checked ``state0`` (transient fields kept)
+    or lifted."""
     updates, tracks_increment = _STRATEGIES[config.strategy]
     state = state0.copy() if state0 is not None else lifted_state(disc.mesh, disc.dofmap)
     inc_tol = config.tol if config.increment_tol is None else config.increment_tol
@@ -546,15 +536,20 @@ def solve(problem, config: SolverConfig, state0: State | None = None
     is the last rung's, with every rung's residual and increment histories
     joined (so its iterations are their sum) and (re, report) pairs as
     ``sub_reports``.  Every rung shares one set-up, so ``problem.with_re``
-    must keep the body force.  A ``state0`` carrying ``dt`` or
-    ``vbar_prev`` belongs to ``time_march``, and a ladder takes no
-    ``state0``; each raises ``ValueError``.
+    must keep the body force.  A ladder must end at ``problem.re`` and takes
+    no ``state0``; a ``state0`` must fit the mesh and carry no ``dt`` or
+    ``vbar_prev`` (``time_march``'s); each raises ``ValueError`` before set-up.
     """
     if state0 is not None and config.continuation is not None:
         raise ValueError("a continuation ladder starts cold; it takes no state0")
+    if config.continuation is not None and config.continuation.re_target != problem.re:
+        raise ValueError(f"continuation ladder ends at Re={config.continuation.re_target!r}, "
+                         f"but the problem's Re is {problem.re!r}")
     if state0 is not None and (state0.dt is not None or state0.vbar_prev is not None):
         raise ValueError("a state0 with dt or vbar_prev is a time_march step; "
                          "a steady solve takes a steady start state")
+    if state0 is not None:
+        _check_fits(state0, problem.mesh)
     disc = _setup(problem)
     if config.continuation is None:
         return _iterate(disc, problem.nu, config, state0)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from vmsflow.fem import DN_REF, DegenerateElementError, inv2, triangle_quadrature
+from vmsflow.fem import DN_REF, inv2, triangle_quadrature
 from vmsflow.mesh import (
     ND_LEAF,
     BoundaryConditions,
@@ -111,7 +111,7 @@ def element_geometry(coords, index: int | None = None) -> ElementGeometry:
     Jinv, detJ = inv2(J)
     if detJ <= 1e-14:
         where = "" if index is None else f" (element {index})"
-        raise DegenerateElementError(
+        raise ValueError(
             f"triangle{where} is degenerate or negatively oriented: detJ = {detJ:.3e}"
         )
     return ElementGeometry(J=J, detJ=detJ, Jinv=Jinv)

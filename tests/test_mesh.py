@@ -417,6 +417,17 @@ class TestMeshValidation:
             Mesh(coords, np.array([[0, 1, 2]]),
                  ((0, 1, "e"), (1, 2, tag), (2, 0, "e")), ("e", tag))
 
+    def test_non_ascii_tag_rejected_before_any_write(self, tmp_path):
+        # write_mesh used to fail part-way with a UnicodeEncodeError, and
+        # read_mesh then called the partial file truncated
+        square = unit_square_mesh(2)
+        edges = tuple((a, b, "é" if t == "top" else t) for a, b, t in square.boundary_edges)
+        tags = tuple("é" if t == "top" else t for t in square.tags)
+        path = tmp_path / "mesh.txt"
+        with pytest.raises(ValueError, match="tag 'é' is not one word of non-space ASCII"):
+            write_mesh(Mesh(square.node_coords, square.triangles, edges, tags), path)
+        assert not path.exists()
+
 
 class TestEdgeTable:
     @pytest.mark.parametrize("n", range(2, 17))

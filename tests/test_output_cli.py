@@ -377,11 +377,26 @@ class TestCli:
         assert run_cli(study + ["--out", str(tmp_path / "default")]) == 0
         assert [c.max_iter for c in configs] == [1, 50, 50, 50]
 
-    def test_study_without_exact_solution_leaves_no_directory(self, tmp_path):
+    def test_study_without_exact_solution_leaves_no_directory(self, tmp_path, capsys):
+        # argparse offers study the body-force cavity alone
         out = tmp_path / "d"
         assert run_cli(["study", "--problem", "lid_cavity", "--re", "100",
                         "--out", str(out)]) == 1
+        assert "invalid choice: 'lid_cavity'" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("re", ["400", "10"])
+    def test_study_off_unit_viscosity_fails_before_any_solve(
+            self, tmp_path, monkeypatch, capsys, re):
+        # the cavity's exact solution holds only at nu = 1: --re 400 used to
+        # write a table of NaN rates and exit 2, and --re 10 to solve level 8
+        # before error_norms named the missing solution
+        monkeypatch.setattr(problems_module, "solve", lambda *a: pytest.fail("solved"))
+        assert run_cli(["study", "--problem", "body_force_cavity", "--re", re,
+                        "--levels", "8,16,32", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: body_force_cavity at nu={1 / float(re):g} has no exact solution")
+        assert list(tmp_path.glob("study_*.csv")) == []
 
     @pytest.mark.parametrize("flag, value", [("--re", "0"), ("--nu", "0"), ("--re", "nan"),
                                              ("--nu", "inf")])

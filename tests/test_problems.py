@@ -11,6 +11,7 @@ import re
 import numpy as np
 import pytest
 
+import vmsflow.problems as problems_module
 from vmsflow.mesh import build_dof_map
 from vmsflow.newton import State
 from vmsflow.problems import (
@@ -89,6 +90,20 @@ class TestProblemBuilders:
         assert np.allclose(prob.mesh.node_coords[node], [0.0, 0.0])
         assert value == pytest.approx(0.0)
         assert prob.exact is not None
+
+    @pytest.mark.parametrize("builder, pressure", [
+        (body_force_cavity, cavity_exact_solution().pressure),
+        (lid_cavity, lambda point: 0.0),
+    ], ids=["body_force_cavity", "lid_cavity"])
+    @pytest.mark.parametrize("n", [8, 13])
+    def test_pressure_pin_is_at_the_origin(self, builder, pressure, n):
+        # both cavities pin the pressure at the corner node (0, 0)
+        prob = builder(n, nu=1.0)
+        origin = np.flatnonzero(np.all(prob.mesh.node_coords == 0.0, axis=1))
+        assert origin.size == 1
+        node, value = prob.bc.pressure_pin
+        assert (node, value) == (int(origin[0]), float(pressure(np.zeros(2))))
+        assert type(node) is int and type(value) is float
 
     def test_exact_only_at_unit_viscosity(self):
         assert body_force_cavity(8, re=400).exact is None
@@ -309,6 +324,11 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError, match="mesh levels must increase strictly"):
             convergence_study(factory, levels)
         assert built == []
+
+    def test_level_without_exact_solution_is_named_before_its_solve(self, monkeypatch):
+        monkeypatch.setattr(problems_module, "solve", lambda *a: pytest.fail("solved"))
+        with pytest.raises(ValueError, match="body_force_cavity at nu=0.0025 has no exact"):
+            convergence_study(lambda n: body_force_cavity(n, re=400), [8, 12, 16])
 
     def test_failed_level_returns_partial_table(self):
         # an unreachable tolerance stops the study at the first level but

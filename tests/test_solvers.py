@@ -220,7 +220,7 @@ def sparse_systems(draw):
 @given(sparse_systems(), st.floats(-12, 0), st.integers(0, 2**32 - 1))
 def test_any_sparse_system_meets_the_bound_or_names_the_failure(system, log_change, seed):
     # an overflow inside the refinement used to escape as a RuntimeWarning;
-    # a factor solving a perturbed matrix B returns None on a miss
+    # a factor's solve used on a perturbed matrix B returns None on a miss
     A, b = system
     B = A.copy()
     B.data *= 1.0 + 10.0**log_change * np.random.default_rng(seed).uniform(-1, 1, B.nnz)
@@ -230,7 +230,7 @@ def test_any_sparse_system_meets_the_bound_or_names_the_failure(system, log_chan
             factor = solve_module.factorize(A)
         except LinearSolveError:
             return
-        solved = [(B, factor.solve(b, matrix=B))]
+        solved = [(B, solve_module._kept_solve(factor._lu_solve, B, b))]
         try:
             solved.append((A, factor.solve(b)))
         except LinearSolveError:
@@ -672,6 +672,19 @@ class TestContinuation:
         assert all((r.increment_history is not None) == tracks_increment
                    for _, r in report.sub_reports)
 
+    @pytest.mark.parametrize("problem, message", [
+        (lid_cavity(8, re=100), r"ends at Re=50, but the problem's Re is 100\.0"),
+        (dataclasses.replace(lid_cavity(8, re=50), re=None),
+         r"ends at Re=50, but the problem's Re is None"),
+    ], ids=["other_re", "re_none"])
+    def test_ladder_must_end_at_the_problems_re(self, problem, message, monkeypatch):
+        # the ladder used to stop at its own target and report the Re=50
+        # solution as the problem's, converged
+        monkeypatch.setattr(solve_module, "_setup", lambda problem: pytest.fail("set up"))
+        cfg = SolverConfig(continuation=ContinuationConfig(10, 50, 1.5))
+        with pytest.raises(ValueError, match=message):
+            solve(problem, cfg)
+
     def test_continuation_rejects_state0(self):
         prob = body_force_cavity(8, re=20)
         start = lifted_state(prob.mesh, build_dof_map(prob.mesh, prob.bc))
@@ -701,7 +714,7 @@ class TestContinuation:
             return dataclasses.replace(rung, body_force=doubled) if re >= changed_at else rung
 
         # a duck-typed problem whose rungs from Re=15 on carry another force
-        prob = SimpleNamespace(mesh=base.mesh, bc=base.bc, nu=base.nu,
+        prob = SimpleNamespace(mesh=base.mesh, bc=base.bc, nu=base.nu, re=base.re,
                                body_force=base.body_force, with_re=with_re)
         with pytest.raises(ValueError, match=f"rung Re={changed_at} changes the body force"):
             solve(prob, cfg)
@@ -1091,9 +1104,11 @@ class TestConfigValidation:
         lambda prob, start: solve(prob, SolverConfig(strategy="fixed_point"), start),
         lambda prob, start: time_march(prob, SolverConfig(), 0.1, 2, start),
     ], ids=["newton", "fixed_point", "time_march"])
-    def test_start_state_must_fit_the_mesh(self, run, n):
+    def test_start_state_must_fit_the_mesh(self, run, n, monkeypatch):
         # a start state from another mesh used to escape as an IndexError
-        # or a broadcasting error from inside the first assembly
+        # or a broadcasting error from inside the first assembly; it is
+        # checked once, before the set-up
+        monkeypatch.setattr(solve_module, "_setup", lambda problem: pytest.fail("set up"))
         with pytest.raises(ValueError, match=rf"start state vbar has shape "
                            rf"\({(n + 1) ** 2}, 2\), but the mesh needs \(81, 2\)"):
             run(lid_cavity(8, re=100), State.zeros(unit_square_mesh(n)))
