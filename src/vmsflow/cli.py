@@ -16,23 +16,14 @@ import sys
 from functools import cache, partial
 from pathlib import Path
 
-from vmsflow.problems import (
-    PROBLEM_BUILDERS,
-    backward_step,
-    body_force_cavity,
-    convergence_study,
-    error_norms,
-    lid_cavity,
-)
+from vmsflow.problems import PROBLEM_BUILDERS, body_force_cavity, convergence_study, error_norms
 from vmsflow.output import write_march, write_outputs, write_study
 from vmsflow.solve import ContinuationConfig, SolverConfig, solve, time_march
 
 
 def _build_problem(args):
-    if args.problem == "backward_step":
-        return backward_step(re=args.re, nu=args.nu, h=args.h)
-    builder = body_force_cavity if args.problem == "body_force_cavity" else lid_cavity
-    return builder(args.n, re=args.re, nu=args.nu)
+    size = {"h": args.h} if args.problem == "backward_step" else {"n": args.n}
+    return PROBLEM_BUILDERS[args.problem](re=args.re, nu=args.nu, **size)
 
 
 def _solver_config(args, problem, **overrides) -> SolverConfig:

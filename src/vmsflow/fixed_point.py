@@ -28,8 +28,9 @@ in ``ElementBatch`` times element-constant 2x2 products of ``A^-1`` and
 ``grad v_c`` through closed forms of ``W`` and ``S``; neither they nor a
 per-quadrature-point tensor is formed.  As in ``vmsflow.newton`` the element
 index is last: ``A`` (2, 2, E), element matrices (9, 9, E), loads (9, E).
-Global systems lift prescribed values element by element (``F_e -= K_e
-g_e``) and share the Newton path's ``Discretization`` scatter.
+The global system is solved, as Newton's is, for an increment on the
+free DOFs: its right-hand side is its own residual at the iterate, summed
+by the Newton path's ``Discretization.free_residual``.
 
 Both strategies read one description of the iterate, Newton's
 ``_Fields``, checked once where it is built.  Fixed point reads only its
@@ -198,15 +199,16 @@ def fp_element_system(mesh: Mesh, element_index: int, v_c: np.ndarray,
 
 
 def fp_assemble(disc: Discretization, state: State, nu: float):
-    """Global stabilized linearized system at ``state`` on the free DOFs, lifted.
+    """Global stabilized linearized system at ``state`` on the free DOFs, for an increment.
 
     The iterate is the coarse part of ``state`` (``vbar``, and ``dt`` with
     ``vbar_prev``, read as Newton's ``assemble_system`` reads them) and the
-    body force ``disc.load``.  Unlike the Newton path this solves for the
-    solution values directly, so each element moves its prescribed values
-    to the right-hand side (``F_e -= K_e g_e``) before the shared scatter.
+    body force ``disc.load``.  The right-hand side is the system's own
+    residual at the iterate, ``-(sum_e (K_e v_e - F_e) - traction)`` on the
+    free DOFs, with ``v_e`` the element values of ``state`` (prescribed
+    ones included), so it vanishes at the scheme's fixed point.
     """
-    K, F = _fp_batched(disc.batch, _fields(disc.batch, state, nu), disc.load, True)
-    F -= np.einsum("rse,se->re", K, disc.dofmap.prescribed[disc.edofs])
-    load = disc.global_vector(F) + disc.traction
-    return disc.free_matrix(K), load[disc.free]
+    f = _fields(disc.batch, state, nu)
+    K, F = _fp_batched(disc.batch, f, disc.load, True)
+    R = np.einsum("rse,se->re", K, np.concatenate([f.U[:3].reshape(6, -1), f.p])) - F
+    return disc.free_matrix(K), -disc.free_residual(R)

@@ -496,9 +496,9 @@ class Discretization:
     ``free`` lists the free global DOFs node by node ((u, v, p) per node)
     in ``mesh.elimination_order``, so every assembled matrix and
     right-hand side arrives in the order it is factored in: banded along
-    a narrow mesh, fill-reducing otherwise; ``full[free] = x`` scatters a
-    solution.  The prescribed values stay
-    in ``dofmap.prescribed``.
+    a narrow mesh, fill-reducing otherwise; ``delta[free] = x`` scatters an
+    increment.  ``free_residual`` is the one global residual assembly of
+    both strategies; the prescribed values enter only the start state.
     """
 
     def __init__(self, mesh: Mesh, dofmap: DofMap, bc: BoundaryConditions, body_force=None):
@@ -541,16 +541,15 @@ class Discretization:
         matrix.has_canonical_format = True
         return matrix
 
-    def global_vector(self, F: np.ndarray) -> np.ndarray:
-        """Sum element vectors (9, E) over all global (v, p) DOFs."""
-        return np.bincount(self.edofs.ravel(), weights=F.ravel(),
-                           minlength=self.dofmap.total)
+    def free_residual(self, R: np.ndarray) -> np.ndarray:
+        """``(sum_e R_e - traction)[free]`` for element residuals ``R`` (9, E)."""
+        summed = np.bincount(self.edofs.ravel(), weights=R.ravel(), minlength=self.dofmap.total)
+        return (summed - self.traction)[self.free]
 
 
 def _norm_of(disc: Discretization, Rvp, Rf) -> float:
-    residual_vp = disc.global_vector(Rvp) - disc.traction
     with np.errstate(over="ignore"):        # inf, which the loop reads as divergence
-        return float(np.sqrt(np.sum(residual_vp[disc.free] ** 2) + np.sum(Rf**2)))
+        return float(np.sqrt(np.sum(disc.free_residual(Rvp) ** 2) + np.sum(Rf**2)))
 
 
 def _linearization_part(index: int, doc: str) -> property:
@@ -579,9 +578,8 @@ class NewtonSystem:
         disc, fields, Rvp = self._pending
         blocks = _tangent_batched(disc.batch, fields)
         K_hat, R_hat, Kff_inv, X = _condense_batched(Rvp, self.Rf, blocks, disc.batch.elements)
-        residual_hat = disc.global_vector(R_hat) - disc.traction
         self._pending = None
-        return disc.free_matrix(K_hat), -residual_hat[disc.free], Kff_inv, X
+        return disc.free_matrix(K_hat), -disc.free_residual(R_hat), Kff_inv, X
 
     matrix = _linearization_part(0, "condensed tangent on the free (v, p) DOFs, CSC")
     rhs = _linearization_part(1, "-R_hat on the free DOFs")

@@ -38,7 +38,9 @@ in one process from 111 to 144 MB.
 
 One loop, ``_iterate``, drives both strategies: it records the residual
 of every update, tests for divergence and stops, and names why it
-stopped.  A strategy is only its update: the condensed Newton solve
+stopped.  The Dirichlet and pin values enter only its start state
+(``lifted_state``).  A strategy is only its update, an increment on the
+free DOFs from ``matrix . delta = -residual``: the condensed Newton solve
 with fine-scale recovery (linearizing only an iterate it updates), or
 the stabilized fixed-point solve.  The recorded residual is the 2-norm
 of the monolithic nonlinear residual (assembled coarse momentum and
@@ -428,9 +430,14 @@ class IterationReport:
         return float(self.residual_history[-1]) if self.iterations else float("nan")
 
 
-def lifted_state(mesh: Mesh, dofmap: DofMap) -> State:
-    """Zero state with the prescribed Dirichlet/pin values installed."""
-    return State(*dofmap.split(dofmap.prescribed.copy()), np.zeros((mesh.n_triangles, 2)))
+def lifted_state(mesh: Mesh, dofmap: DofMap, state: State | None = None) -> State:
+    """A copy of ``state``, or of the zero state, with the prescribed Dirichlet
+    and pin values installed on the constrained DOFs: the one place they enter."""
+    start = State.zeros(mesh) if state is None else state.copy()
+    values = dofmap.prescribed.copy()
+    values[dofmap.free] = np.concatenate([start.vbar.ravel(), start.p])[dofmap.free]
+    start.vbar, start.p = dofmap.split(values)
+    return start
 
 
 def _setup(problem) -> Discretization:
@@ -459,13 +466,13 @@ def _fixed_point_steps(disc: Discretization, nu: float, state: State):
     kept: list = []
     while True:
         matrix, rhs = fp_assemble(disc, state, nu)
-        full = disc.dofmap.prescribed.copy()
-        full[disc.free] = linear_solve(matrix, rhs, kept)
+        delta = np.zeros(disc.dofmap.total)
+        delta[disc.free] = linear_solve(matrix, rhs, kept)
         del matrix, rhs             # not held through the next assembly
-        new_vbar, new_p = disc.dofmap.split(full)
-        increment = float(np.linalg.norm(new_vbar - state.vbar))
-        state.vbar, state.p = new_vbar, new_p
-        yield assemble_system(disc, state, nu).residual, increment
+        dvbar, dp = disc.dofmap.split(delta)
+        state.vbar += dvbar
+        state.p += dp
+        yield assemble_system(disc, state, nu).residual, float(np.linalg.norm(dvbar))
 
 
 # Per strategy: its updates, and whether the velocity increment is recorded and stops.
@@ -486,10 +493,10 @@ def _check_fits(state: State, mesh: Mesh) -> None:
 
 def _iterate(disc: Discretization, nu: float, config: SolverConfig, state0: State | None
              ) -> tuple[State, IterationReport]:
-    """Run ``config.strategy`` from a copy of a checked ``state0`` (transient fields kept)
-    or lifted."""
+    """Run ``config.strategy`` from ``lifted_state`` of a checked ``state0`` (its
+    constrained values replaced, transient fields kept) or of the zero state."""
     updates, tracks_increment = _STRATEGIES[config.strategy]
-    state = state0.copy() if state0 is not None else lifted_state(disc.mesh, disc.dofmap)
+    state = lifted_state(disc.mesh, disc.dofmap, state0)
     inc_tol = config.tol if config.increment_tol is None else config.increment_tol
 
     history: list[float] = []
@@ -528,10 +535,10 @@ def solve(problem, config: SolverConfig, state0: State | None = None
           ) -> tuple[State, IterationReport]:
     """Steady solve with ``config.strategy``, up ``config.continuation``'s ladder if set.
 
-    Starts from ``state0`` or the Dirichlet-lifted zero state.  Fixed
-    point also stops on the velocity increment (``increment_tol``), at the
-    scheme's own fixed point, off the Newton solution by the stabilization
-    approximation.  A ladder starts cold at ``re_start`` and warm-starts
+    Starts from ``lifted_state`` of ``state0`` (its constrained values
+    replaced) or of the zero state.  Fixed point also stops on the velocity
+    increment (``increment_tol``), at the scheme's own fixed point, off the
+    Newton solution by the stabilization approximation.  A ladder starts cold at ``re_start`` and warm-starts
     each rung from the last; the first rung that fails ends it.  Its report
     is the last rung's, with every rung's residual and increment histories
     joined (so its iterations are their sum) and (re, report) pairs as
@@ -585,7 +592,8 @@ def time_march(problem, config: SolverConfig, dt: float, n_steps: int,
     below), an ``n_steps`` that is not an integer of at least 1, a
     continuation, or a ``state0`` that does not fit the mesh raises
     ``ValueError`` at the call.  The returned iterator then runs the
-    steps, from ``state0`` or the lifted zero state.  Every step solves the
+    steps, from ``lifted_state`` of ``state0`` (its constrained values
+    replaced) or of the zero state.  Every step solves the
     transient nonlinear problem with the previous step's velocity in the
     acceleration term, warm-started from that same state, and yields a
     copy of the state the march holds after it, with the step's report.
@@ -601,7 +609,7 @@ def time_march(problem, config: SolverConfig, dt: float, n_steps: int,
     if state0 is not None:
         _check_fits(state0, problem.mesh)
     disc = _setup(problem)
-    state = lifted_state(problem.mesh, disc.dofmap) if state0 is None else state0.copy()
+    state = lifted_state(problem.mesh, disc.dofmap, state0)
     return _march(disc, problem.nu, config, dt, n_steps, state)
 
 

@@ -106,11 +106,15 @@ def test_scatter_matches_dense_element_sum(case, dt):
     assert_close(system.rhs, rhs, 1e-13)
     assert system.residual == pytest.approx(norm, rel=1e-13)
 
-    K, rhs = dense_fixed_point(mesh, dofmap, bc, disc.free, state.vbar, state.vbar_prev,
-                               nu, dt, linear_force)
+    # The lifted system over all DOFs; fp_assemble's right-hand side is its
+    # residual at the state, whose constrained values need not be prescribed.
+    free = disc.free
+    K_all, rhs = dense_fixed_point(mesh, dofmap, bc, np.arange(dofmap.total), state.vbar,
+                                   state.vbar_prev, nu, dt, linear_force)
+    x = np.concatenate([state.vbar.ravel(), state.p])
     matrix, load = fp_assemble(disc, state, nu)
-    assert_close(matrix.toarray(), K, 1e-13)
-    assert_close(load, rhs, 1e-13)
+    assert_close(matrix.toarray(), K_all[np.ix_(free, free)], 1e-13)
+    assert_close(load, rhs[free] - K_all[free] @ (x - dofmap.prescribed), 1e-13)
 
 
 @pytest.mark.parametrize("case", [cavity_case, step_case], ids=["cavity", "step"])

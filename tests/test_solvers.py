@@ -812,6 +812,40 @@ def marched(*args):
     return states, reports
 
 
+class TestStartState:
+    """Only the start state takes the prescribed values: a ``state0`` keeps its
+    free values, and its constrained ones are replaced by the problem's."""
+
+    @pytest.mark.parametrize("run", [
+        lambda prob, start: [solve(prob, SolverConfig(), start)],
+        lambda prob, start: [solve(prob, SolverConfig(strategy="fixed_point"), start)],
+        lambda prob, start: zip(*marched(prob, SolverConfig(), 0.1, 2, start)),
+    ], ids=["newton", "fixed_point", "time_march"])
+    def test_zero_start_is_the_lifted_start(self, run):
+        # from the zero state Newton used to stop on "tol" after one update
+        # without the lid, and a march marched that zero flow
+        prob = lid_cavity(8, re=100)
+        runs = list(run(prob, State.zeros(prob.mesh)))
+        lifted = list(run(prob, None))
+        assert len(runs) == len(lifted)
+        for (state, report), (reference, expected) in zip(runs, lifted):
+            assert state.digest() == reference.digest()
+            assert expected.converged and report.stop_reason == expected.stop_reason
+            for name in ("residual_history", "increment_history"):
+                np.testing.assert_array_equal(getattr(report, name), getattr(expected, name))
+            assert np.abs(state.vbar).max() == 1.0
+
+    @EACH_STRATEGY
+    def test_wrong_boundary_values_are_replaced(self, strategy):
+        prob = lid_cavity(8, re=100)
+        start = lifted_state(prob.mesh, build_dof_map(prob.mesh, prob.bc))
+        lid = start.vbar[:, 0] == 1.0
+        start.vbar[lid, 0] = 0.5
+        state, report = solve(prob, SolverConfig(strategy=strategy), start)
+        assert report.converged
+        assert np.all(state.vbar[lid, 0] == 1.0) and np.all(start.vbar[lid, 0] == 0.5)
+
+
 class TestTimeMarch:
     def test_inputs_are_checked_before_any_step(self, monkeypatch):
         # the march is lazy, but a bad input fails at the call; at least one
