@@ -6,7 +6,13 @@ and, through ``continuation``, the Reynolds ladder ``solve`` climbs (its
 rungs and their bound come from ``ContinuationConfig.ladder`` alone).
 ``time_march`` takes its step size and count as arguments, checks its
 inputs and builds its set-up at the call, then returns an iterator that
-yields each step's state and report.
+yields each step's state and report.  Each rung after the second, and each
+step after the first, starts from the secant prediction of the last two
+converged states (``_secant_start``); on the backward step at h=0.25, Re
+15 to 150 by factor 1.1, that takes 54 updates where the last state alone
+takes 64.  There is no step control: a secant three times the last rung's
+change ahead can leave the basin the last state lies in (the lid cavity at
+n=16, Re 50 to 1000 by factor 3, diverges at Re=450).
 A problem object must expose ``mesh``, ``bc``, ``nu`` and ``body_force``
 attributes (``vmsflow.problems.ProblemSpec`` does); a ladder also needs
 ``re``, its last rung, and a ``with_re`` that keeps the mesh, boundary
@@ -440,6 +446,15 @@ def lifted_state(mesh: Mesh, dofmap: DofMap, state: State | None = None) -> Stat
     return start
 
 
+def _secant_start(state: State, last: State, weight: float) -> State:
+    """The start ``x + weight (x - last)`` predicted from the last two converged
+    states, in ``vbar``, ``p`` and ``beta``: the secant predictor of
+    continuation methods (Keller 1977; Allgower and Georg 2003)."""
+    return State(*(x + weight * (x - y) for x, y in ((state.vbar, last.vbar),
+                                                     (state.p, last.p),
+                                                     (state.beta, last.beta))))
+
+
 def _setup(problem) -> Discretization:
     return Discretization(problem.mesh, build_dof_map(problem.mesh, problem.bc),
                           problem.bc, problem.body_force)
@@ -538,14 +553,18 @@ def solve(problem, config: SolverConfig, state0: State | None = None
     Starts from ``lifted_state`` of ``state0`` (its constrained values
     replaced) or of the zero state.  Fixed point also stops on the velocity
     increment (``increment_tol``), at the scheme's own fixed point, off the
-    Newton solution by the stabilization approximation.  A ladder starts cold at ``re_start`` and warm-starts
-    each rung from the last; the first rung that fails ends it.  Its report
-    is the last rung's, with every rung's residual and increment histories
-    joined (so its iterations are their sum) and (re, report) pairs as
-    ``sub_reports``.  Every rung shares one set-up, so ``problem.with_re``
-    must keep the body force.  A ladder must end at ``problem.re`` and takes
-    no ``state0``; a ``state0`` must fit the mesh and carry no ``dt`` or
-    ``vbar_prev`` (``time_march``'s); each raises ``ValueError`` before set-up.
+    Newton solution by the stabilization approximation.  A ladder starts
+    cold at ``re_start``, starts its second rung from the first's state, and
+    each later rung k+1 from ``x_k + w (x_k - x_{k-1})`` with
+    ``w = (Re_{k+1} - Re_k) / (Re_k - Re_{k-1})`` of the rungs themselves
+    (so the clipped last rung gets its own weight); the first rung that
+    fails ends it.  Its report is the last rung's, with every rung's
+    residual and increment histories joined (so its iterations are their
+    sum) and (re, report) pairs as ``sub_reports``.  Every rung shares one
+    set-up, so ``problem.with_re`` must keep the body force.  A ladder must
+    end at ``problem.re`` and takes no ``state0``; a ``state0`` must fit the
+    mesh and carry no ``dt`` or ``vbar_prev`` (``time_march``'s); each raises
+    ``ValueError`` before set-up.
     """
     if state0 is not None and config.continuation is not None:
         raise ValueError("a continuation ladder starts cold; it takes no state0")
@@ -560,17 +579,20 @@ def solve(problem, config: SolverConfig, state0: State | None = None
     disc = _setup(problem)
     if config.continuation is None:
         return _iterate(disc, problem.nu, config, state0)
-    state = None
+    rungs = config.continuation.ladder()
+    state = last = None
     subs: list[tuple[float, IterationReport]] = []
-    for re in config.continuation.ladder():
+    for k, re in enumerate(rungs):
         rung = problem.with_re(re)
         if rung.body_force is not problem.body_force:
             raise ValueError(f"continuation rung Re={re:g} changes the body force")
-        state_out, report = _iterate(disc, rung.nu, config, state)
+        start = state if last is None else \
+            _secant_start(state, last, (re - rungs[k - 1]) / (rungs[k - 1] - rungs[k - 2]))
+        state_out, report = _iterate(disc, rung.nu, config, start)
         subs.append((re, report))
         if not report.converged:
             break
-        state = state_out
+        state, last = state_out, state
     # Every rung before the last converged, so the last rung's stop reason is the ladder's.
     increments = None if report.increment_history is None else \
         np.concatenate([r.increment_history for _, r in subs])
@@ -595,8 +617,10 @@ def time_march(problem, config: SolverConfig, dt: float, n_steps: int,
     steps, from ``lifted_state`` of ``state0`` (its constrained values
     replaced) or of the zero state.  Every step solves the
     transient nonlinear problem with the previous step's velocity in the
-    acceleration term, warm-started from that same state, and yields a
-    copy of the state the march holds after it, with the step's report.
+    acceleration term.  The first step starts from that state and each
+    later one from the secant prediction ``2 x_n - x_{n-1}`` of the last
+    two (the start state counts as ``x_0``).  A step yields a copy of the
+    state the march holds after it, with the step's report.
     An unconverged step yields the last converged state and ends the
     march.  The set-up lives until the iterator is exhausted or dropped.
     """
@@ -616,11 +640,13 @@ def time_march(problem, config: SolverConfig, dt: float, n_steps: int,
 def _march(disc: Discretization, nu: float, config: SolverConfig, dt: float, n_steps: int,
            state: State):
     """The steps of ``time_march`` from ``state``, each yielding (state copy, report)."""
+    last = None
     for _ in range(n_steps):
-        start = replace(state, dt=dt, vbar_prev=state.vbar)  # _iterate copies it
+        guess = state if last is None else _secant_start(state, last, 1.0)
+        start = replace(guess, dt=dt, vbar_prev=state.vbar)  # _iterate copies it
         stepped, report = _iterate(disc, nu, config, start)
         if report.converged:
-            state = stepped
+            state, last = stepped, state
         yield state.copy(), report
         if not report.converged:
             return

@@ -524,7 +524,8 @@ class TestFixedPointSolve:
 def assert_ladder_matches_fresh_builds(monkeypatch, problem, config, build):
     """Run the ladder, then check that every rung's residual history, stop
     reason and state equal those of a Newton solve on ``build(re)``, each
-    warm-started from the one before; returns the ladder's report."""
+    started from the secant prediction of the two before (the second from
+    the first); returns the ladder's report."""
     records = []
     iterate = solve_module._iterate
 
@@ -538,10 +539,13 @@ def assert_ladder_matches_fresh_builds(monkeypatch, problem, config, build):
     assert report.converged
     rungs = records[:]
     records.clear()
-    state = None
-    for re, _ in report.sub_reports:
-        state, _ = solve(build(re), dataclasses.replace(config, continuation=None),
-                         state0=state)
+    ladder = [re for re, _ in report.sub_reports]
+    state = last = None
+    for k, re in enumerate(ladder):
+        start = state if last is None else solve_module._secant_start(
+            state, last, (re - ladder[k - 1]) / (ladder[k - 1] - ladder[k - 2]))
+        last = state
+        state, _ = solve(build(re), dataclasses.replace(config, continuation=None), state0=start)
     assert records == rungs
     return report
 
@@ -638,7 +642,7 @@ class TestContinuation:
         np.testing.assert_array_equal(state_c.vbar, state_d.vbar)
 
     def test_warm_start_monotonicity(self):
-        # iteration counts on warm-started rungs never exceed the cold count
+        # iteration counts on continued rungs never exceed the cold count
         prob = backward_step(re=25, h=0.25)
         cfg = SolverConfig(tol=1e-8, max_iter=25,
                            continuation=ContinuationConfig(15, 25, factor=1.3))
@@ -650,15 +654,15 @@ class TestContinuation:
 
     def test_step_direct_solve_struggles_against_warm_rungs(self):
         # the cold solve at the target Reynolds number takes more iterations
-        # than any warm-started rung of the ladder that reaches it
+        # than any continued rung of the ladder that reaches it
         prob = backward_step(re=150)
         cfg = SolverConfig(tol=1e-8, max_iter=25,
                            continuation=ContinuationConfig(15, 150, factor=1.1))
         _, chain = solve(prob, cfg)
         assert chain.converged
         _, direct = solve(prob, SolverConfig(tol=1e-8, max_iter=25))
-        warm_counts = [rep.iterations for _, rep in chain.sub_reports[1:]]
-        assert (not direct.converged) or direct.iterations > max(warm_counts)
+        rung_counts = [rep.iterations for _, rep in chain.sub_reports[1:]]
+        assert (not direct.converged) or direct.iterations > max(rung_counts)
 
     @EACH_STRATEGY
     def test_strategy_entry_points_run_the_ladder(self, strategy):
@@ -721,7 +725,7 @@ class TestContinuation:
 
     @pytest.mark.parametrize("build, ladder", [
         (lambda re: body_force_cavity(8, re=re), ContinuationConfig(5, 50, 1.5)),
-        (lambda re: backward_step(re=re, h=0.5), ContinuationConfig(15, 150, 1.1)),
+        (lambda re: backward_step(re=re, h=0.25), ContinuationConfig(15, 150, 1.1)),
     ], ids=["body_force_cavity", "backward_step"])
     def test_ladder_matches_fresh_builds_bitwise(self, build, ladder, monkeypatch):
         # re-targeting the viscosity gives every rung exactly what a problem
@@ -737,6 +741,91 @@ class TestContinuation:
         state, report = solve(prob, cfg)
         assert report.converged
         assert len(report.sub_reports) >= 2
+
+
+def warm_started(monkeypatch, run):
+    """``run()`` with every rung and step started from the last converged
+    state instead of the secant prediction."""
+    with monkeypatch.context() as patched:
+        patched.setattr(solve_module, "_secant_start", lambda state, last, weight: state)
+        return run()
+
+
+def assert_close_states(state, reference, bound=1e-9):
+    scale = np.abs(reference.vbar).max()
+    assert np.abs(state.vbar - reference.vbar).max() <= bound * scale
+
+
+class TestSecantStart:
+    """Each rung after the second, and each step after the first, starts from
+    the secant prediction of the last two converged states."""
+
+    def test_step_ladder_saves_updates(self, monkeypatch):
+        # the step-ladder benchmark's path: 64 updates warm-started
+        def run():
+            return solve(backward_step(re=150, h=0.25), SolverConfig(
+                tol=1e-10, continuation=ContinuationConfig(15, 150, 1.1)))
+        state, report = run()
+        warm, warm_report = warm_started(monkeypatch, run)
+        assert all(r.converged for _, r in report.sub_reports)
+        assert (report.iterations, warm_report.iterations) == (54, 64)
+        assert_close_states(state, warm)
+
+    def test_body_force_ladder_reaches_its_target(self, monkeypatch):
+        # warm-started, the rung at Re ~ 2653 runs to max_iter
+        def run():
+            return solve(body_force_cavity(32, re=3000), SolverConfig(
+                tol=1e-8, max_iter=25, continuation=ContinuationConfig(1000, 3000, 1.05)))
+        _, report = run()
+        _, warm = warm_started(monkeypatch, run)
+        assert report.converged and report.sub_reports[-1][0] == 3000
+        assert warm.stop_reason == "max_iter" and warm.sub_reports[-1][0] < 2700
+
+    def test_newton_march_saves_updates(self, monkeypatch):
+        def run():
+            return marched(lid_cavity(32, re=400), SolverConfig(tol=1e-10), 0.1, 10)
+        states, reports = run()
+        warm_states, warm_reports = warm_started(monkeypatch, run)
+        assert all(r.converged for r in reports)
+        assert [sum(r.iterations for r in rs) for rs in (reports, warm_reports)] == [28, 31]
+        # the first step has no prediction
+        assert states[0].digest() == warm_states[0].digest()
+        np.testing.assert_array_equal(reports[0].residual_history,
+                                      warm_reports[0].residual_history)
+        assert_close_states(states[-1], warm_states[-1])
+
+    @pytest.mark.parametrize("build, start, factor, strategy", [
+        *(pytest.param(lambda n=n: lid_cavity(n, re=1000), 100, factor, strategy,
+                       id=f"lid{n}-x{factor}-{strategy}")
+          for n in (8, 16, 32) for factor in (1.5, 2, 3)
+          for strategy in ("newton", "fixed_point")),
+        *(pytest.param(lambda: backward_step(re=150, h=0.25), 15, factor, "newton",
+                       id=f"step-x{factor}-newton") for factor in (1.3, 1.6, 2)),
+    ])
+    def test_coarse_ladder_converges_where_the_warm_start_does(self, build, start, factor,
+                                                             strategy, monkeypatch):
+        problem = build()
+
+        def run():
+            return solve(problem, SolverConfig(
+                strategy=strategy, continuation=ContinuationConfig(start, problem.re, factor)))
+        _, report = run()
+        if not report.converged:
+            _, warm = warm_started(monkeypatch, run)
+            assert not warm.converged
+
+    @EACH_STRATEGY
+    def test_secant_three_times_the_last_rung_overshoots(self, strategy, monkeypatch):
+        # the known limit of a predictor without step control: from Re=50 by
+        # factor 3 the rung Re=450 is predicted three times the last rung's
+        # change ahead, outside the basin the warm start lies in
+        def run():
+            return solve(lid_cavity(16, re=1000), SolverConfig(
+                strategy=strategy, continuation=ContinuationConfig(50, 1000, 3)))
+        _, report = run()
+        _, warm = warm_started(monkeypatch, run)
+        assert warm.converged
+        assert (report.sub_reports[-1][0], report.stop_reason) == (450, "diverged")
 
 
 @pytest.fixture(scope="module")
