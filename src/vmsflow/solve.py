@@ -7,12 +7,10 @@ rungs and their bound come from ``ContinuationConfig.ladder`` alone).
 ``time_march`` takes its step size and count as arguments, checks its
 inputs and builds its set-up at the call, then returns an iterator that
 yields each step's state and report.  Each rung after the second, and each
-step after the first, starts from the secant prediction of the last two
-converged states (``_secant_start``); on the backward step at h=0.25, Re
-15 to 150 by factor 1.1, that takes 54 updates where the last state alone
-takes 64.  There is no step control: a secant three times the last rung's
-change ahead can leave the basin the last state lies in (the lid cavity at
-n=16, Re 50 to 1000 by factor 3, diverges at Re=450).
+step after the second, starts from the secant prediction of the last two
+converged states (``_secant_start``), which reaches no further past the
+last state than the last two lie apart.  There is no step control: a rung
+whose corrector fails ends the ladder.
 A problem object must expose ``mesh``, ``bc``, ``nu`` and ``body_force``
 attributes (``vmsflow.problems.ProblemSpec`` does); a ladder also needs
 ``re``, its last rung, and a ``with_re`` that keeps the mesh, boundary
@@ -447,9 +445,13 @@ def lifted_state(mesh: Mesh, dofmap: DofMap, state: State | None = None) -> Stat
 
 
 def _secant_start(state: State, last: State, weight: float) -> State:
-    """The start ``x + weight (x - last)`` predicted from the last two converged
-    states, in ``vbar``, ``p`` and ``beta``: the secant predictor of
-    continuation methods (Keller 1977; Allgower and Georg 2003)."""
+    """The start ``x + w (x - last)``, ``w = min(weight, 1)``, predicted from the
+    last two converged states, in ``vbar``, ``p`` and ``beta``: the secant
+    predictor of continuation methods (Keller 1977; Allgower and Georg 2003).
+    The bound keeps the prediction within one last change of ``x``: a
+    ladder's weight is the ratio of its Reynolds steps, its factor, and a
+    weight of 3 overshoots rungs that the last state alone reaches."""
+    weight = min(weight, 1.0)
     return State(*(x + weight * (x - y) for x, y in ((state.vbar, last.vbar),
                                                      (state.p, last.p),
                                                      (state.beta, last.beta))))
@@ -556,9 +558,9 @@ def solve(problem, config: SolverConfig, state0: State | None = None
     Newton solution by the stabilization approximation.  A ladder starts
     cold at ``re_start``, starts its second rung from the first's state, and
     each later rung k+1 from ``x_k + w (x_k - x_{k-1})`` with
-    ``w = (Re_{k+1} - Re_k) / (Re_k - Re_{k-1})`` of the rungs themselves
-    (so the clipped last rung gets its own weight); the first rung that
-    fails ends it.  Its report is the last rung's, with every rung's
+    ``w = min((Re_{k+1} - Re_k) / (Re_k - Re_{k-1}), 1)`` of the rungs
+    themselves (so a clipped last rung gets its own weight); the first rung
+    that fails ends it.  Its report is the last rung's, with every rung's
     residual and increment histories joined (so its iterations are their
     sum) and (re, report) pairs as ``sub_reports``.  Every rung shares one
     set-up, so ``problem.with_re`` must keep the body force.  A ladder must
@@ -617,10 +619,11 @@ def time_march(problem, config: SolverConfig, dt: float, n_steps: int,
     steps, from ``lifted_state`` of ``state0`` (its constrained values
     replaced) or of the zero state.  Every step solves the
     transient nonlinear problem with the previous step's velocity in the
-    acceleration term.  The first step starts from that state and each
-    later one from the secant prediction ``2 x_n - x_{n-1}`` of the last
-    two (the start state counts as ``x_0``).  A step yields a copy of the
-    state the march holds after it, with the step's report.
+    acceleration term.  The first step starts from that state, the second
+    from the first's, and each later one from the secant prediction
+    ``2 x_n - x_{n-1}`` of the last two steps (the start state is no step
+    of the march: from an impulsive start a secant through it overshoots).  A step yields a copy
+    of the state the march holds after it, with the step's report.
     An unconverged step yields the last converged state and ends the
     march.  The set-up lives until the iterator is exhausted or dropped.
     """
@@ -640,13 +643,13 @@ def time_march(problem, config: SolverConfig, dt: float, n_steps: int,
 def _march(disc: Discretization, nu: float, config: SolverConfig, dt: float, n_steps: int,
            state: State):
     """The steps of ``time_march`` from ``state``, each yielding (state copy, report)."""
-    last = None
-    for _ in range(n_steps):
+    last = None  # the step before ``state``, once two steps have converged
+    for step in range(n_steps):
         guess = state if last is None else _secant_start(state, last, 1.0)
         start = replace(guess, dt=dt, vbar_prev=state.vbar)  # _iterate copies it
         stepped, report = _iterate(disc, nu, config, start)
         if report.converged:
-            state, last = stepped, state
+            state, last = stepped, (state if step else None)
         yield state.copy(), report
         if not report.converged:
             return
