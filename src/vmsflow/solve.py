@@ -6,11 +6,8 @@ and, through ``continuation``, the Reynolds ladder ``solve`` climbs (its
 rungs and their bound come from ``ContinuationConfig.ladder`` alone).
 ``time_march`` takes its step size and count as arguments, checks its
 inputs and builds its set-up at the call, then returns an iterator that
-yields each step's state and report.  Each rung after the second, and each
-step after the second, starts from the secant prediction of the last two
-converged states (``_secant_start``), which reaches no further past the
-last state than the last two lie apart.  There is no step control: a rung
-whose corrector fails ends the ladder.
+yields each step's state and report.  A ladder and a march are both paths
+of points, which one loop, ``_path``, follows.
 A problem object must expose ``mesh``, ``bc``, ``nu`` and ``body_force``
 attributes (``vmsflow.problems.ProblemSpec`` does); a ladder also needs
 ``re``, its last rung, and a ``with_re`` that keeps the mesh, boundary
@@ -34,11 +31,9 @@ factor, without its matrix.  Each new matrix is solved first with it,
 refined against the new matrix to the same bound, and factored only when
 that misses, after the kept solve is dropped, so one factor is alive at
 a time; the list dies with the loop at the end of the solve, rung or
-step.  On the lid cavity at n=32, Re=400, 6 of 10 updates factor.
-Newton factors every matrix: a kept Newton factor lives through the
-tangent and condensation build, and on the lid cavity at n=64, Re=400
-keeping it saved one factor in 7 but raised the peak memory of 12 solves
-in one process from 111 to 144 MB.
+step.  Newton factors every matrix: a kept Newton factor would live
+through the tangent and condensation build, which raises the peak memory
+of a solve.
 
 One loop, ``_iterate``, drives both strategies: it records the residual
 of every update, tests for divergence and stops, and names why it
@@ -57,7 +52,7 @@ makes the histories of the two strategies directly comparable.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -445,12 +440,9 @@ def lifted_state(mesh: Mesh, dofmap: DofMap, state: State | None = None) -> Stat
 
 
 def _secant_start(state: State, last: State, weight: float) -> State:
-    """The start ``x + w (x - last)``, ``w = min(weight, 1)``, predicted from the
-    last two converged states, in ``vbar``, ``p`` and ``beta``: the secant
-    predictor of continuation methods (Keller 1977; Allgower and Georg 2003).
-    The bound keeps the prediction within one last change of ``x``: a
-    ladder's weight is the ratio of its Reynolds steps, its factor, and a
-    weight of 3 overshoots rungs that the last state alone reaches."""
+    """The start ``x + w (x - last)``, ``w = min(weight, 1)``, in ``vbar``, ``p``
+    and ``beta``.  The bound keeps the prediction within one last change of
+    ``x``: a weight of 3 overshoots rungs that the last state alone reaches."""
     weight = min(weight, 1.0)
     return State(*(x + weight * (x - y) for x, y in ((state.vbar, last.vbar),
                                                      (state.p, last.p),
@@ -555,18 +547,16 @@ def solve(problem, config: SolverConfig, state0: State | None = None
     Starts from ``lifted_state`` of ``state0`` (its constrained values
     replaced) or of the zero state.  Fixed point also stops on the velocity
     increment (``increment_tol``), at the scheme's own fixed point, off the
-    Newton solution by the stabilization approximation.  A ladder starts
-    cold at ``re_start``, starts its second rung from the first's state, and
-    each later rung k+1 from ``x_k + w (x_k - x_{k-1})`` with
-    ``w = min((Re_{k+1} - Re_k) / (Re_k - Re_{k-1}), 1)`` of the rungs
-    themselves (so a clipped last rung gets its own weight); the first rung
-    that fails ends it.  Its report is the last rung's, with every rung's
-    residual and increment histories joined (so its iterations are their
-    sum) and (re, report) pairs as ``sub_reports``.  Every rung shares one
-    set-up, so ``problem.with_re`` must keep the body force.  A ladder must
+    Newton solution by the stabilization approximation.  A ladder is a path
+    in Re (``_path``) that starts cold; it returns the last converged rung's
+    state, or the first rung's own iterate when that rung fails.  Its report
+    is the last rung's, with every rung's residual and increment histories
+    joined (so its iterations are their sum) and (re, report) pairs as
+    ``sub_reports``.  Every rung shares one set-up, so each rung that
+    ``problem.with_re`` builds must keep the body force, and a ladder must
     end at ``problem.re`` and takes no ``state0``; a ``state0`` must fit the
-    mesh and carry no ``dt`` or ``vbar_prev`` (``time_march``'s); each raises
-    ``ValueError`` before set-up.
+    mesh and carry no ``dt`` or ``vbar_prev`` (``time_march``'s).  Each of
+    these raises ``ValueError`` before set-up.
     """
     if state0 is not None and config.continuation is not None:
         raise ValueError("a continuation ladder starts cold; it takes no state0")
@@ -578,27 +568,22 @@ def solve(problem, config: SolverConfig, state0: State | None = None
                          "a steady solve takes a steady start state")
     if state0 is not None:
         _check_fits(state0, problem.mesh)
-    disc = _setup(problem)
-    if config.continuation is None:
-        return _iterate(disc, problem.nu, config, state0)
-    rungs = config.continuation.ladder()
-    state = last = None
-    subs: list[tuple[float, IterationReport]] = []
-    for k, re in enumerate(rungs):
-        rung = problem.with_re(re)
+    rungs = [] if config.continuation is None else \
+        [(re, problem.with_re(re)) for re in config.continuation.ladder()]
+    for re, rung in rungs:
         if rung.body_force is not problem.body_force:
             raise ValueError(f"continuation rung Re={re:g} changes the body force")
-        start = state if last is None else \
-            _secant_start(state, last, (re - rungs[k - 1]) / (rungs[k - 1] - rungs[k - 2]))
-        state_out, report = _iterate(disc, rung.nu, config, start)
+    disc = _setup(problem)
+    if not rungs:
+        return _iterate(disc, problem.nu, config, state0)
+    points = _path(disc, config, None, ((re, rung.nu, None) for re, rung in rungs))
+    subs: list[tuple[float, IterationReport]] = []
+    for (re, _), (state, iterate, report) in zip(rungs, points):
         subs.append((re, report))
-        if not report.converged:
-            break
-        state, last = state_out, state
     # Every rung before the last converged, so the last rung's stop reason is the ladder's.
     increments = None if report.increment_history is None else \
         np.concatenate([r.increment_history for _, r in subs])
-    return (state if state is not None else state_out), replace(
+    return (iterate if state is None else state), replace(
         report,
         residual_history=np.concatenate([r.residual_history for _, r in subs]),
         increment_history=increments,
@@ -616,16 +601,12 @@ def time_march(problem, config: SolverConfig, dt: float, n_steps: int,
     below), an ``n_steps`` that is not an integer of at least 1, a
     continuation, or a ``state0`` that does not fit the mesh raises
     ``ValueError`` at the call.  The returned iterator then runs the
-    steps, from ``lifted_state`` of ``state0`` (its constrained values
-    replaced) or of the zero state.  Every step solves the
-    transient nonlinear problem with the previous step's velocity in the
-    acceleration term.  The first step starts from that state, the second
-    from the first's, and each later one from the secant prediction
-    ``2 x_n - x_{n-1}`` of the last two steps (the start state is no step
-    of the march: from an impulsive start a secant through it overshoots).  A step yields a copy
-    of the state the march holds after it, with the step's report.
-    An unconverged step yields the last converged state and ends the
-    march.  The set-up lives until the iterator is exhausted or dropped.
+    steps, a path in step counts (``_path``), from ``lifted_state`` of
+    ``state0`` (its constrained values replaced) or of the zero state.  A
+    step yields a copy of the state the march holds after it, with the
+    step's report.  An unconverged step yields the last converged state
+    and ends the march.  The set-up lives until the iterator is exhausted
+    or dropped.
     """
     # Each check is written so that NaN fails it.
     if not 1e-100 <= dt < np.inf:
@@ -636,20 +617,38 @@ def time_march(problem, config: SolverConfig, dt: float, n_steps: int,
     if state0 is not None:
         _check_fits(state0, problem.mesh)
     disc = _setup(problem)
-    state = lifted_state(problem.mesh, disc.dofmap, state0)
-    return _march(disc, problem.nu, config, dt, n_steps, state)
+    start = lifted_state(problem.mesh, disc.dofmap, state0)
+    steps = ((k, problem.nu, dt) for k in range(n_steps))
+    return ((s.copy(), r) for s, _, r in _path(disc, config, start, steps))
 
 
-def _march(disc: Discretization, nu: float, config: SolverConfig, dt: float, n_steps: int,
-           state: State):
-    """The steps of ``time_march`` from ``state``, each yielding (state copy, report)."""
-    last = None  # the step before ``state``, once two steps have converged
-    for step in range(n_steps):
-        guess = state if last is None else _secant_start(state, last, 1.0)
-        start = replace(guess, dt=dt, vbar_prev=state.vbar)  # _iterate copies it
-        stepped, report = _iterate(disc, nu, config, start)
+def _path(disc: Discretization, config: SolverConfig, state: State | None, path: Iterable):
+    """Solve the ``(parameter, nu, dt)`` points of ``path`` in turn from ``state``
+    (None: the zero state), yielding per point the last converged state
+    (``state`` before any), the point's own iterate and its report.
+
+    The first point starts from ``state``, the second from the first's
+    state, and each later one from ``_secant_start`` of the last two
+    converged states (Keller 1977; Allgower and Georg 2003) with weight
+    ``(p_k - p_{k-1}) / (p_{k-1} - p_{k-2})`` of the parameters ``p``: a
+    ladder's Reynolds ratio, 1 on a march counted in steps.  ``state`` is no
+    point of the path, as a secant through an impulsive start overshoots.
+    A point with a ``dt`` is a backward-Euler step from the last converged
+    velocity.  There is no step control: the first point that fails ends
+    the path.
+    """
+    converged: list[tuple[float, State]] = []   # the last two converged points
+    for parameter, nu, dt in path:
+        start = state
+        if len(converged) == 2:
+            (p0, last), (p1, _) = converged
+            start = _secant_start(state, last, (parameter - p1) / (p1 - p0))
+        if dt is not None:
+            start = replace(start, dt=dt, vbar_prev=state.vbar)  # _iterate copies it
+        iterate, report = _iterate(disc, nu, config, start)
         if report.converged:
-            state, last = stepped, (state if step else None)
-        yield state.copy(), report
+            state = iterate
+            converged = [*converged[-1:], (parameter, state)]
+        yield state, iterate, report
         if not report.converged:
             return

@@ -696,6 +696,28 @@ class TestContinuation:
         with pytest.raises(ValueError, match="state0"):
             solve(prob, cfg, state0=start)
 
+    def test_failed_ladder_returns_the_last_converged_rungs_state(self):
+        # the rung at Re=1000 runs to max_iter; the ladder returns the Re=450
+        # rung's state, bitwise that of the ladder that ends there
+        cfg = SolverConfig(max_iter=4, continuation=ContinuationConfig(50, 1000, 3))
+        state, report = solve(lid_cavity(8, re=1000), cfg)
+        assert [(re, r.stop_reason) for re, r in report.sub_reports] == [
+            (50, "tol"), (150, "tol"), (450, "tol"), (1000, "max_iter")]
+        reached, _ = solve(lid_cavity(8, re=450), dataclasses.replace(
+            cfg, continuation=ContinuationConfig(50, 450, 3)))
+        assert state.digest() == reached.digest()
+
+    def test_ladder_whose_first_rung_fails_returns_that_rungs_iterate(self):
+        # no rung converged, so the ladder returns what its first rung reached
+        problem = lid_cavity(8, re=100)
+        cfg = SolverConfig(max_iter=1, continuation=ContinuationConfig(50, 100, 1.5))
+        state, report = solve(problem, cfg)
+        assert [(re, r.stop_reason) for re, r in report.sub_reports] == [(50, "max_iter")]
+        alone, alone_report = solve(problem.with_re(50), dataclasses.replace(
+            cfg, continuation=None))
+        assert state.digest() == alone.digest()
+        np.testing.assert_array_equal(report.residual_history, alone_report.residual_history)
+
     @pytest.mark.parametrize("changed_at", [10, 15], ids=["replaced", "later_rung"])
     def test_rung_that_changes_the_body_force_is_named(self, changed_at, monkeypatch):
         # the shared set-up integrates problem.body_force once, so a rung
@@ -713,15 +735,22 @@ class TestContinuation:
                 lambda re: dataclasses.replace(body_force_cavity(8, re=re), body_force=doubled))
             return
 
+        built = []
+
         def with_re(re):
+            built.append(re)
             rung = base.with_re(re)
             return dataclasses.replace(rung, body_force=doubled) if re >= changed_at else rung
 
-        # a duck-typed problem whose rungs from Re=15 on carry another force
+        # a duck-typed problem whose rungs from Re=15 on carry another force:
+        # every rung is built once and checked before the set-up, so the Re=10
+        # rung is not solved first
         prob = SimpleNamespace(mesh=base.mesh, bc=base.bc, nu=base.nu, re=base.re,
                                body_force=base.body_force, with_re=with_re)
+        monkeypatch.setattr(solve_module, "_setup", lambda problem: pytest.fail("set up"))
         with pytest.raises(ValueError, match=f"rung Re={changed_at} changes the body force"):
             solve(prob, cfg)
+        assert built == [10, 15, 20]
 
     @pytest.mark.parametrize("build, ladder", [
         (lambda re: body_force_cavity(8, re=re), ContinuationConfig(5, 50, 1.5)),
