@@ -50,18 +50,22 @@ def _outdir(args) -> Path:
     return Path(os.environ.get("VMSFLOW_OUTDIR", "vmsflow_out"))
 
 
+def _written_rung(problem, report):
+    """The problem at the Reynolds number of the state ``solve`` returns: on a
+    failed ladder, the last converged rung's, or the first rung's if it failed."""
+    subs = report.sub_reports
+    re = problem.re if report.converged or not subs else subs[max(len(subs) - 2, 0)][0]
+    return problem if re == problem.re else problem.with_re(re)
+
+
 def _cmd_solve(args) -> int:
     problem = _build_problem(args)
     config = _solver_config(args, problem)
     state, report = solve(problem, config)
     outdir = _outdir(args)
-    extra = {
-        "problem": problem.name,
-        "strategy": args.strategy,
-        "re": problem.re,
-        "nu": problem.nu,
-    }
-    if problem.exact is not None:
+    rung = _written_rung(problem, report)
+    extra = {"problem": problem.name, "strategy": args.strategy, "re": rung.re, "nu": rung.nu}
+    if rung is problem and problem.exact is not None:
         norms = error_norms(state, problem.exact, problem.mesh)
         extra["l2_velocity_error"] = f"{norms.l2_velocity:.6e}"
         extra["h1_semi_pressure_error"] = f"{norms.h1_semi_pressure:.6e}"
@@ -76,8 +80,8 @@ def _cmd_solve(args) -> int:
 def _cmd_study(args) -> int:
     levels = [int(tok) for tok in args.levels.split(",")]
     strategies = ["newton", "fixed_point"] if args.strategy == "both" else [args.strategy]
-    # Each level is built once, and every strategy solves that problem.
-    build = cache(partial(body_force_cavity, re=args.re, nu=args.nu))
+    # Each level is built once, at nu = 1 where its exact solution holds, for every strategy.
+    build = cache(partial(body_force_cavity, nu=1.0))
     # Every level climbs the same continuation ladder, up to the study's Re.
     target = build(levels[0])
     outdir = _outdir(args)
@@ -117,11 +121,7 @@ def _cmd_march(args) -> int:
     return 0 if completed == args.steps else 2
 
 
-def _add_common(sub, strategies=("newton", "fixed_point"), steady=True, max_iter=25,
-                problems=tuple(sorted(PROBLEM_BUILDERS))):
-    sub.add_argument("--problem", required=True, choices=problems)
-    sub.add_argument("--re", type=float, default=None, help="Reynolds number")
-    sub.add_argument("--nu", type=float, default=None, help="kinematic viscosity")
+def _add_common(sub, strategies=("newton", "fixed_point"), steady=True, max_iter=25):
     sub.add_argument("--strategy", default="newton", choices=strategies)
     sub.add_argument("--tol", type=float, default=1e-8)
     sub.add_argument("--max-iter", type=int, default=max_iter, dest="max_iter")
@@ -129,7 +129,7 @@ def _add_common(sub, strategies=("newton", "fixed_point"), steady=True, max_iter
     if steady:
         sub.add_argument("--continuation-from", type=float, default=None,
                          dest="continuation_from",
-                         help="start Reynolds number of a continuation ladder up to --re")
+                         help="start Re of a continuation ladder up to the problem's Re")
         sub.add_argument("--continuation-factor", type=float, default=1.1,
                          dest="continuation_factor")
 
@@ -153,8 +153,7 @@ def _parser() -> argparse.ArgumentParser:
     _add_common(p_solve)
 
     p_study = add("study", help="mesh-refinement convergence study")
-    _add_common(p_study, strategies=("newton", "fixed_point", "both"), max_iter=50,
-                problems=("body_force_cavity",))
+    _add_common(p_study, strategies=("newton", "fixed_point", "both"), max_iter=50)
     p_study.add_argument("--levels", default="8,16,32,64",
                          help="comma-separated subdivision counts")
 
@@ -162,8 +161,11 @@ def _parser() -> argparse.ArgumentParser:
     _add_common(p_march, steady=False)
     p_march.add_argument("--dt", type=float, required=True)
     p_march.add_argument("--steps", type=int, required=True)
-    # A study's meshes come from --levels alone.
+    # A study solves the body-force cavity at nu = 1, on meshes from --levels alone.
     for sub in (p_solve, p_march):
+        sub.add_argument("--problem", required=True, choices=sorted(PROBLEM_BUILDERS))
+        sub.add_argument("--re", type=float, default=None, help="Reynolds number")
+        sub.add_argument("--nu", type=float, default=None, help="kinematic viscosity")
         sub.add_argument("--n", type=int, default=32, help="subdivisions per side (cavities)")
         sub.add_argument("--h", type=float, default=0.25, help="edge length (backward step)")
     return parser

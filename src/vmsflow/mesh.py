@@ -104,8 +104,8 @@ def _check_triangles(mesh: Mesh) -> None:
     if not finite.all():
         bad = int(np.argmin(finite)) // 2
         raise ValueError(f"node {bad} has a non-finite coordinate: {mesh.node_coords[bad]}")
-    # The text format holds a tag as one ASCII word, and read_mesh recovers the tags of a
-    # file without a tag list from its edges: each must be carried and listed once.
+    # The text format holds a tag as one ASCII word.  Each tag is carried, as
+    # build_dof_map reads a non-empty node set for every tag, and listed once.
     carried = {t for _, _, t in mesh.boundary_edges}
     for i, tag in enumerate(mesh.tags):
         if not isinstance(tag, str) or not tag.isascii() or tag.split() != [tag]:
@@ -153,16 +153,14 @@ def _check_boundary(mesh: Mesh, edges: np.ndarray, counts: np.ndarray) -> None:
 def _tagged_mesh(coords: np.ndarray, tris: np.ndarray, sides, tags) -> Mesh:
     """Mesh whose boundary edges are tagged by their midpoints.
 
-    ``sides(midpoints)`` returns one boolean mask per tag, in the order of
-    ``tags``; an edge takes the first tag whose mask holds there.
+    ``sides(midpoints)`` returns one boolean mask per tag, in the order of ``tags``,
+    together covering the boundary; an edge takes the first tag whose mask holds there.
     """
     edge_table = _edge_counts(tris)
     edges, counts = edge_table
     boundary = edges[counts == 1]
     masks = sides(0.5 * (coords[boundary[:, 0]] + coords[boundary[:, 1]]))
-    which = np.select(masks, list(range(len(tags))), -1)
-    if np.any(which < 0):
-        raise AssertionError("boundary edge lies on no tagged side")
+    which = np.select(masks, list(range(len(tags))))
     a, b = boundary.T.tolist()
     tagged = tuple(zip(a, b, (tags[i] for i in which.tolist())))
     return Mesh(coords, tris, tagged, tags, edge_table)
@@ -473,11 +471,7 @@ def write_mesh(mesh: Mesh, path) -> None:
 
 
 def read_mesh(path) -> Mesh:
-    """Read a mesh written by :func:`write_mesh`.
-
-    A file that ends after its boundary edges, as files written before
-    the tag list was added do, lists its tags by first appearance.
-    """
+    """Read a mesh written by :func:`write_mesh`."""
     with open(path, encoding="ascii") as f:
         tokens = f.read().split()
     pos = 0
@@ -499,8 +493,5 @@ def read_mesh(path) -> Mesh:
     for _ in range(n_edges):
         a, b, tag = take(3)
         edges.append((int(a), int(b), tag))
-    if pos < len(tokens):
-        tags = tuple(take(int(take(1)[0])))
-    else:
-        tags = tuple(dict.fromkeys(tag for _, _, tag in edges))
+    tags = tuple(take(int(take(1)[0])))
     return Mesh(coords, tris, tuple(edges), tags)

@@ -121,16 +121,15 @@ class CondensedElement:
     """Schur complement of one element over its (velocity, pressure) DOFs.
 
     ``K_hat = [Kcc Kcp; Kpc 0] - [Kcf; Kpf] Kff^-1 [Kfc Kfp]`` and
-    ``R_hat`` likewise; the stored blocks allow the fine-scale update to
-    be recovered after the condensed solve.
+    ``R_hat`` likewise; ``Kff_inv``, ``Kff_inv_coupling`` and ``Rf`` are
+    what ``recover_fine_scale`` reads after the condensed solve.
     """
 
-    K_hat: np.ndarray   # (9, 9)
-    R_hat: np.ndarray   # (9,)
-    Kff_inv: np.ndarray  # (2, 2)
-    Kfc: np.ndarray     # (2, 6)
-    Kfp: np.ndarray     # (2, 3)
-    Rf: np.ndarray      # (2,)
+    K_hat: np.ndarray             # (9, 9)
+    R_hat: np.ndarray             # (9,)
+    Kff_inv: np.ndarray           # (2, 2)
+    Kff_inv_coupling: np.ndarray  # (2, 9) = Kff^-1 [Kfc Kfp]
+    Rf: np.ndarray                # (2,)
 
 
 class ElementBatch:
@@ -360,6 +359,13 @@ def _condense_batched(Rvp, Rf, blocks, elements):
     return K, np.subtract(Rvp, R, out=R), Kff_inv, X
 
 
+def _recover_batched(Kff_inv, X, Rf, d9):
+    """Fine-scale increments ``-(Kff^-1 Rf + X d9)`` (2, E) for element increments ``d9``."""
+    dbeta = np.einsum("fge,ge->fe", Kff_inv, Rf)
+    dbeta += np.einsum("fxe,xe->fe", X, d9)
+    return np.negative(dbeta, out=dbeta)
+
+
 def element_residuals(mesh: Mesh, element_index: int, state: State, nu: float,
                       body_force=None) -> ElementResiduals:
     """Residual blocks of one element (volume terms; traction handled globally)."""
@@ -381,19 +387,18 @@ def condense(res: ElementResiduals, tan: ElementTangent,
              element_index: int = 0) -> CondensedElement:
     """Eliminate the fine-scale pair of one element by a Schur complement."""
     blocks = {k: v[..., None] for k, v in vars(tan).items()}
-    K, R, Kff_inv, _ = _condense_batched(np.concatenate([res.Rc, res.Rp])[:, None],
+    K, R, Kff_inv, X = _condense_batched(np.concatenate([res.Rc, res.Rp])[:, None],
                                          res.Rf[:, None], blocks, np.array([element_index]))
-    return CondensedElement(
-        K_hat=K[..., 0], R_hat=R[:, 0], Kff_inv=Kff_inv[..., 0],
-        Kfc=tan.Kfc.copy(), Kfp=tan.Kfp.copy(), Rf=res.Rf.copy(),
-    )
+    return CondensedElement(K_hat=K[..., 0], R_hat=R[:, 0], Kff_inv=Kff_inv[..., 0],
+                            Kff_inv_coupling=X[..., 0], Rf=res.Rf.copy())
 
 
 def recover_fine_scale(condensed: CondensedElement, delta_v: np.ndarray,
                        delta_p: np.ndarray) -> np.ndarray:
     """Fine-scale increment of one element after the condensed solve."""
-    rhs = condensed.Rf + condensed.Kfc @ delta_v + condensed.Kfp @ delta_p
-    return -condensed.Kff_inv @ rhs
+    d9 = np.concatenate([delta_v, delta_p])
+    return _recover_batched(condensed.Kff_inv[..., None], condensed.Kff_inv_coupling[..., None],
+                            condensed.Rf[:, None], d9[:, None])[:, 0]
 
 
 def element_dofs(mesh: Mesh, dofmap: DofMap) -> np.ndarray:
@@ -588,7 +593,7 @@ class NewtonSystem:
 
     def recover_beta(self, state: State, delta_full: np.ndarray) -> np.ndarray:
         """Fine-scale increments (E, 2) for a global (v, p) increment vector:
-        ``-Kff^-1 (Rf + [Kfc Kfp] d)`` on each element.
+        ``_recover_batched``, the recovery ``recover_fine_scale`` runs too.
 
         Raises if the state was modified after assembly: the stored
         condensation data would then belong to a different linearization.
@@ -597,10 +602,8 @@ class NewtonSystem:
             raise RuntimeError(
                 "stale condensation data: state changed since assembly"
             )
-        d9 = delta_full[self.edofs]                           # (9, E)
-        dbeta = np.einsum("fge,ge->fe", self.Kff_inv, self.Rf)
-        dbeta += np.einsum("fxe,xe->fe", self.Kff_inv_coupling, d9)
-        return -dbeta.T
+        return _recover_batched(self.Kff_inv, self.Kff_inv_coupling, self.Rf,
+                                delta_full[self.edofs]).T
 
 
 def assemble_system(disc: Discretization, state: State, nu: float) -> NewtonSystem:

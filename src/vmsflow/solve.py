@@ -273,12 +273,11 @@ def _superlu(A):
 
 
 def _bandwidths(A) -> tuple[int, int]:
-    """Lower and upper half-bandwidth of a canonical CSC matrix, from the
-    first and last stored row of each non-empty column."""
-    starts, ends = A.indptr[:-1], A.indptr[1:]
-    columns = np.flatnonzero(ends > starts)
-    lower = A.indices[ends[columns] - 1] - columns
-    upper = columns - A.indices[starts[columns]]
+    """Lower and upper half-bandwidth of a canonical CSC matrix without an
+    empty column, from the first and last stored row of each column."""
+    columns = np.arange(A.shape[1])
+    lower = A.indices[A.indptr[1:] - 1] - columns
+    upper = columns - A.indices[A.indptr[:-1]]
     return int(lower.max(initial=0)), int(upper.max(initial=0))
 
 

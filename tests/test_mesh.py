@@ -382,7 +382,7 @@ class TestMeshValidation:
         with pytest.raises(ValueError, match="node 2 has a non-finite coordinate"):
             Mesh(coords, np.array([[0, 1, 2]]), edges, ("e",))
         path = tmp_path / "mesh.txt"
-        path.write_text("3\n0 0\n1 0\n0 nan\n1\n0 1 2\n3\n0 1 e\n1 2 e\n2 0 e\n")
+        path.write_text("3\n0 0\n1 0\n0 nan\n1\n0 1 2\n3\n0 1 e\n1 2 e\n2 0 e\n1\ne\n")
         with pytest.raises(ValueError, match="node 2 has a non-finite coordinate"):
             read_mesh(path)
 
@@ -403,8 +403,7 @@ class TestMeshValidation:
         (("e", "e"), "mesh tag 'e' is listed twice"),
     ])
     def test_tag_list_must_match_the_edges(self, tags, message):
-        # read_mesh recovers the tags from the edges, and Dirichlet data on
-        # a tag that no edge carries would reach no node
+        # Dirichlet data on a tag that no edge carries would reach no node
         coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match=re.escape(message)):
             Mesh(coords, np.array([[0, 1, 2]]), ((0, 1, "e"), (1, 2, "e"), (2, 0, "e")), tags)
@@ -490,10 +489,12 @@ class TestMeshIO:
         write_mesh(mesh, path)
         assert mesh.tags == read_mesh(path).tags == tags
 
-    def test_file_without_a_tag_list_lists_tags_by_first_edge(self, tmp_path):
+    def test_file_without_a_tag_list_is_truncated(self, tmp_path):
+        # such a file used to list its tags by first edge
         path = tmp_path / "mesh.txt"
         path.write_text("3\n0 0\n1 0\n0 1\n1\n0 1 2\n3\n0 1 b\n1 2 a\n2 0 b\n")
-        assert read_mesh(path).tags == ("b", "a")
+        with pytest.raises(ValueError, match="truncated mesh file"):
+            read_mesh(path)
 
     def test_round_trip_irrational_coords(self, tmp_path):
         mesh = unit_square_mesh(3)  # coordinates with 1/3 are not exact decimals

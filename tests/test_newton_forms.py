@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from vmsflow.fem import triangle_quadrature
 from vmsflow.mesh import BoundaryConditions, backward_step_mesh, build_dof_map, unit_square_mesh
 from vmsflow.newton import (
+    CondensedElement,
     ElementBatch,
     FineScaleSingularError,
     State,
@@ -366,6 +367,21 @@ class TestGlobalAssembly:
         dbeta = system.recover_beta(state, delta)
         base = -np.einsum("mn,n->m", system.Kff_inv[..., e], system.Rf[:, e])
         np.testing.assert_allclose(dbeta[e], base, atol=1e-14)
+
+    def test_element_recovery_is_the_batched_recovery(self):
+        # recover_fine_scale used to evaluate its own formula, off by rounding
+        state = random_state(self.mesh, self.rng)
+        system = assemble_system(Discretization(self.mesh, self.dofmap, self.bc,
+                                                smooth_body_force), state, 0.8)
+        delta = self.rng.normal(size=self.dofmap.total)
+        dbeta = system.recover_beta(state, delta)
+        for e in range(self.mesh.n_triangles):
+            # recovery reads neither K_hat nor R_hat
+            c = CondensedElement(K_hat=None, R_hat=None, Kff_inv=system.Kff_inv[..., e],
+                                 Kff_inv_coupling=system.Kff_inv_coupling[..., e],
+                                 Rf=system.Rf[:, e])
+            d9 = delta[system.edofs[:, e]]
+            np.testing.assert_array_equal(recover_fine_scale(c, d9[:6], d9[6:]), dbeta[e])
 
     def test_stale_condensation_data_rejected(self):
         state = random_state(self.mesh, self.rng)

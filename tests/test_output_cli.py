@@ -261,10 +261,43 @@ class TestCli:
         assert ((tmp_path / "six" / "field.vtk").read_bytes()
                 == (tmp_path / "three" / "field.vtk").read_bytes())
 
+    def test_failed_ladder_reports_the_rung_its_field_holds(self, tmp_path):
+        # the summary used to name the target Re=1000 next to the Re=450 field
+        ladder = ["solve", "--problem", "lid_cavity", "--n", "8", "--continuation-from", "50",
+                  "--continuation-factor", "3", "--max-iter", "4"]
+        assert run_cli(ladder + ["--re", "1000", "--out", str(tmp_path / "failed")]) == 2
+        assert run_cli(ladder + ["--re", "450", "--out", str(tmp_path / "450")]) == 0
+        lines = (tmp_path / "failed" / "summary.txt").read_text().splitlines()
+        assert "re: 450.0" in lines and f"nu: {1 / 450!r}" in lines
+        assert ((tmp_path / "failed" / "field.vtk").read_bytes()
+                == (tmp_path / "450" / "field.vtk").read_bytes())
+
+    @pytest.mark.parametrize("start, failing_rung, shown", [
+        ("0.5", 1, "re: 0.5"), ("0.5", 2, "re: 0.5"), ("1", 1, "re: 1.0")])
+    def test_failed_ladder_writes_error_norms_only_at_the_problem_re(
+            self, tmp_path, monkeypatch, start, failing_rung, shown):
+        # the problem's Re is 1, at which the cavity's exact solution holds; a
+        # ladder that starts there has that one rung
+        iterate, rungs = solve_module._iterate, []
+
+        def failing(*args):
+            rungs.append(None)
+            state, report = iterate(*args)
+            if len(rungs) == failing_rung:
+                report = dataclasses.replace(report, stop_reason="max_iter")
+            return state, report
+
+        monkeypatch.setattr(solve_module, "_iterate", failing)
+        assert run_cli(["solve", "--problem", "body_force_cavity", "--nu", "1", "--n", "4",
+                        "--continuation-from", start, "--continuation-factor", "2",
+                        "--out", str(tmp_path)]) == 2
+        lines = (tmp_path / "summary.txt").read_text().splitlines()
+        assert shown in lines
+        assert any(line.startswith("l2_velocity_error:") for line in lines) is (start == "1")
+
     def test_study_subcommand(self, tmp_path):
         code = run_cli([
-            "study", "--problem", "body_force_cavity", "--nu", "1.0",
-            "--levels", "8,12,16", "--strategy", "newton", "--tol", "1e-10",
+            "study", "--levels", "8,12,16", "--strategy", "newton", "--tol", "1e-10",
             "--out", str(tmp_path),
         ])
         assert code == 0
@@ -283,8 +316,7 @@ class TestCli:
             assert "usage:" in err and "invalid choice: 'both'" in err
             assert not (tmp_path / command).exists()
         code = run_cli([
-            "study", "--problem", "body_force_cavity", "--nu", "1.0",
-            "--levels", "4,6,8", "--strategy", "both", "--tol", "1e-10",
+            "study", "--levels", "4,6,8", "--strategy", "both", "--tol", "1e-10",
             "--out", str(tmp_path / "study"),
         ])
         assert code == 0
@@ -301,8 +333,7 @@ class TestCli:
             assert not (tmp_path / "march").exists()
         for command, argv in (
             ("solve", ["--problem", "lid_cavity", "--n", "8", "--re", "20"]),
-            ("study", ["--problem", "body_force_cavity", "--nu", "1.0", "--levels", "4,6,8",
-                       "--tol", "1e-10"]),
+            ("study", ["--levels", "4,6,8", "--tol", "1e-10"]),
         ):
             out = tmp_path / command
             assert run_cli([command, *argv, "--continuation-from", "0.5",
@@ -313,13 +344,13 @@ class TestCli:
         # --n and --h used to be parsed and ignored
         out = tmp_path / "d"
         for flag, value in (("--n", "8"), ("--h", "0.5")):
-            assert run_cli(["study", "--problem", "body_force_cavity", "--nu", "1.0",
-                            "--levels", "4,6,8", flag, value, "--out", str(out)]) == 1
+            assert run_cli(["study", "--levels", "4,6,8", flag, value,
+                            "--out", str(out)]) == 1
             err = capsys.readouterr().err
             assert "usage:" in err and f"unrecognized arguments: {flag} {value}" in err
             assert not out.exists()
 
-    def test_study_climbs_the_continuation_ladder(self, tmp_path, monkeypatch, capsys):
+    def test_study_climbs_the_continuation_ladder(self, tmp_path, monkeypatch):
         # the ladder flags used to be parsed and dropped
         configs = []
 
@@ -328,18 +359,11 @@ class TestCli:
             return solve(problem, config)
 
         monkeypatch.setattr(problems_module, "solve", recording)
-        study = ["study", "--problem", "body_force_cavity", "--continuation-from", "0.5",
-                 "--continuation-factor", "2"]
-        assert run_cli(study + ["--nu", "1", "--levels", "4,6,8", "--strategy", "both",
-                                "--out", str(tmp_path / "study")]) == 0
+        assert run_cli(["study", "--continuation-from", "0.5", "--continuation-factor", "2",
+                        "--levels", "4,6,8", "--strategy", "both",
+                        "--out", str(tmp_path / "study")]) == 0
         assert [c.strategy for c in configs] == ["newton"] * 3 + ["fixed_point"] * 3
         assert all(c.continuation == ContinuationConfig(0.5, 1.0, 2.0) for c in configs)
-
-        out = tmp_path / "d"
-        assert run_cli(study + ["--nu", "0", "--out", str(out)]) == 1
-        assert "error: nu must be positive and finite" in capsys.readouterr().err
-        assert not out.exists()
-        assert len(configs) == 6
 
     def test_study_builds_each_level_once(self, tmp_path, monkeypatch):
         # --strategy both used to build every level once per strategy
@@ -350,8 +374,7 @@ class TestCli:
             return solve(problem, config)
 
         monkeypatch.setattr(problems_module, "solve", recording)
-        assert run_cli(["study", "--problem", "body_force_cavity", "--nu", "1",
-                        "--levels", "4,6,8", "--strategy", "both",
+        assert run_cli(["study", "--levels", "4,6,8", "--strategy", "both",
                         "--out", str(tmp_path)]) == 0
         newton, fixed_point = solved[:3], solved[3:]
         assert [s for _, s in newton] == ["newton"] * 3
@@ -368,7 +391,7 @@ class TestCli:
             return solve(problem, config)
 
         monkeypatch.setattr(problems_module, "solve", recording)
-        study = ["study", "--problem", "body_force_cavity", "--nu", "1", "--levels", "4,8,12"]
+        study = ["study", "--levels", "4,8,12"]
         assert run_cli(study + ["--max-iter", "1", "--out", str(tmp_path / "one")]) == 2
         rows = (tmp_path / "one" / "study_newton.csv").read_text().splitlines()
         assert [row for row in rows if not row.startswith("#")] == [
@@ -377,26 +400,25 @@ class TestCli:
         assert run_cli(study + ["--out", str(tmp_path / "default")]) == 0
         assert [c.max_iter for c in configs] == [1, 50, 50, 50]
 
-    def test_study_without_exact_solution_leaves_no_directory(self, tmp_path, capsys):
-        # argparse offers study the body-force cavity alone
-        out = tmp_path / "d"
-        assert run_cli(["study", "--problem", "lid_cavity", "--re", "100",
-                        "--out", str(out)]) == 1
-        assert "invalid choice: 'lid_cavity'" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("re", ["400", "10"])
-    def test_study_off_unit_viscosity_fails_before_any_solve(
-            self, tmp_path, monkeypatch, capsys, re):
-        # the cavity's exact solution holds only at nu = 1: --re 400 used to
-        # write a table of NaN rates and exit 2, and --re 10 to solve level 8
-        # before error_norms named the missing solution
+    @pytest.mark.parametrize("given", ["argv", "config"])
+    @pytest.mark.parametrize("flag, value", [("--problem", "body_force_cavity"),
+                                             ("--re", "400"), ("--nu", "1")])
+    def test_study_takes_no_problem_or_reynolds_number(
+            self, tmp_path, monkeypatch, capsys, given, flag, value):
+        # a study solves the body-force cavity at nu = 1, the one problem with
+        # an exact solution, so these flags could each take one value alone
         monkeypatch.setattr(problems_module, "solve", lambda *a: pytest.fail("solved"))
-        assert run_cli(["study", "--problem", "body_force_cavity", "--re", re,
-                        "--levels", "8,16,32", "--out", str(tmp_path)]) == 1
-        assert capsys.readouterr().err.startswith(
-            f"error: body_force_cavity at nu={1 / float(re):g} has no exact solution")
-        assert list(tmp_path.glob("study_*.csv")) == []
+        out = tmp_path / "d"
+        argv = ["study", "--levels", "4,6,8", "--out", str(out)]
+        if given == "argv":
+            argv += [flag, value]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{flag[2:]} = {value}\n")
+            argv += ["--config", str(cfg)]
+        assert run_cli(argv) == 1
+        assert f"error: unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag, value", [("--re", "0"), ("--nu", "0"), ("--re", "nan"),
                                              ("--nu", "inf")])
@@ -423,8 +445,7 @@ class TestCli:
         solves = []
         monkeypatch.setattr(problems_module, "solve", lambda *a: solves.append(a))
         out = tmp_path / "d"
-        assert run_cli(["study", "--problem", "body_force_cavity", "--nu", "1.0",
-                        "--levels", levels, "--out", str(out)]) == 1
+        assert run_cli(["study", "--levels", levels, "--out", str(out)]) == 1
         assert solves == []
         assert not out.exists()
 
@@ -553,11 +574,12 @@ CLI_VALUES = {
     "--steps": (["1", "2"], ["0", "-1", "x"]),
     "--levels": (["4,6,8", "4,8,12"], ["8,4,12", "4,8", "4,,8", "", "x"]),
 }
-COMMON = ["--re", "--nu", "--strategy", "--tol", "--max-iter", "--out"]
+COMMON = ["--strategy", "--tol", "--max-iter", "--out"]
 LADDER = ["--continuation-from", "--continuation-factor"]
-CLI_FLAGS = {"solve": COMMON + LADDER + ["--n", "--h"],
+PROBLEM = ["--re", "--nu", "--n", "--h"]
+CLI_FLAGS = {"solve": COMMON + LADDER + PROBLEM,
              "study": COMMON + LADDER + ["--levels"],
-             "march": COMMON + ["--n", "--h", "--dt", "--steps"]}
+             "march": COMMON + PROBLEM + ["--dt", "--steps"]}
 CLI_JUNK = st.sampled_from(["", "-", "--", "-x", "--bogus", "=", "--n=", "--re=x", "solve",
                             "\u00e9", "\x00", "-h"]) | st.text("abcdefinxy", max_size=4)
 
@@ -581,9 +603,9 @@ def cli_runs(draw):
     command = draw(st.sampled_from(["solve", "study", "march"] + ["stud"] * hostile))
     flags = CLI_FLAGS.get(command, CLI_FLAGS["solve"])
     # every size is given, so that no default builds a larger mesh
-    required = ["--problem", draw(st.sampled_from(["--re", "--nu"]))]
-    required += {"study": ["--levels"], "march": ["--n", "--h", "--dt", "--steps"]}.get(
-        command, ["--n", "--h"])
+    required = ["--levels"] if command == "study" else \
+        ["--problem", draw(st.sampled_from(["--re", "--nu"])), "--n", "--h"]
+    required += ["--dt", "--steps"] if command == "march" else []
     optional = [f for f in (sorted(CLI_VALUES) if hostile else flags) if f not in ("--re", "--nu")]
     tokens = [command]
     for flag in required + draw(st.lists(st.sampled_from(optional), max_size=3)):
