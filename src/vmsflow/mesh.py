@@ -31,9 +31,9 @@ class Mesh:
 
     ``boundary_edges`` holds (node_a, node_b, tag) triples; every listed
     edge belongs to exactly one triangle.  ``edges`` is the read-only
-    (n_edges, 2) table of undirected (min, max) triangle edges in order of
-    first appearance, computed once while the mesh is built; validation,
-    ``elimination_order`` and ``nested_dissection`` read it.
+    (n_edges, 2) ``np.intc`` table of undirected (min, max) triangle edges
+    in order of first appearance, computed once while the mesh is built;
+    validation, ``elimination_order`` and ``nested_dissection`` read it.
     ``unit_square_mesh`` and ``backward_step_mesh`` compute it before
     tagging and pass it on as ``edge_table`` (which must be
     ``_edge_counts(triangles)``).
@@ -93,7 +93,8 @@ def _edge_counts(triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     counts = np.zeros(keys.size, dtype=np.int64)
     counts[first] = np.diff(starts, append=keys.size)
     first.sort()
-    return np.column_stack([lo[first], hi[first]]), counts[first]
+    # Node numbers fit np.intc (MAX_NODES); the table lives as long as the mesh.
+    return np.column_stack([lo[first], hi[first]]).astype(np.intc), counts[first]
 
 
 def _check_triangles(mesh: Mesh) -> None:
@@ -135,7 +136,7 @@ def _check_boundary(mesh: Mesh, edges: np.ndarray, counts: np.ndarray) -> None:
     # The first listed edge that is out of range or not on the boundary names the error.
     in_range = np.all((listed >= 0) & (listed < n), axis=1)
     listed = np.sort(np.where(in_range[:, None], listed, 0), axis=1)
-    boundary = edges[counts == 1]
+    boundary = edges[counts == 1].astype(np.int64)
     keys = listed[:, 0] * n + listed[:, 1]
     on_boundary = np.isin(keys, boundary[:, 0] * n + boundary[:, 1])
     bad = np.flatnonzero(~in_range | ~on_boundary)
@@ -471,7 +472,8 @@ def write_mesh(mesh: Mesh, path) -> None:
 
 
 def read_mesh(path) -> Mesh:
-    """Read a mesh written by :func:`write_mesh`."""
+    """Read a mesh written by :func:`write_mesh`; a file that ends early, or
+    goes on past the tag list, raises ``ValueError``."""
     with open(path, encoding="ascii") as f:
         tokens = f.read().split()
     pos = 0
@@ -494,4 +496,7 @@ def read_mesh(path) -> Mesh:
         a, b, tag = take(3)
         edges.append((int(a), int(b), tag))
     tags = tuple(take(int(take(1)[0])))
+    if pos < len(tokens):
+        raise ValueError(f"mesh file {path} goes on past its tag list, "
+                         f"with '{tokens[pos]}'")
     return Mesh(coords, tris, tuple(edges), tags)

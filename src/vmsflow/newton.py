@@ -43,7 +43,14 @@ import numpy as np
 import scipy.sparse as sp
 
 from vmsflow.fem import DN_REF, inv2, triangle_quadrature
-from vmsflow.mesh import BoundaryConditions, DofMap, Mesh, checked_values, elimination_order
+from vmsflow.mesh import (
+    BAND_LIMIT,
+    BoundaryConditions,
+    DofMap,
+    Mesh,
+    checked_values,
+    elimination_order,
+)
 
 QUADRATURE_DEGREE = 8     # exact for b * b * grad b, the highest-degree table product
 
@@ -154,6 +161,7 @@ class ElementBatch:
         )
         tris = mesh.triangles[self.elements]
         self.tris = tris
+        self.tris_t = np.ascontiguousarray(tris.T)           # (3, E): gathers come out (3, ..., E)
         coords = mesh.node_coords.take(tris, axis=0)         # (E, 3, 2)
         J = np.einsum("eai,ak->ike", coords, DN_REF)         # (2, 2, E)
         Jinv, detJ = inv2(J)       # detJ = 2 * area > 2e-12: Mesh rejects smaller areas
@@ -257,7 +265,7 @@ class _Fields:
 def _fields(batch: ElementBatch, state: State, nu: float) -> _Fields:
     if not nu > 0:
         raise ValueError(f"kinematic viscosity must be positive, got {nu}")
-    tris = np.ascontiguousarray(batch.tris.T)                # (3, E): gathers come out (3, ..., E)
+    tris = batch.tris_t
     E = len(batch.elements)
     prev = None
     if state.dt is not None:
@@ -486,15 +494,53 @@ def _csc_pattern(tris: np.ndarray, nodes: np.ndarray, node_of: np.ndarray, local
     return indices, indptr, slot.ravel()
 
 
+class CscPattern:
+    """A square CSC pattern, canonical (rows sorted and unique in each column),
+    and everything a factor reads of the pattern alone.
+
+    ``empty`` is None, or names the first empty line, ``("row", i)`` before
+    ``("column", j)``.  Without one, ``kl`` and ``ku`` are the lower and
+    upper half-bandwidths, read from the first and last row of each
+    column, and when neither exceeds ``BAND_LIMIT``, ``band_index`` places
+    each stored entry in the flat Fortran-ordered (2 kl + ku + 1, n) band
+    array of LAPACK's ``dgbtrf``: entry (i, j) at row ``kl + ku + i - j``,
+    the top ``kl`` rows left for the fill of the row interchanges; else it
+    is None.  A ``Discretization`` builds its one pattern at set-up.
+    """
+
+    def __init__(self, indices: np.ndarray, indptr: np.ndarray):
+        self.indices, self.indptr = indices, indptr
+        n = indptr.size - 1
+        self.empty = self.kl = self.ku = self.band_index = None
+        for line, counts in (("row", np.bincount(indices, minlength=n)),
+                             ("column", np.diff(indptr))):
+            if not counts.all():
+                self.empty = (line, int(np.argmin(counts)))
+                return
+        columns = np.arange(n)
+        self.kl = int((indices[indptr[1:] - 1] - columns).max(initial=0))
+        self.ku = int((columns - indices[indptr[:-1]]).max(initial=0))
+        if max(self.kl, self.ku) <= BAND_LIMIT:
+            self.band_index = (indices + np.repeat(columns, np.diff(indptr))
+                               * (2 * self.kl + self.ku) + self.kl + self.ku)
+            self.band_index.flags.writeable = False
+
+    def holds(self, A) -> bool:
+        """Whether the CSC matrix ``A`` is stored on this pattern's own index arrays."""
+        return A.indptr is self.indptr and A.indices.size == self.indices.size and (
+            A.indices is self.indices or A.indices.base is self.indices)
+
+
 class Discretization:
     """State-independent set-up shared by every iteration, rung and time step.
 
     Element tables and DOFs, the traction load, the body-force integrals
-    ``load`` (None without a force), and the free-DOF CSC pattern (the
-    format ``linear_solve`` factors; read-only ``np.intc`` index arrays that
-    every matrix shares) with the ``np.intc`` slot of every element-matrix
-    entry, filled by ``np.add.at``.  The pattern is built from the 9 node
-    pairs of each element rather than its 81 DOF pairs (``_csc_pattern``),
+    ``load`` (None without a force), and the free-DOF CSC ``pattern`` (the
+    format ``linear_solve`` factors; a ``CscPattern`` on read-only
+    ``np.intc`` index arrays that every matrix shares, so a factor does its
+    pattern work once per set-up) with the ``np.intc`` slot of every
+    element-matrix entry, filled by ``np.add.at``.  The pattern is built
+    from the 9 node pairs of each element rather than its 81 DOF pairs (``_csc_pattern``),
     and entries with a constrained row or column share one discard slot
     past the last.  ``edofs`` (9, E) and the slots follow the element-last kernel
     outputs, which are scattered without a copy.  Every array is read-only.
@@ -524,12 +570,13 @@ class Discretization:
             mesh.triangles, nodes, np.repeat(nodes, 3)[kept], position[self.edofs])
         # scipy's index type, so no matrix scans or copies them; the slots,
         # the set-up's largest array, at half the size of int64.
-        self._indices, self._indptr, self._slot = (
-            indices.astype(np.intc), indptr.astype(np.intc), slot.astype(np.intc))
+        indices, indptr = indices.astype(np.intc), indptr.astype(np.intc)
+        self._slot = slot.astype(np.intc)
         for array in (self.edofs, self.free, self.traction, self.load,
-                      self._indices, self._indptr, self._slot):
+                      indices, indptr, self._slot):
             if array is not None:
                 array.flags.writeable = False
+        self.pattern = CscPattern(indices, indptr)
 
     def free_matrix(self, K: np.ndarray) -> sp.csc_matrix:
         """Sum element matrices (9, 9, E) into the free-DOF CSC matrix.
@@ -537,12 +584,12 @@ class Discretization:
         Its rows are sorted and unique in each column by construction, so it
         is marked canonical and nothing scans it again before the factor.
         Constrained entries land in the discard slot, which is dropped."""
-        nnz = self._indices.size
+        pattern, n_free = self.pattern, self.free.size
+        nnz = pattern.indices.size
         data = np.zeros(nnz + 1)
         np.add.at(data, self._slot, K.reshape(-1))  # np.bincount copies int32 slots to intp
         data = data[:nnz]
-        n_free = self.free.size
-        matrix = sp.csc_matrix((data, self._indices, self._indptr), shape=(n_free, n_free))
+        matrix = sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=(n_free, n_free))
         matrix.has_canonical_format = True
         return matrix
 

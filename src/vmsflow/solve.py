@@ -7,7 +7,9 @@ rungs and their bound come from ``ContinuationConfig.ladder`` alone).
 ``time_march`` takes its step size and count as arguments, checks its
 inputs and builds its set-up at the call, then returns an iterator that
 yields each step's state and report.  A ladder and a march are both paths
-of points, which one loop, ``_path``, follows.
+of points, which one loop, ``_path``, follows; it starts each point after
+the second from ``_predict``, the polynomial extrapolation in log Re or in
+the step count through up to ``PREDICTOR_POINTS`` converged states.
 A problem object must expose ``mesh``, ``bc``, ``nu`` and ``body_force``
 attributes (``vmsflow.problems.ProblemSpec`` does); a ladder also needs
 ``re``, its last rung, and a ``with_re`` that keeps the mesh, boundary
@@ -18,10 +20,11 @@ assemble from with ``(disc, state, nu)`` and every rung and step shares;
 nothing on the problem keeps it, nor anything ``solve`` returns, and the
 iterator of ``time_march`` holds it only until it is exhausted or dropped.
 Its ``free`` lists the free DOFs in ``mesh.elimination_order``, so every
-assembled system arrives permuted and in CSC format; ``factorize``
-factors it in that order, with LAPACK's banded LU in float64 when the
-order keeps it within ``BAND_LIMIT`` of the diagonal and with SuperLU
-otherwise, in float32 when every entry fits.  The returned ``Factorization``
+assembled system arrives permuted and in CSC format on the set-up's
+``pattern``, whose empty lines, bandwidths and band positions are read
+once; ``factorize`` factors it in that order, with LAPACK's banded LU in
+float64 when the order keeps it within ``BAND_LIMIT`` of the diagonal and
+with SuperLU otherwise, in float32 when every entry fits.  The returned ``Factorization``
 has one method, ``solve(b)``, which refines in float64 until the bound of
 ``LINEAR_TOL`` holds, falling back once to a float64 factor when the
 float32 one cannot get there; ``linear_solve`` is ``factorize(A).solve(b)``.
@@ -61,8 +64,9 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from vmsflow.fixed_point import TauSingularError, fp_assemble
-from vmsflow.mesh import BAND_LIMIT, DofMap, Mesh, build_dof_map
+from vmsflow.mesh import DofMap, Mesh, build_dof_map
 from vmsflow.newton import (
+    CscPattern,
     Discretization,
     FineScaleSingularError,
     State,
@@ -73,6 +77,7 @@ LINEAR_TOL = 1e-10        # relative residual bound of every linear solve
 MAX_REFINEMENTS = 3       # refinement steps one solve may take, each cutting the residual tenfold
 DIVERGENCE_RATIO = 1e3    # residual growth over its running minimum that means divergence
 MAX_RUNGS = 1000          # most rungs a continuation ladder may have
+PREDICTOR_POINTS = 5      # most converged states a rung or step is extrapolated from
 _SINGLE_MAX = float(np.finfo(np.float32).max)
 
 
@@ -114,7 +119,7 @@ class Factorization:
         return x
 
 
-def factorize(matrix) -> Factorization:
+def factorize(matrix, pattern: CscPattern | None = None) -> Factorization:
     """LU factorization of a square matrix, in the order in which it arrives.
 
     The matrix is expected to arrive already in the order in which it is
@@ -133,6 +138,11 @@ def factorize(matrix) -> Factorization:
     is within float32's range, and in float64 otherwise or when the
     float32 factor fails.  An exact zero pivot or a failed factorization
     raises ``LinearSolveError``.  Deterministic for identical inputs.
+
+    The empty lines, the half-bandwidths and the band positions are read
+    from ``pattern`` when the matrix is stored on its index arrays
+    (``CscPattern.holds``; ``Discretization.pattern`` for every matrix
+    its ``free_matrix`` builds), and from the matrix's own pattern otherwise.
     """
     A = matrix if sp.issparse(matrix) and matrix.format == "csc" else sp.csc_matrix(matrix)
     if A.shape[0] != A.shape[1]:
@@ -143,15 +153,15 @@ def factorize(matrix) -> Factorization:
         column = int(np.searchsorted(A.indptr, k, side="right")) - 1
         raise LinearSolveError(f"matrix entry ({A.indices[k]}, {column}) is {A.data[k]}; "
                                "a matrix with a non-finite entry is not factored")
+    if pattern is None or not pattern.holds(A):
+        pattern = CscPattern(A.indices, A.indptr)
     # SuperLU writes out of bounds when a row is empty, and can crash the process.
-    for line, counts in (("row", np.bincount(A.indices, minlength=A.shape[0])),
-                         ("column", np.diff(A.indptr))):
-        if not counts.all():
-            raise LinearSolveError(f"matrix {line} {int(np.argmin(counts))} is empty; "
-                                   "a structurally singular matrix is not factored")
-    kl, ku = _bandwidths(A)
-    if max(kl, ku) <= BAND_LIMIT:
-        return Factorization(A, "band", _band_lu(A, kl, ku))
+    if pattern.empty is not None:
+        line, k = pattern.empty
+        raise LinearSolveError(f"matrix {line} {k} is empty; "
+                               "a structurally singular matrix is not factored")
+    if pattern.band_index is not None:
+        return Factorization(A, "band", _band_lu(A, pattern))
     if _fits_single(A.data):
         single = sp.csc_matrix((A.data.astype(np.float32), A.indices, A.indptr), shape=A.shape)
         single.has_canonical_format = True      # A's pattern, which is canonical
@@ -162,8 +172,9 @@ def factorize(matrix) -> Factorization:
     return Factorization(A, "superlu", _superlu(A))
 
 
-def linear_solve(matrix, rhs: np.ndarray, kept: list | None = None) -> np.ndarray:
-    """Direct sparse solve with a verified residual: ``factorize(matrix).solve(rhs)``.
+def linear_solve(matrix, rhs: np.ndarray, kept: list | None = None,
+                 pattern: CscPattern | None = None) -> np.ndarray:
+    """Direct sparse solve with a verified residual: ``factorize(matrix, pattern).solve(rhs)``.
 
     The banded LU factors in float64, SuperLU in float32 when every entry
     fits.  The solution is refined in float64 until the ``LINEAR_TOL``
@@ -180,11 +191,11 @@ def linear_solve(matrix, rhs: np.ndarray, kept: list | None = None) -> np.ndarra
     ``matrix``.
     """
     if kept is None:
-        return factorize(matrix).solve(rhs)
+        return factorize(matrix, pattern).solve(rhs)
     x = _kept_solve(kept[0], matrix, rhs) if kept else None
     if x is None:
         kept.clear()                # one factor alive at a time
-        factor = factorize(matrix)
+        factor = factorize(matrix, pattern)
         x = factor.solve(rhs)
         kept.append(factor._lu_solve)
     return x
@@ -272,28 +283,14 @@ def _superlu(A):
     return solve
 
 
-def _bandwidths(A) -> tuple[int, int]:
-    """Lower and upper half-bandwidth of a canonical CSC matrix without an
-    empty column, from the first and last stored row of each column."""
-    columns = np.arange(A.shape[1])
-    lower = A.indices[A.indptr[1:] - 1] - columns
-    upper = columns - A.indices[A.indptr[:-1]]
-    return int(lower.max(initial=0)), int(upper.max(initial=0))
-
-
-def _band_lu(A, kl: int, ku: int):
-    """LAPACK banded LU of a canonical CSC matrix with half-bandwidths
-    (kl, ku); returns its solve.
-
-    Entry (i, j) goes to row ``kl + ku + i - j`` of a Fortran-ordered
-    (2 kl + ku + 1, n) band array; the top ``kl`` rows take the fill of
-    the row interchanges.  An exact zero pivot raises ``LinearSolveError``.
-    """
-    n = A.shape[0]
+def _band_lu(A, pattern: CscPattern):
+    """LAPACK banded LU of a canonical CSC matrix on ``pattern``, whose
+    ``band_index`` places its entries (see ``CscPattern``); returns its solve.
+    An exact zero pivot raises ``LinearSolveError``."""
+    kl, ku, n = pattern.kl, pattern.ku, A.shape[0]
     depth = 2 * kl + ku + 1
     flat = np.zeros(depth * n)
-    columns = np.repeat(np.arange(n), np.diff(A.indptr))
-    flat[A.indices + columns * (depth - 1) + kl + ku] = A.data
+    flat[pattern.band_index] = A.data
     lu, pivots, info = lapack.dgbtrf(flat.reshape((depth, n), order="F"), kl, ku,
                                      overwrite_ab=True)
     if info > 0:    # U[info - 1, info - 1] is exactly zero
@@ -363,7 +360,7 @@ class SolverConfig:
         _check_count("max_iter", self.max_iter)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class IterationReport:
     """Residual history and stop reason of one nonlinear solve, and the flags
     derived from them.
@@ -438,14 +435,32 @@ def lifted_state(mesh: Mesh, dofmap: DofMap, state: State | None = None) -> Stat
     return start
 
 
-def _secant_start(state: State, last: State, weight: float) -> State:
-    """The start ``x + w (x - last)``, ``w = min(weight, 1)``, in ``vbar``, ``p``
-    and ``beta``.  The bound keeps the prediction within one last change of
-    ``x``: a weight of 3 overshoots rungs that the last state alone reaches."""
-    weight = min(weight, 1.0)
-    return State(*(x + weight * (x - y) for x, y in ((state.vbar, last.vbar),
-                                                     (state.p, last.p),
-                                                     (state.beta, last.beta))))
+def _predict(points: list[tuple[float, State]], parameter: float) -> State:
+    """The start at ``parameter`` extrapolated through the converged ``points``
+    ``(parameter, state)``, oldest first, in ``vbar``, ``p`` and ``beta``.
+
+    The Newton form of the interpolating polynomial, from the newest point
+    back: term k is the divided difference through the k + 1 newest states
+    times ``(t - t_0) ... (t - t_{k-1})``.  Term 1, the secant, is always
+    added; each later term only while its norm is below the last added
+    one's, so a path whose differences grow falls back to the secant.
+    """
+    t = [s for s, _ in reversed(points)]
+    d = [np.concatenate([x.vbar.ravel(), x.p, x.beta.ravel()]) for _, x in reversed(points)]
+    start, weight, last = d[0].copy(), 1.0, np.inf
+    for k in range(1, len(d)):
+        for i in range(len(d) - 1, k - 1, -1):      # d[k] becomes f[t_0, ..., t_k]
+            d[i] = (d[i] - d[i - 1]) / (t[i] - t[i - k])
+        weight *= parameter - t[k - 1]
+        term = weight * d[k]
+        size = _norm(term)
+        if k > 1 and not size < last:
+            break
+        start += term
+        last = size
+    x = points[-1][1]
+    vbar, p, beta = np.split(start, [x.vbar.size, x.vbar.size + x.p.size])
+    return State(vbar.reshape(x.vbar.shape), p, beta.reshape(x.beta.shape))
 
 
 def _setup(problem) -> Discretization:
@@ -458,7 +473,7 @@ def _newton_steps(disc: Discretization, nu: float, state: State):
     system = assemble_system(disc, state, nu)
     while True:
         delta = np.zeros(disc.dofmap.total)
-        delta[disc.free] = linear_solve(system.matrix, system.rhs)
+        delta[disc.free] = linear_solve(system.matrix, system.rhs, pattern=disc.pattern)
         dbeta = system.recover_beta(state, delta)
         dvbar, dp = disc.dofmap.split(delta)
         state.vbar += dvbar
@@ -475,7 +490,7 @@ def _fixed_point_steps(disc: Discretization, nu: float, state: State):
     while True:
         matrix, rhs = fp_assemble(disc, state, nu)
         delta = np.zeros(disc.dofmap.total)
-        delta[disc.free] = linear_solve(matrix, rhs, kept)
+        delta[disc.free] = linear_solve(matrix, rhs, kept, pattern=disc.pattern)
         del matrix, rhs             # not held through the next assembly
         dvbar, dp = disc.dofmap.split(delta)
         state.vbar += dvbar
@@ -575,7 +590,7 @@ def solve(problem, config: SolverConfig, state0: State | None = None
     disc = _setup(problem)
     if not rungs:
         return _iterate(disc, problem.nu, config, state0)
-    points = _path(disc, config, None, ((re, rung.nu, None) for re, rung in rungs))
+    points = _path(disc, config, None, ((math.log(re), rung.nu, None) for re, rung in rungs))
     subs: list[tuple[float, IterationReport]] = []
     for (re, _), (state, iterate, report) in zip(rungs, points):
         subs.append((re, report))
@@ -627,27 +642,26 @@ def _path(disc: Discretization, config: SolverConfig, state: State | None, path:
     (``state`` before any), the point's own iterate and its report.
 
     The first point starts from ``state``, the second from the first's
-    state, and each later one from ``_secant_start`` of the last two
-    converged states (Keller 1977; Allgower and Georg 2003) with weight
-    ``(p_k - p_{k-1}) / (p_{k-1} - p_{k-2})`` of the parameters ``p``: a
-    ladder's Reynolds ratio, 1 on a march counted in steps.  ``state`` is no
-    point of the path, as a secant through an impulsive start overshoots.
-    A point with a ``dt`` is a backward-Euler step from the last converged
+    state, and each later one from ``_predict``, the polynomial
+    extrapolation through up to the last ``PREDICTOR_POINTS`` converged
+    states (Allgower and Georg 2003; the DASSL predictor of Brenan,
+    Campbell and Petzold 1996) in the parameter: a ladder's log Re, a
+    march's step count.  On a geometric ladder, or a march, the secant
+    term alone is ``x_k + (x_k - x_{k-1})``.  ``state`` is no point of the
+    path, as an extrapolation through an impulsive start overshoots.  A
+    point with a ``dt`` is a backward-Euler step from the last converged
     velocity.  There is no step control: the first point that fails ends
     the path.
     """
-    converged: list[tuple[float, State]] = []   # the last two converged points
+    converged: list[tuple[float, State]] = []   # the last PREDICTOR_POINTS converged points
     for parameter, nu, dt in path:
-        start = state
-        if len(converged) == 2:
-            (p0, last), (p1, _) = converged
-            start = _secant_start(state, last, (parameter - p1) / (p1 - p0))
+        start = _predict(converged, parameter) if len(converged) > 1 else state
         if dt is not None:
             start = replace(start, dt=dt, vbar_prev=state.vbar)  # _iterate copies it
         iterate, report = _iterate(disc, nu, config, start)
         if report.converged:
             state = iterate
-            converged = [*converged[-1:], (parameter, state)]
+            converged = [*converged[1 - PREDICTOR_POINTS:], (parameter, state)]
         yield state, iterate, report
         if not report.converged:
             return

@@ -449,6 +449,16 @@ class TestEdgeTable:
         with pytest.raises(ValueError, match="read-only"):
             mesh.edges[0, 0] = 1
 
+    def test_edge_keys_past_the_table_type_are_formed_in_int64(self):
+        # the table is np.intc; node_a * n + node_b overflows it past n = 46341
+        n = 50_000
+        coords = np.zeros((n, 2))
+        coords[-3:] = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+        tris = [[n - 3, n - 2, n - 1]]
+        edges = ((n - 3, n - 2, "b"), (n - 2, n - 1, "b"), (n - 1, n - 3, "b"))
+        mesh = Mesh(coords, tris, edges, ("b",))
+        assert mesh.edges.dtype == np.intc and mesh.edges.max() == n - 1
+
     def test_one_edge_pass_per_mesh(self, monkeypatch):
         calls = []
         edge_counts = mesh_module._edge_counts
@@ -494,6 +504,15 @@ class TestMeshIO:
         path = tmp_path / "mesh.txt"
         path.write_text("3\n0 0\n1 0\n0 1\n1\n0 1 2\n3\n0 1 b\n1 2 a\n2 0 b\n")
         with pytest.raises(ValueError, match="truncated mesh file"):
+            read_mesh(path)
+
+    def test_file_that_goes_on_past_its_tag_list_is_rejected(self, tmp_path):
+        # such a file used to read back as the mesh before the extra tokens
+        path = tmp_path / "mesh.txt"
+        write_mesh(unit_square_mesh(2), path)
+        with open(path, "a", encoding="ascii") as f:
+            f.write("junk 7 8\n")
+        with pytest.raises(ValueError, match="goes on past its tag list, with 'junk'"):
             read_mesh(path)
 
     def test_round_trip_irrational_coords(self, tmp_path):

@@ -126,7 +126,7 @@ def test_node_pair_pattern_matches_the_dof_pair_construction(case, seed):
     reference = dof_pair_pattern(mesh, disc.dofmap, disc.edofs)
     free, indices, indptr, kept, slot = reference
     np.testing.assert_array_equal(disc.free, free)
-    for got, want in ((disc._indices, indices), (disc._indptr, indptr)):
+    for got, want in ((disc.pattern.indices, indices), (disc.pattern.indptr, indptr)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
     # the same slot for every kept entry, and one discard slot for the rest
     np.testing.assert_array_equal(disc._slot[kept], slot)

@@ -320,8 +320,8 @@ def _counted_factors(monkeypatch):
     """Log the kind of every factor ``factorize`` returns."""
     factorize, kinds = solve_module.factorize, []
 
-    def counted(matrix):
-        factor = factorize(matrix)
+    def counted(matrix, pattern=None):
+        factor = factorize(matrix, pattern)
         kinds.append(factor.kind)
         return factor
 
@@ -375,11 +375,45 @@ def test_band_and_superlu_solutions_agree():
     dofmap = build_dof_map(prob.mesh, prob.bc)
     disc = newton_module.Discretization(prob.mesh, dofmap, prob.bc)
     system = newton_module.assemble_system(disc, lifted_state(prob.mesh, dofmap), prob.nu)
-    assert max(solve_module._bandwidths(system.matrix)) <= BAND_LIMIT
+    assert max(disc.pattern.kl, disc.pattern.ku) <= BAND_LIMIT
     superlu = solve_module.spla.splu(system.matrix, permc_spec="NATURAL", diag_pivot_thresh=0.1)
     reference = superlu.solve(system.rhs)
     band = linear_solve(system.matrix, system.rhs)
     assert np.linalg.norm(band - reference) <= 1e-12 * np.linalg.norm(reference)
+
+
+@pytest.mark.parametrize("prob, kind", [
+    (backward_step(re=150, h=0.25), "band"), (lid_cavity(32, re=400), "superlu32"),
+], ids=["band", "superlu"])
+def test_set_up_matrices_take_their_pattern_work_from_the_set_up(prob, kind, monkeypatch):
+    # the empty-line check, the bandwidths and the band positions of every
+    # assembled matrix come from Discretization.pattern, built once
+    dofmap = build_dof_map(prob.mesh, prob.bc)
+    disc = newton_module.Discretization(prob.mesh, dofmap, prob.bc)
+    system = newton_module.assemble_system(disc, lifted_state(prob.mesh, dofmap), prob.nu)
+    alone = solve_module.factorize(system.matrix)
+    monkeypatch.setattr(solve_module, "CscPattern", lambda *args: pytest.fail("pattern work"))
+    for strategy in ("newton", "fixed_point"):
+        _, report = solve(prob, SolverConfig(strategy=strategy, max_iter=2))
+        assert report.iterations == 2
+    factor = solve_module.factorize(system.matrix, disc.pattern)
+    assert factor.kind == alone.kind == kind
+    assert factor.solve(system.rhs).tobytes() == alone.solve(system.rhs).tobytes()
+
+
+def test_matrix_off_the_given_pattern_keeps_its_checks():
+    # a copy, stored on its own index arrays, is checked as any other matrix
+    prob = backward_step(re=150, h=0.25)
+    dofmap = build_dof_map(prob.mesh, prob.bc)
+    disc = newton_module.Discretization(prob.mesh, dofmap, prob.bc)
+    matrix = newton_module.assemble_system(disc, lifted_state(prob.mesh, dofmap), prob.nu).matrix
+    assert disc.pattern.holds(matrix) and not disc.pattern.holds(matrix.copy())
+    emptied = matrix.tolil()
+    emptied[7, :] = 0.0
+    emptied = emptied.tocsc()
+    emptied.eliminate_zeros()
+    with pytest.raises(LinearSolveError, match="matrix row 7 is empty"):
+        solve_module.factorize(emptied, disc.pattern)
 
 
 class TestNewtonSolve:
@@ -524,8 +558,9 @@ class TestFixedPointSolve:
 def assert_ladder_matches_fresh_builds(monkeypatch, problem, config, build):
     """Run the ladder, then check that every rung's residual history, stop
     reason and state equal those of a Newton solve on ``build(re)``, each
-    started from the secant prediction of the two before (the second from
-    the first); returns the ladder's report."""
+    started from the prediction in log Re through the up to
+    ``PREDICTOR_POINTS`` rungs before (the second from the first); returns
+    the ladder's report."""
     records = []
     iterate = solve_module._iterate
 
@@ -539,13 +574,12 @@ def assert_ladder_matches_fresh_builds(monkeypatch, problem, config, build):
     assert report.converged
     rungs = records[:]
     records.clear()
-    ladder = [re for re, _ in report.sub_reports]
-    state = last = None
-    for k, re in enumerate(ladder):
-        start = state if last is None else solve_module._secant_start(
-            state, last, (re - ladder[k - 1]) / (ladder[k - 1] - ladder[k - 2]))
-        last = state
+    points, state = [], None
+    for re, _ in report.sub_reports:
+        start = state if len(points) < 2 else solve_module._predict(
+            points[-solve_module.PREDICTOR_POINTS:], math.log(re))
         state, _ = solve(build(re), dataclasses.replace(config, continuation=None), state0=start)
+        points.append((math.log(re), state))
     assert records == rungs
     return report
 
@@ -697,12 +731,14 @@ class TestContinuation:
             solve(prob, cfg, state0=start)
 
     def test_failed_ladder_returns_the_last_converged_rungs_state(self):
-        # the rung at Re=1000 runs to max_iter; the ladder returns the Re=450
-        # rung's state, bitwise that of the ladder that ends there
+        # the rung at Re=1000 diverges (from the secant start, it ran to
+        # max_iter=4, and diverged after 8 updates with max_iter=25); the
+        # ladder returns the Re=450 rung's state, bitwise that of the ladder
+        # that ends there
         cfg = SolverConfig(max_iter=4, continuation=ContinuationConfig(50, 1000, 3))
         state, report = solve(lid_cavity(8, re=1000), cfg)
         assert [(re, r.stop_reason) for re, r in report.sub_reports] == [
-            (50, "tol"), (150, "tol"), (450, "tol"), (1000, "max_iter")]
+            (50, "tol"), (150, "tol"), (450, "tol"), (1000, "diverged")]
         reached, _ = solve(lid_cavity(8, re=450), dataclasses.replace(
             cfg, continuation=ContinuationConfig(50, 450, 3)))
         assert state.digest() == reached.digest()
@@ -774,9 +810,9 @@ class TestContinuation:
 
 def warm_started(monkeypatch, run):
     """``run()`` with every rung and step started from the last converged
-    state instead of the secant prediction."""
+    state instead of the prediction."""
     with monkeypatch.context() as patched:
-        patched.setattr(solve_module, "_secant_start", lambda state, last, weight: state)
+        patched.setattr(solve_module, "_predict", lambda points, parameter: points[-1][1])
         return run()
 
 
@@ -787,17 +823,19 @@ def assert_close_states(state, reference, bound=1e-9):
 
 class TestSecantStart:
     """Each rung after the second, and each step after the second, starts from
-    the secant prediction of the last two converged states."""
+    the extrapolation through up to the last ``PREDICTOR_POINTS`` converged
+    states, whose first term is the secant of the last two."""
 
     def test_step_ladder_saves_updates(self, monkeypatch):
-        # the step-ladder benchmark's path: 64 updates warm-started
+        # the step-ladder benchmark's path: 64 updates warm-started, 54 from
+        # the secant alone
         def run():
             return solve(backward_step(re=150, h=0.25), SolverConfig(
                 tol=1e-10, continuation=ContinuationConfig(15, 150, 1.1)))
         state, report = run()
         warm, warm_report = warm_started(monkeypatch, run)
         assert all(r.converged for _, r in report.sub_reports)
-        assert (report.iterations, warm_report.iterations) == (54, 64)
+        assert (report.iterations, warm_report.iterations) == (32, 64)
         assert_close_states(state, warm)
 
     def test_body_force_ladder_reaches_its_target(self, monkeypatch):
@@ -816,7 +854,8 @@ class TestSecantStart:
         states, reports = run()
         warm_states, warm_reports = warm_started(monkeypatch, run)
         assert all(r.converged for r in reports)
-        assert [sum(r.iterations for r in rs) for rs in (reports, warm_reports)] == [27, 31]
+        # 27 from the secant alone
+        assert [sum(r.iterations for r in rs) for rs in (reports, warm_reports)] == [25, 31]
         # the first two steps have no prediction
         for k in (0, 1):
             assert states[k].digest() == warm_states[k].digest()
@@ -865,6 +904,80 @@ class TestSecantStart:
         if all(r.converged for r in warm_reports):
             assert all(r.converged for r in reports)
             assert_close_states(states[-1], warm_states[-1])
+
+
+def _as_state(x):
+    """A State on 3 nodes and 2 elements from a vector of 13 entries."""
+    return State(x[:6].reshape(3, 2), x[6:9], x[9:].reshape(2, 2))
+
+
+def _as_vector(state):
+    return np.concatenate([state.vbar.ravel(), state.p, state.beta.ravel()])
+
+
+@st.composite
+def path_points(draw, n_points):
+    """Increasing parameters at any spacing, newest last, the parameter to
+    predict at, and a random generator for the states."""
+    gaps = draw(st.lists(st.floats(0.1, 10.0), min_size=n_points, max_size=n_points))
+    t = np.cumsum([draw(st.floats(-10.0, 10.0)), *gaps])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return t[:-1], t[-1], rng
+
+
+def newton_path(t, target, terms, rng):
+    """States at ``t`` (newest last) on the polynomial ``x_0 + sum_k c_k
+    (s - t_0) ... (s - t_{k-1})`` through the newest node ``t_0``, with each
+    random ``c_k`` scaled so that term k at ``target`` has the norm
+    ``terms[k - 1]``; returns the points and the polynomial at ``target``."""
+    nodes = t[::-1]
+    x0 = rng.normal(size=13)
+    coefficients = []
+    for k, size in enumerate(terms, start=1):
+        c = rng.normal(size=13)
+        coefficients.append(c * size / (np.linalg.norm(c) * abs(np.prod(target - nodes[:k]))))
+
+    def at(s):
+        return x0 + sum(c * np.prod(s - nodes[:k]) for k, c in enumerate(coefficients, start=1))
+
+    return [(s, _as_state(at(s))) for s in t], at(target)
+
+
+class TestPredictor:
+    """``_predict``: the Newton-form extrapolation through the last converged
+    states, each term past the secant added only while it shrinks."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, solve_module.PREDICTOR_POINTS).flatmap(path_points))
+    def test_exact_on_a_linear_path(self, drawn):
+        t, target, rng = drawn
+        a, b = rng.normal(size=13), rng.normal(size=13)
+        points = [(s, _as_state(a + b * s)) for s in t]
+        got = _as_vector(solve_module._predict(points, target))
+        expected = a + b * target
+        assert np.abs(got - expected).max() <= 1e-9 * np.abs(expected).max()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(4, solve_module.PREDICTOR_POINTS).flatmap(path_points),
+           st.floats(0.01, 0.5))
+    def test_reproduces_a_cubic_whose_terms_shrink(self, drawn, ratio):
+        t, target, rng = drawn
+        points, expected = newton_path(t, target, [1.0, ratio, ratio**2], rng)
+        got = _as_vector(solve_module._predict(points, target))
+        assert np.abs(got - expected).max() <= 1e-8 * np.abs(expected).max()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(3, solve_module.PREDICTOR_POINTS).flatmap(path_points),
+           st.floats(1.5, 100.0))
+    def test_growing_second_difference_gives_the_secant_bitwise(self, drawn, ratio):
+        t, target, rng = drawn
+        points, _ = newton_path(t, target, [1.0, ratio], rng)
+        (t1, older), (t0, newest) = points[-2:]
+        x0, x1 = _as_vector(newest), _as_vector(older)
+        secant = x0 + (target - t0) * ((x1 - x0) / (t1 - t0))
+        got = solve_module._predict(points, target)
+        assert _as_vector(got).tobytes() == secant.tobytes()
+        assert got.digest() == solve_module._predict(points[-2:], target).digest()
 
 
 @pytest.fixture(scope="module")
