@@ -149,9 +149,10 @@ class ElementBatch:
     C-contiguous with the element index last; the kernels combine them
     with the element unknowns and never revisit the quadrature points.
     Index ``A`` runs over the three coarse functions and then the bubble.
-    Only the body-force load and the error norms read the physical
-    quadrature points ``xq`` and weights ``wd`` (element-first), so those
-    are built on each use rather than held through a solve.
+    Only the body-force load reads the physical quadrature points ``xq``,
+    and only it and the error norms the weights ``wd`` (both
+    element-first), so those are built on each use rather than held
+    through a solve.
     """
 
     def __init__(self, mesh: Mesh, elements: np.ndarray | None = None):
@@ -353,18 +354,27 @@ def _condense_batched(Rvp, Rf, blocks, elements):
         raise FineScaleSingularError(f"fine-scale block of element {int(elements[bad])} "
                                      f"is numerically singular (|det| = {abs(det[bad]):.3e})")
     E = Rvp.shape[-1]
-    X, K, R = np.empty((2, 9, E)), np.empty((9, 9, E)), np.empty((9, E))
-    y = np.einsum("fge,ge->fe", Kff_inv, Rf)
-    for rows, C, B in ((slice(6), "Kfc", "Kcf"), (slice(6, 9), "Kfp", "Kpf")):
+    X, K = np.empty((2, 9, E)), np.empty((9, 9, E))
+    for rows, C in ((slice(6), "Kfc"), (slice(6, 9), "Kfp")):
         np.einsum("fge,gxe->fxe", Kff_inv, blocks[C], out=X[:, rows])
-        np.einsum("xfe,fe->xe", blocks[B], y, out=R[rows])
     for rows, B in ((slice(6), "Kcf"), (slice(6, 9), "Kpf")):
         np.einsum("xfe,fye->xye", blocks[B], X, out=K[rows])
     np.subtract(blocks["Kcc"], K[:6, :6], out=K[:6, :6])
     np.subtract(blocks["Kcp"], K[:6, 6:], out=K[:6, 6:])
     np.subtract(blocks["Kpc"], K[6:, :6], out=K[6:, :6])
     np.negative(K[6:, 6:], out=K[6:, 6:])
-    return K, np.subtract(Rvp, R, out=R), Kff_inv, X
+    R = _condense_residual(Rvp, Rf, Kff_inv, blocks["Kcf"], blocks["Kpf"])
+    return K, R, Kff_inv, X
+
+
+def _condense_residual(Rvp, Rf, Kff_inv, Kcf, Kpf):
+    """``Rvp - [Kcf; Kpf] Kff^-1 Rf`` (9, E): element residuals condensed as
+    ``_condense_batched`` condenses the tangent, with ``Kpf`` (3, 2, E)."""
+    y = np.einsum("fge,ge->fe", Kff_inv, Rf)
+    R = np.empty(Rvp.shape)
+    np.einsum("xfe,fe->xe", Kcf, y, out=R[:6])
+    np.einsum("xfe,fe->xe", Kpf, y, out=R[6:])
+    return np.subtract(Rvp, R, out=R)
 
 
 def _recover_batched(Kff_inv, X, Rf, d9):
@@ -593,10 +603,13 @@ class Discretization:
         matrix.has_canonical_format = True
         return matrix
 
-    def free_residual(self, R: np.ndarray) -> np.ndarray:
-        """``(sum_e R_e - traction)[free]`` for element residuals ``R`` (9, E)."""
+    def free_residual(self, R: np.ndarray, traction: bool = True) -> np.ndarray:
+        """``(sum_e R_e - traction)[free]`` for element residuals ``R`` (9, E),
+        or ``(sum_e R_e)[free]`` without ``traction``."""
         summed = np.bincount(self.edofs.ravel(), weights=R.ravel(), minlength=self.dofmap.total)
-        return (summed - self.traction)[self.free]
+        if traction:
+            summed -= self.traction
+        return summed[self.free]
 
 
 def _norm_of(disc: Discretization, Rvp, Rf) -> float:
@@ -614,23 +627,27 @@ class NewtonSystem:
     The tangent and its condensation (``matrix``, ``rhs``, ``Kff_inv``,
     ``Kff_inv_coupling``) are built together on first access, which releases the
     fields and residuals kept for it and raises ``FineScaleSingularError``
-    on a singular fine-scale block.
+    on a singular fine-scale block.  A system assembled with ``coupling``
+    also keeps ``Kcf`` then, so that ``condensed_rhs`` can condense another
+    residual with the same linearization.
     """
 
     def __init__(self, disc: Discretization, fields: _Fields,
-                 Rvp: np.ndarray, Rf: np.ndarray, state_digest: bytes):
+                 Rvp: np.ndarray, Rf: np.ndarray, state_digest: bytes, coupling: bool = False):
         self.residual = _norm_of(disc, Rvp, Rf)          # 2-norm of [assembled Rvp; all Rf]
         self.Rf = Rf                                      # (2, E)
         self.edofs = disc.edofs                           # (9, E)
         self.state_digest = state_digest
-        self._pending = (disc, fields, Rvp)
+        self._pending = (disc, fields, Rvp, coupling)
 
     @cached_property
     def _linearization(self):
-        disc, fields, Rvp = self._pending
+        disc, fields, Rvp, coupling = self._pending
         blocks = _tangent_batched(disc.batch, fields)
         K_hat, R_hat, Kff_inv, X = _condense_batched(Rvp, self.Rf, blocks, disc.batch.elements)
         self._pending = None
+        if coupling:
+            self._coupling = (disc, blocks["Kcf"].copy(), blocks["Kpf"])   # not a view of T
         return disc.free_matrix(K_hat), -disc.free_residual(R_hat), Kff_inv, X
 
     matrix = _linearization_part(0, "condensed tangent on the free (v, p) DOFs, CSC")
@@ -649,18 +666,46 @@ class NewtonSystem:
             raise RuntimeError(
                 "stale condensation data: state changed since assembly"
             )
-        return _recover_batched(self.Kff_inv, self.Kff_inv_coupling, self.Rf,
+        return self.fine_increment(self.Rf, delta_full)
+
+    def fine_increment(self, Rf: np.ndarray, delta_full: np.ndarray) -> np.ndarray:
+        """Fine-scale increments (E, 2) for fine residuals ``Rf`` (2, E) and a global
+        (v, p) increment vector, with this linearization, whatever the state now is."""
+        return _recover_batched(self.Kff_inv, self.Kff_inv_coupling, Rf,
                                 delta_full[self.edofs]).T
 
+    def condensed_rhs(self, Rvp: np.ndarray, Rf: np.ndarray) -> np.ndarray:
+        """``-R_hat`` on the free DOFs for element residuals ``Rvp`` (9, E) and
+        ``Rf`` (2, E) other than the system's own, without the traction,
+        condensed with this linearization; needs a system assembled with ``coupling``."""
+        Kff_inv = self.Kff_inv
+        disc, Kcf, Kpf = self._coupling
+        return -disc.free_residual(_condense_residual(Rvp, Rf, Kff_inv, Kcf, Kpf),
+                                   traction=False)
 
-def assemble_system(disc: Discretization, state: State, nu: float) -> NewtonSystem:
+
+def assemble_system(disc: Discretization, state: State, nu: float,
+                    coupling: bool = False) -> NewtonSystem:
     """The Newton system at ``state``: its residual now, its linearization on demand.
 
     The body force is ``disc.load``.  The linearization is the condensed
     system over the unconstrained DOFs.  Dirichlet increments are eliminated
     (the state carries the boundary values): its right-hand side is
-    ``-R_hat`` on free DOFs.
+    ``-R_hat`` on free DOFs.  With ``coupling`` the linearization can also
+    condense other residuals (``NewtonSystem.condensed_rhs``).
     """
     fields = _fields(disc.batch, state, nu)
     return NewtonSystem(disc, fields, *_residuals_batched(disc.batch, fields, disc.load),
-                        state.digest())
+                        state.digest(), coupling)
+
+
+def viscous_residual(disc: Discretization, state: State, nu: float):
+    """The viscous part of the element residuals at ``state``, ``nu int grad Nb_A
+    . grad u``: (9, E) over the (velocity, pressure) rows, zero on the pressure
+    rows, and (2, E) over the fine rows.  It is ``nu`` times the derivative of
+    the residual in ``nu``, on which no other term, and no traction, body
+    force, pin or prescribed value, depends."""
+    batch = disc.batch
+    V = nu * np.einsum("ABe,Bie->Aie", batch.stiff, _fields(batch, state, nu).U)
+    E = V.shape[-1]
+    return np.concatenate([V[:3].reshape(6, E), np.zeros((3, E))]), V[3]

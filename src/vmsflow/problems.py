@@ -283,21 +283,22 @@ def error_norms(state: State, exact: ExactSolution | None, mesh: Mesh) -> ErrorN
     if exact is None:
         raise ValueError("error_norms needs the problem's exact solution")
     batch = ElementBatch(mesh)
-    vel = state.vbar[batch.tris]
-    vq = np.einsum("qa,eai->eqi", batch.N, vel)
-    vq += batch.bq[None, :, None] * state.beta[:, None, :]
-    pq = np.einsum("qa,ea->eq", batch.N, state.p[batch.tris])
-    gp = np.einsum("ea,aje->ej", state.p[batch.tris], batch.G)
-
-    xq = batch.xq
-    dv = vq - exact.velocity(xq)
-    dpg = gp[:, None, :] - exact.pressure_gradient(xq)
-    dp = pq - exact.pressure(xq)
-    wd = batch.wd
+    tris, N = batch.tris_t, batch.N                      # (3, E), (Q, 3)
+    # At the quadrature points, element index last: scalars (Q, E), vectors (2, Q, E).
+    xq = np.matmul(N, mesh.node_coords[tris].transpose(2, 0, 1))
+    vq = np.matmul(N, state.vbar[tris].transpose(2, 0, 1))
+    vq += batch.bq[:, None] * state.beta.T[:, None]
+    p = state.p[tris]
+    gp = np.einsum("ae,aje->je", p, batch.G)             # the constant discrete gradient
+    points = xq.transpose(1, 2, 0)                       # (Q, E, 2), as the exact fields take them
+    dv = vq - np.moveaxis(exact.velocity(points), -1, 0)
+    dpg = gp[:, None] - np.moveaxis(exact.pressure_gradient(points), -1, 0)
+    dp = N @ p - exact.pressure(points)
+    wd = np.ascontiguousarray(batch.wd.T)
     return ErrorNorms(
-        l2_velocity=float(np.sqrt(np.einsum("eq,eqi,eqi->", wd, dv, dv))),
-        h1_semi_pressure=float(np.sqrt(np.einsum("eq,eqi,eqi->", wd, dpg, dpg))),
-        l2_pressure=float(np.sqrt(np.einsum("eq,eq,eq->", wd, dp, dp))),
+        l2_velocity=float(np.sqrt(np.einsum("qe,iqe,iqe->", wd, dv, dv))),
+        h1_semi_pressure=float(np.sqrt(np.einsum("qe,iqe,iqe->", wd, dpg, dpg))),
+        l2_pressure=float(np.sqrt(np.einsum("qe,qe,qe->", wd, dp, dp))),
     )
 
 

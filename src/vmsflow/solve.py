@@ -8,8 +8,13 @@ rungs and their bound come from ``ContinuationConfig.ladder`` alone).
 inputs and builds its set-up at the call, then returns an iterator that
 yields each step's state and report.  A ladder and a march are both paths
 of points, which one loop, ``_path``, follows; it starts each point after
-the second from ``_predict``, the polynomial extrapolation in log Re or in
-the step count through up to ``PREDICTOR_POINTS`` converged states.
+the first from ``_predict``, the polynomial extrapolation in log Re or in
+the step count through up to ``PREDICTOR_POINTS`` converged states.  On a
+Newton ladder a rung that took more than one update also leaves, for the
+next rung, its tangent dx/dlog Re (``_tangent``): one solve with its last
+factor, which ``_predict`` reads as a Hermite node.  A march step has no
+parameter derivative to solve for, and fixed point no factor of J, so
+neither carries a tangent.
 A problem object must expose ``mesh``, ``bc``, ``nu`` and ``body_force``
 attributes (``vmsflow.problems.ProblemSpec`` does); a ladder also needs
 ``re``, its last rung, and a ``with_re`` that keeps the mesh, boundary
@@ -36,7 +41,9 @@ that misses, after the kept solve is dropped, so one factor is alive at
 a time; the list dies with the loop at the end of the solve, rung or
 step.  Newton factors every matrix: a kept Newton factor would live
 through the tangent and condensation build, which raises the peak memory
-of a solve.
+of a solve.  Only a ladder rung keeps its update's factor past its solve,
+through the residual assembly that follows, for the rung's tangent, and
+drops it before the next linearization.
 
 One loop, ``_iterate``, drives both strategies: it records the residual
 of every update, tests for divergence and stops, and names why it
@@ -57,6 +64,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -71,6 +79,7 @@ from vmsflow.newton import (
     FineScaleSingularError,
     State,
     assemble_system,
+    viscous_residual,
 )
 
 LINEAR_TOL = 1e-10        # relative residual bound of every linear solve
@@ -435,31 +444,53 @@ def lifted_state(mesh: Mesh, dofmap: DofMap, state: State | None = None) -> Stat
     return start
 
 
-def _predict(points: list[tuple[float, State]], parameter: float) -> State:
+def _predict(points: list[tuple], parameter: float) -> State:
     """The start at ``parameter`` extrapolated through the converged ``points``
-    ``(parameter, state)``, oldest first, in ``vbar``, ``p`` and ``beta``.
+    ``(parameter, state)`` or ``(parameter, state, tangent)``, oldest first,
+    in ``vbar``, ``p`` and ``beta``.
 
     The Newton form of the interpolating polynomial, from the newest point
-    back: term k is the divided difference through the k + 1 newest states
-    times ``(t - t_0) ... (t - t_{k-1})``.  Term 1, the secant, is always
-    added; each later term only while its norm is below the last added
-    one's, so a path whose differences grow falls back to the secant.
+    back: term k is the divided difference through the k + 1 newest nodes
+    times ``(t - t_0) ... (t - t_{k-1})``.  A point with a tangent (a vector
+    over ``vbar``, ``p`` and ``beta`` as they are joined here, or None) is
+    two nodes, and the first divided difference between them is its
+    tangent: the confluent (Hermite) form, exact on polynomials of degree
+    2m - 1 when each of m points has one.  Term 1, the secant or the newest
+    tangent, is always added; each later term only while its norm is below
+    the last added one's, so a path whose differences grow falls back to
+    term 1.  With a tangent the norms are compared in each of ``vbar``,
+    ``p`` and ``beta``: their scales differ, so the whole vector's norm
+    follows the largest alone, and on coarse lid ladders it let Hermite
+    terms through that grew in ``vbar`` and drove Newton to divergence.
+    Without one, the whole vector's norm alone is compared.
     """
-    t = [s for s, _ in reversed(points)]
-    d = [np.concatenate([x.vbar.ravel(), x.p, x.beta.ravel()]) for _, x in reversed(points)]
+    x = points[-1][1]
+    cuts = [x.vbar.size, x.vbar.size + x.p.size]
+    t, d, slopes = [], [], {}
+    for s, state, *tangent in reversed(points):
+        vector = np.concatenate([state.vbar.ravel(), state.p, state.beta.ravel()])
+        if tangent and tangent[0] is not None:
+            slopes[len(d) + 1] = tangent[0]
+            t.append(s)
+            d.append(vector)
+        t.append(s)
+        d.append(vector)
     start, weight, last = d[0].copy(), 1.0, np.inf
     for k in range(1, len(d)):
         for i in range(len(d) - 1, k - 1, -1):      # d[k] becomes f[t_0, ..., t_k]
-            d[i] = (d[i] - d[i - 1]) / (t[i] - t[i - k])
+            if k == 1 and i in slopes:
+                d[i] = slopes[i]
+            else:
+                d[i] = (d[i] - d[i - 1]) / (t[i] - t[i - k])
         weight *= parameter - t[k - 1]
         term = weight * d[k]
-        size = _norm(term)
-        if k > 1 and not size < last:
+        size = np.array([_norm(part) for part in np.split(term, cuts)]) if slopes \
+            else _norm(term)
+        if k > 1 and not np.all(size < last):
             break
         start += term
         last = size
-    x = points[-1][1]
-    vbar, p, beta = np.split(start, [x.vbar.size, x.vbar.size + x.p.size])
+    vbar, p, beta = np.split(start, cuts)
     return State(vbar.reshape(x.vbar.shape), p, beta.reshape(x.beta.shape))
 
 
@@ -468,19 +499,53 @@ def _setup(problem) -> Discretization:
                           problem.bc, problem.body_force)
 
 
-def _newton_steps(disc: Discretization, nu: float, state: State):
-    """Newton updates of ``state`` in place, each yielding (residual, None)."""
-    system = assemble_system(disc, state, nu)
+def _newton_steps(disc: Discretization, nu: float, state: State, last: list | None = None):
+    """Newton updates of ``state`` in place, each yielding (residual, None).
+
+    With ``last``, a list, each update leaves in it the solve of its factor
+    and its linearized system (assembled with ``coupling``) from its solve
+    through the residual assembly that follows; the next update clears it
+    before it linearizes, so the last update's stay for ``_tangent``.
+    """
+    coupling = last is not None
+    system = assemble_system(disc, state, nu, coupling)
     while True:
         delta = np.zeros(disc.dofmap.total)
-        delta[disc.free] = linear_solve(system.matrix, system.rhs, pattern=disc.pattern)
+        delta[disc.free] = linear_solve(system.matrix, system.rhs, last, pattern=disc.pattern)
         dbeta = system.recover_beta(state, delta)
         dvbar, dp = disc.dofmap.split(delta)
         state.vbar += dvbar
         state.p += dp
         state.beta += dbeta
-        system = assemble_system(disc, state, nu)
+        if last is not None:
+            last.append(system)
+        system = assemble_system(disc, state, nu, coupling)
         yield system.residual, None
+        if last is not None:
+            last.clear()                # an empty list: linear_solve factors the next matrix
+
+
+def _tangent(disc: Discretization, nu: float, state: State, last: list) -> np.ndarray | None:
+    """The path's tangent dx/dlog Re at the converged ``state``, over ``vbar``,
+    ``p`` and ``beta`` as ``_predict`` reads it, or None when its solve misses
+    the ``LINEAR_TOL`` bound.
+
+    With Re proportional to 1/nu, dx/dlog Re = nu J^-1 dR/dnu, and nu dR/dnu
+    is the viscous residual (``viscous_residual``).  J is the last update's
+    linearization, one update behind ``state``: ``last`` holds its factor's
+    solve and its system, which condenses the residual; the fine part is
+    recovered as an update's is.  No factor or linearization is added.
+    """
+    lu_solve, system = last
+    Rvp, Rf = viscous_residual(disc, state, nu)
+    x = _kept_solve(lu_solve, system.matrix, system.condensed_rhs(Rvp, Rf))
+    if x is None:
+        return None
+    delta = np.zeros(disc.dofmap.total)    # J delta = -nu dR/dnu: the tangent is -delta
+    delta[disc.free] = x
+    dvbar, dp = disc.dofmap.split(delta)
+    dbeta = system.fine_increment(Rf, delta)
+    return -np.concatenate([dvbar.ravel(), dp, dbeta.ravel()])
 
 
 def _fixed_point_steps(disc: Discretization, nu: float, state: State):
@@ -514,10 +579,12 @@ def _check_fits(state: State, mesh: Mesh) -> None:
                              f"but the mesh needs {shape}")
 
 
-def _iterate(disc: Discretization, nu: float, config: SolverConfig, state0: State | None
-             ) -> tuple[State, IterationReport]:
+def _iterate(disc: Discretization, nu: float, config: SolverConfig, state0: State | None,
+             last: list | None = None) -> tuple[State, IterationReport]:
     """Run ``config.strategy`` from ``lifted_state`` of a checked ``state0`` (its
-    constrained values replaced, transient fields kept) or of the zero state."""
+    constrained values replaced, transient fields kept) or of the zero state.
+    A Newton run given ``last`` leaves its last update's factor and system
+    there (``_newton_steps``)."""
     updates, tracks_increment = _STRATEGIES[config.strategy]
     state = lifted_state(disc.mesh, disc.dofmap, state0)
     inc_tol = config.tol if config.increment_tol is None else config.increment_tol
@@ -527,7 +594,7 @@ def _iterate(disc: Discretization, nu: float, config: SolverConfig, state0: Stat
     failure = None
     stop = "max_iter"
     min_resid = np.inf
-    steps = updates(disc, nu, state)
+    steps = updates(disc, nu, state) if last is None else updates(disc, nu, state, last)
     try:
         for _ in range(config.max_iter):
             resid, increment = next(steps)
@@ -641,27 +708,43 @@ def _path(disc: Discretization, config: SolverConfig, state: State | None, path:
     (None: the zero state), yielding per point the last converged state
     (``state`` before any), the point's own iterate and its report.
 
-    The first point starts from ``state``, the second from the first's
-    state, and each later one from ``_predict``, the polynomial
-    extrapolation through up to the last ``PREDICTOR_POINTS`` converged
-    states (Allgower and Georg 2003; the DASSL predictor of Brenan,
-    Campbell and Petzold 1996) in the parameter: a ladder's log Re, a
-    march's step count.  On a geometric ladder, or a march, the secant
-    term alone is ``x_k + (x_k - x_{k-1})``.  ``state`` is no point of the
-    path, as an extrapolation through an impulsive start overshoots.  A
-    point with a ``dt`` is a backward-Euler step from the last converged
-    velocity.  There is no step control: the first point that fails ends
-    the path.
+    The first point starts from ``state``, and each later one from
+    ``_predict``, the polynomial extrapolation through up to the last
+    ``PREDICTOR_POINTS`` converged states (Allgower and Georg 2003; the
+    DASSL predictor of Brenan, Campbell and Petzold 1996) in the parameter:
+    a ladder's log Re, a march's step count.  From one point without a
+    tangent that is the point's state; on a geometric ladder, or a march,
+    the secant term is ``x_k + (x_k - x_{k-1})``.  ``state`` is no point of
+    the path, as an extrapolation through an impulsive start overshoots.
+
+    A Newton rung of a ladder keeps its last update's factor, and the next
+    rung first turns it into the rung's tangent (``_tangent``, one solve),
+    which ``_predict`` reads as a second, Hermite node: only after a rung
+    that took more than one update, as one that converged in one update
+    from its start cannot be started better, and never after the last
+    rung, which no rung follows.  A march step has no tangent: its residual
+    depends on the last step's velocity, not on the step count, so no
+    derivative in the parameter exists to solve for.  Nor has fixed point,
+    whose factor is of the Picard matrix, not of J.  A point with a ``dt``
+    is a backward-Euler step from the last converged velocity.  There is no
+    step control: the first point that fails ends the path.
     """
-    converged: list[tuple[float, State]] = []   # the last PREDICTOR_POINTS converged points
+    converged: list[tuple] = []     # the last PREDICTOR_POINTS converged points
+    tangent = None                  # computes the newest point's tangent, when it has one
     for parameter, nu, dt in path:
-        start = _predict(converged, parameter) if len(converged) > 1 else state
+        if tangent is not None:
+            converged[-1] = (*converged[-1][:2], tangent())
+            tangent = None          # the factor goes before this point's first linearization
+        start = _predict(converged, parameter) if converged else state
+        last = [] if dt is None and config.strategy == "newton" else None
         if dt is not None:
             start = replace(start, dt=dt, vbar_prev=state.vbar)  # _iterate copies it
-        iterate, report = _iterate(disc, nu, config, start)
+        iterate, report = _iterate(disc, nu, config, start, last)
         if report.converged:
             state = iterate
-            converged = [*converged[1 - PREDICTOR_POINTS:], (parameter, state)]
+            converged = [*converged[1 - PREDICTOR_POINTS:], (parameter, state, None)]
+            if last and report.iterations > 1:
+                tangent = partial(_tangent, disc, nu, state, last)
         yield state, iterate, report
         if not report.converged:
             return

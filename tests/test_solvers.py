@@ -557,10 +557,10 @@ class TestFixedPointSolve:
 
 def assert_ladder_matches_fresh_builds(monkeypatch, problem, config, build):
     """Run the ladder, then check that every rung's residual history, stop
-    reason and state equal those of a Newton solve on ``build(re)``, each
-    started from the prediction in log Re through the up to
-    ``PREDICTOR_POINTS`` rungs before (the second from the first); returns
-    the ladder's report."""
+    reason and state equal those of a Newton run on a set-up of ``build(re)``
+    of its own, each started from the prediction in log Re through the up
+    to ``PREDICTOR_POINTS`` rungs before, with the tangent of each that took
+    more than one update; returns the ladder's report."""
     records = []
     iterate = solve_module._iterate
 
@@ -574,12 +574,16 @@ def assert_ladder_matches_fresh_builds(monkeypatch, problem, config, build):
     assert report.converged
     rungs = records[:]
     records.clear()
-    points, state = [], None
+    points, alone = [], dataclasses.replace(config, continuation=None)
     for re, _ in report.sub_reports:
-        start = state if len(points) < 2 else solve_module._predict(
-            points[-solve_module.PREDICTOR_POINTS:], math.log(re))
-        state, _ = solve(build(re), dataclasses.replace(config, continuation=None), state0=start)
-        points.append((math.log(re), state))
+        start = solve_module._predict(points[-solve_module.PREDICTOR_POINTS:],
+                                      math.log(re)) if points else None
+        rung, last = build(re), []
+        disc = solve_module._setup(rung)
+        state, rung_report = solve_module._iterate(disc, rung.nu, alone, start, last)
+        tangent = solve_module._tangent(disc, rung.nu, state, last) \
+            if rung_report.iterations > 1 else None
+        points.append((math.log(re), state, tangent))
     assert records == rungs
     return report
 
@@ -731,14 +735,14 @@ class TestContinuation:
             solve(prob, cfg, state0=start)
 
     def test_failed_ladder_returns_the_last_converged_rungs_state(self):
-        # the rung at Re=1000 diverges (from the secant start, it ran to
-        # max_iter=4, and diverged after 8 updates with max_iter=25); the
+        # the rung at Re=1000 fails (from the Hermite start it runs to
+        # max_iter=4, and diverges after 6 updates with max_iter=25); the
         # ladder returns the Re=450 rung's state, bitwise that of the ladder
         # that ends there
         cfg = SolverConfig(max_iter=4, continuation=ContinuationConfig(50, 1000, 3))
         state, report = solve(lid_cavity(8, re=1000), cfg)
         assert [(re, r.stop_reason) for re, r in report.sub_reports] == [
-            (50, "tol"), (150, "tol"), (450, "tol"), (1000, "diverged")]
+            (50, "tol"), (150, "tol"), (450, "tol"), (1000, "max_iter")]
         reached, _ = solve(lid_cavity(8, re=450), dataclasses.replace(
             cfg, continuation=ContinuationConfig(50, 450, 3)))
         assert state.digest() == reached.digest()
@@ -822,21 +826,34 @@ def assert_close_states(state, reference, bound=1e-9):
 
 
 class TestSecantStart:
-    """Each rung after the second, and each step after the second, starts from
-    the extrapolation through up to the last ``PREDICTOR_POINTS`` converged
-    states, whose first term is the secant of the last two."""
+    """Each rung and step after the first starts from the extrapolation
+    through up to the last ``PREDICTOR_POINTS`` converged states, a Newton
+    rung's with the tangents of the rungs that took more than one update."""
 
     def test_step_ladder_saves_updates(self, monkeypatch):
         # the step-ladder benchmark's path: 64 updates warm-started, 54 from
-        # the secant alone
+        # the secant alone, 32 from the extrapolation through states alone;
+        # the two tangents add no factor
         def run():
             return solve(backward_step(re=150, h=0.25), SolverConfig(
                 tol=1e-10, continuation=ContinuationConfig(15, 150, 1.1)))
+        kinds = _counted_factors(monkeypatch)
+        tangents = _counted_calls(monkeypatch, "_tangent")
         state, report = run()
+        assert kinds == ["band"] * report.iterations
+        # after the two rungs that took more than one update, [4, 2, 1, ..., 1]
+        assert len(tangents) == 2
         warm, warm_report = warm_started(monkeypatch, run)
         assert all(r.converged for _, r in report.sub_reports)
-        assert (report.iterations, warm_report.iterations) == (32, 64)
+        assert (report.iterations, warm_report.iterations) == (30, 64)
         assert_close_states(state, warm)
+
+    def test_coarse_newton_lid_ladder_saves_updates(self):
+        # 28 updates from the extrapolation through states alone, 26 from the
+        # secant alone
+        _, report = solve(lid_cavity(16, re=1000), SolverConfig(
+            tol=1e-11, continuation=ContinuationConfig(50, 1000, 2)))
+        assert report.converged and report.iterations <= 26
 
     def test_body_force_ladder_reaches_its_target(self, monkeypatch):
         # warm-started, the rung at Re ~ 2653 runs to max_iter
@@ -916,10 +933,10 @@ def _as_vector(state):
 
 
 @st.composite
-def path_points(draw, n_points):
-    """Increasing parameters at any spacing, newest last, the parameter to
-    predict at, and a random generator for the states."""
-    gaps = draw(st.lists(st.floats(0.1, 10.0), min_size=n_points, max_size=n_points))
+def path_points(draw, n_points, shortest=0.1):
+    """Increasing parameters at gaps from ``shortest`` to 10, newest last, the
+    parameter to predict at, and a random generator for the states."""
+    gaps = draw(st.lists(st.floats(shortest, 10.0), min_size=n_points, max_size=n_points))
     t = np.cumsum([draw(st.floats(-10.0, 10.0)), *gaps])
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return t[:-1], t[-1], rng
@@ -941,6 +958,55 @@ def newton_path(t, target, terms, rng):
         return x0 + sum(c * np.prod(s - nodes[:k]) for k, c in enumerate(coefficients, start=1))
 
     return [(s, _as_state(at(s))) for s in t], at(target)
+
+
+_FIELDS = [6, 9]    # where vbar ends and p ends in the 13 entries of ``_as_state``
+
+
+def hermite_path(t, target, terms, rng):
+    """Points ``(s, state, tangent)`` at ``t`` (newest last) on the polynomial
+    ``x_0 + sum_k c_k (s - z_0) ... (s - z_{k-1})`` over the nodes ``z`` =
+    ``t_0, t_0, t_1, t_1, ...`` from the newest, each field (vbar, p, beta)
+    of each random ``c_k`` scaled so that its part of term k at ``target``
+    has the norm ``terms[k - 1]``; returns the points and the polynomial at
+    ``target``."""
+    nodes = np.repeat(t[::-1], 2)
+    x0 = rng.normal(size=13)
+    coefficients = []
+    for k, size in enumerate(terms, start=1):
+        c = rng.normal(size=13)
+        c = np.concatenate([part * size / np.linalg.norm(part) for part in np.split(c, _FIELDS)])
+        coefficients.append(c / abs(np.prod(target - nodes[:k])))
+
+    def at(s):
+        return x0 + sum(c * np.prod(s - nodes[:k]) for k, c in enumerate(coefficients, start=1))
+
+    def slope(s):
+        return sum(c * sum(np.prod(np.delete(s - nodes[:k], m)) for m in range(k))
+                   for k, c in enumerate(coefficients, start=1))
+
+    return [(s, _as_state(at(s)), slope(s)) for s in t], at(target)
+
+
+def state_only_predict(points, parameter):
+    """The extrapolation through states alone, as it was before tangents: the
+    reference a path without tangents must reproduce bitwise."""
+    t = [s for s, *_ in reversed(points)]
+    d = [np.concatenate([x.vbar.ravel(), x.p, x.beta.ravel()]) for _, x, *_ in reversed(points)]
+    start, weight, last = d[0].copy(), 1.0, np.inf
+    for k in range(1, len(d)):
+        for i in range(len(d) - 1, k - 1, -1):
+            d[i] = (d[i] - d[i - 1]) / (t[i] - t[i - k])
+        weight *= parameter - t[k - 1]
+        term = weight * d[k]
+        size = solve_module._norm(term)
+        if k > 1 and not size < last:
+            break
+        start += term
+        last = size
+    x = points[-1][1]
+    vbar, p, beta = np.split(start, [x.vbar.size, x.vbar.size + x.p.size])
+    return State(vbar.reshape(x.vbar.shape), p, beta.reshape(x.beta.shape))
 
 
 class TestPredictor:
@@ -978,6 +1044,117 @@ class TestPredictor:
         got = solve_module._predict(points, target)
         assert _as_vector(got).tobytes() == secant.tobytes()
         assert got.digest() == solve_module._predict(points[-2:], target).digest()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, solve_module.PREDICTOR_POINTS).flatmap(
+        lambda m: st.tuples(path_points(m, shortest=1.0), st.integers(1, 2 * m - 1))),
+           st.floats(0.01, 0.5))
+    def test_tangents_double_the_degree_it_reproduces(self, drawn, ratio):
+        # a tangent at each of m points: exact on degree 2m - 1 whose terms
+        # shrink.  The gaps are at most tenfold apart: a hundredfold apart,
+        # rounding moved the extrapolation by up to 2.6e-7 in 3000 draws, and
+        # the exact extrapolation of the rounded points (degree 6) by 7e-9
+        (t, target, rng), degree = drawn
+        points, expected = hermite_path(t, target, ratio ** np.arange(degree), rng)
+        got = _as_vector(solve_module._predict(points, target))
+        assert np.abs(got - expected).max() <= 1e-8 * np.abs(expected).max()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, solve_module.PREDICTOR_POINTS).flatmap(
+        lambda n: st.tuples(path_points(n), st.lists(st.booleans(), min_size=n, max_size=n))))
+    def test_exact_on_a_line_with_tangents_at_some_points(self, drawn):
+        (t, target, rng), has_tangent = drawn
+        assume(len(t) > 1 or has_tangent[0])
+        a, b = rng.normal(size=13), rng.normal(size=13)
+        points = [(s, _as_state(a + b * s), b if flag else None)
+                  for s, flag in zip(t, has_tangent)]
+        got = _as_vector(solve_module._predict(points, target))
+        expected = a + b * target
+        assert np.abs(got - expected).max() <= 1e-9 * np.abs(expected).max()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, solve_module.PREDICTOR_POINTS).flatmap(path_points),
+           st.lists(st.floats(0.01, 100.0), min_size=4, max_size=4), st.booleans())
+    def test_without_tangents_is_bitwise_the_state_only_extrapolation(self, drawn, terms,
+                                                                     as_triples):
+        # fixed-point ladders, marches and Newton rungs after one-update rungs
+        t, target, rng = drawn
+        points, _ = newton_path(t, target, terms, rng)
+        if as_triples:
+            points = [(s, x, None) for s, x in points]
+        got = solve_module._predict(points, target)
+        assert got.digest() == state_only_predict(points, target).digest()
+
+
+class TestTangent:
+    """The tangent dx/dlog Re that a Newton rung leaves for the next rung's
+    prediction, from one solve with its last update's factor."""
+
+    @pytest.mark.parametrize("build, ladder, rung", [
+        (lambda re: backward_step(re=re, h=0.25), ContinuationConfig(15, 150, 1.3), 6),
+        (lambda re: lid_cavity(16, re=re), ContinuationConfig(50, 1000, 1.5), 5),
+    ], ids=["step-re72", "lid16-re380"])
+    def test_tangent_is_the_central_difference_in_log_re(self, monkeypatch, build, ladder,
+                                                         rung):
+        tangents, tangent = {}, solve_module._tangent
+
+        def recorded(disc, nu, state, last):
+            tangents[nu] = state, tangent(disc, nu, state, last)
+            return tangents[nu][1]
+
+        monkeypatch.setattr(solve_module, "_tangent", recorded)
+        _, report = solve(build(ladder.re_target), SolverConfig(tol=1e-10, continuation=ladder))
+        assert report.converged
+        re = ladder.ladder()[rung]
+        state, got = tangents[build(re).nu]
+        h, sides = 1e-4, []
+        for sign in (1, -1):
+            side, side_report = solve(build(re * math.exp(sign * h)),
+                                      SolverConfig(tol=1e-13), state0=state)
+            assert side_report.stop_reason == "tol"
+            sides.append(_as_vector(side))
+        expected = (sides[0] - sides[1]) / (2 * h)
+        assert np.abs(got - expected).max() <= 1e-5 * np.abs(expected).max()
+
+    def test_factor_is_kept_only_past_the_last_update_of_a_rung(self, monkeypatch):
+        # each linearization finds the list empty, and a rung ends with its
+        # last update's factor and system in it; a single solve keeps none
+        lists, builds = [], []
+        iterate, tangent_blocks = solve_module._iterate, newton_module._tangent_batched
+
+        def recorded(disc, nu, config, start, last=None):
+            lists.append(last)
+            state, report = iterate(disc, nu, config, start, last)
+            assert len(last) == 2 and last[1].state_digest != state.digest()
+            return state, report
+
+        def linearized(*args):
+            builds.append([] if lists[-1] is None else list(lists[-1]))
+            return tangent_blocks(*args)
+
+        monkeypatch.setattr(solve_module, "_iterate", recorded)
+        monkeypatch.setattr(newton_module, "_tangent_batched", linearized)
+        _, report = solve(backward_step(re=30, h=0.25), SolverConfig(
+            tol=1e-10, continuation=ContinuationConfig(15, 30, 1.3)))
+        assert report.converged and len(lists) == 4 and all(last == [] for last in builds)
+        assert len(builds) == report.iterations
+        kept = []
+
+        def solved(matrix, rhs, keeper=None, pattern=None):
+            kept.append(keeper)
+            return linear_solve(matrix, rhs, keeper, pattern)
+
+        monkeypatch.setattr(solve_module, "_iterate", iterate)
+        monkeypatch.setattr(solve_module, "linear_solve", solved)
+        _, single = solve(backward_step(re=30, h=0.25), SolverConfig(tol=1e-10))
+        assert kept == [None] * single.iterations
+
+    def test_tangent_that_misses_its_bound_is_left_out(self, monkeypatch):
+        # the rungs then start from the states alone, as before tangents
+        monkeypatch.setattr(solve_module, "_kept_solve", lambda *args: None)
+        _, report = solve(backward_step(re=150, h=0.25), SolverConfig(
+            tol=1e-10, continuation=ContinuationConfig(15, 150, 1.1)))
+        assert report.converged and report.iterations == 32
 
 
 @pytest.fixture(scope="module")
@@ -1151,9 +1328,9 @@ class TestTimeMarch:
         reference, _ = marched(prob, config, 0.2, 3)
         iterate, starts = solve_module._iterate, []
 
-        def failing_at_step_4(disc, nu, config, start):
+        def failing_at_step_4(disc, nu, config, start, last):
             starts.append(start)
-            state, report = iterate(disc, nu, config, start)
+            state, report = iterate(disc, nu, config, start, last)
             if len(starts) == 4:
                 report = dataclasses.replace(report, stop_reason="max_iter")
             return state, report
