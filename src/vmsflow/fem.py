@@ -44,7 +44,11 @@ def inv2(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]]) / det, det
+        # [[M11, M01], [M10, M00]] / det, C-contiguous whatever M's layout
+        inv = np.divide(M[::-1, ::-1].swapaxes(0, 1), det, out=np.empty(M.shape))
+    np.negative(inv[0, 1, ...], out=inv[0, 1, ...])       # views, also for M of shape (2, 2)
+    np.negative(inv[1, 0, ...], out=inv[1, 0, ...])
+    return inv, det
 
 
 MAX_QUADRATURE_DEGREE = 10

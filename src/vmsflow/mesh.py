@@ -30,7 +30,8 @@ class Mesh:
     """Triangle mesh with tagged boundary edges.
 
     ``boundary_edges`` holds (node_a, node_b, tag) triples; every listed
-    edge belongs to exactly one triangle.  ``edges`` is the read-only
+    edge belongs to exactly one triangle.  ``triangles`` is read-only and
+    ``np.intc``, as node numbers fit it.  ``edges`` is the read-only
     (n_edges, 2) ``np.intc`` table of undirected (min, max) triangle edges
     in order of first appearance, computed once while the mesh is built;
     validation, ``elimination_order`` and ``nested_dissection`` read it.
@@ -49,12 +50,14 @@ class Mesh:
 
     def __post_init__(self, edge_table):
         coords = np.array(self.node_coords, dtype=float, order="C")
-        tris = np.array(self.triangles, dtype=np.int64, order="C")
         coords.setflags(write=False)
-        tris.setflags(write=False)
         object.__setattr__(self, "node_coords", coords)
-        object.__setattr__(self, "triangles", tris)
+        object.__setattr__(self, "triangles", np.array(self.triangles, dtype=np.int64))
         _check_triangles(self)
+        # In range, node numbers fit np.intc: 2**31 nodes would take 32 GB of coordinates.
+        tris = self.triangles.astype(np.intc)
+        tris.setflags(write=False)
+        object.__setattr__(self, "triangles", tris)
         edges, counts = _edge_counts(tris) if edge_table is None else edge_table
         _check_boundary(self, edges, counts)
         edges.setflags(write=False)
@@ -83,6 +86,7 @@ class Mesh:
 
 def _edge_counts(triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Undirected (min, max) edges in order of first appearance, with triangle counts."""
+    triangles = np.asarray(triangles, dtype=np.int64)   # the keys below overflow np.intc
     a = triangles.reshape(-1)                  # edges (t0, t1), (t1, t2), (t2, t0)
     b = triangles[:, [1, 2, 0]].reshape(-1)
     lo, hi = np.minimum(a, b), np.maximum(a, b)

@@ -36,6 +36,7 @@ views read ``[..., 0]`` of a one-element batch.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -161,8 +162,8 @@ class ElementBatch:
             else np.array(elements, dtype=np.int64, ndmin=1)
         )
         tris = mesh.triangles[self.elements]
-        self.tris = tris
-        self.tris_t = np.ascontiguousarray(tris.T)           # (3, E): gathers come out (3, ..., E)
+        # (3, E) in np.intp, the index type of a gather, so none casts it; gathers come out (3, ..., E)
+        self.tris_t = tris.T.astype(np.intp, order="C")
         coords = mesh.node_coords.take(tris, axis=0)         # (E, 3, 2)
         J = np.einsum("eai,ak->ike", coords, DN_REF)         # (2, 2, E)
         Jinv, detJ = inv2(J)       # detJ = 2 * area > 2e-12: Mesh rejects smaller areas
@@ -204,6 +205,11 @@ class ElementBatch:
         self.div = -detJ * np.einsum("kie,Akc->Aice", Jinv, grad_N).reshape(8, 3, -1)  # (8, 3, E)
         for array in vars(self).values():
             array.flags.writeable = False
+
+    @property
+    def tris(self) -> np.ndarray:
+        """(E, 3) nodes of each element, a view of ``tris_t``."""
+        return self.tris_t.T
 
     @property
     def wd(self) -> np.ndarray:
@@ -274,14 +280,14 @@ def _fields(batch: ElementBatch, state: State, nu: float) -> _Fields:
             raise ValueError(f"time step must be positive, got {state.dt}")
         if state.vbar_prev is None:
             raise ValueError("transient systems need the previous velocity (vbar_prev) with dt")
-        prev = np.ascontiguousarray(state.vbar_prev[tris].transpose(0, 2, 1))
+        prev = np.ascontiguousarray(state.vbar_prev.take(tris, axis=0).transpose(0, 2, 1))
     U = np.empty((4, 2, E))                 # C-contiguous, as every einsum below needs
-    U[:3] = state.vbar[tris].transpose(0, 2, 1)
-    U[3] = state.beta[batch.elements].T
+    U[:3] = state.vbar.take(tris, axis=0).transpose(0, 2, 1)   # take: several times [tris]'s speed
+    U[3] = state.beta.take(batch.elements, axis=0).T
     return _Fields(
         batch=batch,
         U=U,
-        p=state.p[tris],
+        p=state.p.take(tris),
         gvbar=np.einsum("aie,aje->ije", U[:3], batch.G),
         nu=nu,
         dt=state.dt,
@@ -312,10 +318,14 @@ def _residuals_batched(batch: ElementBatch, f: _Fields, load):
 
 
 def _tangent_batched(batch: ElementBatch, f: _Fields):
-    """All eight nonzero tangent blocks for every element in the batch.
+    """All eight nonzero tangent blocks for every element in the batch, by name.
 
     The velocity and fine-scale blocks form one (8, 8, E) matrix over
     (A, i) with entries ``delta_ij scal_AB + int Nb_A Nb_B grad u_ij``.
+    The fine-scale coupling is also written whole, each into one
+    contiguous array that condensation reads in one product: ``Kvf``
+    (9, 2, E) is ``[Kcf; Kpf]`` and ``Kfv`` (2, 9, E) is ``[Kfc Kfp]``, and
+    those four blocks are views of them.
     """
     E = len(batch.elements)
     # scal_AB = int Nb_A u . grad Nb_B + nu int grad Nb_A . grad Nb_B (+ mass / dt)
@@ -331,10 +341,14 @@ def _tangent_batched(batch: ElementBatch, f: _Fields):
     T[:, 1, :, 1] += scal
     T = T.reshape(8, 8, E)
     div = batch.div
+    Kvf, Kfv = np.empty((9, 2, E)), np.empty((2, 9, E))
+    Kvf[:6], Kvf[6:] = T[:6, 6:], div[6:].transpose(1, 0, 2)
+    Kfv[:, :6], Kfv[:, 6:] = T[6:, :6], div[6:]
     return {
-        "Kcc": T[:6, :6], "Kcp": div[:6], "Kcf": T[:6, 6:],
-        "Kpc": div[:6].transpose(1, 0, 2), "Kpf": div[6:].transpose(1, 0, 2),
-        "Kfc": T[6:, :6], "Kfp": div[6:], "Kff": T[6:, 6:],
+        "Kcc": T[:6, :6], "Kcp": div[:6], "Kcf": Kvf[:6],
+        "Kpc": div[:6].transpose(1, 0, 2), "Kpf": Kvf[6:],
+        "Kfc": Kfv[:, :6], "Kfp": Kfv[:, 6:], "Kff": T[6:, 6:],
+        "Kvf": Kvf, "Kfv": Kfv,
     }
 
 
@@ -343,37 +357,32 @@ def _invert_fine_blocks(M: np.ndarray):
     and the first block with ``|det| <= 1e-14 ||M||_F^2`` (None if none is)."""
     inv, det = inv2(M)
     bad = np.abs(det) <= 1e-14 * np.einsum("ije,ije->e", M, M)
-    return inv, det, int(np.argmax(bad)) if np.any(bad) else None
+    first = int(bad.argmax())
+    return inv, det, first if bad[first] else None
 
 
 def _condense_batched(Rvp, Rf, blocks, elements):
     """Schur complements (9, 9, E), (9, E), with ``Kff^-1`` and ``X = Kff^-1 [Kfc Kfp]``:
-    ``[Kcc Kcp; Kpc 0] - [Kcf; Kpf] X``, each block product written into its rows."""
+    ``[Kcc Kcp; Kpc 0] - [Kcf; Kpf] X``, one product over the whole coupling,
+    then the blocks of ``_tangent_batched`` written into its rows."""
     Kff_inv, det, bad = _invert_fine_blocks(blocks["Kff"])
     if bad is not None:
         raise FineScaleSingularError(f"fine-scale block of element {int(elements[bad])} "
                                      f"is numerically singular (|det| = {abs(det[bad]):.3e})")
-    E = Rvp.shape[-1]
-    X, K = np.empty((2, 9, E)), np.empty((9, 9, E))
-    for rows, C in ((slice(6), "Kfc"), (slice(6, 9), "Kfp")):
-        np.einsum("fge,gxe->fxe", Kff_inv, blocks[C], out=X[:, rows])
-    for rows, B in ((slice(6), "Kcf"), (slice(6, 9), "Kpf")):
-        np.einsum("xfe,fye->xye", blocks[B], X, out=K[rows])
+    X = np.einsum("fge,gxe->fxe", Kff_inv, blocks["Kfv"])
+    K = np.einsum("xfe,fye->xye", blocks["Kvf"], X)
     np.subtract(blocks["Kcc"], K[:6, :6], out=K[:6, :6])
     np.subtract(blocks["Kcp"], K[:6, 6:], out=K[:6, 6:])
     np.subtract(blocks["Kpc"], K[6:, :6], out=K[6:, :6])
     np.negative(K[6:, 6:], out=K[6:, 6:])
-    R = _condense_residual(Rvp, Rf, Kff_inv, blocks["Kcf"], blocks["Kpf"])
-    return K, R, Kff_inv, X
+    return K, _condense_residual(Rvp, Rf, Kff_inv, blocks["Kvf"]), Kff_inv, X
 
 
-def _condense_residual(Rvp, Rf, Kff_inv, Kcf, Kpf):
+def _condense_residual(Rvp, Rf, Kff_inv, Kvf):
     """``Rvp - [Kcf; Kpf] Kff^-1 Rf`` (9, E): element residuals condensed as
-    ``_condense_batched`` condenses the tangent, with ``Kpf`` (3, 2, E)."""
-    y = np.einsum("fge,ge->fe", Kff_inv, Rf)
-    R = np.empty(Rvp.shape)
-    np.einsum("xfe,fe->xe", Kcf, y, out=R[:6])
-    np.einsum("xfe,fe->xe", Kpf, y, out=R[6:])
+    ``_condense_batched`` condenses the tangent, with ``Kvf`` = ``[Kcf; Kpf]``
+    (9, 2, E)."""
+    R = np.einsum("xfe,fe->xe", Kvf, np.einsum("fge,ge->fe", Kff_inv, Rf))
     return np.subtract(Rvp, R, out=R)
 
 
@@ -398,13 +407,15 @@ def element_tangent(mesh: Mesh, element_index: int, state: State, nu: float
     """The eight nonzero consistent tangent blocks of one element."""
     batch = ElementBatch(mesh, elements=[element_index])
     blocks = _tangent_batched(batch, _fields(batch, state, nu))
-    return ElementTangent(**{k: v[..., 0] for k, v in blocks.items()})
+    return ElementTangent(**{k: blocks[k][..., 0] for k in ElementTangent.__dataclass_fields__})
 
 
 def condense(res: ElementResiduals, tan: ElementTangent,
              element_index: int = 0) -> CondensedElement:
     """Eliminate the fine-scale pair of one element by a Schur complement."""
     blocks = {k: v[..., None] for k, v in vars(tan).items()}
+    blocks["Kvf"] = np.concatenate([blocks["Kcf"], blocks["Kpf"]])
+    blocks["Kfv"] = np.concatenate([blocks["Kfc"], blocks["Kfp"]], axis=1)
     K, R, Kff_inv, X = _condense_batched(np.concatenate([res.Rc, res.Rp])[:, None],
                                          res.Rf[:, None], blocks, np.array([element_index]))
     return CondensedElement(K_hat=K[..., 0], R_hat=R[:, 0], Kff_inv=Kff_inv[..., 0],
@@ -613,8 +624,11 @@ class Discretization:
 
 
 def _norm_of(disc: Discretization, Rvp, Rf) -> float:
-    with np.errstate(over="ignore"):        # inf, which the loop reads as divergence
-        return float(np.sqrt(np.sum(disc.free_residual(Rvp) ** 2) + np.sum(Rf**2)))
+    """2-norm of ``[free_residual(Rvp); Rf]``: inf when its squares overflow,
+    which the loop reads as divergence."""
+    r, f = disc.free_residual(Rvp), Rf.ravel()
+    with np.errstate(over="ignore"):        # np.dot warns on overflow
+        return math.sqrt(r.dot(r) + f.dot(f))
 
 
 def _linearization_part(index: int, doc: str) -> property:
@@ -647,7 +661,7 @@ class NewtonSystem:
         K_hat, R_hat, Kff_inv, X = _condense_batched(Rvp, self.Rf, blocks, disc.batch.elements)
         self._pending = None
         if coupling:
-            self._coupling = (disc, blocks["Kcf"].copy(), blocks["Kpf"])   # not a view of T
+            self._coupling = (disc, blocks["Kvf"])     # not a view of the (8, 8, E) matrix
         return disc.free_matrix(K_hat), -disc.free_residual(R_hat), Kff_inv, X
 
     matrix = _linearization_part(0, "condensed tangent on the free (v, p) DOFs, CSC")
@@ -672,16 +686,15 @@ class NewtonSystem:
         """Fine-scale increments (E, 2) for fine residuals ``Rf`` (2, E) and a global
         (v, p) increment vector, with this linearization, whatever the state now is."""
         return _recover_batched(self.Kff_inv, self.Kff_inv_coupling, Rf,
-                                delta_full[self.edofs]).T
+                                delta_full.take(self.edofs)).T
 
     def condensed_rhs(self, Rvp: np.ndarray, Rf: np.ndarray) -> np.ndarray:
         """``-R_hat`` on the free DOFs for element residuals ``Rvp`` (9, E) and
         ``Rf`` (2, E) other than the system's own, without the traction,
         condensed with this linearization; needs a system assembled with ``coupling``."""
         Kff_inv = self.Kff_inv
-        disc, Kcf, Kpf = self._coupling
-        return -disc.free_residual(_condense_residual(Rvp, Rf, Kff_inv, Kcf, Kpf),
-                                   traction=False)
+        disc, Kvf = self._coupling
+        return -disc.free_residual(_condense_residual(Rvp, Rf, Kff_inv, Kvf), traction=False)
 
 
 def assemble_system(disc: Discretization, state: State, nu: float,

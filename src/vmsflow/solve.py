@@ -8,11 +8,13 @@ rungs and their bound come from ``ContinuationConfig.ladder`` alone).
 inputs and builds its set-up at the call, then returns an iterator that
 yields each step's state and report.  A ladder and a march are both paths
 of points, which one loop, ``_path``, follows; it starts each point after
-the first from ``_predict``, the polynomial extrapolation in log Re or in
-the step count through up to ``PREDICTOR_POINTS`` converged states.  On a
-Newton ladder a rung that took more than one update also leaves, for the
-next rung, its tangent dx/dlog Re (``_tangent``): one solve with its last
-factor, which ``_predict`` reads as a Hermite node.  A march step has no
+the first from ``_extrapolate``, the polynomial extrapolation in log Re or
+in the step count through up to ``PREDICTOR_POINTS`` converged states.
+Their divided differences are kept across points (``_Differences``), so a
+prediction costs O(points) vector operations per point, not O(points^2).
+On a Newton ladder a rung that took more than one update also leaves, for
+the next rung, its tangent dx/dlog Re (``_tangent``): one solve with its
+last factor, which enters the table as a Hermite node.  A march step has no
 parameter derivative to solve for, and fixed point no factor of J, so
 neither carries a tangent.
 A problem object must expose ``mesh``, ``bc``, ``nu`` and ``body_force``
@@ -114,11 +116,12 @@ class Factorization:
 
     def solve(self, rhs) -> np.ndarray:
         A = self._matrix
-        rhs, bound = _checked_rhs(A, rhs)
-        x, resid = _refine(A, rhs, self._lu_solve, bound)
-        if x is None and self.kind == "superlu32":
-            self.kind, self._lu_solve = "superlu", _superlu(A)
+        with np.errstate(over="ignore", invalid="ignore"):     # as _refine needs
+            rhs, bound = _checked_rhs(A, rhs)
             x, resid = _refine(A, rhs, self._lu_solve, bound)
+            if x is None and self.kind == "superlu32":
+                self.kind, self._lu_solve = "superlu", _superlu(A)
+                x, resid = _refine(A, rhs, self._lu_solve, bound)
         if x is None:
             raise LinearSolveError(
                 "linear solve did not reach the requested accuracy "
@@ -214,22 +217,26 @@ def _kept_solve(lu_solve, matrix, rhs) -> np.ndarray | None:
     """``matrix`` solved with ``lu_solve``, another matrix's factor, and refined
     against ``matrix``: the solution when the ``LINEAR_TOL`` bound holds, else
     None.  A right-hand side that does not fit or is not finite raises."""
-    rhs, bound = _checked_rhs(matrix, rhs)
-    return _refine(matrix, rhs, lu_solve, bound)[0]
+    with np.errstate(over="ignore", invalid="ignore"):     # as _refine needs
+        rhs, bound = _checked_rhs(matrix, rhs)
+        return _refine(matrix, rhs, lu_solve, bound)[0]
 
 
 def _checked_rhs(A, rhs) -> tuple[np.ndarray, float]:
     """``rhs`` in float64 and its residual bound; ``LinearSolveError`` when it
-    does not match ``A`` or has a non-finite entry."""
+    does not match ``A`` or has a non-finite entry.  Called under
+    ``np.errstate(over="ignore")``: the norm is finite whenever every entry
+    is, so the entries are scanned only when it is not."""
     rhs = np.asarray(rhs, dtype=float)
     if A.shape[0] != rhs.size:
         raise LinearSolveError(f"matrix of shape {A.shape} does not match "
                                f"right-hand side of size {rhs.size}")
-    if not np.isfinite(rhs).all():
+    norm = _norm(rhs)
+    if not norm < math.inf and not np.isfinite(rhs).all():
         k = int(np.flatnonzero(~np.isfinite(rhs))[0])
         raise LinearSolveError(f"right-hand side entry {k} is {rhs[k]}; "
                                "a non-finite right-hand side is not solved")
-    return rhs, max(1e-12, LINEAR_TOL * _norm(rhs))
+    return rhs, max(1e-12, LINEAR_TOL * norm)
 
 
 def _fits_single(data: np.ndarray) -> bool:
@@ -238,12 +245,15 @@ def _fits_single(data: np.ndarray) -> bool:
 
 
 def _norm(v: np.ndarray) -> float:
-    """2-norm of ``v``, rescaled by its largest entry when the squares overflow."""
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(v))
-    if norm == np.inf and np.isfinite(v).all():
+    """2-norm of ``v``'s entries, rescaled by its largest entry when the squares
+    overflow: bitwise ``np.linalg.norm``'s where they do not.  Called under
+    ``np.errstate(over="ignore")``, one per loop that calls it, since
+    ``np.dot`` warns on overflow."""
+    v = v.reshape(-1)                       # a column right-hand side, as np.linalg.norm reads it
+    norm = math.sqrt(v.dot(v))
+    if norm == math.inf and np.isfinite(v).all():
         scale = float(np.abs(v).max())
-        norm = scale * float(np.linalg.norm(v / scale))
+        norm = scale * _norm(v / scale)
     return norm
 
 
@@ -251,24 +261,24 @@ def _refine(A, b: np.ndarray, lu_solve, bound: float) -> tuple[np.ndarray | None
     """``lu_solve(b)``, refined with ``lu_solve`` of the float64 residual until
     its norm is at most ``bound``; at most ``MAX_REFINEMENTS`` steps, each of
     which must cut it tenfold.  Returns the solution, or None if it missed
-    the bound, and the last residual norm.  An overflow on the way is silent:
-    it leaves a non-finite solution or residual, which misses the bound.
-    An empty ``b`` is solved without ``lu_solve``."""
+    the bound, and the last residual norm.  Called under
+    ``np.errstate(over="ignore", invalid="ignore")``, so an overflow on the
+    way is silent: it leaves a non-finite solution or residual, which
+    misses the bound.  An empty ``b`` is solved without ``lu_solve``."""
     if b.size == 0:
         return np.zeros(0), 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = lu_solve(b)
+    x = lu_solve(b)
+    resid = b - A @ x
+    norm = _norm(resid)
+    for _ in range(MAX_REFINEMENTS):
+        if not bound < norm < math.inf:     # met, or past repair
+            break
+        x = x + lu_solve(resid)
         resid = b - A @ x
-        norm = _norm(resid)
-        for _ in range(MAX_REFINEMENTS):
-            if not bound < norm < np.inf:     # met, or past repair
-                break
-            x = x + lu_solve(resid)
-            resid = b - A @ x
-            last, norm = norm, _norm(resid)
-            if not norm <= 0.1 * last:
-                break
-    met = norm <= bound and norm < np.inf and np.all(np.isfinite(x))
+        last, norm = norm, _norm(resid)
+        if not norm <= 0.1 * last:
+            break
+    met = norm <= bound and norm < math.inf and np.isfinite(x).all()
     return (x if met else None), norm
 
 
@@ -444,54 +454,92 @@ def lifted_state(mesh: Mesh, dofmap: DofMap, state: State | None = None) -> Stat
     return start
 
 
-def _predict(points: list[tuple], parameter: float) -> State:
-    """The start at ``parameter`` extrapolated through the converged ``points``
-    ``(parameter, state)`` or ``(parameter, state, tangent)``, oldest first,
-    in ``vbar``, ``p`` and ``beta``.
+class _Differences:
+    """Divided differences through the last ``PREDICTOR_POINTS`` converged
+    points of a path, kept across points.
 
-    The Newton form of the interpolating polynomial, from the newest point
-    back: term k is the divided difference through the k + 1 newest nodes
-    times ``(t - t_0) ... (t - t_{k-1})``.  A point with a tangent (a vector
-    over ``vbar``, ``p`` and ``beta`` as they are joined here, or None) is
-    two nodes, and the first divided difference between them is its
-    tangent: the confluent (Hermite) form, exact on polynomials of degree
-    2m - 1 when each of m points has one.  Term 1, the secant or the newest
-    tangent, is always added; each later term only while its norm is below
-    the last added one's, so a path whose differences grow falls back to
-    term 1.  With a tangent the norms are compared in each of ``vbar``,
-    ``p`` and ``beta``: their scales differ, so the whole vector's norm
-    follows the largest alone, and on coarse lid ladders it let Hermite
-    terms through that grew in ``vbar`` and drove Newton to divergence.
-    Without one, the whole vector's norm alone is compared.
+    ``t`` holds the nodes, newest first, ``edge[k]`` the divided difference
+    f[t_0, ..., t_k] over ``vbar``, ``p`` and ``beta`` joined, and ``state``
+    the newest point's state.  A point is one node, and its tangent a
+    second node at the same parameter whose first divided difference with
+    the first is the tangent (the confluent, Hermite form).  A node enters
+    at the front in O(points) vector operations, as f[t_0, ..., t_k] =
+    (f[t_1, ..., t_k] - f[t_0, ..., t_{k-1}]) / (t_k - t_0) with the old
+    edge first: the operands of the whole table, so the edge is bitwise the
+    one a rebuild from the window gives.
     """
-    x = points[-1][1]
-    cuts = [x.vbar.size, x.vbar.size + x.p.size]
-    t, d, slopes = [], [], {}
-    for s, state, *tangent in reversed(points):
-        vector = np.concatenate([state.vbar.ravel(), state.p, state.beta.ravel()])
-        if tangent and tangent[0] is not None:
-            slopes[len(d) + 1] = tangent[0]
-            t.append(s)
-            d.append(vector)
-        t.append(s)
-        d.append(vector)
-    start, weight, last = d[0].copy(), 1.0, np.inf
-    for k in range(1, len(d)):
-        for i in range(len(d) - 1, k - 1, -1):      # d[k] becomes f[t_0, ..., t_k]
-            if k == 1 and i in slopes:
-                d[i] = slopes[i]
-            else:
-                d[i] = (d[i] - d[i - 1]) / (t[i] - t[i - k])
-        weight *= parameter - t[k - 1]
-        term = weight * d[k]
-        size = np.array([_norm(part) for part in np.split(term, cuts)]) if slopes \
-            else _norm(term)
-        if k > 1 and not np.all(size < last):
-            break
-        start += term
-        last = size
-    vbar, p, beta = np.split(start, cuts)
-    return State(vbar.reshape(x.vbar.shape), p, beta.reshape(x.beta.shape))
+
+    def __init__(self):
+        self.t: list = []
+        self.edge: list[np.ndarray] = []
+        self.nodes: list[int] = []      # per point, newest first: 1, or 2 with a tangent
+        self.state: State | None = None
+
+    def add(self, parameter, state: State, tangent: np.ndarray | None = None) -> None:
+        """Enter the converged ``state`` at ``parameter``, and its tangent if given."""
+        self.state = state
+        self.nodes = [1, *self.nodes[:PREDICTOR_POINTS - 1]]
+        self._insert(parameter, np.concatenate([state.vbar.ravel(), state.p,
+                                                state.beta.ravel()]))
+        self.add_tangent(tangent)
+
+    def add_tangent(self, tangent: np.ndarray | None) -> None:
+        """Enter the newest point's tangent (over ``vbar``, ``p`` and ``beta``
+        joined) as its second node; None enters nothing."""
+        if tangent is not None:
+            self.nodes[0] = 2
+            self._insert(self.t[0], self.edge[0], tangent)
+
+    def _insert(self, parameter, vector: np.ndarray, slope: np.ndarray | None = None) -> None:
+        old, t = self.edge, self.t
+        edge = [vector]
+        for k in range(1, sum(self.nodes)):
+            edge.append(slope if k == 1 and slope is not None
+                        else (old[k - 1] - edge[k - 1]) / (t[k - 1] - parameter))
+        self.edge, self.t = edge, [parameter, *t[:len(edge) - 1]]
+
+
+def _extrapolate(table: _Differences, parameter) -> State:
+    """The start at ``parameter`` from the divided differences ``table``: every
+    start after a path's first.
+
+    The Newton form of the interpolating polynomial, from the newest node
+    back: term k is ``table.edge[k]`` times ``(t - t_0) ... (t - t_{k-1})``,
+    exact on polynomials of degree 2m - 1 when each of m points has a
+    tangent.  Term 1, the secant or the newest tangent, is always added;
+    each later term only while its norm is below the last added one's, so
+    a path whose differences grow falls back to term 1.  With a tangent in
+    the window the norms are compared in each of ``vbar``, ``p`` and
+    ``beta``: their scales differ, so the whole vector's norm follows the
+    largest alone, and on coarse lid ladders it let Hermite terms through
+    that grew in ``vbar`` and drove Newton to divergence.  Without one, the
+    whole vector's norm alone is compared.
+    """
+    x = table.state
+    a, b = x.vbar.size, x.vbar.size + x.p.size
+    fields = 2 in table.nodes
+    start, weight, last = table.edge[0].copy(), 1.0, ()
+    with np.errstate(over="ignore"):        # as _norm needs: it rescales an overflow
+        for k in range(1, len(table.edge)):
+            weight *= parameter - table.t[k - 1]
+            term = weight * table.edge[k]
+            size = (_norm(term[:a]), _norm(term[a:b]), _norm(term[b:])) if fields \
+                else (_norm(term),)
+            if k > 1 and not all(new < old for new, old in zip(size, last)):
+                break
+            start += term
+            last = size
+    return State(start[:a].reshape(x.vbar.shape), start[a:b], start[b:].reshape(x.beta.shape))
+
+
+def _predict(points: list[tuple], parameter) -> State:
+    """``_extrapolate`` through the converged ``points`` ``(parameter, state)`` or
+    ``(parameter, state, tangent)``, oldest first, entered in turn into a
+    ``_Differences``, which keeps the last ``PREDICTOR_POINTS`` of them."""
+    table = _Differences()
+    for point in points:
+        table.add(*point)
+    return _extrapolate(table, parameter)
 
 
 def _setup(problem) -> Discretization:
@@ -527,7 +575,7 @@ def _newton_steps(disc: Discretization, nu: float, state: State, last: list | No
 
 def _tangent(disc: Discretization, nu: float, state: State, last: list) -> np.ndarray | None:
     """The path's tangent dx/dlog Re at the converged ``state``, over ``vbar``,
-    ``p`` and ``beta`` as ``_predict`` reads it, or None when its solve misses
+    ``p`` and ``beta`` as ``_Differences`` joins them, or None when its solve misses
     the ``LINEAR_TOL`` bound.
 
     With Re proportional to 1/nu, dx/dlog Re = nu J^-1 dR/dnu, and nu dR/dnu
@@ -600,7 +648,7 @@ def _iterate(disc: Discretization, nu: float, config: SolverConfig, state0: Stat
             resid, increment = next(steps)
             history.append(resid)
             increments.append(increment)
-            if not np.isfinite(resid) or resid > DIVERGENCE_RATIO * min_resid:
+            if not math.isfinite(resid) or resid > DIVERGENCE_RATIO * min_resid:
                 stop = "diverged"
             elif resid <= config.tol:
                 stop = "tol"
@@ -709,8 +757,9 @@ def _path(disc: Discretization, config: SolverConfig, state: State | None, path:
     (``state`` before any), the point's own iterate and its report.
 
     The first point starts from ``state``, and each later one from
-    ``_predict``, the polynomial extrapolation through up to the last
-    ``PREDICTOR_POINTS`` converged states (Allgower and Georg 2003; the
+    ``_extrapolate``, the polynomial extrapolation through up to the last
+    ``PREDICTOR_POINTS`` converged states, whose divided differences the
+    loop keeps in one ``_Differences`` (Allgower and Georg 2003; the
     DASSL predictor of Brenan, Campbell and Petzold 1996) in the parameter:
     a ladder's log Re, a march's step count.  From one point without a
     tangent that is the point's state; on a geometric ladder, or a march,
@@ -719,7 +768,7 @@ def _path(disc: Discretization, config: SolverConfig, state: State | None, path:
 
     A Newton rung of a ladder keeps its last update's factor, and the next
     rung first turns it into the rung's tangent (``_tangent``, one solve),
-    which ``_predict`` reads as a second, Hermite node: only after a rung
+    which enters the table as a second, Hermite node: only after a rung
     that took more than one update, as one that converged in one update
     from its start cannot be started better, and never after the last
     rung, which no rung follows.  A march step has no tangent: its residual
@@ -729,20 +778,20 @@ def _path(disc: Discretization, config: SolverConfig, state: State | None, path:
     is a backward-Euler step from the last converged velocity.  There is no
     step control: the first point that fails ends the path.
     """
-    converged: list[tuple] = []     # the last PREDICTOR_POINTS converged points
+    table = _Differences()          # the last PREDICTOR_POINTS converged points
     tangent = None                  # computes the newest point's tangent, when it has one
     for parameter, nu, dt in path:
         if tangent is not None:
-            converged[-1] = (*converged[-1][:2], tangent())
+            table.add_tangent(tangent())
             tangent = None          # the factor goes before this point's first linearization
-        start = _predict(converged, parameter) if converged else state
+        start = _extrapolate(table, parameter) if table.edge else state
         last = [] if dt is None and config.strategy == "newton" else None
         if dt is not None:
             start = replace(start, dt=dt, vbar_prev=state.vbar)  # _iterate copies it
         iterate, report = _iterate(disc, nu, config, start, last)
         if report.converged:
             state = iterate
-            converged = [*converged[1 - PREDICTOR_POINTS:], (parameter, state, None)]
+            table.add(parameter, state)
             if last and report.iterations > 1:
                 tangent = partial(_tangent, disc, nu, state, last)
         yield state, iterate, report

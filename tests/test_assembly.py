@@ -249,8 +249,10 @@ def test_element_tables_are_c_contiguous_with_the_element_index_last():
     for name, shape in shapes.items():
         table = getattr(disc.batch, name)
         assert table.shape == (*shape, E) and table.flags.c_contiguous, name
-    for array, shape in ((disc.load, (7, 2)), (disc.edofs, (9,))):
+    for array, shape in ((disc.load, (7, 2)), (disc.edofs, (9,)), (disc.batch.tris_t, (3,))):
         assert array.shape == (*shape, E) and array.flags.c_contiguous
+    # the gather table is in a gather's own index type, so no call casts it
+    assert disc.batch.tris_t.dtype == np.intp
     # and so is the iterate every kernel reads (a strided one slows the
     # einsum contractions several times over)
     state = random_state(mesh, np.random.default_rng(2), dt=0.1)

@@ -376,6 +376,16 @@ class TestMeshValidation:
             Mesh(coords, np.array([[0, 1, 3]]),
                  ((0, 1, "e"), (1, 3, "e"), (3, 0, "e")), ("e",))
 
+    def test_triangles_are_intc_and_checked_before_the_cast(self):
+        # half of int64's size; a node number past np.intc is out of range,
+        # not wrapped round to one in range
+        mesh = unit_square_mesh(64)
+        assert mesh.triangles.dtype == np.intc and mesh.triangles.nbytes == 2 * 64**2 * 3 * 4
+        coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="out of range"):
+            Mesh(coords, np.array([[0, 1, 2 + 2**32]]),
+                 ((0, 1, "e"), (1, 2, "e"), (2, 0, "e")), ("e",))
+
     def test_nan_coordinate_rejected_by_node(self, tmp_path):
         coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, np.nan]])
         edges = ((0, 1, "e"), (1, 2, "e"), (2, 0, "e"))

@@ -65,6 +65,14 @@ class TestLinearSolve:
         b = np.array([3.0, -1.0, 2.0])
         np.testing.assert_allclose(self.solve(sp.eye(3).tocsr(), b), b)
 
+    def test_column_right_hand_side(self):
+        # a (n, 1) right-hand side is solved as its vector is, and keeps its shape
+        b = np.array([3.0, -1.0, 2.0])
+        A = sp.csr_matrix(np.diag([1.0, 2.0, 4.0]))
+        x = self.solve(A, b[:, None])
+        assert x.shape == (3, 1)
+        np.testing.assert_array_equal(x[:, 0], self.solve(A, b))
+
     def test_saddle_2x2(self):
         A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 0.0]]))
         np.testing.assert_allclose(self.solve(A, [2.0, 1.0]), [1.0, 1.0], atol=1e-14)
@@ -180,7 +188,7 @@ class TestLinearSolveWide(TestLinearSolve):
         wide = sp.block_diag([sp.csr_matrix(A), sp.eye(m)], format="lil")
         wide[k + m - 1, 0] = 1.0
         wide = wide.toarray() if isinstance(A, np.ndarray) else wide.tocsr()
-        return linear_solve(wide, np.concatenate([b, np.zeros(m)]))[:k]
+        return linear_solve(wide, np.concatenate([b, np.zeros((m, *np.shape(b)[1:]))]))[:k]
 
 
 def bordered(A):
@@ -239,6 +247,47 @@ def test_any_sparse_system_meets_the_bound_or_names_the_failure(system, log_chan
         if x is not None:
             residual = b - matrix @ x
             assert math.hypot(*residual) <= max(1e-12, solve_module.LINEAR_TOL * math.hypot(*b))
+
+
+class TestOverflowingNorms:
+    """Norms of vectors whose squares overflow: ``_norm`` rescales by the
+    largest entry, and ``_norm_of``, an update's residual, is inf, which the
+    loop reads as divergence.  ``np.dot`` warns on overflow, so each loop
+    that calls ``_norm`` silences it once; no caller lets the warning out."""
+
+    HUGE = np.array([1e200, -3e200, 2e200, 0.5])
+
+    def test_norm_rescales_by_the_largest_entry(self):
+        with np.errstate(over="ignore"):        # as every caller of _norm runs it
+            norm = solve_module._norm(self.HUGE)
+        assert norm == 3e200 * float(np.linalg.norm(self.HUGE / 3e200))
+        assert 3e200 < norm < np.inf
+
+    def test_norm_is_numpys_where_nothing_overflows(self):
+        v = np.random.default_rng(0).normal(size=1000) * 1e100
+        assert solve_module._norm(v) == float(np.linalg.norm(v))
+
+    def test_norm_of_an_overflowing_residual_is_inf(self):
+        prob = lid_cavity(8, re=100)
+        disc = solve_module._setup(prob)
+        Rvp = np.full((9, prob.mesh.n_triangles), 1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert newton_module._norm_of(disc, Rvp, np.zeros((2, prob.mesh.n_triangles))) \
+                == np.inf
+
+    def test_no_caller_lets_the_overflow_warning_out(self):
+        A = sp.csc_matrix(np.diag([1.0, 2.0, 4.0, 8.0]))
+        points = [(float(k), _as_state(np.full(13, (-1.0) ** k * 1e200))) for k in range(3)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            factor = solve_module.factorize(A)
+            np.testing.assert_array_equal(factor.solve(self.HUGE), self.HUGE / [1, 2, 4, 8])
+            assert solve_module._kept_solve(factor._lu_solve, A, self.HUGE) is not None
+            start = _as_vector(solve_module._predict(points, 3.0))
+        # 1e200 plus the secant term, 2e200, always added; the second term,
+        # 4e200 in each entry, is larger in its rescaled norm and is not
+        np.testing.assert_array_equal(start, np.full(13, 3e200))
 
 
 def conditioned(kappa, seed=0):
@@ -814,9 +863,10 @@ class TestContinuation:
 
 def warm_started(monkeypatch, run):
     """``run()`` with every rung and step started from the last converged
-    state instead of the prediction."""
+    state instead of the prediction: ``_path`` starts each point after the
+    first from ``_extrapolate`` of its difference table."""
     with monkeypatch.context() as patched:
-        patched.setattr(solve_module, "_predict", lambda points, parameter: points[-1][1])
+        patched.setattr(solve_module, "_extrapolate", lambda table, parameter: table.state)
         return run()
 
 
@@ -1009,6 +1059,37 @@ def state_only_predict(points, parameter):
     return State(vbar.reshape(x.vbar.shape), p, beta.reshape(x.beta.shape))
 
 
+def rebuilt_predict(points, parameter):
+    """The extrapolation with the whole divided-difference table rebuilt from
+    ``points``, tangents as second nodes: the reference a path's table,
+    kept across points, must reproduce bitwise."""
+    x = points[-1][1]
+    cuts = [x.vbar.size, x.vbar.size + x.p.size]
+    t, d, slopes = [], [], {}
+    for s, state, *tangent in reversed(points):
+        vector = np.concatenate([state.vbar.ravel(), state.p, state.beta.ravel()])
+        if tangent and tangent[0] is not None:
+            slopes[len(d) + 1] = tangent[0]
+            t.append(s)
+            d.append(vector)
+        t.append(s)
+        d.append(vector)
+    start, weight, last = d[0].copy(), 1.0, np.inf
+    for k in range(1, len(d)):
+        for i in range(len(d) - 1, k - 1, -1):      # d[k] becomes f[t_0, ..., t_k]
+            d[i] = slopes[i] if k == 1 and i in slopes else (d[i] - d[i - 1]) / (t[i] - t[i - k])
+        weight *= parameter - t[k - 1]
+        term = weight * d[k]
+        parts = np.split(term, cuts) if slopes else [term]
+        size = np.array([np.linalg.norm(part) for part in parts])
+        if k > 1 and not np.all(size < last):
+            break
+        start += term
+        last = size
+    vbar, p, beta = np.split(start, cuts)
+    return State(vbar.reshape(x.vbar.shape), p, beta.reshape(x.beta.shape))
+
+
 class TestPredictor:
     """``_predict``: the Newton-form extrapolation through the last converged
     states, each term past the secant added only while it shrinks."""
@@ -1084,6 +1165,28 @@ class TestPredictor:
             points = [(s, x, None) for s, x in points]
         got = solve_module._predict(points, target)
         assert got.digest() == state_only_predict(points, target).digest()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 8).flatmap(
+        lambda n: st.tuples(path_points(n), st.lists(st.booleans(), min_size=n, max_size=n))))
+    def test_table_kept_along_a_path_is_bitwise_the_rebuilt_one(self, drawn):
+        # as _path enters them: each point's state once it converges, and its
+        # tangent, when it has one, only before the next point's start
+        (t, target, rng), has_tangent = drawn
+        params = [*t, target]
+        table, window = solve_module._Differences(), []
+        for i, (s, flag) in enumerate(zip(t, has_tangent)):
+            state = _as_state(rng.normal(size=13) * 10.0 ** rng.uniform(-3, 3))
+            tangent = rng.normal(size=13) if flag else None
+            table.add(s, state)
+            table.add_tangent(tangent)
+            window = [*window[1 - solve_module.PREDICTOR_POINTS:], (s, state, tangent)]
+            got = solve_module._extrapolate(table, params[i + 1])
+            assert len(table.t) == len(table.edge) == sum(1 + (w[2] is not None) for w in window)
+            assert got.digest() == solve_module._predict(window, params[i + 1]).digest()
+            assert got.digest() == rebuilt_predict(window, params[i + 1]).digest()
+            if all(w[2] is None for w in window):
+                assert got.digest() == state_only_predict(window, params[i + 1]).digest()
 
 
 class TestTangent:
